@@ -24,6 +24,8 @@
 //! * [`cluster`] — data-parallel multi-device scaling (Bow-Pod64,
 //!   GroqNode), quantifying §4.2.2's GPU-comparison discussion.
 
+#![forbid(unsafe_code)]
+
 pub mod cluster;
 pub mod compiler;
 pub mod device;

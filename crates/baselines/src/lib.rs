@@ -20,6 +20,8 @@
 //! operators the accelerators *don't* support (§3.1), which is why the
 //! paper's compressor is two matmuls instead.
 
+#![forbid(unsafe_code)]
+
 pub use aicomp_core::bitio;
 
 pub mod colorquant;

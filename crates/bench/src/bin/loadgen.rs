@@ -5,7 +5,6 @@
 //!         [--clients 32] [--requests 16]
 //!         [--coarse 0.5] [--cf <coarser>] [--seed 7] [--verify <file.dcz>]
 //!         [--chaos <seed>] [--timeout <ms>] [--retries <attempts>]
-//!         [--backend <threads|epoll>]
 //!         [--tenant <id> --weight <class> | --tenants <n>]
 //!         [--churn] [--hedge <fraction of --timeout>]
 //! ```
@@ -33,10 +32,8 @@
 //! byte positions, so two runs with the same seed against the same store
 //! print an identical `chaos-counters:` line — CI diffs it.
 //!
-//! `--backend` selects the self-hosted server's transport (thread-per-
-//! connection or the epoll event loop); it is ignored with `--addr`. The
-//! stats frame's readiness section (wakeups, frames/wakeup, slab bytes
-//! shared) is how the two are told apart from the outside.
+//! Any argument that is not one of the flags above (`--help` included)
+//! is a usage error: nonzero exit, no server, no record appended.
 //!
 //! QoS modes: `--tenant <id> --weight <class>` files every connection
 //! under one tenant (the aggressor/victim halves of the CI `qos-smoke`
@@ -82,12 +79,55 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use aicomp_serve::{
-    Backend, Client, ErrorCode, FailureDetector, FetchedChunk, RobustClient, RobustConfig,
-    ServeConfig, ServeError, Server, ServerHandle, ShardMap, WireFaultPlan,
+    Client, ErrorCode, FailureDetector, FetchedChunk, RobustClient, RobustConfig, ServeConfig,
+    ServeError, Server, ServerHandle, ShardMap, WireFaultPlan,
 };
 use aicomp_store::writer::pack_file;
 use aicomp_store::{DczReader, RetryPolicy, StoreOptions};
 use aicomp_tensor::Tensor;
+
+const USAGE: &str = "usage: loadgen [--addr <ip:port> | --store <file.dcz> | --cluster <a,b,c>] \
+     [--clients <N>] [--requests <N>] [--coarse <fraction>] [--cf <coarser>] [--seed <S>] \
+     [--verify <file.dcz>] [--chaos <seed>] [--timeout <ms>] [--retries <attempts>] \
+     [--tenant <id> --weight <class> | --tenants <n>] [--churn] [--hedge <fraction>]";
+
+/// Flags taking one value; `--churn` is the only switch.
+const VALUE_FLAGS: [&str; 16] = [
+    "--addr",
+    "--store",
+    "--cluster",
+    "--clients",
+    "--requests",
+    "--coarse",
+    "--cf",
+    "--seed",
+    "--verify",
+    "--chaos",
+    "--timeout",
+    "--retries",
+    "--tenant",
+    "--weight",
+    "--tenants",
+    "--hedge",
+];
+
+/// Reject anything that is not a declared flag (with its value).
+fn check_flags(args: &[String]) -> Result<(), String> {
+    let mut i = 0;
+    while i < args.len() {
+        let a = args[i].as_str();
+        if a == "--churn" {
+            i += 1;
+        } else if VALUE_FLAGS.contains(&a) && i + 1 < args.len() {
+            i += 2;
+        } else if VALUE_FLAGS.contains(&a) {
+            return Err(format!("flag {a} needs a value\n{USAGE}"));
+        } else {
+            return Err(format!("unknown argument {a:?}\n{USAGE}"));
+        }
+    }
+    Ok(())
+}
 
 fn arg(args: &[String], name: &str) -> Option<String> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
@@ -304,6 +344,7 @@ fn restore_members(cur: &ShardMap) -> Result<(), String> {
 
 fn run() -> Result<bool, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    check_flags(&args)?;
     let clients: usize = parse(&args, "--clients", 32)?;
     let requests: usize = parse(&args, "--requests", 16)?;
     let coarse_frac: f64 = parse(&args, "--coarse", 0.5)?;
@@ -314,7 +355,6 @@ fn run() -> Result<bool, String> {
     };
     let timeout_ms: u64 = parse(&args, "--timeout", 10_000)?;
     let retries: u32 = parse(&args, "--retries", 6)?;
-    let backend: Backend = parse(&args, "--backend", Backend::default())?;
     let tenant: u32 = parse(&args, "--tenant", 0)?;
     let weight: u8 = parse(&args, "--weight", 1)?;
     let tenants: u32 = parse(&args, "--tenants", 0)?;
@@ -394,8 +434,8 @@ fn run() -> Result<bool, String> {
                 }
             };
             verify_path.get_or_insert_with(|| path.clone());
-            let config = ServeConfig { backend, ..ServeConfig::default() };
-            let server = Server::bind("127.0.0.1:0", &[path], config).map_err(|e| e.to_string())?;
+            let server = Server::bind("127.0.0.1:0", &[path], ServeConfig::default())
+                .map_err(|e| e.to_string())?;
             let h = server.spawn();
             let addr = h.addr().to_string();
             handle = Some(h);
@@ -417,7 +457,7 @@ fn run() -> Result<bool, String> {
     println!(
         "driving {addr}{}: {} chunks of {} samples, stored cf {stored_cf}, \
          {clients} clients x {requests} requests, {:.0}% coarse (cf {coarse_cf}){}",
-        if handle.is_some() { format!(" (self-hosted, {backend} backend)") } else { String::new() },
+        if handle.is_some() { " (self-hosted)" } else { "" },
         info.chunks,
         info.chunk_size,
         coarse_frac * 100.0,
@@ -765,11 +805,7 @@ fn run() -> Result<bool, String> {
     nums.extend(churn_fields);
     let log = aicomp_bench::append_bench_record(
         "serve",
-        &[
-            ("bin", "loadgen"),
-            ("backend", &backend.to_string()),
-            ("mode", if churn { "churn" } else { "load" }),
-        ],
+        &[("bin", "loadgen"), ("mode", if churn { "churn" } else { "load" })],
         &nums,
     );
     println!("appended run record to {}", log.display());

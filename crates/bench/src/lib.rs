@@ -5,6 +5,8 @@
 //! plots) and writes a CSV under `results/`. EXPERIMENTS.md records the
 //! paper-vs-measured comparison for each.
 
+#![forbid(unsafe_code)]
+
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};

@@ -32,6 +32,8 @@
 //! channel of every sample is compressed independently and in parallel,
 //! exactly as the paper's `torch.matmul` broadcast does.
 
+#![forbid(unsafe_code)]
+
 pub mod bitio;
 pub mod chop1d;
 pub mod codec;

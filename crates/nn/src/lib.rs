@@ -23,6 +23,8 @@
 //! runs forward eagerly, then [`Tape::backward`] accumulates gradients
 //! straight into the `Param`s, which the optimizer consumes.
 
+#![forbid(unsafe_code)]
+
 pub mod compressed;
 pub mod conv_ops;
 pub mod init;

@@ -53,6 +53,12 @@
 //! members with `Ping` beats through the seeded, clock-injected
 //! [`FailureDetector`] and reports who is suspected — the decision is a
 //! pure function of which probes answered, so it replays.
+//!
+//! Every subcommand checks its arguments against the flags it declares:
+//! an unknown flag (or `--help`, or a stray word) is a usage error with a
+//! nonzero exit, and nothing runs.
+
+#![forbid(unsafe_code)]
 
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
@@ -63,8 +69,8 @@ use std::time::Duration;
 use aicomp_core::CodecSpec;
 use aicomp_sciml::{Dataset, DatasetKind};
 use aicomp_serve::{
-    Backend, BrownoutConfig, Client, FailureDetector, RobustClient, RobustConfig, ServeConfig,
-    Server, ShardMap, ShardMember, ShardRole, WireFaultPlan,
+    BrownoutConfig, Client, FailureDetector, RobustClient, RobustConfig, ServeConfig, Server,
+    ShardMap, ShardMember, ShardRole, WireFaultPlan,
 };
 use aicomp_store::writer::{DczFileWriter, StoreOptions};
 use aicomp_store::{deep_verify, repair, ChunkStatus, DczReader, RetryPolicy};
@@ -87,6 +93,31 @@ fn arg_all(args: &[String], name: &str) -> Vec<String> {
         i += 1;
     }
     out
+}
+
+/// Reject every argument past the first `skip` (the subcommand words)
+/// that is not a declared flag: `values` take one argument each,
+/// `switches` none.
+fn check_flags(
+    args: &[String],
+    skip: usize,
+    values: &[&str],
+    switches: &[&str],
+) -> Result<(), String> {
+    let mut i = skip;
+    while i < args.len() {
+        let a = args[i].as_str();
+        if switches.contains(&a) {
+            i += 1;
+        } else if values.contains(&a) && i + 1 < args.len() {
+            i += 2;
+        } else if values.contains(&a) {
+            return Err(format!("flag {a} needs a value\n{}", usage()));
+        } else {
+            return Err(format!("unknown argument {a:?}\n{}", usage()));
+        }
+    }
+    Ok(())
 }
 
 fn required(args: &[String], name: &str) -> Result<String, String> {
@@ -113,13 +144,13 @@ fn usage() -> String {
      \x20 verify   --input <file.dcz> [--deep]   (--deep: per-chunk health report)\n\
      \x20 repair   --input <file.dcz> --out <salvaged.dcz>\n\
      \x20 serve    --store <file.dcz> [--store <more.dcz> ...] [--addr <ip:port>] \
-     [--backend <threads|epoll>] [--shard-name <name, identity for a later cluster join>] \
+     [--shard-name <name, identity for a later cluster join>] \
      [--workers <N>] [--queue <depth>] [--batch <max>] [--cache <chunks>] [--shards <N>] \
      [--idle-timeout <ms, 0 = never>] [--max-conns <N>] [--chaos <seed, 0 = off>] \
      [--quantum <pops>] [--tenant-inflight <N, 0 = unlimited>] \
      [--tenant-bytes <B, 0 = unlimited>] [--brownout] [--worker-delay <ms, 0 = off>]\n\
      \x20 cluster  --store <file.dcz> [--store <more.dcz> ...] -n <shards> \
-     [--addr-base <ip:port, fixed — port 0 rejected>] [--backend <threads|epoll>] \
+     [--addr-base <ip:port, fixed — port 0 rejected>] \
      [--seed <ring seed>] [--vnodes <per member>] [--replication <R>] [--epoch <nonzero>] \
      [--workers <N>] [--queue <depth>] [--batch <max>] [--cache <chunks>] [--shards <N>] \
      [--worker-delay <ms> [--slow-shard <index, default: all shards>]  (hedging demos)]\n\
@@ -216,6 +247,7 @@ fn main() -> ExitCode {
 /// canonical name (what `--codec` parses), compression ratio, and the
 /// Eq. 5 compress / Eq. 7 decompress per-unit FLOP counts.
 fn codecs(args: &[String]) -> Result<(), String> {
+    check_flags(args, 1, &["--n", "--cf"], &[])?;
     let n: usize = parse(args, "--n", 32)?;
     let cf: usize = parse(args, "--cf", 4)?;
     // One spec per registry family, sharing the requested geometry (the
@@ -253,6 +285,7 @@ fn codecs(args: &[String]) -> Result<(), String> {
 }
 
 fn gen(args: &[String]) -> Result<(), String> {
+    check_flags(args, 1, &["--dataset", "--count", "--seed", "--out"], &[])?;
     let name = required(args, "--dataset")?;
     let kind = DatasetKind::ALL
         .into_iter()
@@ -276,6 +309,7 @@ fn gen(args: &[String]) -> Result<(), String> {
 }
 
 fn pack(args: &[String]) -> Result<(), String> {
+    check_flags(args, 1, &["--input", "--out", "--codec", "--channels", "--chunk"], &[])?;
     let input = required(args, "--input")?;
     let out = required(args, "--out")?;
     // One parser for every codec name: the core registry's `FromStr`.
@@ -329,6 +363,7 @@ fn pack(args: &[String]) -> Result<(), String> {
 }
 
 fn unpack(args: &[String]) -> Result<(), String> {
+    check_flags(args, 1, &["--input", "--out", "--cf"], &[])?;
     let input = required(args, "--input")?;
     let out = required(args, "--out")?;
     let mut reader = DczReader::open(&input).map_err(|e| e.to_string())?;
@@ -360,6 +395,7 @@ fn unpack(args: &[String]) -> Result<(), String> {
 }
 
 fn inspect(args: &[String]) -> Result<(), String> {
+    check_flags(args, 1, &["--input"], &[])?;
     let input = required(args, "--input")?;
     let reader = DczReader::open(&input).map_err(|e| e.to_string())?;
     let h = *reader.header();
@@ -379,6 +415,7 @@ fn inspect(args: &[String]) -> Result<(), String> {
 }
 
 fn verify(args: &[String]) -> Result<(), String> {
+    check_flags(args, 1, &["--input"], &["--deep"])?;
     let input = required(args, "--input")?;
     let mut reader = DczReader::open(&input).map_err(|e| e.to_string())?;
     if args.iter().any(|a| a == "--deep") {
@@ -418,6 +455,28 @@ fn verify(args: &[String]) -> Result<(), String> {
 }
 
 fn serve(args: &[String]) -> Result<(), String> {
+    check_flags(
+        args,
+        1,
+        &[
+            "--store",
+            "--addr",
+            "--shard-name",
+            "--workers",
+            "--queue",
+            "--batch",
+            "--cache",
+            "--shards",
+            "--idle-timeout",
+            "--max-conns",
+            "--chaos",
+            "--quantum",
+            "--tenant-inflight",
+            "--tenant-bytes",
+            "--worker-delay",
+        ],
+        &["--brownout"],
+    )?;
     let stores = arg_all(args, "--store");
     if stores.is_empty() {
         return Err("at least one --store <file.dcz> is required".into());
@@ -450,7 +509,6 @@ fn serve(args: &[String]) -> Result<(), String> {
             plan.stall = Duration::from_millis(1);
             plan
         }),
-        backend: parse(args, "--backend", Backend::default())?,
         quantum: parse(args, "--quantum", 4)?,
         tenant_inflight: parse(args, "--tenant-inflight", 0)?,
         tenant_bytes: parse(args, "--tenant-bytes", 0)?,
@@ -461,10 +519,9 @@ fn serve(args: &[String]) -> Result<(), String> {
         shard_name: arg(args, "--shard-name"),
     };
     let addr = addr_of(args);
-    let backend = config.backend;
     let server = Server::bind(addr.as_str(), &stores, config).map_err(|e| e.to_string())?;
     let bound = server.local_addr();
-    println!("serving {} container(s) on {bound} ({backend} backend):", stores.len());
+    println!("serving {} container(s) on {bound}:", stores.len());
     if chaos_seed != 0 {
         println!("  CHAOS: injecting wire faults on every connection (seed {chaos_seed})");
     }
@@ -491,6 +548,27 @@ fn cluster(args: &[String]) -> Result<(), String> {
         Some("suspect") => return cluster_suspect(args),
         _ => {}
     }
+    check_flags(
+        args,
+        1,
+        &[
+            "--store",
+            "-n",
+            "--addr-base",
+            "--seed",
+            "--vnodes",
+            "--replication",
+            "--epoch",
+            "--workers",
+            "--queue",
+            "--batch",
+            "--cache",
+            "--shards",
+            "--worker-delay",
+            "--slow-shard",
+        ],
+        &[],
+    )?;
     let stores = arg_all(args, "--store");
     if stores.is_empty() {
         return Err("at least one --store <file.dcz> is required".into());
@@ -527,7 +605,6 @@ fn cluster(args: &[String]) -> Result<(), String> {
         });
     }
     let map = ShardMap::new(epoch, seed, vnodes, replication, members);
-    let backend: Backend = parse(args, "--backend", Backend::default())?;
     println!(
         "cluster of {n} shard(s) over {} container(s) \
          (epoch {epoch}, seed {seed}, {vnodes} vnodes, replication {}):",
@@ -549,14 +626,13 @@ fn cluster(args: &[String]) -> Result<(), String> {
             cache_shards: parse(args, "--shards", 8)?,
             worker_delay: (delay_ms > 0 && (slow == usize::MAX || slow == i))
                 .then(|| Duration::from_millis(delay_ms)),
-            backend,
             shard: Some(ShardRole { map: map.clone(), index: i }),
             ..ServeConfig::default()
         };
         let addr = map.members[i].addr.clone();
         let server =
             Server::bind(addr.as_str(), &stores, config).map_err(|e| format!("{addr}: {e}"))?;
-        println!("  {} {} ({backend} backend)", map.members[i].name, server.local_addr());
+        println!("  {} {}", map.members[i].name, server.local_addr());
         handles.push(server.spawn());
     }
     println!("stop each shard with: dcz shutdown --addr <its ip:port>");
@@ -643,6 +719,12 @@ fn push_to_all(addrs: &[String], map: &ShardMap) -> Result<(), String> {
 /// live map, and `--members` defaults to the current membership — the
 /// bare form re-keys the ring (new seed/vnodes) without a roster change.
 fn cluster_push(args: &[String]) -> Result<(), String> {
+    check_flags(
+        args,
+        2,
+        &["--addr", "--epoch", "--members", "--seed", "--vnodes", "--replication"],
+        &[],
+    )?;
     let addrs = member_addrs(args)?;
     let epoch: u64 = required(args, "--epoch")?.parse().map_err(|_| "bad --epoch".to_string())?;
     let cur = fetch_map(&addrs)?;
@@ -666,6 +748,7 @@ fn cluster_push(args: &[String]) -> Result<(), String> {
 /// to every old member *and* the newcomer, which adopts the cluster map
 /// in the same push.
 fn cluster_join(args: &[String]) -> Result<(), String> {
+    check_flags(args, 2, &["--addr", "--name", "--member-addr"], &[])?;
     let addrs = member_addrs(args)?;
     let name = required(args, "--name")?;
     let member_addr = required(args, "--member-addr")?;
@@ -688,6 +771,7 @@ fn cluster_join(args: &[String]) -> Result<(), String> {
 /// nothing, finishes its admitted in-flight work at the old epoch, and
 /// answers every key with a `WrongShard` redirect from then on.
 fn cluster_leave(args: &[String]) -> Result<(), String> {
+    check_flags(args, 2, &["--addr", "--name"], &[])?;
     let addrs = member_addrs(args)?;
     let name = required(args, "--name")?;
     let cur = fetch_map(&addrs)?;
@@ -710,6 +794,7 @@ fn cluster_leave(args: &[String]) -> Result<(), String> {
 /// verdict is a pure function of which probes answered, so two sweeps
 /// over the same cluster state print the same suspicions.
 fn cluster_suspect(args: &[String]) -> Result<(), String> {
+    check_flags(args, 2, &["--addr", "--beats", "--threshold", "--interval", "--timeout"], &[])?;
     let addrs = member_addrs(args)?;
     let beats: u32 = parse(args, "--beats", 3)?;
     let threshold: u32 = parse(args, "--threshold", 3)?;
@@ -745,6 +830,23 @@ fn ping_once(addr: &str, timeout: Duration) -> bool {
 }
 
 fn fetch(args: &[String]) -> Result<(), String> {
+    check_flags(
+        args,
+        1,
+        &[
+            "--addr",
+            "--container",
+            "--chunk",
+            "--cf",
+            "--out",
+            "--timeout",
+            "--retries",
+            "--tenant",
+            "--weight",
+            "--hedge",
+        ],
+        &["--ring"],
+    )?;
     let container: u32 =
         required(args, "--container")?.parse().map_err(|_| "bad --container".to_string())?;
     let chunk: u32 = required(args, "--chunk")?.parse().map_err(|_| "bad --chunk".to_string())?;
@@ -775,12 +877,14 @@ fn fetch(args: &[String]) -> Result<(), String> {
 }
 
 fn stats(args: &[String]) -> Result<(), String> {
+    check_flags(args, 1, &["--addr", "--timeout", "--retries"], &[])?;
     let mut client = robust_client(args)?;
     print!("{}", client.stats().map_err(|e| e.to_string())?);
     Ok(())
 }
 
 fn shutdown(args: &[String]) -> Result<(), String> {
+    check_flags(args, 1, &["--addr", "--timeout", "--retries"], &[])?;
     let addr = addr_of(args);
     let mut client = robust_client(args)?;
     client.shutdown().map_err(|e| e.to_string())?;
@@ -789,6 +893,7 @@ fn shutdown(args: &[String]) -> Result<(), String> {
 }
 
 fn repair_cmd(args: &[String]) -> Result<(), String> {
+    check_flags(args, 1, &["--input", "--out"], &[])?;
     let input = required(args, "--input")?;
     let out = required(args, "--out")?;
     let report = repair(&input, &out).map_err(|e| e.to_string())?;

@@ -110,29 +110,27 @@ impl<V: Clone> ChunkCache<V> {
         self.shards[i].lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Look `key` up, bumping its recency on a hit.
+    /// Look `key` up, bumping its recency on a hit, and count the
+    /// outcome as one hit or one miss.
     pub fn get(&self, key: &CacheKey) -> Option<V> {
+        let found = self.peek(key);
+        let counter = if found.is_some() { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    /// [`ChunkCache::get`] without touching the hit/miss counters — for a
+    /// second look at a key whose outcome was already counted.
+    pub fn peek(&self, key: &CacheKey) -> Option<V> {
         if self.per_shard == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
         let mut shard = self.shard(key);
         shard.clock += 1;
         let clock = shard.clock;
-        match shard.map.get_mut(key) {
-            Some(e) => {
-                e.last_used = clock;
-                let data = e.data.clone();
-                drop(shard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(data)
-            }
-            None => {
-                drop(shard);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let e = shard.map.get_mut(key)?;
+        e.last_used = clock;
+        Some(e.data.clone())
     }
 
     /// Insert (or replace) `key`, evicting least-recently-used entries of
@@ -203,6 +201,9 @@ mod tests {
         assert!(cache.get(&(0, 1, 4)).is_none(), "LRU entry must be evicted");
         assert!(cache.get(&(0, 0, 4)).is_some());
         assert!(cache.get(&(0, 2, 4)).is_some());
+        // Peeks find the same entries but leave the counters alone.
+        assert!(cache.peek(&(0, 0, 4)).is_some());
+        assert!(cache.peek(&(0, 1, 4)).is_none());
         let s = cache.snapshot();
         assert_eq!(s.evictions, 1);
         assert_eq!(s.entries, 2);

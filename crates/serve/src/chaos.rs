@@ -47,21 +47,6 @@ pub trait Wire: Read + Write + Send {
     fn set_read_timeout(&self, dur: Option<Duration>) -> std::io::Result<()>;
     /// Disable/enable Nagle's algorithm.
     fn set_nodelay(&self, on: bool) -> std::io::Result<()>;
-    /// The OS file descriptor under this stream, when one exists — what
-    /// the `epoll` backend registers for readiness. Fault-injecting
-    /// wrappers delegate to their inner stream (the faults themselves
-    /// stay in the `Read`/`Write` path); pure in-memory streams return
-    /// `None` and can only be driven by the threads backend.
-    fn raw_fd(&self) -> Option<i32> {
-        None
-    }
-    /// Switch the underlying socket between blocking and nonblocking
-    /// mode (the `epoll` backend runs nonblocking; accept-time typed
-    /// rejections run blocking).
-    fn set_nonblocking(&self, on: bool) -> std::io::Result<()> {
-        let _ = on;
-        Ok(())
-    }
 }
 
 impl Wire for std::net::TcpStream {
@@ -71,22 +56,6 @@ impl Wire for std::net::TcpStream {
 
     fn set_nodelay(&self, on: bool) -> std::io::Result<()> {
         std::net::TcpStream::set_nodelay(self, on)
-    }
-
-    fn raw_fd(&self) -> Option<i32> {
-        #[cfg(unix)]
-        {
-            use std::os::fd::AsRawFd;
-            Some(self.as_raw_fd())
-        }
-        #[cfg(not(unix))]
-        {
-            None
-        }
-    }
-
-    fn set_nonblocking(&self, on: bool) -> std::io::Result<()> {
-        std::net::TcpStream::set_nonblocking(self, on)
     }
 }
 
@@ -115,7 +84,7 @@ pub struct WireFaultPlan {
     pub partial_write_rate: f64,
     /// Cap on bytes moved per call (slow-peer shaping); `None` = no cap.
     pub throttle_bytes: Option<usize>,
-    /// Arm the plan *before* the version handshake instead of after it,
+    /// Arm the plan *before* the `Hello` handshake instead of after it,
     /// so faults land in the `Hello`/`MapPush` window that the
     /// arm-after-open discipline normally shields. Position draws and
     /// per-connection derivation are unchanged — only the arming point
@@ -501,14 +470,6 @@ impl<S: Wire> Wire for FaultyStream<S> {
 
     fn set_nodelay(&self, on: bool) -> std::io::Result<()> {
         self.inner.set_nodelay(on)
-    }
-
-    fn raw_fd(&self) -> Option<i32> {
-        self.inner.raw_fd()
-    }
-
-    fn set_nonblocking(&self, on: bool) -> std::io::Result<()> {
-        self.inner.set_nonblocking(on)
     }
 }
 

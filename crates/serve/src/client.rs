@@ -14,8 +14,7 @@ use aicomp_tensor::Tensor;
 
 use crate::chaos::Wire;
 use crate::protocol::{
-    client_handshake, client_handshake_tenant, frames_checksummed, read_response, write_request,
-    ContainerInfo, Request, Response, PROTO_VERSION,
+    client_handshake, read_response, write_request, ContainerInfo, Request, Response, PROTO_VERSION,
 };
 use crate::stats::StatsReport;
 use crate::{Result, ServeError};
@@ -72,29 +71,19 @@ impl FetchedChunk {
 /// through [`Client::from_parts`] by tests and the `RobustClient`.
 pub struct Client {
     stream: Box<dyn Wire>,
-    version: u16,
 }
 
 impl std::fmt::Debug for Client {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Client").field("version", &self.version).finish_non_exhaustive()
+        f.debug_struct("Client").finish_non_exhaustive()
     }
 }
 
 impl Client {
-    /// Connect to `addr` and perform the version handshake at the newest
-    /// protocol version.
+    /// Connect to `addr` and perform the `Hello` handshake as the default
+    /// tenant.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client> {
-        Client::connect_version(addr, PROTO_VERSION)
-    }
-
-    /// Connect offering protocol version `want` (capped at this build's
-    /// [`PROTO_VERSION`]) — how the tests exercise v1 interop.
-    pub fn connect_version(addr: impl ToSocketAddrs, want: u16) -> Result<Client> {
-        let mut stream = TcpStream::connect(addr)?;
-        let _ = stream.set_nodelay(true);
-        let version = client_handshake(&mut stream, want)?;
-        Ok(Client { stream: Box::new(stream), version })
+        Client::connect_tenant(addr, 0, 1)
     }
 
     /// [`Client::connect`], identifying as `tenant` at `weight` in the
@@ -104,25 +93,27 @@ impl Client {
     pub fn connect_tenant(addr: impl ToSocketAddrs, tenant: u32, weight: u8) -> Result<Client> {
         let mut stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        let version = client_handshake_tenant(&mut stream, PROTO_VERSION, tenant, weight)?;
-        Ok(Client { stream: Box::new(stream), version })
+        client_handshake(&mut stream, tenant, weight)?;
+        Ok(Client { stream: Box::new(stream) })
     }
 
-    /// Handshake an already-established stream at `want` and wrap it.
-    pub fn from_stream(mut stream: Box<dyn Wire>, want: u16) -> Result<Client> {
-        let version = client_handshake(&mut stream, want)?;
-        Ok(Client { stream, version })
+    /// Handshake an already-established stream and wrap it. `version`
+    /// must be [`PROTO_VERSION`], the one version this build speaks; any
+    /// other is refused before a byte is written.
+    pub fn from_stream(mut stream: Box<dyn Wire>, version: u16) -> Result<Client> {
+        if version != PROTO_VERSION {
+            return Err(ServeError::Protocol(format!(
+                "this build speaks only protocol version {PROTO_VERSION}, not {version}"
+            )));
+        }
+        client_handshake(&mut stream, 0, 1)?;
+        Ok(Client { stream })
     }
 
     /// Wrap a stream whose handshake the *caller* already ran (the
     /// chaos path: handshake clean, arm the fault plan, then wrap).
-    pub fn from_parts(stream: Box<dyn Wire>, negotiated: u16) -> Client {
-        Client { stream, version: negotiated }
-    }
-
-    /// The protocol version this connection negotiated.
-    pub fn version(&self) -> u16 {
-        self.version
+    pub fn from_parts(stream: Box<dyn Wire>) -> Client {
+        Client { stream }
     }
 
     /// Bound the time any single reply read may block (`None` = forever).
@@ -133,7 +124,7 @@ impl Client {
     }
 
     fn read(&mut self) -> Result<Response> {
-        match read_response(&mut self.stream, frames_checksummed(self.version))? {
+        match read_response(&mut self.stream)? {
             Some(Response::Error { code, message }) => Err(ServeError::Server { code, message }),
             // A shard redirect is typed all the way up: the ring-aware
             // RobustClient catches it and re-routes; plain callers see
@@ -147,7 +138,7 @@ impl Client {
     }
 
     fn roundtrip(&mut self, req: &Request) -> Result<Response> {
-        write_request(&mut self.stream, req, self.version)?;
+        write_request(&mut self.stream, req)?;
         self.read()
     }
 
@@ -175,8 +166,6 @@ impl Client {
 
     /// [`Client::fetch`] with a relative deadline the server enforces
     /// *before* decoding (shedding expired work like `Overloaded`).
-    /// Requires a v2 connection — a deadline on a v1 link is a protocol
-    /// error, not a silent drop.
     pub fn fetch_deadline(
         &mut self,
         container: u32,
@@ -187,7 +176,7 @@ impl Client {
         let deadline_ms = deadline.map_or(0, |d| d.as_millis().clamp(1, u32::MAX as u128) as u32);
         let requested_cf = read_cf;
         match self.roundtrip(&Request::Fetch { container, chunk, read_cf, deadline_ms })? {
-            Response::Chunk { first_sample, dims, read_cf, data, served_cf } => {
+            Response::Chunk { first_sample, dims, read_cf, served_cf, data } => {
                 Ok(FetchedChunk { first_sample, dims, read_cf, served_cf, requested_cf, data })
             }
             other => Err(unexpected("Chunk", &other)),

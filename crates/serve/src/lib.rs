@@ -44,24 +44,19 @@
 //! * [`proto`] — the sans-I/O protocol core: incremental
 //!   [`FrameDecoder`], per-role connection state machines
 //!   ([`ServerConn`], [`ClientConn`]), and zero-copy [`ResponseSlab`]s —
-//!   the *one* implementation of framing, CRC, and version negotiation
-//!   that every transport drives.
+//!   the *one* implementation of framing, CRC, and the version check.
 //! * [`protocol`] — wire frames, opcodes, error codes (`PROTOCOL.md`);
 //!   its blocking read/write helpers are thin adapters over [`proto`].
-//! * [`epoll`] — event-driven server backend: nonblocking sockets +
-//!   `epoll` readiness via a raw syscall shim (no runtime deps), a
-//!   timer wheel for supervision deadlines, and an `eventfd` completion
-//!   channel from the worker pool.
-//! * [`queue`] — admission queues: the original bounded MPMC and the
-//!   weighted-fair [`Wfq`] (per-tenant lanes, deficit-round-robin drain,
-//!   quotas, a priority lane for cheap ring-prefix fetches); `try_push`
-//!   is the load-shedding edge, `try_pop` feeds the batcher.
+//! * [`queue`] — the weighted-fair admission queue [`Wfq`] (per-tenant
+//!   lanes, deficit-round-robin drain, quotas, a priority lane for cheap
+//!   ring-prefix fetches); `try_push` is the load-shedding edge,
+//!   `try_pop` feeds the batcher.
 //! * [`cache`] — sharded LRU over decoded chunks, hit/miss/eviction
 //!   counters.
 //! * [`stats`] — latency/batch histograms and the serializable
 //!   [`StatsReport`].
-//! * [`server`] — listener, connection threads, worker pool, dynamic
-//!   batcher, connection supervision, graceful shutdown.
+//! * [`server`] — listener, one thread per connection, worker pool,
+//!   dynamic batcher, connection supervision, graceful shutdown.
 //! * [`client`] — blocking client used by the `dcz` subcommands, the
 //!   `loadgen` benchmark, and the tests.
 //! * [`chaos`] — seeded, deterministic wire-fault injection
@@ -76,10 +71,11 @@
 //!   [`MapInstall`] epoch-ordering rule for live map pushes, and the
 //!   clock-injected [`FailureDetector`] behind `dcz cluster suspect`.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod chaos;
 pub mod client;
-pub mod epoll;
 pub mod proto;
 pub mod protocol;
 pub mod queue;
@@ -95,12 +91,10 @@ pub use proto::{
     Action, ClientConn, ClientEvent, CloseReason, DeadlineKind, FrameDecoder, ResponseSlab,
     ServerConn,
 };
-pub use protocol::{
-    ContainerInfo, ErrorCode, Request, Response, MAX_FRAME, MIN_PROTO_VERSION, PROTO_VERSION,
-};
-pub use queue::{Mpmc, PushError, TenantQuota, Wfq};
+pub use protocol::{ContainerInfo, ErrorCode, Request, Response, MAX_FRAME, PROTO_VERSION};
+pub use queue::{PushError, TenantQuota, Wfq};
 pub use robust::{BreakerState, RobustClient, RobustConfig, RobustCounters};
-pub use server::{Backend, BrownoutConfig, ServeConfig, Server, ServerHandle, ShardRole};
+pub use server::{BrownoutConfig, ServeConfig, Server, ServerHandle, ShardRole};
 pub use shard::{FailureDetector, MapInstall, ShardMap, ShardMember};
 pub use stats::{EndpointStats, StatsReport, TenantStats};
 

@@ -1,21 +1,19 @@
 //! Sans-I/O protocol core: bytes in, typed actions out — no sockets.
 //!
 //! This module is the *one* implementation of framing, CRC verification,
-//! version negotiation, and connection discipline for the serve protocol.
+//! the version check, and connection discipline for the serve protocol.
 //! It deliberately imports nothing from `std::net` or `std::io`: a
 //! [`FrameDecoder`] is fed raw bytes (however the transport chopped
 //! them) and yields complete frames; a [`ServerConn`] / [`ClientConn`]
 //! consumes frames and emits [`Action`]s (`Send` these bytes, `Deliver`
-//! this request, `Close` for this reason). Both the blocking
-//! thread-per-connection backend and the `epoll` readiness backend in
-//! [`crate::epoll`] drive the *same* machines, which is what makes the
-//! two backends byte-identical on the wire by construction (the shape
-//! IronRDP's sans-I/O session crates use, per ROADMAP item 2).
+//! this request, `Close` for this reason). The server's connection
+//! threads and the blocking client both drive these machines, so the
+//! protocol rules live in one place and are unit-tested without a socket
+//! (the shape IronRDP's sans-I/O session crates use).
 //!
 //! Clocks stay outside: the state machines never read time. Transports
-//! own deadlines (per-thread read timeouts or a timer wheel) and call
-//! [`ServerConn::expire`] when one fires; the machine answers with the
-//! same typed close either way.
+//! own deadlines and call [`ServerConn::expire`] when one fires; the
+//! machine answers with the typed close.
 //!
 //! The response hot path is zero-copy: a [`ResponseSlab`] is one encoded
 //! response body in an `Arc<[u8]>`, built once per decoded chunk. Every
@@ -28,12 +26,12 @@ use std::sync::Arc;
 use aicomp_store::crc::crc32;
 
 use crate::protocol::{
-    decode_request, encode_request, encode_response, frames_checksummed, ErrorCode, Request,
-    Response, MAX_FRAME, MIN_PROTO_VERSION, PROTO_VERSION,
+    decode_request, encode_request, encode_response, ErrorCode, Request, Response, MAX_FRAME,
+    PROTO_VERSION,
 };
 use crate::{Result, ServeError};
 
-/// CRC-32 of a frame's `opcode ++ body` (the v2 trailing checksum).
+/// CRC-32 of a frame's `opcode ++ body` (the trailing checksum).
 pub fn frame_crc(op: u8, body: &[u8]) -> u32 {
     let mut buf = Vec::with_capacity(1 + body.len());
     buf.push(op);
@@ -41,10 +39,9 @@ pub fn frame_crc(op: u8, body: &[u8]) -> u32 {
     crc32(&buf)
 }
 
-/// Encode one `(opcode, body)` frame to bytes; `checksum` appends the v2
-/// trailing CRC-32 (and counts it in `len`).
-pub fn encode_frame(op: u8, body: &[u8], checksum: bool) -> Result<Vec<u8>> {
-    let len = 1u32 + body.len() as u32 + if checksum { 4 } else { 0 };
+/// Encode one `(opcode, body)` frame to bytes, CRC trailer included.
+pub fn encode_frame(op: u8, body: &[u8]) -> Result<Vec<u8>> {
+    let len = 1u32 + body.len() as u32 + 4;
     if len > MAX_FRAME {
         return Err(ServeError::Protocol(format!("frame of {len} bytes exceeds {MAX_FRAME}")));
     }
@@ -52,25 +49,18 @@ pub fn encode_frame(op: u8, body: &[u8], checksum: bool) -> Result<Vec<u8>> {
     out.extend_from_slice(&len.to_le_bytes());
     out.push(op);
     out.extend_from_slice(body);
-    if checksum {
-        out.extend_from_slice(&frame_crc(op, body).to_le_bytes());
-    }
+    out.extend_from_slice(&frame_crc(op, body).to_le_bytes());
     Ok(out)
 }
 
 // ------------------------------------------------------------ FrameDecoder
 
 /// Incremental frame parser: push transport bytes in (in any
-/// segmentation), pop complete `(opcode, body)` frames out.
+/// segmentation), pop complete, CRC-verified `(opcode, body)` frames out.
 ///
-/// The checksum mode is a *pop-time* parameter because the v1→v2 switch
-/// happens at a frame boundary mid-stream (the `Hello` exchange is always
-/// v1-framed): bytes buffered across the transition parse correctly
-/// because each `pop` applies the mode negotiated *by then*.
-///
-/// Length sanity (`len` in `min..=MAX_FRAME`) is checked as soon as the
-/// 4-byte prefix is buffered, so an attacker announcing a 4 GiB frame is
-/// rejected before any payload accumulates.
+/// Length sanity (`len` in `5..=MAX_FRAME`: opcode + CRC at least) is
+/// checked as soon as the 4-byte prefix is buffered, so an attacker
+/// announcing a 4 GiB frame is rejected before any payload accumulates.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
@@ -93,17 +83,16 @@ impl FrameDecoder {
         !self.buf.is_empty()
     }
 
-    /// Pop one complete frame, verifying the trailing CRC-32 when
-    /// `checksum`. `Ok(None)` means more bytes are needed; `Err` means
-    /// the stream is desynchronized (bad length or CRC mismatch) and the
-    /// connection must close.
-    pub fn pop(&mut self, checksum: bool) -> Result<Option<(u8, Vec<u8>)>> {
+    /// Pop one complete frame, verifying its CRC trailer. `Ok(None)`
+    /// means more bytes are needed; `Err` means the stream is
+    /// desynchronized (bad length or CRC mismatch) and the connection
+    /// must close.
+    pub fn pop(&mut self) -> Result<Option<(u8, Vec<u8>)>> {
         if self.buf.len() < 4 {
             return Ok(None);
         }
         let len = u32::from_le_bytes(self.buf[..4].try_into().unwrap());
-        let min = if checksum { 5 } else { 1 };
-        if len < min || len > MAX_FRAME {
+        if !(5..=MAX_FRAME).contains(&len) {
             return Err(ServeError::Protocol(format!("bad frame length {len}")));
         }
         if self.buf.len() < 4 + len as usize {
@@ -112,15 +101,13 @@ impl FrameDecoder {
         let mut frame: Vec<u8> = self.buf.drain(..4 + len as usize).collect();
         frame.drain(..4);
         let op = frame.remove(0);
-        if checksum {
-            let tail = frame.split_off(frame.len() - 4);
-            let want = u32::from_le_bytes(tail.try_into().unwrap());
-            let got = frame_crc(op, &frame);
-            if got != want {
-                return Err(ServeError::Protocol(format!(
-                    "frame checksum mismatch (got {got:#010x}, want {want:#010x})"
-                )));
-            }
+        let tail = frame.split_off(frame.len() - 4);
+        let want = u32::from_le_bytes(tail.try_into().unwrap());
+        let got = frame_crc(op, &frame);
+        if got != want {
+            return Err(ServeError::Protocol(format!(
+                "frame checksum mismatch (got {got:#010x}, want {want:#010x})"
+            )));
         }
         Ok(Some((op, frame)))
     }
@@ -132,10 +119,9 @@ impl FrameDecoder {
 ///
 /// Workers build a slab once per decoded chunk (straight from the tensor
 /// data — no intermediate `Vec<f32>`); each connection serving it writes
-/// `header(checksum) ++ body ++ trailer(checksum)`. The body `Arc` is the
-/// only large allocation and it is never copied per connection. The CRC
-/// is computed once at build time, so a slab served to a v2 client costs
-/// no hashing either.
+/// `header ++ body ++ trailer`. The body `Arc` is the only large
+/// allocation and it is never copied per connection. The CRC is computed
+/// once at build time, so serving a slab costs no hashing either.
 #[derive(Debug)]
 pub struct ResponseSlab {
     op: u8,
@@ -151,35 +137,22 @@ impl ResponseSlab {
     }
 
     /// Encode a `Response::Chunk` body directly from tensor data. The
-    /// trailing `served_cf` always equals the decoded fidelity — a slab
-    /// is cached and shared across requests, so it can only describe what
+    /// `served_cf` field always equals the decoded fidelity — a slab is
+    /// cached and shared across requests, so it can only describe what
     /// it *contains*; degradation is judged against what each client
     /// *asked* for.
     pub fn chunk(first_sample: u64, dims: [u32; 4], read_cf: u8, data: &[f32]) -> ResponseSlab {
-        let mut b = Vec::with_capacity(8 + 16 + 1 + data.len() * 4 + 1);
-        b.extend_from_slice(&first_sample.to_le_bytes());
-        for d in dims {
-            b.extend_from_slice(&d.to_le_bytes());
-        }
-        b.push(read_cf);
+        let mut b = Vec::new();
+        crate::protocol::put_chunk_header(&mut b, first_sample, dims, read_cf, read_cf, data.len());
         for v in data {
             b.extend_from_slice(&v.to_le_bytes());
         }
-        b.push(read_cf); // served_cf (see `Response::Chunk`)
         ResponseSlab::new(crate::protocol::OP_R_CHUNK, b)
     }
 
-    /// Encode any [`Response`] into a slab (used for non-chunk replies
-    /// that still flow through the shared write path).
-    pub fn from_response(resp: &Response) -> ResponseSlab {
-        let (op, body) = encode_response(resp);
-        ResponseSlab::new(op, body)
-    }
-
-    /// Frame header for this slab at the given checksum mode:
-    /// `[len u32 LE][opcode]`.
-    pub fn header(&self, checksum: bool) -> [u8; 5] {
-        let len = 1u32 + self.body.len() as u32 + if checksum { 4 } else { 0 };
+    /// Frame header for this slab: `[len u32 LE][opcode]`.
+    pub fn header(&self) -> [u8; 5] {
+        let len = 1u32 + self.body.len() as u32 + 4;
         let l = len.to_le_bytes();
         [l[0], l[1], l[2], l[3], self.op]
     }
@@ -189,14 +162,9 @@ impl ResponseSlab {
         &self.body
     }
 
-    /// The v2 trailing CRC-32 (over `opcode ++ body`), little-endian.
+    /// The trailing CRC-32 (over `opcode ++ body`), little-endian.
     pub fn trailer(&self) -> [u8; 4] {
         self.crc.to_le_bytes()
-    }
-
-    /// Total framed size on the wire at the given checksum mode.
-    pub fn wire_len(&self, checksum: bool) -> usize {
-        4 + 1 + self.body.len() + if checksum { 4 } else { 0 }
     }
 }
 
@@ -218,7 +186,7 @@ pub enum CloseReason {
     /// mid-frame — the byte stream can no longer be trusted.
     BadFrame,
     /// The first frame was not a usable `Hello` (wrong request, or a
-    /// version outside the served range).
+    /// protocol version other than [`PROTO_VERSION`]).
     BadHandshake,
     /// A request body failed to decode; the stream may be misaligned.
     BadRequest,
@@ -240,15 +208,10 @@ pub enum DeadlineKind {
 pub enum Action {
     /// Write these bytes to the peer.
     Send(Vec<u8>),
-    /// Write `slab.header(checksum) ++ slab.body ++ [trailer]` — the
+    /// Write `slab.header() ++ slab.body() ++ slab.trailer()` — the
     /// zero-copy reply path (the transport may reference the shared
     /// body instead of copying it).
-    SendSlab {
-        /// The shared encoded response.
-        slab: Arc<ResponseSlab>,
-        /// Frame with the v2 trailing CRC?
-        checksum: bool,
-    },
+    SendSlab(Arc<ResponseSlab>),
     /// A complete, integrity-checked request for the application.
     Deliver(Request),
     /// Close the connection (after flushing prior `Send`s).
@@ -262,7 +225,7 @@ pub enum Action {
 enum Phase {
     /// Waiting for the client's `Hello`.
     Handshake,
-    /// Version negotiated; serving requests.
+    /// Handshake done; serving requests.
     Steady,
     /// A fatal close was emitted; all further input is ignored.
     Closed,
@@ -274,12 +237,11 @@ enum Phase {
 /// [`ServerConn::on_eof`], fired deadlines with [`ServerConn::expire`];
 /// drain [`Action`]s with [`ServerConn::next_action`]. Application
 /// replies go back in through [`ServerConn::push_response`] /
-/// [`ServerConn::push_slab`], which frame at the negotiated version.
+/// [`ServerConn::push_slab`], which frame them.
 #[derive(Debug)]
 pub struct ServerConn {
     decoder: FrameDecoder,
     phase: Phase,
-    version: Option<u16>,
     tenant: u32,
     weight: u8,
     shard_epoch: u64,
@@ -295,20 +257,18 @@ impl Default for ServerConn {
 
 impl ServerConn {
     /// Fresh connection in the handshake phase (solo server: the Hello
-    /// ack advertises no shard epoch).
+    /// ack advertises shard epoch 0).
     pub fn new() -> ServerConn {
         ServerConn::with_shard_epoch(0)
     }
 
     /// Fresh connection whose Hello ack advertises `shard_epoch` — how a
     /// cluster member tells every client, at handshake time, that a
-    /// shard map exists and which version it routes by. Epoch 0 (solo)
-    /// keeps the ack byte-identical to the pre-shard protocol.
+    /// shard map exists and which version it routes by.
     pub fn with_shard_epoch(shard_epoch: u64) -> ServerConn {
         ServerConn {
             decoder: FrameDecoder::new(),
             phase: Phase::Handshake,
-            version: None,
             tenant: 0,
             weight: 1,
             shard_epoch,
@@ -318,7 +278,7 @@ impl ServerConn {
     }
 
     /// Tenant id the `Hello` declared (`0` — the default tenant — until
-    /// the handshake lands, or when the client never declared one).
+    /// the handshake lands).
     pub fn tenant(&self) -> u32 {
         self.tenant
     }
@@ -330,19 +290,14 @@ impl ServerConn {
     }
 
     /// Total complete frames parsed so far. Transports diff this across
-    /// reads to reset idle clocks and to histogram frames-per-wakeup.
+    /// reads to reset idle clocks.
     pub fn frames_parsed(&self) -> u64 {
         self.frames
     }
 
-    /// The negotiated protocol version (`None` until `Hello` lands).
-    pub fn version(&self) -> Option<u16> {
-        self.version
-    }
-
-    /// Do outgoing post-handshake frames carry the v2 CRC?
-    pub fn checksummed(&self) -> bool {
-        self.version.map(frames_checksummed).unwrap_or(false)
+    /// Has the `Hello` exchange completed?
+    pub fn handshaken(&self) -> bool {
+        self.phase == Phase::Steady
     }
 
     /// Is a frame started but unfinished? (Drives the slow-loris clock.)
@@ -360,12 +315,8 @@ impl ServerConn {
         self.actions.pop_front()
     }
 
-    fn send_error(&mut self, code: ErrorCode, message: impl Into<String>, checksum: bool) {
-        let resp = Response::Error { code, message: message.into() };
-        let (op, body) = encode_response(&resp);
-        if let Ok(bytes) = encode_frame(op, &body, checksum) {
-            self.actions.push_back(Action::Send(bytes));
-        }
+    fn send_error(&mut self, code: ErrorCode, message: impl Into<String>) {
+        self.push_response(&Response::Error { code, message: message.into() });
     }
 
     fn close(&mut self, reason: CloseReason) {
@@ -387,8 +338,7 @@ impl ServerConn {
             if self.phase == Phase::Closed {
                 return;
             }
-            let checksum = self.checksummed();
-            match self.decoder.pop(checksum) {
+            match self.decoder.pop() {
                 Ok(Some((op, body))) => {
                     self.frames += 1;
                     self.on_frame(op, &body);
@@ -402,7 +352,7 @@ impl ServerConn {
                         ServeError::Protocol(m) => m,
                         other => other.to_string(),
                     };
-                    self.send_error(ErrorCode::BadFrame, msg, checksum);
+                    self.send_error(ErrorCode::BadFrame, msg);
                     self.close(CloseReason::BadFrame);
                     return;
                 }
@@ -411,57 +361,43 @@ impl ServerConn {
     }
 
     fn on_frame(&mut self, op: u8, body: &[u8]) {
-        let version = self.version.unwrap_or(1);
-        let req = match decode_request(op, body, version) {
+        let req = match decode_request(op, body) {
             Ok(r) => r,
             Err(e) => {
-                self.send_error(ErrorCode::BadRequest, e.to_string(), self.checksummed());
+                self.send_error(ErrorCode::BadRequest, e.to_string());
                 self.close(CloseReason::BadRequest);
                 return;
             }
         };
         match self.phase {
             Phase::Handshake => match req {
-                Request::Hello { version: v, tenant, weight }
-                    if (MIN_PROTO_VERSION..=PROTO_VERSION).contains(&v) =>
-                {
-                    // Serve the client at *its* version — v1 clients keep
-                    // working against a v2 server. Hello replies are
-                    // always v1-framed: no version exists yet.
-                    self.version = Some(v);
+                Request::Hello { version: PROTO_VERSION, tenant, weight } => {
                     self.tenant = tenant;
                     self.weight = weight.max(1);
                     self.phase = Phase::Steady;
-                    let (rop, rbody) = encode_response(&Response::Hello {
-                        version: v,
+                    self.push_response(&Response::Hello {
+                        version: PROTO_VERSION,
                         shard_epoch: self.shard_epoch,
                     });
-                    if let Ok(bytes) = encode_frame(rop, &rbody, false) {
-                        self.actions.push_back(Action::Send(bytes));
-                    }
                 }
                 Request::Hello { version: v, .. } => {
                     self.send_error(
                         ErrorCode::BadRequest,
                         format!(
-                            "client speaks version {v}, server speaks \
-                             {MIN_PROTO_VERSION}..={PROTO_VERSION}"
+                            "client speaks protocol version {v}, server speaks {PROTO_VERSION}"
                         ),
-                        false,
                     );
                     self.close(CloseReason::BadHandshake);
                 }
                 _ => {
-                    self.send_error(ErrorCode::BadRequest, "first frame must be Hello", false);
+                    self.send_error(ErrorCode::BadRequest, "first frame must be Hello");
                     self.close(CloseReason::BadHandshake);
                 }
             },
             Phase::Steady => match req {
                 // A duplicate Hello is a typed error but NOT fatal — the
-                // stream is still aligned (pre-refactor behavior).
-                Request::Hello { .. } => {
-                    self.send_error(ErrorCode::BadRequest, "duplicate Hello", self.checksummed());
-                }
+                // stream is still aligned.
+                Request::Hello { .. } => self.send_error(ErrorCode::BadRequest, "duplicate Hello"),
                 other => self.actions.push_back(Action::Deliver(other)),
             },
             Phase::Closed => {}
@@ -475,7 +411,7 @@ impl ServerConn {
             return;
         }
         if self.decoder.has_partial() {
-            self.send_error(ErrorCode::BadFrame, "EOF mid-frame", self.checksummed());
+            self.send_error(ErrorCode::BadFrame, "EOF mid-frame");
             self.close(CloseReason::BadFrame);
         } else {
             self.close(CloseReason::PeerClosed);
@@ -496,29 +432,21 @@ impl ServerConn {
             DeadlineKind::Idle => ("idle timeout exceeded", CloseReason::Idle),
             DeadlineKind::Frame => ("frame read deadline exceeded", CloseReason::SlowFrame),
         };
-        self.send_error(ErrorCode::DeadlineExceeded, what, self.checksummed());
+        self.send_error(ErrorCode::DeadlineExceeded, what);
         self.close(reason);
     }
 
-    /// Frame an application [`Response`] at the negotiated version.
+    /// Frame an application [`Response`].
     pub fn push_response(&mut self, resp: &Response) {
         let (op, body) = encode_response(resp);
-        if let Ok(bytes) = encode_frame(op, &body, self.checksummed()) {
+        if let Ok(bytes) = encode_frame(op, &body) {
             self.actions.push_back(Action::Send(bytes));
         }
     }
 
     /// Queue a shared [`ResponseSlab`] — the zero-copy reply path.
     pub fn push_slab(&mut self, slab: Arc<ResponseSlab>) {
-        let checksum = self.checksummed();
-        self.actions.push_back(Action::SendSlab { slab, checksum });
-    }
-
-    /// Begin draining: emit a final response (e.g. `ShuttingDown`) and a
-    /// clean close.
-    pub fn drain_with(&mut self, resp: &Response) {
-        self.push_response(resp);
-        self.close(CloseReason::PeerClosed);
+        self.actions.push_back(Action::SendSlab(slab));
     }
 }
 
@@ -527,8 +455,8 @@ impl ServerConn {
 /// What a [`ClientConn`] surfaced from received bytes.
 #[derive(Debug)]
 pub enum ClientEvent {
-    /// The handshake completed; the connection speaks this version.
-    Negotiated(u16),
+    /// The server acknowledged the `Hello`; requests may flow.
+    Ready,
     /// A complete response frame (boxed: `Response` dwarfs the other
     /// variants).
     Response(Box<Response>),
@@ -536,85 +464,68 @@ pub enum ClientEvent {
     Closed,
 }
 
-/// Client-side connection state machine: offer → granted → steady.
+/// Client-side connection state machine: hello → ack → steady.
 ///
 /// [`ClientConn::hello_bytes`] is the opening frame; feed replies through
 /// [`ClientConn::on_bytes`] and drain [`ClientEvent`]s with
-/// [`ClientConn::next_event`]. After negotiation,
-/// [`ClientConn::request_bytes`] frames requests at the granted version.
+/// [`ClientConn::next_event`]. After the ack,
+/// [`ClientConn::request_bytes`] frames requests.
 #[derive(Debug)]
 pub struct ClientConn {
     decoder: FrameDecoder,
-    /// Version offered in the `Hello` (capped at [`PROTO_VERSION`]).
-    want: u16,
     /// Tenant id declared in the `Hello` (`0` = the default tenant).
     tenant: u32,
     /// Weight class declared in the `Hello`.
     weight: u8,
-    /// Version the server granted; `None` until the ack lands.
-    version: Option<u16>,
+    /// Has the server acknowledged the `Hello`?
+    ready: bool,
     /// Shard-map epoch the server's Hello ack advertised (`0` = solo
-    /// server or pre-shard peer — no cluster to route across).
+    /// server — no cluster to route across).
     shard_epoch: u64,
     events: std::collections::VecDeque<ClientEvent>,
-    eof: bool,
 }
 
 impl ClientConn {
-    /// Start a handshake offering `want` (capped at this build's
-    /// [`PROTO_VERSION`]) as the default tenant at weight 1.
-    pub fn new(want: u16) -> ClientConn {
-        ClientConn::with_tenant(want, 0, 1)
-    }
-
-    /// Start a handshake declaring a tenant id and admission weight.
-    pub fn with_tenant(want: u16, tenant: u32, weight: u8) -> ClientConn {
+    /// Start a handshake declaring a tenant id and admission weight (the
+    /// anonymous default is tenant 0 at weight 1).
+    pub fn new(tenant: u32, weight: u8) -> ClientConn {
         ClientConn {
             decoder: FrameDecoder::new(),
-            want: want.min(PROTO_VERSION),
             tenant,
             weight: weight.max(1),
-            version: None,
+            ready: false,
             shard_epoch: 0,
             events: std::collections::VecDeque::new(),
-            eof: false,
         }
     }
 
-    /// The granted protocol version (`None` until negotiated).
-    pub fn version(&self) -> Option<u16> {
-        self.version
-    }
-
-    /// Shard-map epoch the handshake advertised; `0` until negotiated,
-    /// and `0` after it when the server is solo (or pre-shard). Nonzero
-    /// means "fetch the shard map before routing".
+    /// Shard-map epoch the handshake advertised; `0` until the ack lands,
+    /// and `0` after it when the server is solo. Nonzero means "fetch the
+    /// shard map before routing".
     pub fn shard_epoch(&self) -> u64 {
         self.shard_epoch
     }
 
-    /// The opening `Hello` frame (always v1-framed).
+    /// The opening `Hello` frame.
     pub fn hello_bytes(&self) -> Vec<u8> {
-        let hello = Request::Hello { version: self.want, tenant: self.tenant, weight: self.weight };
-        let (op, body) = encode_request(&hello, 1).expect("hello encodes at any version");
-        encode_frame(op, &body, false).expect("hello frame fits")
+        let hello =
+            Request::Hello { version: PROTO_VERSION, tenant: self.tenant, weight: self.weight };
+        let (op, body) = encode_request(&hello);
+        encode_frame(op, &body).expect("hello frame fits")
     }
 
-    /// Frame a request at the negotiated version. Errors before the
-    /// handshake completes, or when the request cannot be represented at
-    /// the granted version (v1 deadline).
+    /// Frame a request. Errors before the handshake completes.
     pub fn request_bytes(&self, req: &Request) -> Result<Vec<u8>> {
-        let version = self
-            .version
-            .ok_or_else(|| ServeError::Protocol("request before handshake completed".into()))?;
-        let (op, body) = encode_request(req, version)?;
-        encode_frame(op, &body, frames_checksummed(version))
+        if !self.ready {
+            return Err(ServeError::Protocol("request before handshake completed".into()));
+        }
+        let (op, body) = encode_request(req);
+        encode_frame(op, &body)
     }
 
     /// Feed received bytes; surfaces events (including handshake
-    /// completion). `Err` preserves the blocking client's exact failure
-    /// taxonomy: bad grants and unexpected handshake replies are
-    /// `Protocol`, typed rejections are `Server`.
+    /// completion). A bad or unexpected handshake reply is `Protocol`, a
+    /// typed rejection is `Server`.
     pub fn on_bytes(&mut self, bytes: &[u8]) -> Result<()> {
         self.decoder.push(bytes);
         self.pump()
@@ -622,11 +533,10 @@ impl ClientConn {
 
     /// The server closed its write side.
     pub fn on_eof(&mut self) -> Result<()> {
-        self.eof = true;
         if self.decoder.has_partial() {
             return Err(ServeError::Protocol("EOF mid-frame".into()));
         }
-        if self.version.is_none() {
+        if !self.ready {
             return Err(ServeError::Protocol("connection closed during handshake".into()));
         }
         self.events.push_back(ClientEvent::Closed);
@@ -639,39 +549,34 @@ impl ClientConn {
     }
 
     fn pump(&mut self) -> Result<()> {
-        loop {
-            let checksum = self.version.map(frames_checksummed).unwrap_or(false);
-            match self.decoder.pop(checksum)? {
-                None => return Ok(()),
-                Some((op, body)) => {
-                    let resp = crate::protocol::decode_response(op, &body)?;
-                    if self.version.is_none() {
-                        match resp {
-                            Response::Hello { version, shard_epoch } => {
-                                if version < MIN_PROTO_VERSION || version > self.want {
-                                    return Err(ServeError::Protocol(format!(
-                                        "server granted unusable protocol version {version}"
-                                    )));
-                                }
-                                self.version = Some(version);
-                                self.shard_epoch = shard_epoch;
-                                self.events.push_back(ClientEvent::Negotiated(version));
-                            }
-                            Response::Error { code, message } => {
-                                return Err(ServeError::Server { code, message });
-                            }
-                            other => {
-                                return Err(ServeError::Protocol(format!(
-                                    "expected hello acknowledgement, got {other:?}"
-                                )));
-                            }
-                        }
-                    } else {
-                        self.events.push_back(ClientEvent::Response(Box::new(resp)));
-                    }
+        while let Some((op, body)) = self.decoder.pop()? {
+            let resp = crate::protocol::decode_response(op, &body)?;
+            if self.ready {
+                self.events.push_back(ClientEvent::Response(Box::new(resp)));
+                continue;
+            }
+            match resp {
+                Response::Hello { version: PROTO_VERSION, shard_epoch } => {
+                    self.ready = true;
+                    self.shard_epoch = shard_epoch;
+                    self.events.push_back(ClientEvent::Ready);
+                }
+                Response::Hello { version, .. } => {
+                    return Err(ServeError::Protocol(format!(
+                        "server speaks protocol version {version}, client speaks {PROTO_VERSION}"
+                    )));
+                }
+                Response::Error { code, message } => {
+                    return Err(ServeError::Server { code, message });
+                }
+                other => {
+                    return Err(ServeError::Protocol(format!(
+                        "expected hello acknowledgement, got {other:?}"
+                    )));
                 }
             }
         }
+        Ok(())
     }
 }
 
@@ -683,23 +588,27 @@ mod tests {
         std::iter::from_fn(|| conn.next_action()).collect()
     }
 
-    fn hello_frame(version: u16) -> Vec<u8> {
-        ClientConn::new(version).hello_bytes()
+    fn hello_frame() -> Vec<u8> {
+        ClientConn::new(0, 1).hello_bytes()
+    }
+
+    fn frame(req: &Request) -> Vec<u8> {
+        let (op, body) = encode_request(req);
+        encode_frame(op, &body).unwrap()
     }
 
     #[test]
     fn decoder_reassembles_any_segmentation() {
         let mut wire = Vec::new();
         for req in [Request::Ping, Request::Stats, Request::Info { container: 7 }] {
-            let (op, body) = encode_request(&req, 2).unwrap();
-            wire.extend_from_slice(&encode_frame(op, &body, true).unwrap());
+            wire.extend_from_slice(&frame(&req));
         }
         for chunk_size in [1, 2, 3, 7, wire.len()] {
             let mut dec = FrameDecoder::new();
             let mut got = Vec::new();
             for piece in wire.chunks(chunk_size) {
                 dec.push(piece);
-                while let Some(f) = dec.pop(true).unwrap() {
+                while let Some(f) = dec.pop().unwrap() {
                     got.push(f);
                 }
             }
@@ -712,27 +621,27 @@ mod tests {
     fn decoder_rejects_bad_lengths_immediately() {
         let mut dec = FrameDecoder::new();
         dec.push(&(MAX_FRAME + 1).to_le_bytes());
-        assert!(dec.pop(false).is_err());
+        assert!(dec.pop().is_err());
         let mut dec = FrameDecoder::new();
         dec.push(&0u32.to_le_bytes());
-        assert!(dec.pop(false).is_err());
-        // len 4 < 5 is impossible at v2 (opcode + CRC alone need 5).
+        assert!(dec.pop().is_err());
+        // len 4 < 5 is impossible (opcode + CRC alone need 5).
         let mut dec = FrameDecoder::new();
         dec.push(&4u32.to_le_bytes());
         dec.push(&[0x05, 0, 0, 0]);
-        assert!(dec.pop(true).is_err());
+        assert!(dec.pop().is_err());
     }
 
     #[test]
-    fn server_conn_negotiates_and_delivers() {
+    fn server_conn_handshakes_and_delivers() {
         let mut conn = ServerConn::new();
-        conn.on_bytes(&hello_frame(2));
-        assert_eq!(conn.version(), Some(2));
+        assert!(!conn.handshaken());
+        conn.on_bytes(&hello_frame());
+        assert!(conn.handshaken());
         let actions = drain(&mut conn);
         assert!(matches!(actions[0], Action::Send(_)), "hello ack first");
-        // Steady state: a ping is delivered, framed at v2.
-        let (op, body) = encode_request(&Request::Ping, 2).unwrap();
-        conn.on_bytes(&encode_frame(op, &body, true).unwrap());
+        // Steady state: a ping is delivered.
+        conn.on_bytes(&frame(&Request::Ping));
         match drain(&mut conn).pop() {
             Some(Action::Deliver(Request::Ping)) => {}
             other => panic!("expected Deliver(Ping), got {other:?}"),
@@ -740,61 +649,51 @@ mod tests {
     }
 
     #[test]
-    fn server_conn_grants_the_clients_version_not_its_own() {
-        let mut conn = ServerConn::new();
-        conn.on_bytes(&hello_frame(1));
-        assert_eq!(conn.version(), Some(1));
-        assert!(!conn.checksummed(), "v1 frames carry no CRC");
-    }
-
-    #[test]
     fn server_conn_captures_tenant_and_weight_from_hello() {
         // Declared tenancy lands on the connection.
         let mut conn = ServerConn::new();
-        conn.on_bytes(&ClientConn::with_tenant(2, 42, 5).hello_bytes());
-        assert_eq!(conn.version(), Some(2));
+        conn.on_bytes(&ClientConn::new(42, 5).hello_bytes());
+        assert!(conn.handshaken());
         assert_eq!(conn.tenant(), 42);
         assert_eq!(conn.weight(), 5);
 
-        // A bare (pre-QoS) Hello body defaults to tenant 0, weight 1.
-        let mut conn = ServerConn::new();
-        let mut body = crate::protocol::PROTO_MAGIC.to_vec();
-        body.extend_from_slice(&2u16.to_le_bytes());
-        conn.on_bytes(&encode_frame(0x01, &body, false).unwrap());
-        assert_eq!(conn.version(), Some(2));
-        assert_eq!(conn.tenant(), 0);
-        assert_eq!(conn.weight(), 1);
-
         // A declared weight of 0 is normalized to 1.
         let mut conn = ServerConn::new();
-        conn.on_bytes(&ClientConn::with_tenant(2, 7, 0).hello_bytes());
+        conn.on_bytes(&frame(&Request::Hello { version: PROTO_VERSION, tenant: 7, weight: 0 }));
         assert_eq!(conn.weight(), 1);
     }
 
     #[test]
     fn server_conn_rejects_bad_handshakes_fatally() {
-        // Version out of range.
-        let mut conn = ServerConn::new();
-        let (op, body) = encode_request(&Request::hello(99), 1).unwrap();
-        conn.on_bytes(&encode_frame(op, &body, false).unwrap());
-        let actions = drain(&mut conn);
-        assert!(matches!(actions.last(), Some(Action::Close(CloseReason::BadHandshake))));
-        assert!(conn.is_closed());
+        // Any version but this build's, older or newer.
+        for v in [0, 1, 2, PROTO_VERSION + 1, 99] {
+            let mut conn = ServerConn::new();
+            conn.on_bytes(&frame(&Request::Hello { version: v, tenant: 0, weight: 1 }));
+            let actions = drain(&mut conn);
+            assert!(matches!(actions[0], Action::Send(_)), "typed error before the close");
+            assert!(matches!(actions.last(), Some(Action::Close(CloseReason::BadHandshake))));
+            assert!(conn.is_closed());
+        }
         // Non-Hello first frame.
         let mut conn = ServerConn::new();
-        let (op, body) = encode_request(&Request::Ping, 1).unwrap();
-        conn.on_bytes(&encode_frame(op, &body, false).unwrap());
+        conn.on_bytes(&frame(&Request::Ping));
         assert!(matches!(drain(&mut conn).last(), Some(Action::Close(CloseReason::BadHandshake))));
+        // A CRC-less (pre-checksum) Hello is a framing failure.
+        let mut conn = ServerConn::new();
+        let (op, body) = encode_request(&Request::hello());
+        let mut bare = (1 + body.len() as u32).to_le_bytes().to_vec();
+        bare.push(op);
+        bare.extend_from_slice(&body);
+        conn.on_bytes(&bare);
+        assert!(matches!(drain(&mut conn).last(), Some(Action::Close(CloseReason::BadFrame))));
     }
 
     #[test]
     fn duplicate_hello_is_typed_but_not_fatal() {
         let mut conn = ServerConn::new();
-        conn.on_bytes(&hello_frame(2));
+        conn.on_bytes(&hello_frame());
         drain(&mut conn);
-        // A second hello, framed at v2 like any steady-state frame.
-        let (op, body) = encode_request(&Request::hello(2), 2).unwrap();
-        conn.on_bytes(&encode_frame(op, &body, true).unwrap());
+        conn.on_bytes(&hello_frame());
         let actions = drain(&mut conn);
         assert_eq!(actions.len(), 1);
         assert!(matches!(actions[0], Action::Send(_)));
@@ -804,13 +703,12 @@ mod tests {
     #[test]
     fn crc_mismatch_closes_with_bad_frame() {
         let mut conn = ServerConn::new();
-        conn.on_bytes(&hello_frame(2));
+        conn.on_bytes(&hello_frame());
         drain(&mut conn);
-        let (op, body) = encode_request(&Request::Stats, 2).unwrap();
-        let mut frame = encode_frame(op, &body, true).unwrap();
-        let n = frame.len();
-        frame[n - 1] ^= 1; // corrupt the CRC
-        conn.on_bytes(&frame);
+        let mut stats = frame(&Request::Stats);
+        let n = stats.len();
+        stats[n - 1] ^= 1; // corrupt the CRC
+        conn.on_bytes(&stats);
         let actions = drain(&mut conn);
         assert!(matches!(actions.last(), Some(Action::Close(CloseReason::BadFrame))));
         assert!(conn.is_closed());
@@ -825,7 +723,7 @@ mod tests {
         ] {
             let mut conn = ServerConn::new();
             if kind != DeadlineKind::Handshake {
-                conn.on_bytes(&hello_frame(2));
+                conn.on_bytes(&hello_frame());
                 drain(&mut conn);
             }
             conn.expire(kind);
@@ -841,13 +739,13 @@ mod tests {
     #[test]
     fn eof_mid_frame_is_bad_frame_at_boundary_is_clean() {
         let mut conn = ServerConn::new();
-        conn.on_bytes(&hello_frame(2));
+        conn.on_bytes(&hello_frame());
         drain(&mut conn);
         conn.on_eof();
         assert!(matches!(drain(&mut conn).last(), Some(Action::Close(CloseReason::PeerClosed))));
 
         let mut conn = ServerConn::new();
-        conn.on_bytes(&hello_frame(2));
+        conn.on_bytes(&hello_frame());
         drain(&mut conn);
         conn.on_bytes(&[3, 0, 0]); // half a length prefix
         conn.on_eof();
@@ -857,7 +755,8 @@ mod tests {
     #[test]
     fn client_conn_round_trips_against_server_conn() {
         let mut server = ServerConn::new();
-        let mut client = ClientConn::new(2);
+        let mut client = ClientConn::new(0, 1);
+        assert!(client.request_bytes(&Request::Ping).is_err(), "no requests before the ack");
         server.on_bytes(&client.hello_bytes());
         // Relay every server send to the client.
         while let Some(a) = server.next_action() {
@@ -865,8 +764,7 @@ mod tests {
                 client.on_bytes(&bytes).unwrap();
             }
         }
-        assert!(matches!(client.next_event(), Some(ClientEvent::Negotiated(2))));
-        assert_eq!(client.version(), Some(2));
+        assert!(matches!(client.next_event(), Some(ClientEvent::Ready)));
         // Steady state both ways.
         server.on_bytes(&client.request_bytes(&Request::Ping).unwrap());
         match server.next_action() {
@@ -887,18 +785,26 @@ mod tests {
 
     #[test]
     fn client_conn_rejects_bad_grants() {
-        // Grant above the offer.
-        let mut client = ClientConn::new(1);
-        let (op, body) = encode_response(&Response::Hello { version: 2, shard_epoch: 0 });
-        let err = client.on_bytes(&encode_frame(op, &body, false).unwrap()).unwrap_err();
-        assert!(err.to_string().contains("unusable protocol version"));
+        let reply = |resp: &Response| {
+            let (op, body) = encode_response(resp);
+            encode_frame(op, &body).unwrap()
+        };
+        // An ack at any other version.
+        let mut client = ClientConn::new(0, 1);
+        let ack = reply(&Response::Hello { version: PROTO_VERSION + 1, shard_epoch: 0 });
+        let err = client.on_bytes(&ack).unwrap_err();
+        assert!(err.to_string().contains("server speaks protocol version"));
         // Non-hello handshake reply.
-        let mut client = ClientConn::new(2);
-        let (op, body) = encode_response(&Response::Pong);
-        let err = client.on_bytes(&encode_frame(op, &body, false).unwrap()).unwrap_err();
+        let mut client = ClientConn::new(0, 1);
+        let err = client.on_bytes(&reply(&Response::Pong)).unwrap_err();
         assert!(err.to_string().contains("expected hello acknowledgement"));
+        // A typed rejection surfaces as a server error.
+        let mut client = ClientConn::new(0, 1);
+        let rejection = Response::Error { code: ErrorCode::Overloaded, message: "full".into() };
+        let err = client.on_bytes(&reply(&rejection)).unwrap_err();
+        assert!(matches!(err, ServeError::Server { code: ErrorCode::Overloaded, .. }));
         // EOF before the ack.
-        let mut client = ClientConn::new(2);
+        let mut client = ClientConn::new(0, 1);
         let err = client.on_eof().unwrap_err();
         assert!(err.to_string().contains("closed during handshake"));
     }
@@ -917,22 +823,19 @@ mod tests {
     fn shard_epoch_rides_the_handshake_through_both_machines() {
         // A cluster member advertises its epoch in the Hello ack.
         let mut server = ServerConn::with_shard_epoch(5);
-        let mut client = ClientConn::new(2);
+        let mut client = ClientConn::new(0, 1);
         server.on_bytes(&client.hello_bytes());
         relay(&mut server, &mut client);
-        assert!(matches!(client.next_event(), Some(ClientEvent::Negotiated(2))));
+        assert!(matches!(client.next_event(), Some(ClientEvent::Ready)));
         assert_eq!(client.shard_epoch(), 5);
 
-        // A solo server (epoch 0) advertises nothing — including to v1
-        // clients, whose ack stays byte-identical to the pre-shard one.
-        for want in [1, 2] {
-            let mut server = ServerConn::new();
-            let mut client = ClientConn::new(want);
-            server.on_bytes(&client.hello_bytes());
-            relay(&mut server, &mut client);
-            assert!(matches!(client.next_event(), Some(ClientEvent::Negotiated(v)) if v == want));
-            assert_eq!(client.shard_epoch(), 0);
-        }
+        // A solo server advertises epoch 0.
+        let mut server = ServerConn::new();
+        let mut client = ClientConn::new(0, 1);
+        server.on_bytes(&client.hello_bytes());
+        relay(&mut server, &mut client);
+        assert!(matches!(client.next_event(), Some(ClientEvent::Ready)));
+        assert_eq!(client.shard_epoch(), 0);
     }
 
     #[test]
@@ -958,10 +861,10 @@ mod tests {
         let owner = map.owner(container, chunk).unwrap();
 
         let mut server = ServerConn::with_shard_epoch(map.epoch);
-        let mut client = ClientConn::new(2);
+        let mut client = ClientConn::new(0, 1);
         server.on_bytes(&client.hello_bytes());
         relay(&mut server, &mut client);
-        assert!(matches!(client.next_event(), Some(ClientEvent::Negotiated(2))));
+        assert!(matches!(client.next_event(), Some(ClientEvent::Ready)));
 
         // Misdirected fetch → the application (here: the test, standing
         // in for `admit_fetch`) answers with the typed redirect.
@@ -1009,8 +912,8 @@ mod tests {
             first_sample: 9,
             dims: [2, 1, 4, 4],
             read_cf: 3,
-            data: (0..32).map(|i| i as f32 / 3.0 - 5.0).collect(),
             served_cf: 3,
+            data: (0..32).map(|i| i as f32 / 3.0 - 5.0).collect(),
         };
         let (data, first_sample, dims, read_cf) = match &resp {
             Response::Chunk { first_sample, dims, read_cf, data, .. } => {
@@ -1019,17 +922,12 @@ mod tests {
             _ => unreachable!(),
         };
         let slab = ResponseSlab::chunk(first_sample, dims, read_cf, &data);
-        for checksum in [false, true] {
-            let (op, body) = encode_response(&resp);
-            let want = encode_frame(op, &body, checksum).unwrap();
-            let mut got = slab.header(checksum).to_vec();
-            got.extend_from_slice(slab.body());
-            if checksum {
-                got.extend_from_slice(&slab.trailer());
-            }
-            assert_eq!(got, want, "checksum={checksum}");
-            assert_eq!(got.len(), slab.wire_len(checksum));
-        }
+        let (op, body) = encode_response(&resp);
+        let want = encode_frame(op, &body).unwrap();
+        let mut got = slab.header().to_vec();
+        got.extend_from_slice(slab.body());
+        got.extend_from_slice(&slab.trailer());
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -1,28 +1,24 @@
-//! Wire protocol: length-prefixed binary frames (narrative in `PROTOCOL.md`).
+//! Wire protocol: length-prefixed, checksummed binary frames (narrative in
+//! `PROTOCOL.md`).
 //!
-//! Every frame is `[len: u32 LE][opcode: u8][body]`. Requests use opcodes
+//! Every frame is `[len: u32 LE][opcode: u8][body][crc: u32 LE]`, where
+//! `len` counts opcode + body + CRC and `crc` is the CRC-32 of
+//! `opcode ++ body`, so wire corruption surfaces as a typed, retryable
+//! [`ErrorCode::BadFrame`] instead of a decoded lie — the transport
+//! analogue of the store's per-chunk CRC. Requests use opcodes
 //! `0x01..=0x08`, responses `0x81..=0x89` plus the error frame `0x7F`. All
 //! integers are little-endian; strings are `u16` length + UTF-8 bytes;
-//! chunk payloads are raw little-endian `f32`.
+//! chunk payloads are raw little-endian `f32`. Every field is mandatory:
+//! decoders reject both short bodies and bytes left after the body.
 //!
-//! A connection starts with a `Hello` exchange carrying the protocol
-//! version, so incompatible peers fail fast with a typed error instead of
-//! desynchronizing. Fidelity is negotiated per request: a `Fetch` carries
-//! the chop factor to decode at (`0` = the container's stored fidelity),
-//! and the reply echoes the factor actually served.
-//!
-//! **Version 2** (negotiated downward: the server serves `1..=2` and
-//! answers with the client's version) adds the network-robustness layer:
-//!
-//! * every post-handshake frame carries a trailing CRC-32 of
-//!   `opcode ++ body` (`len` counts opcode + body + 4), so wire corruption
-//!   surfaces as a typed, retryable [`ErrorCode::BadFrame`] instead of a
-//!   decoded lie — the transport analogue of the store's per-chunk CRC;
-//! * `Fetch` carries a relative deadline (`deadline_ms`, `0` = none); the
-//!   server sheds expired work with [`ErrorCode::DeadlineExceeded`]
-//!   *before* decoding, the same pre-worker edge as `Overloaded`;
-//! * the `Hello` exchange itself is always v1-framed (no CRC) in both
-//!   directions — it happens before a version exists.
+//! A connection starts with a `Hello` exchange carrying
+//! [`PROTO_VERSION`]. There is one version and no negotiation: a peer
+//! speaking any other version gets a typed error and a close instead of a
+//! desynchronized stream. Fidelity is chosen per request: a `Fetch`
+//! carries the chop factor to decode at (`0` = the container's stored
+//! fidelity) and a relative deadline (`deadline_ms`, `0` = none) the
+//! server enforces before decoding; the reply carries the factor actually
+//! served.
 
 use std::io::{ErrorKind, Read, Write};
 
@@ -30,19 +26,12 @@ use crate::shard::ShardMap;
 use crate::stats::StatsReport;
 use crate::{Result, ServeError};
 
-/// Newest protocol version spoken by this build (in the `Hello` exchange).
-pub const PROTO_VERSION: u16 = 2;
-/// Oldest version the server still serves (v1 clients interoperate).
-pub const MIN_PROTO_VERSION: u16 = 1;
+/// The protocol version this build speaks (in the `Hello` exchange).
+pub const PROTO_VERSION: u16 = 3;
 /// Magic leading the `Hello` request body.
 pub const PROTO_MAGIC: [u8; 4] = *b"DCZS";
 /// Upper bound on a frame (1 MiB control + payload chunks well under it).
 pub const MAX_FRAME: u32 = 1 << 26; // 64 MiB
-
-/// Do frames at `version` carry the trailing CRC-32?
-pub fn frames_checksummed(version: u16) -> bool {
-    version >= 2
-}
 
 /// Typed error classes a server can answer with.
 ///
@@ -141,11 +130,10 @@ pub enum Request {
         /// The client's [`PROTO_VERSION`].
         version: u16,
         /// Tenant id for multi-tenant QoS accounting (`0` = the default
-        /// tenant). Optional-trailing on the wire: a bare pre-QoS `Hello`
-        /// decodes as tenant `0`.
+        /// tenant).
         tenant: u32,
         /// Weight class for deficit-round-robin admission; `0` is treated
-        /// as `1`. Optional-trailing alongside `tenant`.
+        /// as `1`.
         weight: u8,
     },
     /// Describe a container (geometry, codec, fidelity range).
@@ -162,8 +150,7 @@ pub enum Request {
         /// Chop factor to decode at; `0` means the stored fidelity, a
         /// lower value is served from a ring-prefix read.
         read_cf: u8,
-        /// Relative deadline in milliseconds; `0` means none. Wire field
-        /// only at v2+ — v1 encoding requires it to be `0`.
+        /// Relative deadline in milliseconds; `0` means none.
         deadline_ms: u32,
     },
     /// Fetch the server's counters and histograms.
@@ -189,10 +176,10 @@ pub enum Request {
 }
 
 impl Request {
-    /// A `Hello` for the default tenant (`0`) at weight `1` — what every
-    /// tenancy-unaware client sends.
-    pub fn hello(version: u16) -> Request {
-        Request::Hello { version, tenant: 0, weight: 1 }
+    /// This build's `Hello` for the default tenant (`0`) at weight `1` —
+    /// what every tenancy-unaware client sends.
+    pub fn hello() -> Request {
+        Request::Hello { version: PROTO_VERSION, tenant: 0, weight: 1 }
     }
 }
 
@@ -222,10 +209,7 @@ pub enum Response {
     Hello {
         /// The server's [`PROTO_VERSION`].
         version: u16,
-        /// Epoch of the shard map this server belongs to. Optional-
-        /// trailing on the wire, and written only when nonzero — a solo
-        /// (unsharded) server's Hello ack is byte-identical to the
-        /// pre-shard one, and pre-shard acks decode as epoch 0. A
+        /// Epoch of the shard map this server belongs to (`0` = solo). A
         /// nonzero epoch tells the client to fetch the [`ShardMap`]
         /// before routing fetches.
         shard_epoch: u64,
@@ -240,14 +224,12 @@ pub enum Response {
         dims: [u32; 4],
         /// Chop factor the data was decoded at.
         read_cf: u8,
-        /// Row-major samples (`dims` product many values).
-        data: Vec<f32>,
         /// Fidelity the server actually served (equals `read_cf`; carried
         /// explicitly so a brownout-degraded reply is flagged, never
         /// silent — the client compares it against what it *requested*).
-        /// Optional-trailing on the wire: a pre-QoS `Chunk` decodes with
-        /// `served_cf == read_cf`.
         served_cf: u8,
+        /// Row-major samples (`dims` product many values).
+        data: Vec<f32>,
     },
     /// Counters and histograms snapshot (boxed: the per-tenant ledger
     /// makes the report by far the largest variant).
@@ -275,8 +257,6 @@ pub enum Response {
         epoch: u64,
         /// Whether this push changed the routing table (`false` = the
         /// pushed map was already installed; an idempotent re-push).
-        /// Optional-trailing on the wire and written only when `false`,
-        /// so a minimal ack decodes as a fresh install.
         installed: bool,
     },
     /// Typed failure.
@@ -362,12 +342,6 @@ impl<'a> BodyReader<'a> {
         Ok(raw.chunks_exact(4).map(|b| f32::from_le_bytes(b.try_into().unwrap())).collect())
     }
 
-    /// Bytes not yet consumed — how optional-trailing fields (the QoS
-    /// additions to `Hello` and `Chunk`) detect their own presence.
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len() - self.at
-    }
-
     pub(crate) fn finish(self) -> Result<()> {
         if self.at == self.buf.len() {
             Ok(())
@@ -385,11 +359,8 @@ pub(crate) fn put_string(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// Serialize a request to its `(opcode, body)` pair at `version`. The
-/// deadline field exists only at v2+; encoding a nonzero deadline for a
-/// v1 peer is a caller bug surfaced as a protocol error by the panic-free
-/// path below (it is silently representable as 0 only).
-pub fn encode_request(req: &Request, version: u16) -> Result<(u8, Vec<u8>)> {
+/// Serialize a request to its `(opcode, body)` pair.
+pub fn encode_request(req: &Request) -> (u8, Vec<u8>) {
     let mut b = Vec::new();
     let op = match req {
         Request::Hello { version, tenant, weight } => {
@@ -407,13 +378,7 @@ pub fn encode_request(req: &Request, version: u16) -> Result<(u8, Vec<u8>)> {
             b.extend_from_slice(&container.to_le_bytes());
             b.extend_from_slice(&chunk.to_le_bytes());
             b.push(*read_cf);
-            if version >= 2 {
-                b.extend_from_slice(&deadline_ms.to_le_bytes());
-            } else if *deadline_ms != 0 {
-                return Err(ServeError::Protocol(
-                    "deadlines require protocol v2; this connection negotiated v1".into(),
-                ));
-            }
+            b.extend_from_slice(&deadline_ms.to_le_bytes());
             OP_FETCH
         }
         Request::Stats => OP_STATS,
@@ -425,11 +390,11 @@ pub fn encode_request(req: &Request, version: u16) -> Result<(u8, Vec<u8>)> {
             OP_MAP_PUSH
         }
     };
-    Ok((op, b))
+    (op, b)
 }
 
-/// Parse a request from its `(opcode, body)` pair at `version`.
-pub fn decode_request(op: u8, body: &[u8], version: u16) -> Result<Request> {
+/// Parse a request from its `(opcode, body)` pair.
+pub fn decode_request(op: u8, body: &[u8]) -> Result<Request> {
     let mut r = BodyReader::new(body);
     let req = match op {
         OP_HELLO => {
@@ -438,18 +403,14 @@ pub fn decode_request(op: u8, body: &[u8], version: u16) -> Result<Request> {
             if magic != PROTO_MAGIC {
                 return Err(ServeError::Protocol(format!("bad hello magic {magic:02x?}")));
             }
-            let version = r.u16()?;
-            // Tenancy fields are optional-trailing: a bare (pre-QoS)
-            // Hello is the default tenant at weight 1.
-            let (tenant, weight) = if r.remaining() > 0 { (r.u32()?, r.u8()?) } else { (0, 1) };
-            Request::Hello { version, tenant, weight }
+            Request::Hello { version: r.u16()?, tenant: r.u32()?, weight: r.u8()? }
         }
         OP_INFO => Request::Info { container: r.u32()? },
         OP_FETCH => Request::Fetch {
             container: r.u32()?,
             chunk: r.u32()?,
             read_cf: r.u8()?,
-            deadline_ms: if version >= 2 { r.u32()? } else { 0 },
+            deadline_ms: r.u32()?,
         },
         OP_STATS => Request::Stats,
         OP_PING => Request::Ping,
@@ -468,12 +429,7 @@ pub fn encode_response(resp: &Response) -> (u8, Vec<u8>) {
     let op = match resp {
         Response::Hello { version, shard_epoch } => {
             b.extend_from_slice(&version.to_le_bytes());
-            // Trailing, and only when nonzero: a solo server's ack stays
-            // byte-identical to the pre-shard protocol, and pre-shard
-            // servers' acks decode as epoch 0 (no cluster).
-            if *shard_epoch != 0 {
-                b.extend_from_slice(&shard_epoch.to_le_bytes());
-            }
+            b.extend_from_slice(&shard_epoch.to_le_bytes());
             OP_R_HELLO
         }
         Response::Info(info) => {
@@ -486,19 +442,11 @@ pub fn encode_response(resp: &Response) -> (u8, Vec<u8>) {
             put_string(&mut b, &info.codec);
             OP_R_INFO
         }
-        Response::Chunk { first_sample, dims, read_cf, data, served_cf } => {
-            b.extend_from_slice(&first_sample.to_le_bytes());
-            for d in dims {
-                b.extend_from_slice(&d.to_le_bytes());
-            }
-            b.push(*read_cf);
-            b.reserve(data.len() * 4 + 1);
+        Response::Chunk { first_sample, dims, read_cf, served_cf, data } => {
+            put_chunk_header(&mut b, *first_sample, *dims, *read_cf, *served_cf, data.len());
             for v in data {
                 b.extend_from_slice(&v.to_le_bytes());
             }
-            // Trailing: `dims` fixes the payload length, so the decoder
-            // detects the extra byte by `remaining()`, not by guessing.
-            b.push(*served_cf);
             OP_R_CHUNK
         }
         Response::Stats(report) => {
@@ -518,11 +466,7 @@ pub fn encode_response(resp: &Response) -> (u8, Vec<u8>) {
         }
         Response::MapPushed { epoch, installed } => {
             b.extend_from_slice(&epoch.to_le_bytes());
-            // Trailing, and only on the idempotent path: the common ack
-            // (a fresh install) stays minimal and decodes as installed.
-            if !installed {
-                b.push(0);
-            }
+            b.push(u8::from(*installed));
             OP_R_MAP_PUSHED
         }
         Response::Error { code, message } => {
@@ -534,15 +478,30 @@ pub fn encode_response(resp: &Response) -> (u8, Vec<u8>) {
     (op, b)
 }
 
+/// Write the fixed `Chunk` header — `first_sample`, `dims`, `read_cf`,
+/// `served_cf` — reserving room for `values` payload floats behind it.
+pub(crate) fn put_chunk_header(
+    b: &mut Vec<u8>,
+    first_sample: u64,
+    dims: [u32; 4],
+    read_cf: u8,
+    served_cf: u8,
+    values: usize,
+) {
+    b.reserve(8 + 16 + 2 + values * 4);
+    b.extend_from_slice(&first_sample.to_le_bytes());
+    for d in dims {
+        b.extend_from_slice(&d.to_le_bytes());
+    }
+    b.push(read_cf);
+    b.push(served_cf);
+}
+
 /// Parse a response from its `(opcode, body)` pair.
 pub fn decode_response(op: u8, body: &[u8]) -> Result<Response> {
     let mut r = BodyReader::new(body);
     let resp = match op {
-        OP_R_HELLO => Response::Hello {
-            version: r.u16()?,
-            // Optional-trailing: a pre-shard ack ends at the version.
-            shard_epoch: if r.remaining() > 0 { r.u64()? } else { 0 },
-        },
+        OP_R_HELLO => Response::Hello { version: r.u16()?, shard_epoch: r.u64()? },
         OP_R_INFO => Response::Info(ContainerInfo {
             samples: r.u64()?,
             chunks: r.u32()?,
@@ -556,14 +515,13 @@ pub fn decode_response(op: u8, body: &[u8]) -> Result<Response> {
             let first_sample = r.u64()?;
             let dims = [r.u32()?, r.u32()?, r.u32()?, r.u32()?];
             let read_cf = r.u8()?;
+            let served_cf = r.u8()?;
             let count = dims.iter().try_fold(1usize, |acc, &d| {
                 acc.checked_mul(d as usize)
                     .ok_or_else(|| ServeError::Protocol("chunk dims overflow".into()))
             })?;
             let data = r.f32s(count)?;
-            // A pre-QoS Chunk body ends at the payload: served == decoded.
-            let served_cf = if r.remaining() > 0 { r.u8()? } else { read_cf };
-            Response::Chunk { first_sample, dims, read_cf, data, served_cf }
+            Response::Chunk { first_sample, dims, read_cf, served_cf, data }
         }
         OP_R_STATS => Response::Stats(Box::new(StatsReport::decode(&mut r)?)),
         OP_R_PONG => Response::Pong,
@@ -572,8 +530,13 @@ pub fn decode_response(op: u8, body: &[u8]) -> Result<Response> {
         OP_R_WRONG_SHARD => Response::WrongShard { epoch: r.u64()?, owner: r.u32()? },
         OP_R_MAP_PUSHED => Response::MapPushed {
             epoch: r.u64()?,
-            // Optional-trailing: a minimal ack is a fresh install.
-            installed: if r.remaining() > 0 { r.u8()? != 0 } else { true },
+            installed: match r.u8()? {
+                0 => false,
+                1 => true,
+                other => {
+                    return Err(ServeError::Protocol(format!("bad installed flag {other}")));
+                }
+            },
         },
         OP_R_ERROR => Response::Error { code: ErrorCode::from_u8(r.u8()?)?, message: r.string()? },
         other => return Err(ServeError::Protocol(format!("unknown response opcode {other:#04x}"))),
@@ -582,24 +545,24 @@ pub fn decode_response(op: u8, body: &[u8]) -> Result<Response> {
     Ok(resp)
 }
 
-/// Write one `(opcode, body)` frame; `checksum` appends the v2 trailing
-/// CRC-32 (and counts it in `len`). Thin blocking adapter over the
-/// sans-I/O [`crate::proto::encode_frame`] — the one framing encoder.
-pub fn write_frame(w: &mut impl Write, op: u8, body: &[u8], checksum: bool) -> Result<()> {
-    w.write_all(&crate::proto::encode_frame(op, body, checksum)?)?;
+/// Write one `(opcode, body)` frame with its CRC trailer. Thin blocking
+/// adapter over the sans-I/O [`crate::proto::encode_frame`] — the one
+/// framing encoder.
+pub fn write_frame(w: &mut impl Write, op: u8, body: &[u8]) -> Result<()> {
+    w.write_all(&crate::proto::encode_frame(op, body)?)?;
     w.flush()?;
     Ok(())
 }
 
-/// Read one `(opcode, body)` frame, verifying the trailing CRC-32 when
-/// `checksum`; `Ok(None)` on clean EOF at a frame boundary (the peer
-/// closed between frames). Thin blocking adapter over the sans-I/O
-/// [`crate::proto::FrameDecoder`] — the one framing parser.
-pub fn read_frame(r: &mut impl Read, checksum: bool) -> Result<Option<(u8, Vec<u8>)>> {
+/// Read one `(opcode, body)` frame, verifying its CRC; `Ok(None)` on
+/// clean EOF at a frame boundary (the peer closed between frames). Thin
+/// blocking adapter over the sans-I/O [`crate::proto::FrameDecoder`] —
+/// the one framing parser.
+pub fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>> {
     let mut dec = crate::proto::FrameDecoder::new();
     let mut tmp = [0u8; 64 * 1024];
     loop {
-        if let Some(frame) = dec.pop(checksum)? {
+        if let Some(frame) = dec.pop()? {
             return Ok(Some(frame));
         }
         match r.read(&mut tmp) {
@@ -617,52 +580,40 @@ pub fn read_frame(r: &mut impl Read, checksum: bool) -> Result<Option<(u8, Vec<u
     }
 }
 
-/// Write a [`Request`] frame at `version` (checksummed at v2+).
-pub fn write_request(w: &mut impl Write, req: &Request, version: u16) -> Result<()> {
-    let (op, body) = encode_request(req, version)?;
-    write_frame(w, op, &body, frames_checksummed(version))
+/// Write a [`Request`] frame.
+pub fn write_request(w: &mut impl Write, req: &Request) -> Result<()> {
+    let (op, body) = encode_request(req);
+    write_frame(w, op, &body)
 }
 
-/// Write a [`Response`] frame (`checksum` per the negotiated version).
-pub fn write_response(w: &mut impl Write, resp: &Response, checksum: bool) -> Result<()> {
+/// Write a [`Response`] frame.
+pub fn write_response(w: &mut impl Write, resp: &Response) -> Result<()> {
     let (op, body) = encode_response(resp);
-    write_frame(w, op, &body, checksum)
+    write_frame(w, op, &body)
 }
 
 /// Read a [`Response`] frame (blocking; `None` on clean EOF).
-pub fn read_response(r: &mut impl Read, checksum: bool) -> Result<Option<Response>> {
-    match read_frame(r, checksum)? {
+pub fn read_response(r: &mut impl Read) -> Result<Option<Response>> {
+    match read_frame(r)? {
         Some((op, body)) => Ok(Some(decode_response(op, &body)?)),
         None => Ok(None),
     }
 }
 
-/// Run the client half of the `Hello` exchange on a fresh stream: offer
-/// `want`, return the version the server granted. Both hello frames are
-/// v1-framed (no CRC) — they precede version agreement — and the server
-/// may grant a version ≤ `want` (it never upgrades a client). Blocking
-/// adapter over the sans-I/O [`crate::proto::ClientConn`] machine, which
-/// owns the grant-validation rules.
-pub fn client_handshake<S: Read + Write>(stream: &mut S, want: u16) -> Result<u16> {
-    client_handshake_tenant(stream, want, 0, 1)
-}
-
-/// [`client_handshake`], identifying as `tenant` at `weight` — the QoS
-/// identity the server files this connection's fetches under. Tenant 0 at
-/// weight 1 is the anonymous default every pre-QoS client lands in.
-pub fn client_handshake_tenant<S: Read + Write>(
-    stream: &mut S,
-    want: u16,
-    tenant: u32,
-    weight: u8,
-) -> Result<u16> {
-    let mut conn = crate::proto::ClientConn::with_tenant(want, tenant, weight);
+/// Run the client half of the `Hello` exchange on a fresh stream,
+/// identifying as `tenant` at `weight` — the QoS identity the server files
+/// this connection's fetches under (tenant 0 at weight 1 is the anonymous
+/// default). Blocking adapter over the sans-I/O
+/// [`crate::proto::ClientConn`] machine, which owns the ack-validation
+/// rules.
+pub fn client_handshake<S: Read + Write>(stream: &mut S, tenant: u32, weight: u8) -> Result<()> {
+    let mut conn = crate::proto::ClientConn::new(tenant, weight);
     stream.write_all(&conn.hello_bytes())?;
     stream.flush()?;
     let mut tmp = [0u8; 4096];
     loop {
-        if let Some(crate::proto::ClientEvent::Negotiated(version)) = conn.next_event() {
-            return Ok(version);
+        if let Some(crate::proto::ClientEvent::Ready) = conn.next_event() {
+            return Ok(());
         }
         match stream.read(&mut tmp) {
             Ok(0) => conn.on_eof()?,
@@ -677,37 +628,39 @@ pub fn client_handshake_tenant<S: Read + Write>(
 mod tests {
     use super::*;
 
-    fn roundtrip_request_at(req: Request, version: u16) {
-        let (op, body) = encode_request(&req, version).unwrap();
-        assert_eq!(decode_request(op, &body, version).unwrap(), req);
+    fn roundtrip_request(req: Request) {
+        let (op, body) = encode_request(&req);
+        assert_eq!(decode_request(op, &body).unwrap(), req);
         // And through the framed byte stream.
         let mut wire = Vec::new();
-        write_request(&mut wire, &req, version).unwrap();
-        let (op, body) =
-            read_frame(&mut wire.as_slice(), frames_checksummed(version)).unwrap().unwrap();
-        assert_eq!(decode_request(op, &body, version).unwrap(), req);
-    }
-
-    fn roundtrip_request(req: Request) {
-        roundtrip_request_at(req.clone(), 1);
-        roundtrip_request_at(req, 2);
+        write_request(&mut wire, &req).unwrap();
+        let (op, body) = read_frame(&mut wire.as_slice()).unwrap().unwrap();
+        assert_eq!(decode_request(op, &body).unwrap(), req);
     }
 
     fn roundtrip_response(resp: Response) {
-        for checksum in [false, true] {
-            let mut wire = Vec::new();
-            write_response(&mut wire, &resp, checksum).unwrap();
-            let got = read_response(&mut wire.as_slice(), checksum).unwrap().unwrap();
-            assert_eq!(got, resp);
-        }
+        let mut wire = Vec::new();
+        write_response(&mut wire, &resp).unwrap();
+        let got = read_response(&mut wire.as_slice()).unwrap().unwrap();
+        assert_eq!(got, resp);
+    }
+
+    fn two_members(prefix: &str) -> Vec<crate::shard::ShardMember> {
+        (0..2)
+            .map(|i| crate::shard::ShardMember {
+                name: format!("{prefix}{i}"),
+                addr: format!("127.0.0.1:745{i}"),
+            })
+            .collect()
     }
 
     #[test]
     fn requests_roundtrip() {
-        roundtrip_request(Request::hello(PROTO_VERSION));
+        roundtrip_request(Request::hello());
         roundtrip_request(Request::Hello { version: PROTO_VERSION, tenant: 7, weight: 4 });
         roundtrip_request(Request::Info { container: 3 });
         roundtrip_request(Request::Fetch { container: 1, chunk: 42, read_cf: 2, deadline_ms: 0 });
+        roundtrip_request(Request::Fetch { container: 0, chunk: 1, read_cf: 0, deadline_ms: 250 });
         roundtrip_request(Request::Stats);
         roundtrip_request(Request::Ping);
         roundtrip_request(Request::Shutdown);
@@ -717,21 +670,14 @@ mod tests {
             0xFEED,
             64,
             2,
-            vec![
-                crate::shard::ShardMember { name: "s0".into(), addr: "127.0.0.1:7450".into() },
-                crate::shard::ShardMember { name: "s1".into(), addr: "127.0.0.1:7451".into() },
-            ],
+            two_members("s"),
         )));
-        // Nonzero deadlines exist only at v2.
-        let dl = Request::Fetch { container: 0, chunk: 1, read_cf: 0, deadline_ms: 250 };
-        roundtrip_request_at(dl.clone(), 2);
-        assert!(encode_request(&dl, 1).is_err(), "v1 cannot carry a deadline");
     }
 
     #[test]
     fn responses_roundtrip() {
-        roundtrip_response(Response::Hello { version: 1, shard_epoch: 0 });
-        roundtrip_response(Response::Hello { version: 2, shard_epoch: 9 });
+        roundtrip_response(Response::Hello { version: PROTO_VERSION, shard_epoch: 0 });
+        roundtrip_response(Response::Hello { version: PROTO_VERSION, shard_epoch: 9 });
         roundtrip_response(Response::Info(ContainerInfo {
             samples: 100,
             chunks: 13,
@@ -745,16 +691,16 @@ mod tests {
             first_sample: 16,
             dims: [2, 1, 4, 4],
             read_cf: 4,
-            data: (0..32).map(|i| i as f32 / 7.0 - 2.0).collect(),
             served_cf: 4,
+            data: (0..32).map(|i| i as f32 / 7.0 - 2.0).collect(),
         });
         // A brownout-degraded reply carries its served fidelity.
         roundtrip_response(Response::Chunk {
             first_sample: 0,
             dims: [1, 1, 2, 2],
             read_cf: 2,
-            data: vec![0.5, -0.5, 1.5, -1.5],
             served_cf: 2,
+            data: vec![0.5, -0.5, 1.5, -1.5],
         });
         roundtrip_response(Response::Pong);
         roundtrip_response(Response::ShuttingDown);
@@ -763,11 +709,7 @@ mod tests {
             0xFEED,
             128,
             2,
-            vec![
-                crate::shard::ShardMember { name: "shard0".into(), addr: "127.0.0.1:7450".into() },
-                crate::shard::ShardMember { name: "shard1".into(), addr: "127.0.0.1:7451".into() },
-                crate::shard::ShardMember { name: "shard2".into(), addr: "127.0.0.1:7452".into() },
-            ],
+            two_members("shard"),
         )));
         roundtrip_response(Response::WrongShard { epoch: 4, owner: 2 });
         roundtrip_response(Response::MapPushed { epoch: 5, installed: true });
@@ -779,138 +721,96 @@ mod tests {
     }
 
     #[test]
-    fn shard_epoch_is_optional_trailing_on_the_hello_ack() {
-        // A solo (epoch-0) ack writes no trailing bytes — byte-identical
-        // to the pre-shard protocol.
-        let (op, body) = encode_response(&Response::Hello { version: 2, shard_epoch: 0 });
-        assert_eq!(body.len(), 2, "epoch 0 must not appear on the wire");
-        // And a bare pre-shard ack decodes as epoch 0.
-        assert_eq!(
-            decode_response(op, &body).unwrap(),
-            Response::Hello { version: 2, shard_epoch: 0 }
-        );
-        // A cluster member's ack carries its epoch.
-        let (op, body) = encode_response(&Response::Hello { version: 2, shard_epoch: 3 });
-        assert_eq!(body.len(), 10);
-        assert_eq!(
-            decode_response(op, &body).unwrap(),
-            Response::Hello { version: 2, shard_epoch: 3 }
-        );
-    }
-
-    #[test]
-    fn map_pushed_installed_flag_is_optional_trailing() {
-        // A fresh-install ack is the minimal form: epoch only.
-        let (op, body) = encode_response(&Response::MapPushed { epoch: 7, installed: true });
-        assert_eq!(body.len(), 8, "installed=true must not appear on the wire");
-        assert_eq!(
-            decode_response(op, &body).unwrap(),
-            Response::MapPushed { epoch: 7, installed: true }
-        );
-        // Only the idempotent re-push spends the trailing byte.
-        let (op, body) = encode_response(&Response::MapPushed { epoch: 7, installed: false });
-        assert_eq!(body.len(), 9);
-        assert_eq!(
-            decode_response(op, &body).unwrap(),
-            Response::MapPushed { epoch: 7, installed: false }
-        );
-    }
-
-    #[test]
-    fn pre_qos_frames_decode_with_default_tenancy_fields() {
-        // A bare Hello (magic + version, no tenant/weight) is what every
-        // pre-QoS client sent; it must keep decoding as tenant 0 weight 1.
-        let mut bare = PROTO_MAGIC.to_vec();
-        bare.extend_from_slice(&2u16.to_le_bytes());
-        assert_eq!(
-            decode_request(OP_HELLO, &bare, 1).unwrap(),
-            Request::Hello { version: 2, tenant: 0, weight: 1 }
-        );
-        // A truncated tenancy suffix is a typed error, not a default.
-        bare.extend_from_slice(&[1, 0]);
-        assert!(decode_request(OP_HELLO, &bare, 1).is_err());
-
-        // A Chunk body that ends at the payload (no trailing served_cf)
-        // decodes with served == decoded fidelity.
-        let full = Response::Chunk {
-            first_sample: 4,
-            dims: [1, 1, 2, 2],
-            read_cf: 3,
-            data: vec![1.0, 2.0, 3.0, 4.0],
-            served_cf: 3,
-        };
-        let (op, mut body) = encode_response(&full);
-        body.pop(); // drop the trailing served_cf byte
-        assert_eq!(decode_response(op, &body).unwrap(), full);
+    fn every_field_is_mandatory() {
+        // Dropping the last byte of any body with fields is a typed
+        // truncation error, never a default; one extra byte is rejected
+        // as trailing garbage.
+        let requests = [
+            Request::hello(),
+            Request::Info { container: 3 },
+            Request::Fetch { container: 1, chunk: 2, read_cf: 1, deadline_ms: 9 },
+        ];
+        for req in requests {
+            let (op, mut body) = encode_request(&req);
+            body.push(0);
+            assert!(decode_request(op, &body).is_err(), "{req:?} + 1 byte");
+            body.truncate(body.len() - 2);
+            assert!(decode_request(op, &body).is_err(), "{req:?} - 1 byte");
+        }
+        let responses = [
+            Response::Hello { version: PROTO_VERSION, shard_epoch: 0 },
+            Response::Chunk {
+                first_sample: 4,
+                dims: [1, 1, 2, 2],
+                read_cf: 3,
+                served_cf: 3,
+                data: vec![1.0, 2.0, 3.0, 4.0],
+            },
+            Response::MapPushed { epoch: 7, installed: true },
+        ];
+        for resp in responses {
+            let (op, mut body) = encode_response(&resp);
+            body.push(0);
+            assert!(decode_response(op, &body).is_err(), "{resp:?} + 1 byte");
+            body.truncate(body.len() - 2);
+            assert!(decode_response(op, &body).is_err(), "{resp:?} - 1 byte");
+        }
+        // The installed flag is a boolean, not any byte.
+        let (op, mut body) = encode_response(&Response::MapPushed { epoch: 7, installed: true });
+        *body.last_mut().unwrap() = 2;
+        assert!(decode_response(op, &body).is_err());
     }
 
     #[test]
     fn malformed_frames_error_not_panic() {
         // Unknown opcodes.
-        assert!(decode_request(0x44, &[], 1).is_err());
+        assert!(decode_request(0x44, &[]).is_err());
         assert!(decode_response(0x45, &[]).is_err());
         // Truncated body.
-        assert!(decode_request(OP_FETCH, &[1, 0, 0], 1).is_err());
-        // Trailing garbage — at v1 the deadline bytes themselves are
-        // trailing garbage, so a v2 fetch is rejected by a v1 decoder.
-        let (op, mut body) = encode_request(&Request::Ping, 1).unwrap();
+        assert!(decode_request(OP_FETCH, &[1, 0, 0]).is_err());
+        // Trailing garbage.
+        let (op, mut body) = encode_request(&Request::Ping);
         body.push(9);
-        assert!(decode_request(op, &body, 1).is_err());
-        let fetch = Request::Fetch { container: 0, chunk: 0, read_cf: 0, deadline_ms: 7 };
-        let (op, body) = encode_request(&fetch, 2).unwrap();
-        assert!(decode_request(op, &body, 1).is_err());
+        assert!(decode_request(op, &body).is_err());
         // Bad hello magic.
-        assert!(decode_request(OP_HELLO, b"NOPE\x01\x00", 1).is_err());
-        // Zero / oversize frame lengths.
-        let mut wire = 0u32.to_le_bytes().to_vec();
-        assert!(read_frame(&mut wire.as_slice(), false).is_err());
-        wire = (MAX_FRAME + 1).to_le_bytes().to_vec();
-        assert!(read_frame(&mut wire.as_slice(), false).is_err());
+        assert!(decode_request(OP_HELLO, b"NOPE\x03\x00\x00\x00\x00\x00\x01").is_err());
+        // Zero / short / oversize frame lengths.
+        for len in [0, 4, MAX_FRAME + 1] {
+            let mut wire = len.to_le_bytes().to_vec();
+            wire.extend_from_slice(&[OP_PING, 0, 0, 0]);
+            assert!(read_frame(&mut wire.as_slice()).is_err(), "len {len}");
+        }
         // Clean EOF at the boundary is None, mid-frame EOF is an error.
-        assert!(read_frame(&mut [].as_slice(), false).unwrap().is_none());
+        assert!(read_frame(&mut [].as_slice()).unwrap().is_none());
         let mut partial = Vec::new();
-        write_request(&mut partial, &Request::Stats, 1).unwrap();
+        write_request(&mut partial, &Request::Stats).unwrap();
         partial.truncate(4);
-        assert!(read_frame(&mut partial.as_slice(), false).is_err());
+        assert!(read_frame(&mut partial.as_slice()).is_err());
     }
 
     #[test]
-    fn checksummed_frames_reject_every_single_bit_flip() {
-        let req = Request::Fetch { container: 2, chunk: 9, read_cf: 1, deadline_ms: 125 };
-        let mut wire = Vec::new();
-        write_request(&mut wire, &req, 2).unwrap();
-        // Pristine frame parses.
-        let (op, body) = read_frame(&mut wire.as_slice(), true).unwrap().unwrap();
-        assert_eq!(decode_request(op, &body, 2).unwrap(), req);
-        // Any bit flip past the length prefix must be *detected* — either
-        // a checksum error or (for flips in the CRC itself) a mismatch.
-        for byte in 4..wire.len() {
-            for bit in 0..8 {
-                let mut evil = wire.clone();
-                evil[byte] ^= 1 << bit;
-                assert!(
-                    read_frame(&mut evil.as_slice(), true).is_err(),
-                    "flip at byte {byte} bit {bit} went undetected"
-                );
+    fn frames_reject_every_single_bit_flip() {
+        for req in [
+            Request::hello(),
+            Request::Fetch { container: 2, chunk: 9, read_cf: 1, deadline_ms: 125 },
+        ] {
+            let mut wire = Vec::new();
+            write_request(&mut wire, &req).unwrap();
+            // Pristine frame parses.
+            let (op, body) = read_frame(&mut wire.as_slice()).unwrap().unwrap();
+            assert_eq!(decode_request(op, &body).unwrap(), req);
+            // Any bit flip past the length prefix must be *detected* —
+            // the handshake included.
+            for byte in 4..wire.len() {
+                for bit in 0..8 {
+                    let mut evil = wire.clone();
+                    evil[byte] ^= 1 << bit;
+                    assert!(
+                        read_frame(&mut evil.as_slice()).is_err(),
+                        "{req:?}: flip at byte {byte} bit {bit} went undetected"
+                    );
+                }
             }
         }
-        // Without the checksum the same flips can silently decode as a
-        // *different valid request* — that is why v2 exists.
-        let mut silent = wire.clone();
-        silent[9] ^= 1; // a bit inside the request body
-        let trimmed = &silent[..silent.len() - 4]; // drop CRC, fix length
-        let mut refr = (trimmed.len() as u32 - 4).to_le_bytes().to_vec();
-        refr.extend_from_slice(&trimmed[4..]);
-        let (op, body) = read_frame(&mut refr.as_slice(), false).unwrap().unwrap();
-        let decoded = decode_request(op, &body, 2).unwrap();
-        assert_ne!(decoded, req, "v1 framing cannot detect payload corruption");
-    }
-
-    #[test]
-    fn checksummed_short_frames_are_rejected() {
-        // len < 5 is impossible at v2 (opcode + CRC alone need 5).
-        let mut wire = 4u32.to_le_bytes().to_vec();
-        wire.extend_from_slice(&[OP_PING, 0, 0, 0]);
-        assert!(read_frame(&mut wire.as_slice(), true).is_err());
     }
 }

@@ -1,129 +1,36 @@
-//! Bounded MPMC admission queue — the load-shedding edge.
+//! Weighted-fair bounded admission queue — the load-shedding edge.
 //!
-//! Connection threads admit work with [`Mpmc::try_push`], which **never
-//! blocks**: a full queue is an immediate [`PushError::Full`], which the
-//! server turns into a typed `Overloaded` reply. That is the whole
-//! admission-control story — backpressure is surfaced to the client as a
-//! retryable error instead of unbounded queueing or a silent drop.
+//! Connection threads admit work with [`Wfq::try_push`], which **never
+//! blocks**: a full queue is an immediate [`PushError::Full`] and a
+//! tenant over its quota an immediate [`PushError::Quota`], both of which
+//! the server turns into a typed `Overloaded` reply. Backpressure is
+//! surfaced to the client as a retryable error instead of unbounded
+//! queueing or a silent drop.
 //!
-//! Worker threads consume with blocking [`Mpmc::pop`] plus non-blocking
-//! [`Mpmc::try_pop`], which is what the dynamic batcher uses to drain
-//! everything already waiting into one coalesced decompress pass.
+//! Worker threads consume with blocking [`Wfq::pop`] plus non-blocking
+//! [`Wfq::try_pop`], which is what the dynamic batcher uses to drain
+//! everything already waiting into one coalesced decompress pass. There
+//! is one bounded queue *per tenant*, drained by deficit-round-robin so
+//! an aggressor tenant can saturate only its own lane, plus a priority
+//! sub-queue for low-fidelity (cheap ring-prefix) requests.
 //!
 //! (The vendored `crossbeam` stand-in is single-consumer, so the worker
 //! pool cannot share its receiver; this queue is the multi-consumer side
 //! the service needs, kept dependency-free on `Mutex` + `Condvar`.)
-//!
-//! The multi-tenant server admits through [`Wfq`], a weighted-fair
-//! variant: one bounded queue *per tenant*, drained by deficit-round-
-//! robin so an aggressor tenant can saturate only its own lane, plus
-//! per-tenant in-flight/byte quotas and a priority sub-queue for
-//! low-fidelity (cheap ring-prefix) requests. [`Mpmc`] remains the
-//! single-tenant building block (and the shape `Wfq` degrades to with
-//! one tenant).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
-/// Why [`Mpmc::try_push`] / [`Wfq::try_push`] rejected an item (the item
-/// is handed back).
+/// Why [`Wfq::try_push`] rejected an item (the item is handed back).
 #[derive(Debug, PartialEq, Eq)]
 pub enum PushError<T> {
     /// The queue is at capacity — shed the request.
     Full(T),
-    /// The pushing tenant is over its in-flight or byte quota ([`Wfq`]
-    /// only) — shed *this tenant's* request while others keep flowing.
+    /// The pushing tenant is over its in-flight or byte quota — shed
+    /// *this tenant's* request while others keep flowing.
     Quota(T),
     /// The queue was closed for shutdown.
     Closed(T),
-}
-
-#[derive(Debug)]
-struct State<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-/// Bounded multi-producer multi-consumer queue.
-#[derive(Debug)]
-pub struct Mpmc<T> {
-    state: Mutex<State<T>>,
-    not_empty: Condvar,
-    capacity: usize,
-}
-
-impl<T> Mpmc<T> {
-    /// Queue admitting at most `capacity` waiting items (`capacity ≥ 1`).
-    pub fn new(capacity: usize) -> Mpmc<T> {
-        Mpmc {
-            state: Mutex::new(State { items: VecDeque::new(), closed: false }),
-            not_empty: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, State<T>> {
-        // Queue state is a plain VecDeque + bool: valid after any panic.
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Admit `item` without blocking; `Full` sheds, `Closed` means the
-    /// server is shutting down.
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut s = self.lock();
-        if s.closed {
-            return Err(PushError::Closed(item));
-        }
-        if s.items.len() >= self.capacity {
-            return Err(PushError::Full(item));
-        }
-        s.items.push_back(item);
-        drop(s);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Take the next item, blocking while the queue is empty; `None` once
-    /// the queue is closed **and** drained (workers exit on it).
-    pub fn pop(&self) -> Option<T> {
-        let mut s = self.lock();
-        loop {
-            if let Some(item) = s.items.pop_front() {
-                return Some(item);
-            }
-            if s.closed {
-                return None;
-            }
-            s = self.not_empty.wait(s).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Take the next item only if one is already waiting — the batcher's
-    /// drain step.
-    pub fn try_pop(&self) -> Option<T> {
-        self.lock().items.pop_front()
-    }
-
-    /// Close the queue: future pushes fail, poppers drain then get `None`.
-    pub fn close(&self) {
-        self.lock().closed = true;
-        self.not_empty.notify_all();
-    }
-
-    /// Items currently waiting.
-    pub fn len(&self) -> usize {
-        self.lock().items.len()
-    }
-
-    /// True when nothing is waiting.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The admission bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
 }
 
 // ----------------------------------------------------------------- Wfq
@@ -209,8 +116,7 @@ struct WfqState<T> {
 ///
 /// Conservation: every `Ok` push is returned by exactly one pop, and
 /// `close` + drain yields `None` only after the last queued item — the
-/// same answered-exactly-once contract [`Mpmc`] gives the single-tenant
-/// server.
+/// server's answered-exactly-once contract.
 #[derive(Debug)]
 pub struct Wfq<T> {
     state: Mutex<WfqState<T>>,
@@ -400,39 +306,10 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn sheds_at_capacity_and_recovers() {
-        let q = Mpmc::new(2);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        assert_eq!(q.try_push(3), Err(PushError::Full(3)));
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some(1));
-        q.try_push(4).unwrap();
-        assert_eq!(q.try_pop(), Some(2));
-        assert_eq!(q.try_pop(), Some(4));
-        assert_eq!(q.try_pop(), None);
-    }
-
-    #[test]
-    fn close_wakes_blocked_poppers_and_rejects_pushes() {
-        let q = Arc::new(Mpmc::<u32>::new(4));
-        let poppers: Vec<_> = (0..3)
-            .map(|_| {
-                let q = Arc::clone(&q);
-                std::thread::spawn(move || q.pop())
-            })
-            .collect();
-        q.try_push(7).unwrap();
-        q.close();
-        let got: Vec<_> = poppers.into_iter().map(|h| h.join().unwrap()).collect();
-        // Exactly one popper drained the item; the rest saw the close.
-        assert_eq!(got.iter().filter(|v| v.is_some()).count(), 1);
-        assert_eq!(q.try_push(8), Err(PushError::Closed(8)));
-    }
-
-    #[test]
     fn many_producers_many_consumers_deliver_everything_once() {
-        let q = Arc::new(Mpmc::<u32>::new(8));
+        // Four tenants push concurrently (each its own lane and weight)
+        // while four workers block in `pop`, the way the server runs it.
+        let q = Arc::new(Wfq::<u32>::new(8, 2, TenantQuota::default()));
         let consumers: Vec<_> = (0..4)
             .map(|_| {
                 let q = Arc::clone(&q);
@@ -445,7 +322,7 @@ mod tests {
                 })
             })
             .collect();
-        let producers: Vec<_> = (0..4)
+        let producers: Vec<_> = (0..4u32)
             .map(|p| {
                 let q = Arc::clone(&q);
                 std::thread::spawn(move || {
@@ -454,11 +331,11 @@ mod tests {
                         let v = p * 100 + i;
                         // Spin on Full: producers outpace consumers here.
                         loop {
-                            match q.try_push(v) {
+                            match q.try_push(p, p as u8 + 1, 1, i % 3 == 0, v) {
                                 Ok(()) => break,
                                 Err(PushError::Full(_)) => std::thread::yield_now(),
                                 Err(PushError::Closed(_)) => panic!("closed early"),
-                                Err(PushError::Quota(_)) => panic!("Mpmc has no quotas"),
+                                Err(PushError::Quota(_)) => panic!("no quota configured"),
                             }
                         }
                         sent.push(v);
@@ -473,6 +350,7 @@ mod tests {
         sent.sort_unstable();
         got.sort_unstable();
         assert_eq!(sent, got);
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -66,7 +66,7 @@ use aicomp_store::{RetryPolicy, SplitMix64};
 
 use crate::chaos::{FaultyStream, WireCounters, WireFaultPlan};
 use crate::client::{Client, FetchedChunk};
-use crate::protocol::{client_handshake_tenant, ContainerInfo, PROTO_VERSION};
+use crate::protocol::{client_handshake, ContainerInfo};
 use crate::shard::{MapInstall, ShardMap};
 use crate::stats::StatsReport;
 use crate::{Result, ServeError};
@@ -77,7 +77,7 @@ pub struct RobustConfig {
     /// Attempt budget and backoff base, shared with the store layer.
     pub retry: RetryPolicy,
     /// Overall wall-clock budget per call (`None` = unbounded). Also
-    /// forwarded to v2 servers as the request deadline, so work the
+    /// forwarded to the server as the request deadline, so work the
     /// client will no longer wait for is shed before decoding.
     pub timeout: Option<Duration>,
     /// Consecutive failures that open an endpoint's breaker.
@@ -86,8 +86,6 @@ pub struct RobustConfig {
     pub breaker_cooldown: Duration,
     /// Seed for probe-cooldown jitter (and chaos connection derivation).
     pub seed: u64,
-    /// Protocol version to offer (capped at [`PROTO_VERSION`]).
-    pub version: u16,
     /// Wrap every connection in a [`FaultyStream`] armed *after* the
     /// handshake with `chaos.derive(k)` for the k-th connection — the
     /// client side of a chaos test.
@@ -112,7 +110,6 @@ impl Default for RobustConfig {
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_millis(250),
             seed: 0,
-            version: PROTO_VERSION,
             chaos: None,
             tenant: 0,
             weight: 1,
@@ -362,11 +359,10 @@ impl RobustClient {
         if self.ring.is_some() {
             return self.fetch_ring(container, chunk, read_cf);
         }
+        // The remaining budget rides along as the server-side deadline, so
+        // queued work we stopped waiting for is shed.
         let (got, _) = self.call_routed(None, |client, remaining| {
-            // Forward the remaining budget as the server-side deadline on
-            // v2 links, so queued work we stopped waiting for is shed.
-            let deadline = remaining.filter(|_| client.version() >= 2);
-            client.fetch_deadline(container, chunk, read_cf, deadline)
+            client.fetch_deadline(container, chunk, read_cf, remaining)
         })?;
         if got.degraded() {
             self.counters.bump(&self.counters.degraded);
@@ -393,8 +389,7 @@ impl RobustClient {
                     self.fetch_hedged(p, container, chunk, read_cf)
                 }
                 _ => self.call_routed(pin.as_deref(), |client, remaining| {
-                    let deadline = remaining.filter(|_| client.version() >= 2);
-                    client.fetch_deadline(container, chunk, read_cf, deadline)
+                    client.fetch_deadline(container, chunk, read_cf, remaining)
                 }),
             };
             match result {
@@ -449,8 +444,7 @@ impl RobustClient {
         read_cf: u8,
     ) -> Result<(FetchedChunk, usize)> {
         let op = |client: &mut Client, remaining: Option<Duration>| {
-            let deadline = remaining.filter(|_| client.version() >= 2);
-            client.fetch_deadline(container, chunk, read_cf, deadline)
+            client.fetch_deadline(container, chunk, read_cf, remaining)
         };
         let Some(window) = self.hedge_window(pin) else {
             return self.call_routed(Some(pin), op);
@@ -466,8 +460,7 @@ impl RobustClient {
         let full = self.config.timeout;
         self.counters.bump(&self.counters.attempts);
         let result = self.attempt_on(primary, Some(window), &mut |client, _| {
-            let deadline = full.filter(|_| client.version() >= 2);
-            client.fetch_deadline(container, chunk, read_cf, deadline)
+            client.fetch_deadline(container, chunk, read_cf, full)
         });
         match result {
             Ok(got) => {
@@ -849,13 +842,12 @@ impl RobustClient {
     /// Dial and handshake one connection. Under a chaos plan the
     /// handshake runs on the *clean* stream and the faults are armed
     /// after it (the arm-after-open discipline), so injected faults hit
-    /// steady-state traffic deterministically, not version negotiation —
+    /// steady-state traffic deterministically, not the handshake —
     /// unless the plan's `cover_handshake` flag moves the arming point
     /// before the handshake, putting the `Hello` window in scope too.
     fn open(&mut self, index: usize) -> Result<Client> {
         let stream = TcpStream::connect(self.endpoints[index].addr)?;
         let _ = stream.set_nodelay(true);
-        let want = self.config.version.min(PROTO_VERSION);
         let (tenant, weight) = (self.config.tenant, self.config.weight);
         match self.config.chaos {
             Some(plan) if plan.is_active() => {
@@ -871,18 +863,17 @@ impl RobustClient {
                     // fault-killed handshake still advances the
                     // per-connection schedule deterministically.
                     faulty.set_plan(derived);
-                    let negotiated = client_handshake_tenant(&mut faulty, want, tenant, weight)?;
-                    Ok(Client::from_parts(Box::new(faulty), negotiated))
+                    client_handshake(&mut faulty, tenant, weight)?;
                 } else {
-                    let negotiated = client_handshake_tenant(&mut faulty, want, tenant, weight)?;
+                    client_handshake(&mut faulty, tenant, weight)?;
                     faulty.set_plan(derived);
-                    Ok(Client::from_parts(Box::new(faulty), negotiated))
                 }
+                Ok(Client::from_parts(Box::new(faulty)))
             }
             _ => {
                 let mut stream = stream;
-                let negotiated = client_handshake_tenant(&mut stream, want, tenant, weight)?;
-                Ok(Client::from_parts(Box::new(stream), negotiated))
+                client_handshake(&mut stream, tenant, weight)?;
+                Ok(Client::from_parts(Box::new(stream)))
             }
         }
     }

@@ -1,0 +1,98 @@
+//! `dcz` rejects what it does not understand: every subcommand checks its
+//! arguments against the flags it declares, so a misspelled or retired
+//! flag is a usage error with a nonzero exit — never a silent no-op that
+//! runs with defaults.
+
+use std::path::PathBuf;
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
+
+use aicomp_store::writer::pack_file;
+use aicomp_store::StoreOptions;
+use aicomp_tensor::Tensor;
+
+fn scratch(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("aicomp_cli_{name}_{}", std::process::id()))
+}
+
+/// Run `dcz` with `args`, killing it if it is still running after 20 s
+/// (a command that ignored a bad flag and started serving would hang).
+fn dcz(args: &[&str]) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dcz"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn dcz");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while child.try_wait().expect("poll dcz").is_none() {
+        if Instant::now() > deadline {
+            child.kill().ok();
+            panic!("dcz {args:?} still running: an unknown flag was ignored");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("collect dcz output")
+}
+
+fn assert_usage_error(out: &Output, flag: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "expected failure, stderr: {stderr}");
+    assert!(stderr.contains("usage:"), "expected usage text, got: {stderr}");
+    assert!(stderr.contains(flag), "usage error should name {flag}: {stderr}");
+}
+
+#[test]
+fn serve_rejects_the_retired_backend_flag() {
+    let store = scratch("serve.dcz");
+    let sample = Tensor::from_vec(vec![0.5; 16 * 16], [1, 16, 16]).unwrap();
+    pack_file(&store, &StoreOptions::dct(16, 4, 1, 1), [sample]).unwrap();
+    let out = dcz(&[
+        "serve",
+        "--store",
+        store.to_str().unwrap(),
+        "--addr",
+        "127.0.0.1:0",
+        "--backend",
+        "epoll",
+    ]);
+    assert_usage_error(&out, "--backend");
+    std::fs::remove_file(&store).ok();
+}
+
+#[test]
+fn pack_rejects_unknown_flags_and_writes_nothing() {
+    let raw = scratch("pack.f32");
+    let out_path = scratch("pack.dcz");
+    std::fs::write(&raw, vec![0u8; 2 * 32 * 32 * 4]).unwrap();
+    let base = [
+        "pack",
+        "--input",
+        raw.to_str().unwrap(),
+        "--codec",
+        "dct2d-n32-cf4",
+        "--channels",
+        "1",
+        "--chunk",
+        "1",
+        "--out",
+        out_path.to_str().unwrap(),
+    ];
+    for extra in [&["--entropy", "none"][..], &["--help"][..]] {
+        let args: Vec<&str> = base.iter().chain(extra).copied().collect();
+        assert_usage_error(&dcz(&args), extra[0]);
+        assert!(!out_path.exists(), "a rejected pack must not write {}", out_path.display());
+    }
+    // The declared flags alone still pack.
+    let ok = dcz(&base);
+    assert!(ok.status.success(), "{}", String::from_utf8_lossy(&ok.stderr));
+    assert!(out_path.exists());
+    std::fs::remove_file(&raw).ok();
+    std::fs::remove_file(&out_path).ok();
+}
+
+#[test]
+fn a_flag_missing_its_value_is_a_usage_error() {
+    assert_usage_error(&dcz(&["codecs", "--n"]), "--n");
+    assert_usage_error(&dcz(&["cluster", "suspect", "--addr", "127.0.0.1:1", "--ring"]), "--ring");
+}

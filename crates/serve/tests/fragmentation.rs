@@ -1,21 +1,20 @@
 //! Fragmentation invariance for the sans-I/O [`FrameDecoder`]: a frame
 //! stream is the same stream no matter how the transport slices it.
 //!
-//! TCP owes the protocol nothing about read boundaries — a nonblocking
-//! read under the epoll backend can surface one byte of a length prefix,
-//! a prefix-and-a-half, or forty frames at once. The decoder is the *one*
-//! place that reassembles, so this suite feeds identical byte streams
-//! through pathological chunkings — 1-byte drip, 7-byte (prime, never
-//! aligned with the 4-byte length or 5-byte header), every single split
-//! point, and seeded random slices — and demands the identical frame
-//! sequence every time, checksummed or not.
+//! TCP owes the protocol nothing about read boundaries — one socket read
+//! can surface one byte of a length prefix, a prefix-and-a-half, or forty
+//! frames at once. The decoder is the *one* place that reassembles, so
+//! this suite feeds identical byte streams through pathological chunkings
+//! — 1-byte drip, 7-byte (prime, never aligned with the 4-byte length or
+//! 5-byte header), every single split point, and seeded random slices —
+//! and demands the identical frame sequence every time.
 
 use aicomp_serve::proto::{encode_frame, frame_crc, FrameDecoder};
 use proptest::prelude::*;
 
 /// Decode an entire byte stream delivered in `chunks`-sized (or
 /// caller-sliced) pieces; returns every `(opcode, body)` popped, in order.
-fn decode_in_pieces(stream: &[u8], pieces: &[usize], checksum: bool) -> Vec<(u8, Vec<u8>)> {
+fn decode_in_pieces(stream: &[u8], pieces: &[usize]) -> Vec<(u8, Vec<u8>)> {
     let mut dec = FrameDecoder::new();
     let mut frames = Vec::new();
     let mut at = 0;
@@ -23,7 +22,7 @@ fn decode_in_pieces(stream: &[u8], pieces: &[usize], checksum: bool) -> Vec<(u8,
         let end = (at + len).min(stream.len());
         dec.push(&stream[at..end]);
         at = end;
-        while let Some(f) = dec.pop(checksum).expect("valid stream must decode") {
+        while let Some(f) = dec.pop().expect("valid stream must decode") {
             frames.push(f);
         }
     }
@@ -42,10 +41,10 @@ fn even_pieces(len: usize, size: usize) -> Vec<usize> {
 }
 
 /// A multi-frame wire stream built from `(opcode, body)` pairs.
-fn stream_of(frames: &[(u8, Vec<u8>)], checksum: bool) -> Vec<u8> {
+fn stream_of(frames: &[(u8, Vec<u8>)]) -> Vec<u8> {
     let mut bytes = Vec::new();
     for (op, body) in frames {
-        bytes.extend_from_slice(&encode_frame(*op, body, checksum).expect("encodable"));
+        bytes.extend_from_slice(&encode_frame(*op, body).expect("encodable"));
     }
     bytes
 }
@@ -62,16 +61,13 @@ proptest! {
     /// The reference chunking (whole stream at once) and every degenerate
     /// chunking (1-byte drip, 7-byte ragged) agree frame-for-frame.
     #[test]
-    fn drip_feeds_reproduce_whole_stream(
-        frames in frames_strategy(),
-        checksum in any::<bool>(),
-    ) {
-        let stream = stream_of(&frames, checksum);
-        let whole = decode_in_pieces(&stream, &[stream.len()], checksum);
+    fn drip_feeds_reproduce_whole_stream(frames in frames_strategy()) {
+        let stream = stream_of(&frames);
+        let whole = decode_in_pieces(&stream, &[stream.len()]);
         prop_assert_eq!(&whole, &frames, "whole-stream decode must echo the input");
-        let drip = decode_in_pieces(&stream, &even_pieces(stream.len(), 1), checksum);
+        let drip = decode_in_pieces(&stream, &even_pieces(stream.len(), 1));
         prop_assert_eq!(&drip, &frames);
-        let sevens = decode_in_pieces(&stream, &even_pieces(stream.len(), 7), checksum);
+        let sevens = decode_in_pieces(&stream, &even_pieces(stream.len(), 7));
         prop_assert_eq!(&sevens, &frames);
     }
 
@@ -80,10 +76,9 @@ proptest! {
     #[test]
     fn random_chunkings_reproduce_whole_stream(
         frames in frames_strategy(),
-        checksum in any::<bool>(),
         cuts in prop::collection::vec(1usize..=9, 512),
     ) {
-        let stream = stream_of(&frames, checksum);
+        let stream = stream_of(&frames);
         let mut pieces = Vec::new();
         let mut covered = 0;
         for c in cuts {
@@ -94,7 +89,7 @@ proptest! {
             pieces.push(take);
             covered += take;
         }
-        let got = decode_in_pieces(&stream, &pieces, checksum);
+        let got = decode_in_pieces(&stream, &pieces);
         prop_assert_eq!(got, frames);
     }
 
@@ -105,14 +100,14 @@ proptest! {
         body in prop::collection::vec(any::<u8>(), 1..32),
         flip in any::<u8>(),
     ) {
-        let mut stream = encode_frame(7, &body, true).unwrap();
+        let mut stream = encode_frame(7, &body).unwrap();
         let last = stream.len() - 1;
         stream[last] ^= flip | 1; // always damages the trailing CRC byte
         let mut dec = FrameDecoder::new();
         for b in &stream {
             dec.push(std::slice::from_ref(b));
         }
-        prop_assert!(dec.pop(true).is_err(), "damaged CRC must be a typed error");
+        prop_assert!(dec.pop().is_err(), "damaged CRC must be a typed error");
     }
 }
 
@@ -121,15 +116,13 @@ proptest! {
 /// stream is short enough to enumerate.)
 #[test]
 fn every_single_split_point_is_equivalent() {
-    for checksum in [false, true] {
-        let frames = vec![(2u8, vec![0xAB; 13]), (5u8, (0..37u8).collect::<Vec<u8>>())];
-        let stream = stream_of(&frames, checksum);
-        let whole = decode_in_pieces(&stream, &[stream.len()], checksum);
-        assert_eq!(whole, frames);
-        for split in 0..=stream.len() {
-            let got = decode_in_pieces(&stream, &[split, stream.len() - split], checksum);
-            assert_eq!(got, frames, "split at byte {split} (checksum={checksum}) diverged");
-        }
+    let frames = vec![(2u8, vec![0xAB; 13]), (5u8, (0..37u8).collect::<Vec<u8>>())];
+    let stream = stream_of(&frames);
+    let whole = decode_in_pieces(&stream, &[stream.len()]);
+    assert_eq!(whole, frames);
+    for split in 0..=stream.len() {
+        let got = decode_in_pieces(&stream, &[split, stream.len() - split]);
+        assert_eq!(got, frames, "split at byte {split} diverged");
     }
 }
 
@@ -139,7 +132,7 @@ fn every_single_split_point_is_equivalent() {
 #[test]
 fn frame_crc_matches_encoded_trailer() {
     let body: Vec<u8> = (0..200u8).collect();
-    let frame = encode_frame(9, &body, true).unwrap();
+    let frame = encode_frame(9, &body).unwrap();
     let trailer = u32::from_le_bytes(frame[frame.len() - 4..].try_into().unwrap());
     assert_eq!(trailer, frame_crc(9, &body));
 }

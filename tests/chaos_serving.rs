@@ -18,10 +18,11 @@ use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-use aicomp::serve::protocol::{read_response, write_request};
+use aicomp::serve::proto::encode_frame;
+use aicomp::serve::protocol::{encode_request, read_response, write_request};
 use aicomp::serve::{
-    Backend, Client, ErrorCode, Request, Response, RobustClient, RobustConfig, ServeConfig,
-    ServeError, Server, WireFaultPlan, MAX_FRAME,
+    Client, ErrorCode, Request, Response, RobustClient, RobustConfig, ServeConfig, ServeError,
+    Server, WireFaultPlan, MAX_FRAME, PROTO_VERSION,
 };
 use aicomp::store::writer::pack_file;
 use aicomp::store::{RetryPolicy, StoreOptions};
@@ -70,14 +71,8 @@ const CHUNKS: u32 = SAMPLES.div_ceil(CHUNK) as u32;
 /// One full chaos pass: fresh server, one [`RobustClient`] whose wire is
 /// fault-injected with `seed`, every chunk at both fidelities three times,
 /// every byte verified. Returns the recovery counters.
-fn chaos_pass(
-    path: &PathBuf,
-    want: &HashMap<(u32, u8), Vec<u32>>,
-    seed: u64,
-    backend: Backend,
-) -> [u64; 6] {
-    let config = ServeConfig { backend, ..ServeConfig::default() };
-    let handle = Server::bind("127.0.0.1:0", &[path], config).unwrap().spawn();
+fn chaos_pass(path: &PathBuf, want: &HashMap<(u32, u8), Vec<u32>>, seed: u64) -> [u64; 6] {
+    let handle = Server::bind("127.0.0.1:0", &[path], ServeConfig::default()).unwrap().spawn();
     let addr = handle.addr();
     let config = RobustConfig {
         retry: RetryPolicy { max_attempts: 8, backoff: Duration::from_micros(200) },
@@ -122,8 +117,8 @@ fn faulty_wire_delivers_bit_identical_chunks_with_deterministic_counters() {
     let path = packed("wire");
     let want = reference(&path);
 
-    let first = chaos_pass(&path, &want, 0xC0FFEE, Backend::Threads);
-    let second = chaos_pass(&path, &want, 0xC0FFEE, Backend::Threads);
+    let first = chaos_pass(&path, &want, 0xC0FFEE);
+    let second = chaos_pass(&path, &want, 0xC0FFEE);
     assert_eq!(
         first, second,
         "same seed, same store: [attempts, retries, reconnects, breaker_opens, \
@@ -133,33 +128,8 @@ fn faulty_wire_delivers_bit_identical_chunks_with_deterministic_counters() {
     assert!(first[1] > 0, "disrupted traffic must force retries: {first:?}");
 
     // A different seed is a genuinely different fault schedule.
-    let other = chaos_pass(&path, &want, 0xB0BACAFE, Backend::Threads);
+    let other = chaos_pass(&path, &want, 0xB0BACAFE);
     assert_ne!(first, other, "distinct seeds should not replay the same fault schedule");
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn epoll_backend_survives_chaos_with_deterministic_counters() {
-    if !aicomp::serve::epoll::supported() {
-        return; // the raw-syscall shim is linux (x86_64/aarch64) only
-    }
-    let path = packed("epoll_wire");
-    let want = reference(&path);
-
-    // The event loop faces the same fault schedule the thread-per-
-    // connection backend does: resets mid-frame, corrupted CRCs, stalls,
-    // and 1-byte writes all land on nonblocking reads now — and the
-    // client-side recovery counters must still be a pure function of the
-    // seed across two runs.
-    let first = chaos_pass(&path, &want, 0xC0FFEE, Backend::Epoll);
-    let second = chaos_pass(&path, &want, 0xC0FFEE, Backend::Epoll);
-    assert_eq!(
-        first, second,
-        "epoll backend: same seed must replay [attempts, retries, reconnects, \
-         breaker_opens, failovers, disruptions] exactly"
-    );
-    assert!(first[5] > 0, "the standard plan must disrupt this much traffic: {first:?}");
-    assert!(first[1] > 0, "disrupted traffic must force retries: {first:?}");
     std::fs::remove_file(&path).ok();
 }
 
@@ -208,7 +178,7 @@ fn silent_and_slow_loris_connections_are_cut_with_typed_closes() {
 
     // A connection that never says Hello is cut at the handshake deadline.
     let mut silent = TcpStream::connect(addr).unwrap();
-    match read_response(&mut silent, false).unwrap() {
+    match read_response(&mut silent).unwrap() {
         Some(Response::Error { code, .. }) => assert_eq!(code, ErrorCode::DeadlineExceeded),
         other => panic!("silent connection: expected typed deadline close, got {other:?}"),
     }
@@ -218,13 +188,13 @@ fn silent_and_slow_loris_connections_are_cut_with_typed_closes() {
     // deadline — the unbounded accumulation loop this replaces would have
     // held the buffer forever.
     let mut loris = TcpStream::connect(addr).unwrap();
-    write_request(&mut loris, &Request::hello(1), 1).unwrap();
-    match read_response(&mut loris, false).unwrap() {
-        Some(Response::Hello { version: 1, .. }) => {}
-        other => panic!("expected v1 grant, got {other:?}"),
+    write_request(&mut loris, &Request::hello()).unwrap();
+    match read_response(&mut loris).unwrap() {
+        Some(Response::Hello { version: PROTO_VERSION, .. }) => {}
+        other => panic!("expected the hello ack, got {other:?}"),
     }
     loris.write_all(&[64, 0, 0, 0, 2]).unwrap(); // 64-byte frame, 1 byte sent
-    match read_response(&mut loris, false).unwrap() {
+    match read_response(&mut loris).unwrap() {
         Some(Response::Error { code, .. }) => assert_eq!(code, ErrorCode::DeadlineExceeded),
         other => panic!("slow loris: expected typed deadline close, got {other:?}"),
     }
@@ -232,55 +202,37 @@ fn silent_and_slow_loris_connections_are_cut_with_typed_closes() {
     // A malformed frame length is a typed BadFrame close, not a 64 MiB
     // allocation.
     let mut evil = TcpStream::connect(addr).unwrap();
-    write_request(&mut evil, &Request::hello(1), 1).unwrap();
+    write_request(&mut evil, &Request::hello()).unwrap();
     assert!(matches!(
-        read_response(&mut evil, false).unwrap(),
-        Some(Response::Hello { version: 1, .. })
+        read_response(&mut evil).unwrap(),
+        Some(Response::Hello { version: PROTO_VERSION, .. })
     ));
     evil.write_all(&(MAX_FRAME + 1).to_le_bytes()).unwrap();
-    match read_response(&mut evil, false).unwrap() {
+    match read_response(&mut evil).unwrap() {
         Some(Response::Error { code, .. }) => assert_eq!(code, ErrorCode::BadFrame),
         other => panic!("oversize frame: expected typed BadFrame close, got {other:?}"),
     }
+
+    // Every frame carries a CRC, the Hello included: a corrupted one is a
+    // typed BadFrame close before any request is trusted.
+    let mut garbled = TcpStream::connect(addr).unwrap();
+    let (op, body) = encode_request(&Request::hello());
+    let mut hello = encode_frame(op, &body).unwrap();
+    *hello.last_mut().unwrap() ^= 0x40;
+    garbled.write_all(&hello).unwrap();
+    match read_response(&mut garbled).unwrap() {
+        Some(Response::Error { code, .. }) => assert_eq!(code, ErrorCode::BadFrame),
+        other => panic!("CRC mismatch: expected typed BadFrame close, got {other:?}"),
+    }
+    assert_eq!(garbled.read(&mut [0u8; 16]).unwrap(), 0, "server must close after the reply");
 
     let mut control = Client::connect(addr).unwrap();
     let stats = control.stats().unwrap();
     assert!(stats.handshake_timeouts >= 1, "{stats:?}");
     assert!(stats.slow_closed >= 1, "{stats:?}");
-    assert!(stats.bad_frames >= 1, "{stats:?}");
+    assert!(stats.bad_frames >= 2, "{stats:?}");
 
     control.shutdown().unwrap();
-    handle.join();
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn v1_clients_interoperate_with_the_v2_server() {
-    let path = packed("interop");
-    let want = reference(&path);
-    let handle = Server::bind("127.0.0.1:0", &[&path], ServeConfig::default()).unwrap().spawn();
-    let addr = handle.addr();
-
-    // The server grants the client's version, never upgrades it.
-    let mut v1 = Client::connect_version(addr, 1).unwrap();
-    assert_eq!(v1.version(), 1);
-    let mut v2 = Client::connect(addr).unwrap();
-    assert_eq!(v2.version(), 2);
-
-    // Both speak to the same worker pool and get the same bits.
-    for chunk in 0..CHUNKS {
-        let old = v1.fetch(0, chunk, 0).unwrap();
-        let new = v2.fetch(0, chunk, 0).unwrap();
-        let old_bits: Vec<u32> = old.data.iter().map(|v| v.to_bits()).collect();
-        let new_bits: Vec<u32> = new.data.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(old_bits, want[&(chunk, CF as u8)]);
-        assert_eq!(new_bits, old_bits);
-    }
-    // v1 has no deadline field — asking for one is a client-side error,
-    // not silent truncation.
-    assert!(v1.fetch_deadline(0, 0, 0, Some(Duration::from_secs(1))).is_err());
-
-    v2.shutdown().unwrap();
     handle.join();
     std::fs::remove_file(&path).ok();
 }

@@ -9,7 +9,7 @@
 //! at most one request in flight and the aggressor is capped by its
 //! in-flight quota well below the global queue depth, so the weighted-
 //! fair queue always has room for the victim — `victim shed == 0` is a
-//! theorem the test checks on both transport backends. Each scenario
+//! theorem the test checks. Each scenario
 //! runs twice with the same seed and must reproduce its structurally
 //! deterministic counters exactly.
 
@@ -18,7 +18,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use aicomp::serve::{Backend, BrownoutConfig, Client, ServeConfig, Server};
+use aicomp::serve::{BrownoutConfig, Client, ServeConfig, Server};
 use aicomp::store::writer::pack_file;
 use aicomp::store::StoreOptions;
 use aicomp::{DczReader, Tensor};
@@ -81,7 +81,7 @@ struct RunOutcome {
     brownout_steps_up: u64,
 }
 
-fn mixed_tenant_saturation(backend: Backend, path: &PathBuf) -> RunOutcome {
+fn mixed_tenant_saturation(path: &PathBuf) -> RunOutcome {
     let want = Arc::new(reference(path));
     let chunks = (SAMPLES as u32).div_ceil(CHUNK as u32);
 
@@ -104,7 +104,6 @@ fn mixed_tenant_saturation(backend: Backend, path: &PathBuf) -> RunOutcome {
             dwell: Duration::ZERO,
             max_steps: MAX_STEPS,
         }),
-        backend,
         ..ServeConfig::default()
     };
     let handle = Server::bind("127.0.0.1:0", &[path], config).unwrap().spawn();
@@ -215,9 +214,10 @@ fn mixed_tenant_saturation(backend: Backend, path: &PathBuf) -> RunOutcome {
     }
 }
 
-fn run_twice_on(backend: Backend) {
-    let path = packed(&format!("{backend}"));
-    let first = mixed_tenant_saturation(backend, &path);
+#[test]
+fn aggressor_cannot_starve_victim_threads_backend() {
+    let path = packed("threads");
+    let first = mixed_tenant_saturation(&path);
     // Steady-state counters are structural: victim sees every reply at
     // the brownout floor, the governor takes exactly MAX_STEPS downward
     // steps (mutex-serialized, level-capped), and never steps up.
@@ -229,17 +229,7 @@ fn run_twice_on(backend: Backend) {
     assert_eq!(first.brownout_level, MAX_STEPS);
     assert_eq!(first.brownout_steps_down, u64::from(MAX_STEPS));
     assert_eq!(first.brownout_steps_up, 0);
-    let second = mixed_tenant_saturation(backend, &path);
+    let second = mixed_tenant_saturation(&path);
     assert_eq!(first, second, "same seed and config must reproduce the counters");
     std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn aggressor_cannot_starve_victim_threads_backend() {
-    run_twice_on(Backend::Threads);
-}
-
-#[test]
-fn aggressor_cannot_starve_victim_epoll_backend() {
-    run_twice_on(Backend::Epoll);
 }

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use aicomp::serve::{
-    Backend, Client, ErrorCode, RobustClient, RobustConfig, ServeConfig, ServeError, Server,
+    Client, ErrorCode, RobustClient, RobustConfig, ServeConfig, ServeError, Server,
 };
 use aicomp::store::writer::pack_file;
 use aicomp::store::RetryPolicy;
@@ -129,111 +129,6 @@ fn thirty_two_concurrent_clients_are_bit_identical_through_the_batcher() {
 
     control.shutdown().unwrap();
     handle.join();
-    std::fs::remove_file(&path).ok();
-}
-
-/// One backend's full workload: `clients` concurrent connections each walk
-/// every chunk twice at both fidelities (phase-shifted so in-flight
-/// duplicates coalesce), and every fetch's bits are recorded. Returns the
-/// per-request bit patterns plus the server's final stats frame.
-fn backend_workload(
-    path: &PathBuf,
-    backend: Backend,
-    clients: u32,
-    want: &Arc<HashMap<(u32, u8), Vec<u32>>>,
-) -> (Vec<Vec<u32>>, aicomp::serve::StatsReport) {
-    let config = ServeConfig {
-        workers: 2,
-        queue_depth: 256,
-        batch_max: 8,
-        cache_entries: 4,
-        backend,
-        ..ServeConfig::default()
-    };
-    let handle = Server::bind("127.0.0.1:0", &[path], config).unwrap().spawn();
-    let addr = handle.addr();
-    let chunks = (SAMPLES as u32).div_ceil(CHUNK as u32);
-
-    let threads: Vec<_> = (0..clients)
-        .map(|id: u32| {
-            let want = Arc::clone(want);
-            std::thread::spawn(move || {
-                let mut client = Client::connect(addr).unwrap();
-                let mut got_bits = Vec::new();
-                for step in 0..2 * chunks {
-                    let chunk = (id + step) % chunks;
-                    for req_cf in [0u8, COARSE] {
-                        let got = client.fetch(0, chunk, req_cf).unwrap();
-                        let eff = if req_cf == 0 { CF as u8 } else { req_cf };
-                        let bits: Vec<u32> = got.data.iter().map(|v| v.to_bits()).collect();
-                        assert_eq!(bits, want[&(chunk, eff)], "chunk {chunk} cf {eff} ({backend})");
-                        got_bits.push(bits);
-                    }
-                }
-                got_bits
-            })
-        })
-        .collect();
-    let mut all: Vec<Vec<u32>> = Vec::new();
-    for t in threads {
-        all.extend(t.join().unwrap());
-    }
-
-    let mut control = Client::connect(addr).unwrap();
-    let stats = control.stats().unwrap();
-    control.shutdown().unwrap();
-    handle.join();
-    (all, stats)
-}
-
-#[test]
-fn threads_and_epoll_backends_are_bit_identical_with_equivalent_stats() {
-    let path = packed("backends");
-    let want = Arc::new(reference(&path));
-    let clients = 32u32;
-    let chunks = (SAMPLES as u32).div_ceil(CHUNK as u32);
-
-    let (threads_bits, threads_stats) = backend_workload(&path, Backend::Threads, clients, &want);
-    if !aicomp::serve::epoll::supported() {
-        std::fs::remove_file(&path).ok();
-        return; // the epoll shim is linux-only; the threads half already ran
-    }
-    let (epoll_bits, epoll_stats) = backend_workload(&path, Backend::Epoll, clients, &want);
-
-    // Response bodies are bit-identical request-for-request: the slab path
-    // (encode once, share everywhere) and the per-connection copy path must
-    // produce the same bytes.
-    assert_eq!(threads_bits, epoll_bits, "backends disagree on delivered bits");
-
-    // Load-independent counters are *equal*, not merely similar: both
-    // backends admit the same requests through the same `admit_fetch`.
-    let fetches = clients as u64 * 2 * chunks as u64 * 2;
-    for (s, name) in [(&threads_stats, "threads"), (&epoll_stats, "epoll")] {
-        assert_eq!(s.accepted, fetches, "{name}: every fetch admitted");
-        assert_eq!(s.shed, 0, "{name}: queue depth 256 never sheds");
-        assert_eq!(s.deadline_rejected, 0, "{name}");
-        assert_eq!(s.bad_frames, 0, "{name}");
-        assert_eq!(s.endpoints[1].requests, fetches, "{name}: fetch endpoint count");
-        assert!(s.cache_hits > 0, "{name}: repeat traffic must hit the cache");
-        assert_eq!(
-            s.batch_sizes.iter().enumerate().map(|(i, c)| (i as u64 + 1) * c).sum::<u64>(),
-            s.chunks_decoded,
-            "{name}: batch histogram disagrees with chunks-decoded"
-        );
-    }
-
-    // The readiness counters tell the backends apart: only the event loop
-    // wakes on epoll, and only it shares slab bytes across connections
-    // without re-encoding (the threads backend writes each slab too, so
-    // both report shared bytes; only epoll reports wakeups).
-    assert_eq!(threads_stats.wakeups, 0, "threads backend has no readiness loop");
-    assert!(epoll_stats.wakeups > 0, "epoll backend must count wakeups");
-    assert!(
-        epoll_stats.frames_per_wakeup.iter().sum::<u64>() > 0,
-        "wakeups must histogram their frame counts"
-    );
-    assert!(epoll_stats.slab_bytes_shared > 0, "slab fan-out must be counted");
-
     std::fs::remove_file(&path).ok();
 }
 
