@@ -3,7 +3,7 @@
 //! activations spilled through each activation codec, and report
 //! memory-saved vs accuracy-delta, plus the simulated per-step codec
 //! overhead on each of the five Table 1 platforms via
-//! [`StepModel`](aicomp_accel::distributed::StepModel).
+//! [`StepModel`].
 //!
 //! Usage: `cargo run --release -p aicomp-bench
 //!         --bin fig_ac_activation_compression

@@ -26,11 +26,11 @@
 //! decode — batching and caching must not change a single bit.
 //!
 //! `--chaos <seed>` drives every worker through a [`RobustClient`] whose
-//! connections are wrapped in the seeded [`FaultyStream`] wire-fault
-//! injector (resets, corruption, stalls, partial writes): the client must
-//! retry/reconnect its way to the same bits. Fault decisions are keyed on
-//! byte positions, so two runs with the same seed against the same store
-//! print an identical `chaos-counters:` line — CI diffs it.
+//! connections are wrapped in the seeded [`aicomp_serve::FaultyStream`]
+//! wire-fault injector (resets, corruption, stalls, partial writes): the
+//! client must retry/reconnect its way to the same bits. Fault decisions
+//! are keyed on byte positions, so two runs with the same seed against
+//! the same store print an identical `chaos-counters:` line — CI diffs it.
 //!
 //! Any argument that is not one of the flags above (`--help` included)
 //! is a usage error: nonzero exit, no server, no record appended.

@@ -3,7 +3,7 @@
 //! Saved forward tensors live in shared [`Saved`] slots: a node's output
 //! and the backward closures that need it reference one slot instead of
 //! holding deep clones, so residency accounting measures real memory. When
-//! a [`SpillPolicy`](crate::spill::SpillPolicy) is installed
+//! a [`SpillPolicy`] is installed
 //! ([`Tape::set_spill_policy`]), eligible slots hold a compressed byte
 //! stream instead of the tensor and rematerialize on access.
 

@@ -53,8 +53,10 @@
 //!   `try_pop` feeds the batcher.
 //! * [`cache`] — sharded LRU over decoded chunks, hit/miss/eviction
 //!   counters.
-//! * [`stats`] — latency/batch histograms and the serializable
-//!   [`StatsReport`].
+//! * [`stats`] — one declaration table of named counters and
+//!   histograms, from which the live atomics, the serializable
+//!   [`StatsReport`], and its name-keyed wire encoding and display are
+//!   generated.
 //! * [`server`] — listener, one thread per connection, worker pool,
 //!   dynamic batcher, connection supervision, graceful shutdown.
 //! * [`client`] — blocking client used by the `dcz` subcommands, the
@@ -96,7 +98,7 @@ pub use queue::{PushError, TenantQuota, Wfq};
 pub use robust::{BreakerState, RobustClient, RobustConfig, RobustCounters};
 pub use server::{BrownoutConfig, ServeConfig, Server, ServerHandle, ShardRole};
 pub use shard::{FailureDetector, MapInstall, ShardMap, ShardMember};
-pub use stats::{EndpointStats, StatsReport, TenantStats};
+pub use stats::{StatsReport, TenantStats};
 
 /// Errors from the service and its client.
 #[derive(Debug)]

@@ -244,7 +244,6 @@ pub struct ServerConn {
     phase: Phase,
     tenant: u32,
     weight: u8,
-    shard_epoch: u64,
     actions: std::collections::VecDeque<Action>,
     frames: u64,
 }
@@ -256,22 +255,13 @@ impl Default for ServerConn {
 }
 
 impl ServerConn {
-    /// Fresh connection in the handshake phase (solo server: the Hello
-    /// ack advertises shard epoch 0).
+    /// Fresh connection in the handshake phase.
     pub fn new() -> ServerConn {
-        ServerConn::with_shard_epoch(0)
-    }
-
-    /// Fresh connection whose Hello ack advertises `shard_epoch` — how a
-    /// cluster member tells every client, at handshake time, that a
-    /// shard map exists and which version it routes by.
-    pub fn with_shard_epoch(shard_epoch: u64) -> ServerConn {
         ServerConn {
             decoder: FrameDecoder::new(),
             phase: Phase::Handshake,
             tenant: 0,
             weight: 1,
-            shard_epoch,
             actions: std::collections::VecDeque::new(),
             frames: 0,
         }
@@ -375,10 +365,7 @@ impl ServerConn {
                     self.tenant = tenant;
                     self.weight = weight.max(1);
                     self.phase = Phase::Steady;
-                    self.push_response(&Response::Hello {
-                        version: PROTO_VERSION,
-                        shard_epoch: self.shard_epoch,
-                    });
+                    self.push_response(&Response::Hello { version: PROTO_VERSION });
                 }
                 Request::Hello { version: v, .. } => {
                     self.send_error(
@@ -479,9 +466,6 @@ pub struct ClientConn {
     weight: u8,
     /// Has the server acknowledged the `Hello`?
     ready: bool,
-    /// Shard-map epoch the server's Hello ack advertised (`0` = solo
-    /// server — no cluster to route across).
-    shard_epoch: u64,
     events: std::collections::VecDeque<ClientEvent>,
 }
 
@@ -494,16 +478,8 @@ impl ClientConn {
             tenant,
             weight: weight.max(1),
             ready: false,
-            shard_epoch: 0,
             events: std::collections::VecDeque::new(),
         }
-    }
-
-    /// Shard-map epoch the handshake advertised; `0` until the ack lands,
-    /// and `0` after it when the server is solo. Nonzero means "fetch the
-    /// shard map before routing".
-    pub fn shard_epoch(&self) -> u64 {
-        self.shard_epoch
     }
 
     /// The opening `Hello` frame.
@@ -556,12 +532,11 @@ impl ClientConn {
                 continue;
             }
             match resp {
-                Response::Hello { version: PROTO_VERSION, shard_epoch } => {
+                Response::Hello { version: PROTO_VERSION } => {
                     self.ready = true;
-                    self.shard_epoch = shard_epoch;
                     self.events.push_back(ClientEvent::Ready);
                 }
-                Response::Hello { version, .. } => {
+                Response::Hello { version } => {
                     return Err(ServeError::Protocol(format!(
                         "server speaks protocol version {version}, client speaks {PROTO_VERSION}"
                     )));
@@ -791,7 +766,7 @@ mod tests {
         };
         // An ack at any other version.
         let mut client = ClientConn::new(0, 1);
-        let ack = reply(&Response::Hello { version: PROTO_VERSION + 1, shard_epoch: 0 });
+        let ack = reply(&Response::Hello { version: PROTO_VERSION + 1 });
         let err = client.on_bytes(&ack).unwrap_err();
         assert!(err.to_string().contains("server speaks protocol version"));
         // Non-hello handshake reply.
@@ -820,25 +795,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_epoch_rides_the_handshake_through_both_machines() {
-        // A cluster member advertises its epoch in the Hello ack.
-        let mut server = ServerConn::with_shard_epoch(5);
-        let mut client = ClientConn::new(0, 1);
-        server.on_bytes(&client.hello_bytes());
-        relay(&mut server, &mut client);
-        assert!(matches!(client.next_event(), Some(ClientEvent::Ready)));
-        assert_eq!(client.shard_epoch(), 5);
-
-        // A solo server advertises epoch 0.
-        let mut server = ServerConn::new();
-        let mut client = ClientConn::new(0, 1);
-        server.on_bytes(&client.hello_bytes());
-        relay(&mut server, &mut client);
-        assert!(matches!(client.next_event(), Some(ClientEvent::Ready)));
-        assert_eq!(client.shard_epoch(), 0);
-    }
-
-    #[test]
     fn wrong_shard_redirect_round_trips_machine_to_machine() {
         use crate::shard::{ShardMap, ShardMember};
         // The full redirect conversation, no sockets: a misdirected
@@ -860,7 +816,7 @@ mod tests {
             (0..100u32).map(|k| (0, k)).find(|&(c, k)| !map.serves(0, c, k)).unwrap();
         let owner = map.owner(container, chunk).unwrap();
 
-        let mut server = ServerConn::with_shard_epoch(map.epoch);
+        let mut server = ServerConn::new();
         let mut client = ClientConn::new(0, 1);
         server.on_bytes(&client.hello_bytes());
         relay(&mut server, &mut client);

@@ -27,7 +27,7 @@ use crate::stats::StatsReport;
 use crate::{Result, ServeError};
 
 /// The protocol version this build speaks (in the `Hello` exchange).
-pub const PROTO_VERSION: u16 = 3;
+pub const PROTO_VERSION: u16 = 4;
 /// Magic leading the `Hello` request body.
 pub const PROTO_MAGIC: [u8; 4] = *b"DCZS";
 /// Upper bound on a frame (1 MiB control + payload chunks well under it).
@@ -209,10 +209,6 @@ pub enum Response {
     Hello {
         /// The server's [`PROTO_VERSION`].
         version: u16,
-        /// Epoch of the shard map this server belongs to (`0` = solo). A
-        /// nonzero epoch tells the client to fetch the [`ShardMap`]
-        /// before routing fetches.
-        shard_epoch: u64,
     },
     /// Container description.
     Info(ContainerInfo),
@@ -300,7 +296,7 @@ impl<'a> BodyReader<'a> {
         BodyReader { buf, at: 0 }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         let end = self
             .at
             .checked_add(n)
@@ -427,9 +423,8 @@ pub fn decode_request(op: u8, body: &[u8]) -> Result<Request> {
 pub fn encode_response(resp: &Response) -> (u8, Vec<u8>) {
     let mut b = Vec::new();
     let op = match resp {
-        Response::Hello { version, shard_epoch } => {
+        Response::Hello { version } => {
             b.extend_from_slice(&version.to_le_bytes());
-            b.extend_from_slice(&shard_epoch.to_le_bytes());
             OP_R_HELLO
         }
         Response::Info(info) => {
@@ -501,7 +496,7 @@ pub(crate) fn put_chunk_header(
 pub fn decode_response(op: u8, body: &[u8]) -> Result<Response> {
     let mut r = BodyReader::new(body);
     let resp = match op {
-        OP_R_HELLO => Response::Hello { version: r.u16()?, shard_epoch: r.u64()? },
+        OP_R_HELLO => Response::Hello { version: r.u16()? },
         OP_R_INFO => Response::Info(ContainerInfo {
             samples: r.u64()?,
             chunks: r.u32()?,
@@ -676,8 +671,7 @@ mod tests {
 
     #[test]
     fn responses_roundtrip() {
-        roundtrip_response(Response::Hello { version: PROTO_VERSION, shard_epoch: 0 });
-        roundtrip_response(Response::Hello { version: PROTO_VERSION, shard_epoch: 9 });
+        roundtrip_response(Response::Hello { version: PROTO_VERSION });
         roundtrip_response(Response::Info(ContainerInfo {
             samples: 100,
             chunks: 13,
@@ -738,7 +732,7 @@ mod tests {
             assert!(decode_request(op, &body).is_err(), "{req:?} - 1 byte");
         }
         let responses = [
-            Response::Hello { version: PROTO_VERSION, shard_epoch: 0 },
+            Response::Hello { version: PROTO_VERSION },
             Response::Chunk {
                 first_sample: 4,
                 dims: [1, 1, 2, 2],

@@ -9,7 +9,7 @@
 //! the primitive, all bounded and all seeded:
 //!
 //! * **Retry with backoff** — reuses the store layer's
-//!   [`RetryPolicy`](aicomp_store::RetryPolicy) (the same budget that
+//!   [`RetryPolicy`] (the same budget that
 //!   governs disk retries governs wire retries). Only *idempotent*
 //!   requests go through here — Fetch/Info/Stats/Ping re-ask safely, and
 //!   `Shutdown` is idempotent by construction (a second one is a no-op).

@@ -41,10 +41,10 @@
 //! aggressive tenant fills *its* lane, not the shared pipe), and
 //! per-tenant in-flight/byte quotas shed the offender with a typed
 //! `Overloaded` while everyone else keeps flowing. Under sustained
-//! pressure the [`Brownout`] governor steps served fidelity down —
-//! coarse chop factors are cheap ring-*prefix* reads (paper §3.2) — and
-//! replies carry their `served_cf` so degradation is explicit, never
-//! silent. Shedding is the last resort, not the first.
+//! pressure the brownout governor ([`BrownoutConfig`]) steps served
+//! fidelity down — coarse chop factors are cheap ring-*prefix* reads
+//! (paper §3.2) — and replies carry their `served_cf` so degradation is
+//! explicit, never silent. Shedding is the last resort, not the first.
 
 use std::collections::HashMap;
 use std::io::ErrorKind;
@@ -65,7 +65,7 @@ use crate::proto::{Action, CloseReason, DeadlineKind, ResponseSlab, ServerConn};
 use crate::protocol::{self, ContainerInfo, ErrorCode, Request, Response};
 use crate::queue::{PushError, TenantQuota, Wfq};
 use crate::shard::{MapInstall, ShardMap, ShardMember};
-use crate::stats::{Endpoint, ServeStats};
+use crate::stats::{ServeStats, StatsReport};
 
 /// Tunables for [`Server::bind`]. `Default` is sized for tests and small
 /// deployments; the `dcz serve` CLI exposes each as a flag.
@@ -447,7 +447,7 @@ impl Server {
             containers,
             queue: Wfq::new(config.queue_depth, config.quantum, quota),
             cache: ChunkCache::new(config.cache_entries, config.cache_shards),
-            stats: ServeStats::new(),
+            stats: ServeStats::default(),
             shutdown: AtomicBool::new(false),
             brownout: Brownout::new(config.brownout),
             config: config.clone(),
@@ -791,8 +791,7 @@ fn encode_chunk_slab(
 fn handle_conn<S: Wire>(shared: &Shared, mut stream: S) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let epoch = shared.shard.read().unwrap_or_else(|e| e.into_inner()).map.epoch;
-    let mut conn = ServerConn::with_shard_epoch(epoch);
+    let mut conn = ServerConn::new();
     // Handshake clock runs from accept; the idle clock restarts at each
     // completed frame; the slow-loris clock runs while a frame is
     // started but unfinished.
@@ -920,25 +919,13 @@ fn handle_request(shared: &Shared, conn: &mut ServerConn, req: Request) {
         Request::Info { container } => {
             let t0 = Instant::now();
             let resp = info(shared, container);
-            shared.stats.record_request(Endpoint::Info, t0.elapsed());
+            shared.stats.info_latency_us.record_us(t0.elapsed());
             resp
         }
         Request::Stats => {
             let t0 = Instant::now();
-            let (shard_owned, shard_epoch) = {
-                let slot = shared.shard.read().unwrap_or_else(|e| e.into_inner());
-                (slot.owned, slot.map.epoch)
-            };
-            let resp = Response::Stats(Box::new(shared.stats.snapshot(
-                shared.queue.len() as u32,
-                shared.queue.capacity() as u32,
-                shared.cache.snapshot(),
-                shared.brownout.level(),
-                &shared.queue.depths(),
-                shard_owned,
-                shard_epoch,
-            )));
-            shared.stats.record_request(Endpoint::Stats, t0.elapsed());
+            let resp = Response::Stats(Box::new(stats_report(shared)));
+            shared.stats.stats_latency_us.record_us(t0.elapsed());
             resp
         }
         Request::ShardMap => {
@@ -951,6 +938,25 @@ fn handle_request(shared: &Shared, conn: &mut ServerConn, req: Request) {
         Request::Hello { .. } => return,
     };
     conn.push_response(&resp);
+}
+
+/// The `Stats` reply: the live counters plus the gauges kept by the
+/// queue, cache, brownout governor and shard slot.
+fn stats_report(shared: &Shared) -> StatsReport {
+    let mut report = shared.stats.snapshot(&shared.queue.depths());
+    let cache = shared.cache.snapshot();
+    let slot = shared.shard.read().unwrap_or_else(|e| e.into_inner());
+    report.queue_depth = shared.queue.len() as u64;
+    report.queue_capacity = shared.queue.capacity() as u64;
+    report.brownout_level = shared.brownout.level().into();
+    report.shard_owned = slot.owned;
+    report.shard_epoch = slot.map.epoch;
+    report.cache_hits = cache.hits;
+    report.cache_misses = cache.misses;
+    report.cache_evictions = cache.evictions;
+    report.cache_entries = cache.entries;
+    report.cache_capacity = cache.capacity;
+    report
 }
 
 /// Admit one fetch through [`admit_fetch`] and, when it queues, park on
@@ -977,7 +983,7 @@ fn serve_fetch(
             Err(_) => conn.push_response(&err(ErrorCode::Internal, "worker abandoned the request")),
         },
     }
-    shared.stats.record_request(Endpoint::Fetch, t0.elapsed());
+    shared.stats.fetch_latency_us.record_us(t0.elapsed());
 }
 
 /// Install a pushed [`ShardMap`] on this running server — the live-
@@ -1093,7 +1099,7 @@ fn admit_fetch(
     {
         let slot = shared.shard.read().unwrap_or_else(|e| e.into_inner());
         if !slot.map.serves(slot.index, container, chunk) {
-            shared.stats.misdirected.fetch_add(1, Ordering::Relaxed);
+            shared.stats.shard_misdirected.fetch_add(1, Ordering::Relaxed);
             return match slot.map.owner(container, chunk) {
                 Ok(owner) => Admission::Rejected(Box::new(Response::WrongShard {
                     epoch: slot.map.epoch,
@@ -1132,12 +1138,10 @@ fn admit_fetch(
     // shed produced no degraded *reply*.
     let count_degraded = || {
         if cf < resolved {
-            shared.stats.degraded.fetch_add(1, Ordering::Relaxed);
             shared.stats.tenant_degraded(tenant, weight);
         }
     };
     if let Some(hit) = shared.cache.get(&(container, chunk, cf)) {
-        shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
         shared.stats.tenant_accepted(tenant, weight);
         count_degraded();
         return Admission::Ready(hit);
@@ -1152,13 +1156,11 @@ fn admit_fetch(
     let job = Job { container, chunk, read_cf: cf, expires, reply, tenant, cost };
     match shared.queue.try_push(tenant, weight, cost, priority, job) {
         Ok(()) => {
-            shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
             shared.stats.tenant_accepted(tenant, weight);
             count_degraded();
             Admission::Queued
         }
         Err(PushError::Full(_)) => {
-            shared.stats.shed.fetch_add(1, Ordering::Relaxed);
             shared.stats.tenant_shed(tenant, weight);
             Admission::Rejected(Box::new(err(
                 ErrorCode::Overloaded,
@@ -1166,7 +1168,6 @@ fn admit_fetch(
             )))
         }
         Err(PushError::Quota(_)) => {
-            shared.stats.shed.fetch_add(1, Ordering::Relaxed);
             shared.stats.tenant_shed(tenant, weight);
             Admission::Rejected(Box::new(err(
                 ErrorCode::Overloaded,

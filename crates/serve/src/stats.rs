@@ -1,22 +1,26 @@
 //! Service counters, histograms, and the serializable stats frame.
 //!
+//! Every scalar and histogram is declared once, in the `stats_table!`
+//! list below; the live atomics of [`ServeStats`], the fields of
+//! [`StatsReport`], and the snapshot, wire encoding, decoding and
+//! `Display` are all generated from it. Adding a counter is one table line
+//! plus the increment where the event happens.
+//!
 //! Two layers: [`ServeStats`] is the live, lock-free (atomic) collector
 //! the server threads write into on every request, and [`StatsReport`]
 //! is the plain-data snapshot that crosses the wire in a `Stats` reply.
 //! Latency is kept as log2-µs histograms — constant memory, no per-request
-//! allocation, and good-enough p50/p99 for the `loadgen` benchmark and
-//! the `dcz stats` subcommand. Batch sizes are a small linear histogram:
-//! its mass above bucket 1 is the direct evidence that the dynamic
-//! batcher is coalescing requests into shared decompress passes.
+//! allocation. Batch sizes are a small linear histogram: its mass above
+//! bucket 0 is the direct evidence that the dynamic batcher is coalescing
+//! requests into shared decompress passes.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use crate::cache::CacheSnapshot;
 use crate::protocol::BodyReader;
-use crate::Result;
+use crate::{Result, ServeError};
 
 /// Log2-µs latency buckets: bucket `i` counts durations in
 /// `[2^i, 2^(i+1))` µs; bucket 0 also absorbs sub-µs, the last absorbs
@@ -26,112 +30,169 @@ const LATENCY_BUCKETS: usize = 26;
 /// the last absorbs everything larger.
 const BATCH_BUCKETS: usize = 32;
 
-/// Request classes tracked separately in the stats frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Endpoint {
-    /// `Info` requests.
-    Info = 0,
-    /// `Fetch` requests (the hot path).
-    Fetch = 1,
-    /// `Stats` requests.
-    Stats = 2,
+/// Expands the declaration list into [`ServeStats`] and [`StatsReport`].
+///
+/// A scalar row is `section kind name "doc"`. `live` scalars are atomics
+/// in [`ServeStats`], bumped where the event happens; `fill` scalars are
+/// written at snapshot time — gauges the server reads from its queue,
+/// cache, governor and shard map, and totals derived from the tenant
+/// ledger or a histogram. A histogram row is `name [buckets] "doc"`.
+macro_rules! stats_table {
+    // Collect the `live` rows: they alone get an atomic.
+    (@live $hists:tt [$($acc:tt)*] live $field:ident $doc:literal, $($rest:tt)*) => {
+        stats_table!(@live $hists [$($acc)* $field $doc,] $($rest)*);
+    };
+    (@live $hists:tt [$($acc:tt)*] fill $field:ident $doc:literal, $($rest:tt)*) => {
+        stats_table!(@live $hists [$($acc)*] $($rest)*);
+    };
+    (@live {$($hist:ident $buckets:ident $hdoc:literal,)*} [$($field:ident $doc:literal,)*]) => {
+        /// Live counters the server threads write into.
+        #[derive(Debug, Default)]
+        pub struct ServeStats {
+            $(#[doc = $doc] pub $field: AtomicU64,)*
+            $(#[doc = $hdoc] pub $hist: Histogram<$buckets>,)*
+            /// Per-tenant admission counters, keyed by tenant id. A mutex
+            /// (not atomics) because the tenant set is dynamic; the critical
+            /// section is a hash probe + integer bump.
+            tenants: Mutex<HashMap<u32, TenantCounters>>,
+        }
+
+        impl ServeStats {
+            fn load_into(&self, report: &mut StatsReport) {
+                $(report.$field = self.$field.load(Ordering::Relaxed);)*
+                $(report.$hist = self.$hist.snapshot();)*
+            }
+        }
+    };
+    (
+        scalars { $($section:ident $kind:ident $field:ident $doc:literal,)* }
+        histograms { $($hist:ident [$buckets:ident] $hdoc:literal,)* }
+    ) => {
+        stats_table!(@live {$($hist $buckets $hdoc,)*} [] $($kind $field $doc,)*);
+
+        /// Snapshot of the server's counters — the body of a `Stats` reply.
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct StatsReport {
+            $(#[doc = $doc] pub $field: u64,)*
+            $(#[doc = $hdoc] pub $hist: Vec<u64>,)*
+            /// Per-tenant counters and lane depths, sorted by tenant id.
+            pub tenants: Vec<TenantStats>,
+        }
+
+        impl StatsReport {
+            /// `(section, name)` of every scalar, in wire and display order.
+            pub const SCALARS: &'static [(&'static str, &'static str)] =
+                &[$((stringify!($section), stringify!($field)),)*];
+            /// `(name, bucket count)` of every histogram, in wire and
+            /// display order.
+            pub const HISTOGRAMS: &'static [(&'static str, usize)] =
+                &[$((stringify!($hist), $buckets),)*];
+
+            fn scalars(&self) -> Vec<u64> {
+                vec![$(self.$field,)*]
+            }
+
+            fn scalars_mut(&mut self) -> Vec<&mut u64> {
+                vec![$(&mut self.$field,)*]
+            }
+
+            fn histograms(&self) -> Vec<&[u64]> {
+                vec![$(&self.$hist,)*]
+            }
+
+            fn histograms_mut(&mut self) -> Vec<&mut Vec<u64>> {
+                vec![$(&mut self.$hist,)*]
+            }
+        }
+    };
 }
 
-/// Number of [`Endpoint`] classes.
-pub const ENDPOINTS: usize = 3;
+stats_table! {
+    scalars {
+        queue      fill queue_depth        "Jobs waiting in the admission queue at snapshot time.",
+        queue      fill queue_capacity     "The admission bound.",
+        admission  fill accepted           "Fetches admitted (queue or cache): the tenant ledger's total.",
+        admission  fill shed               "Fetches shed with `Overloaded` (queue full or tenant quota): \
+                                            the tenant ledger's total.",
+        brownout   fill brownout_level     "Fidelity steps the brownout governor shaves off every fetch at \
+                                            snapshot time (0 = full fidelity).",
+        brownout   live brownout_steps_down "Times the governor stepped fidelity down under pressure.",
+        brownout   live brownout_steps_up  "Times the governor stepped fidelity back up as pressure cleared.",
+        brownout   fill degraded           "Fetches served below their resolved fidelity (each reply carries \
+                                            its `served_cf`): the tenant ledger's total.",
+        shard      fill shard_owned        "`(container, chunk)` keys this server serves (primary or \
+                                            replica) under its shard map; 0 on a solo server.",
+        shard      fill shard_epoch        "Epoch of the shard map this server routes by (0 = solo).",
+        shard      live shard_misdirected  "Fetches rejected with a typed `WrongShard` redirect: the key is \
+                                            not this shard's under the current map.",
+        shard      live shard_map_fetches  "`ShardMap` requests answered (clients refreshing their routing).",
+        reconfig   live map_pushes         "`MapPush` frames that installed a new shard map (idempotent \
+                                            re-pushes are not counted).",
+        reconfig   live map_push_rejected  "`MapPush` frames rejected as stale or same-epoch-conflicting.",
+        reconfig   live drained            "Jobs already admitted when a map push landed: they finish at the \
+                                            old epoch (the drain half of drain-and-handoff).",
+        reconfig   live handoffs           "Keys this shard served under the old map but not the new one, \
+                                            summed over installs (they answer `WrongShard` from then on).",
+        cache      fill cache_hits         "Admitted fetches served from the cache.",
+        cache      fill cache_misses       "Admitted fetches that missed the cache.",
+        cache      fill cache_evictions    "Cache entries evicted to stay within capacity.",
+        cache      fill cache_entries      "Cache entries resident at snapshot time.",
+        cache      fill cache_capacity     "Cache capacity in entries (0 = caching disabled).",
+        batching   fill decompress_passes  "Coalesced decompress passes: the batch histogram's total.",
+        batching   live chunks_decoded     "Chunks decoded across all passes (over the pass count: the \
+                                            mean batch size).",
+        conns      live conns_accepted     "Connections accepted by the listener.",
+        conns      live conns_rejected     "Connections rejected at accept time (`max_conns` reached).",
+        conns      live conns_active       "Connections open right now (incremented on accept, decremented \
+                                            when the connection thread finishes).",
+        discipline live handshake_timeouts "Connections closed for not completing the `Hello` exchange \
+                                            within the handshake deadline.",
+        discipline live idle_closed        "Connections closed after idling past `idle_timeout` between frames.",
+        discipline live slow_closed        "Connections closed for dribbling a frame past `frame_deadline` \
+                                            (the slow-loris guard).",
+        discipline live bad_frames         "Frames rejected for integrity failures (CRC mismatch, oversize, \
+                                            malformed); each also closes its connection.",
+        discipline live deadline_rejected  "Fetches shed with `DeadlineExceeded` before decoding.",
+        slabs      live slab_bytes_copied  "Bytes encoded into response slabs (one copy per distinct \
+                                            decode/encode).",
+        slabs      live slab_bytes_shared  "Bytes served from shared slabs (shared / copied is the mean \
+                                            fan-out per encode).",
+    }
+    histograms {
+        info_latency_us  [LATENCY_BUCKETS] "Log2-µs latency of `Info` requests; its total is the request count.",
+        fetch_latency_us [LATENCY_BUCKETS] "Log2-µs latency of `Fetch` requests; its total is the request count.",
+        stats_latency_us [LATENCY_BUCKETS] "Log2-µs latency of `Stats` requests; its total is the request count.",
+        batch_sizes      [BATCH_BUCKETS]   "Decompress passes by size: bucket `i` counts passes of `i + 1` \
+                                            chunks, the last absorbing larger.",
+    }
+}
 
-/// Names matching [`Endpoint`] discriminants, for display.
-pub const ENDPOINT_NAMES: [&str; ENDPOINTS] = ["info", "fetch", "stats"];
-
+/// Live histogram: `N` atomic buckets, the last absorbing every larger
+/// index.
 #[derive(Debug)]
-struct LatencyHistogram {
-    buckets: [AtomicU64; LATENCY_BUCKETS],
+pub struct Histogram<const N: usize>([AtomicU64; N]);
+
+impl<const N: usize> Default for Histogram<N> {
+    fn default() -> Self {
+        Histogram(std::array::from_fn(|_| AtomicU64::new(0)))
+    }
 }
 
-impl LatencyHistogram {
-    fn new() -> LatencyHistogram {
-        LatencyHistogram { buckets: std::array::from_fn(|_| AtomicU64::new(0)) }
+impl<const N: usize> Histogram<N> {
+    fn add(&self, bucket: usize) {
+        self.0[bucket.min(N - 1)].fetch_add(1, Ordering::Relaxed);
     }
 
-    fn record(&self, d: Duration) {
+    /// Count one duration in its log2-µs bucket: bucket `i` holds
+    /// `[2^i, 2^(i+1))` µs, and bucket 0 also sub-µs.
+    pub fn record_us(&self, d: Duration) {
         let us = d.as_micros().min(u64::MAX as u128) as u64;
-        let idx = if us <= 1 { 0 } else { (63 - us.leading_zeros()) as usize };
-        self.buckets[idx.min(LATENCY_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
+        self.add(us.max(1).ilog2() as usize);
     }
 
     fn snapshot(&self) -> Vec<u64> {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect()
+        self.0.iter().map(|b| b.load(Ordering::Relaxed)).collect()
     }
-}
-
-/// Live counters the server threads write into.
-#[derive(Debug)]
-pub struct ServeStats {
-    /// Requests admitted past the queue (or served from cache).
-    pub accepted: AtomicU64,
-    /// Requests shed with `Overloaded` at the admission edge.
-    pub shed: AtomicU64,
-    /// Coalesced decompress passes executed by workers.
-    pub decompress_passes: AtomicU64,
-    /// Chunks decoded across all passes.
-    pub chunks_decoded: AtomicU64,
-    /// Connections accepted by the listener.
-    pub conns_accepted: AtomicU64,
-    /// Connections rejected at accept time (`max_conns` reached).
-    pub conns_rejected: AtomicU64,
-    /// Connections open right now (gauge: incremented on accept,
-    /// decremented when the connection thread finishes).
-    pub conns_active: AtomicU64,
-    /// Connections closed for not completing the `Hello` exchange within
-    /// the handshake deadline.
-    pub handshake_timeouts: AtomicU64,
-    /// Connections closed after idling past `idle_timeout` between frames.
-    pub idle_closed: AtomicU64,
-    /// Connections closed for dribbling a frame past `frame_deadline`
-    /// (the slow-loris guard).
-    pub slow_closed: AtomicU64,
-    /// Frames rejected for integrity failures (CRC mismatch, oversize,
-    /// malformed) — each also closes its connection.
-    pub bad_frames: AtomicU64,
-    /// Fetches shed with `DeadlineExceeded` before decoding.
-    pub deadline_rejected: AtomicU64,
-    /// Bytes encoded into response slabs (one per distinct decode/encode
-    /// — the only memcpy of a chunk reply body).
-    pub slab_bytes_copied: AtomicU64,
-    /// Bytes served *from* shared slabs (every chunk reply; the ratio
-    /// shared/copied is the mean fan-out per encode).
-    pub slab_bytes_shared: AtomicU64,
-    /// Fetches served below the fidelity they resolved to — the brownout
-    /// governor stepped them down (each reply carries its `served_cf`).
-    pub degraded: AtomicU64,
-    /// Brownout level increments (fidelity stepped *down* under pressure).
-    pub brownout_steps_down: AtomicU64,
-    /// Brownout level decrements (fidelity recovered as pressure cleared).
-    pub brownout_steps_up: AtomicU64,
-    /// Fetches rejected with a typed `WrongShard` redirect: the key is
-    /// not this shard's under the current map (misdirected requests).
-    pub misdirected: AtomicU64,
-    /// `ShardMap` requests answered (clients refreshing their routing).
-    pub shard_map_fetches: AtomicU64,
-    /// `MapPush` frames that installed a new shard map (live
-    /// reconfiguration; idempotent re-pushes are not counted).
-    pub map_pushes: AtomicU64,
-    /// `MapPush` frames rejected as stale or same-epoch-conflicting.
-    pub map_push_rejected: AtomicU64,
-    /// Jobs already admitted when a map push landed — they finish at the
-    /// old epoch (the drain half of drain-and-handoff).
-    pub drained: AtomicU64,
-    /// Keys this shard served under the old map but not the new one at
-    /// install time (the handoff half: those keys answer `WrongShard`
-    /// from the next request on).
-    pub handoffs: AtomicU64,
-    requests: [AtomicU64; ENDPOINTS],
-    latency: [LatencyHistogram; ENDPOINTS],
-    batch: [AtomicU64; BATCH_BUCKETS],
-    /// Per-tenant admission counters, keyed by tenant id. A mutex (not
-    /// atomics) because the tenant set is dynamic; the critical section
-    /// is a hash probe + integer bump.
-    tenants: Mutex<HashMap<u32, TenantCounters>>,
 }
 
 /// Live per-tenant counters behind the [`ServeStats`] tenant mutex.
@@ -143,46 +204,7 @@ struct TenantCounters {
     degraded: u64,
 }
 
-impl Default for ServeStats {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ServeStats {
-    /// Fresh, all-zero collector.
-    pub fn new() -> ServeStats {
-        ServeStats {
-            accepted: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            decompress_passes: AtomicU64::new(0),
-            chunks_decoded: AtomicU64::new(0),
-            conns_accepted: AtomicU64::new(0),
-            conns_rejected: AtomicU64::new(0),
-            conns_active: AtomicU64::new(0),
-            handshake_timeouts: AtomicU64::new(0),
-            idle_closed: AtomicU64::new(0),
-            slow_closed: AtomicU64::new(0),
-            bad_frames: AtomicU64::new(0),
-            deadline_rejected: AtomicU64::new(0),
-            slab_bytes_copied: AtomicU64::new(0),
-            slab_bytes_shared: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
-            brownout_steps_down: AtomicU64::new(0),
-            brownout_steps_up: AtomicU64::new(0),
-            misdirected: AtomicU64::new(0),
-            shard_map_fetches: AtomicU64::new(0),
-            map_pushes: AtomicU64::new(0),
-            map_push_rejected: AtomicU64::new(0),
-            drained: AtomicU64::new(0),
-            handoffs: AtomicU64::new(0),
-            requests: std::array::from_fn(|_| AtomicU64::new(0)),
-            latency: std::array::from_fn(|_| LatencyHistogram::new()),
-            batch: std::array::from_fn(|_| AtomicU64::new(0)),
-            tenants: Mutex::new(HashMap::new()),
-        }
-    }
-
     fn tenant_entry(&self, tenant: u32, weight: u8, bump: impl FnOnce(&mut TenantCounters)) {
         let mut map = self.tenants.lock().unwrap_or_else(|e| e.into_inner());
         let entry = map.entry(tenant).or_default();
@@ -205,40 +227,25 @@ impl ServeStats {
         self.tenant_entry(tenant, weight, |t| t.degraded += 1);
     }
 
-    /// Record one completed request on `endpoint` taking `elapsed`.
-    pub fn record_request(&self, endpoint: Endpoint, elapsed: Duration) {
-        self.requests[endpoint as usize].fetch_add(1, Ordering::Relaxed);
-        self.latency[endpoint as usize].record(elapsed);
-    }
-
     /// Record one coalesced decompress pass over `batch` chunks.
     pub fn record_batch(&self, batch: usize) {
         if batch == 0 {
             return;
         }
-        self.decompress_passes.fetch_add(1, Ordering::Relaxed);
         self.chunks_decoded.fetch_add(batch as u64, Ordering::Relaxed);
-        self.batch[(batch - 1).min(BATCH_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
+        self.batch_sizes.add(batch - 1);
     }
 
-    /// Freeze everything into a wire-ready [`StatsReport`].
-    /// `lanes` is the scheduler's `(tenant, weight, queued, inflight)`
-    /// snapshot ([`crate::queue::Wfq::depths`]) — merged with the
-    /// admission counters into one per-tenant section. `shard_owned` and
-    /// `shard_epoch` describe the server's shard role (0/0 for a solo
-    /// server: every key owned is reported as 0 because there is no ring
-    /// to own a fraction of — see `Shared::shard_owned`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn snapshot(
-        &self,
-        queue_depth: u32,
-        queue_capacity: u32,
-        cache: CacheSnapshot,
-        brownout_level: u8,
-        lanes: &[(u32, u8, usize, usize)],
-        shard_owned: u64,
-        shard_epoch: u64,
-    ) -> StatsReport {
+    /// Freeze the live counters into a [`StatsReport`], deriving the
+    /// admission totals from the tenant ledger and the pass count from
+    /// the batch histogram. `lanes` is the scheduler's `(tenant,
+    /// weight, queued, inflight)` snapshot ([`crate::queue::Wfq::depths`]),
+    /// merged with the admission counters into one per-tenant section.
+    /// The gauges the server keeps elsewhere (queue, cache, brownout level,
+    /// shard role) are left 0 for the caller to fill.
+    pub fn snapshot(&self, lanes: &[(u32, u8, usize, usize)]) -> StatsReport {
+        let mut report = StatsReport::default();
+        self.load_into(&mut report);
         let mut tenants: Vec<TenantStats> = {
             let map = self.tenants.lock().unwrap_or_else(|e| e.into_inner());
             map.iter()
@@ -271,59 +278,13 @@ impl ServeStats {
             }
         }
         tenants.sort_by_key(|t| t.tenant);
-        StatsReport {
-            queue_depth,
-            queue_capacity,
-            accepted: self.accepted.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_evictions: cache.evictions,
-            cache_entries: cache.entries,
-            cache_capacity: cache.capacity,
-            decompress_passes: self.decompress_passes.load(Ordering::Relaxed),
-            chunks_decoded: self.chunks_decoded.load(Ordering::Relaxed),
-            conns_accepted: self.conns_accepted.load(Ordering::Relaxed),
-            conns_rejected: self.conns_rejected.load(Ordering::Relaxed),
-            conns_active: self.conns_active.load(Ordering::Relaxed),
-            handshake_timeouts: self.handshake_timeouts.load(Ordering::Relaxed),
-            idle_closed: self.idle_closed.load(Ordering::Relaxed),
-            slow_closed: self.slow_closed.load(Ordering::Relaxed),
-            bad_frames: self.bad_frames.load(Ordering::Relaxed),
-            deadline_rejected: self.deadline_rejected.load(Ordering::Relaxed),
-            slab_bytes_copied: self.slab_bytes_copied.load(Ordering::Relaxed),
-            slab_bytes_shared: self.slab_bytes_shared.load(Ordering::Relaxed),
-            degraded: self.degraded.load(Ordering::Relaxed),
-            brownout_level,
-            brownout_steps_down: self.brownout_steps_down.load(Ordering::Relaxed),
-            brownout_steps_up: self.brownout_steps_up.load(Ordering::Relaxed),
-            shard_owned,
-            shard_epoch,
-            shard_misdirected: self.misdirected.load(Ordering::Relaxed),
-            shard_map_fetches: self.shard_map_fetches.load(Ordering::Relaxed),
-            map_pushes: self.map_pushes.load(Ordering::Relaxed),
-            map_push_rejected: self.map_push_rejected.load(Ordering::Relaxed),
-            drained: self.drained.load(Ordering::Relaxed),
-            handoffs: self.handoffs.load(Ordering::Relaxed),
-            tenants,
-            batch_sizes: self.batch.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-            endpoints: (0..ENDPOINTS)
-                .map(|i| EndpointStats {
-                    requests: self.requests[i].load(Ordering::Relaxed),
-                    latency_us: self.latency[i].snapshot(),
-                })
-                .collect(),
-        }
+        report.accepted = tenants.iter().map(|t| t.accepted).sum();
+        report.shed = tenants.iter().map(|t| t.shed).sum();
+        report.degraded = tenants.iter().map(|t| t.degraded).sum();
+        report.decompress_passes = report.batch_sizes.iter().sum();
+        report.tenants = tenants;
+        report
     }
-}
-
-/// Per-endpoint slice of the stats frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EndpointStats {
-    /// Completed requests.
-    pub requests: u64,
-    /// Log2-µs latency histogram (see [`StatsReport::quantile_us`]).
-    pub latency_us: Vec<u64>,
 }
 
 /// Per-tenant slice of the stats frame: admission counters merged with
@@ -346,179 +307,28 @@ pub struct TenantStats {
     pub inflight: u64,
 }
 
-/// Snapshot of the server's counters — the body of a `Stats` reply.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StatsReport {
-    /// Jobs waiting in the admission queue at snapshot time.
-    pub queue_depth: u32,
-    /// The admission bound.
-    pub queue_capacity: u32,
-    /// Requests admitted (queue or cache).
-    pub accepted: u64,
-    /// Requests shed with `Overloaded`.
-    pub shed: u64,
-    /// Cache lookups served from the cache.
-    pub cache_hits: u64,
-    /// Cache lookups that missed.
-    pub cache_misses: u64,
-    /// Cache entries evicted to stay within capacity.
-    pub cache_evictions: u64,
-    /// Cache entries resident at snapshot time.
-    pub cache_entries: u64,
-    /// Cache capacity in entries.
-    pub cache_capacity: u64,
-    /// Coalesced decompress passes.
-    pub decompress_passes: u64,
-    /// Chunks decoded across all passes.
-    pub chunks_decoded: u64,
-    /// Connections accepted by the listener.
-    pub conns_accepted: u64,
-    /// Connections rejected at accept (`max_conns`).
-    pub conns_rejected: u64,
-    /// Connections open at snapshot time.
-    pub conns_active: u64,
-    /// Connections closed at the handshake deadline.
-    pub handshake_timeouts: u64,
-    /// Connections closed for idling past `idle_timeout`.
-    pub idle_closed: u64,
-    /// Connections closed for dribbling a frame past `frame_deadline`.
-    pub slow_closed: u64,
-    /// Frames rejected for integrity failures.
-    pub bad_frames: u64,
-    /// Fetches shed with `DeadlineExceeded` before decoding.
-    pub deadline_rejected: u64,
-    /// Bytes encoded into response slabs (one copy per encode).
-    pub slab_bytes_copied: u64,
-    /// Bytes served from shared slabs (shared/copied = mean fan-out).
-    pub slab_bytes_shared: u64,
-    /// Fetches served below their resolved fidelity (brownout).
-    pub degraded: u64,
-    /// Brownout level at snapshot time (fidelity steps currently shaved
-    /// off every fetch; 0 = full fidelity).
-    pub brownout_level: u8,
-    /// Times the governor stepped fidelity down.
-    pub brownout_steps_down: u64,
-    /// Times the governor stepped fidelity back up.
-    pub brownout_steps_up: u64,
-    /// `(container, chunk)` keys this server serves (primary or replica)
-    /// under its shard map; 0 on a solo server.
-    pub shard_owned: u64,
-    /// Epoch of the shard map this server routes by (0 = solo).
-    pub shard_epoch: u64,
-    /// Fetches rejected with a `WrongShard` redirect.
-    pub shard_misdirected: u64,
-    /// `ShardMap` requests answered.
-    pub shard_map_fetches: u64,
-    /// Map pushes that installed a new epoch (live reconfigurations).
-    pub map_pushes: u64,
-    /// Map pushes rejected (stale epoch or same-epoch conflict).
-    pub map_push_rejected: u64,
-    /// Admitted jobs that finished at a superseded epoch (drains).
-    pub drained: u64,
-    /// Keys handed off to other shards across all installs.
-    pub handoffs: u64,
-    /// Per-tenant counters and lane depths, sorted by tenant id.
-    pub tenants: Vec<TenantStats>,
-    /// Linear histogram: `batch_sizes[i]` passes decoded `i + 1` chunks
-    /// (last bucket absorbs larger).
-    pub batch_sizes: Vec<u64>,
-    /// Per-endpoint counters, indexed by [`Endpoint`].
-    pub endpoints: Vec<EndpointStats>,
-}
-
 impl StatsReport {
     /// Cache hits over lookups (0.0 when idle).
     pub fn cache_hit_ratio(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
+        ratio(self.cache_hits, self.cache_hits + self.cache_misses)
     }
 
-    /// Mean chunks per decompress pass (1.0 = batching never coalesced).
-    pub fn mean_batch(&self) -> f64 {
-        if self.decompress_passes == 0 {
-            0.0
-        } else {
-            self.chunks_decoded as f64 / self.decompress_passes as f64
-        }
-    }
-
-    /// Mean connections each encoded slab byte was served to (1.0 = no
-    /// sharing; higher = zero-copy fan-out is paying).
-    pub fn slab_share_ratio(&self) -> f64 {
-        if self.slab_bytes_copied == 0 {
-            0.0
-        } else {
-            self.slab_bytes_shared as f64 / self.slab_bytes_copied as f64
-        }
-    }
-
-    /// Approximate latency quantile (in µs, upper bucket bound) for one
-    /// endpoint; `None` when no requests were recorded. `q` in `[0, 1]`.
-    pub fn quantile_us(&self, endpoint: Endpoint, q: f64) -> Option<u64> {
-        let hist = &self.endpoints.get(endpoint as usize)?.latency_us;
-        let total: u64 = hist.iter().sum();
-        if total == 0 {
-            return None;
-        }
-        let rank = ((total as f64 * q.clamp(0.0, 1.0)).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &count) in hist.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                return Some(1u64 << (i + 1));
-            }
-        }
-        Some(1u64 << hist.len())
-    }
-
-    /// Append the wire encoding to `out` (field order matches `decode`).
+    /// Append the wire encoding to `out`: named scalars, named
+    /// histograms, then the tenant rows.
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.queue_depth.to_le_bytes());
-        out.extend_from_slice(&self.queue_capacity.to_le_bytes());
-        for v in [
-            self.accepted,
-            self.shed,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_evictions,
-            self.cache_entries,
-            self.cache_capacity,
-            self.decompress_passes,
-            self.chunks_decoded,
-            self.conns_accepted,
-            self.conns_rejected,
-            self.conns_active,
-            self.handshake_timeouts,
-            self.idle_closed,
-            self.slow_closed,
-            self.bad_frames,
-            self.deadline_rejected,
-            self.slab_bytes_copied,
-            self.slab_bytes_shared,
-            self.degraded,
-            self.brownout_steps_down,
-            self.brownout_steps_up,
-        ] {
+        out.extend_from_slice(&(Self::SCALARS.len() as u16).to_le_bytes());
+        for (&(_, name), v) in Self::SCALARS.iter().zip(self.scalars()) {
+            put_name(out, name);
             out.extend_from_slice(&v.to_le_bytes());
         }
-        out.push(self.batch_sizes.len() as u8);
-        for v in &self.batch_sizes {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out.push(self.endpoints.len() as u8);
-        for ep in &self.endpoints {
-            out.extend_from_slice(&ep.requests.to_le_bytes());
-            out.push(ep.latency_us.len() as u8);
-            for v in &ep.latency_us {
+        out.push(Self::HISTOGRAMS.len() as u8);
+        for (&(name, _), buckets) in Self::HISTOGRAMS.iter().zip(self.histograms()) {
+            put_name(out, name);
+            out.push(buckets.len() as u8);
+            for v in buckets {
                 out.extend_from_slice(&v.to_le_bytes());
             }
         }
-        // QoS section: brownout level and the per-tenant ledger.
-        out.push(self.brownout_level);
         out.extend_from_slice(&(self.tenants.len().min(u16::MAX as usize) as u16).to_le_bytes());
         for t in self.tenants.iter().take(u16::MAX as usize) {
             out.extend_from_slice(&t.tenant.to_le_bytes());
@@ -527,42 +337,34 @@ impl StatsReport {
                 out.extend_from_slice(&v.to_le_bytes());
             }
         }
-        // Shard section, then reconfiguration section.
-        for v in
-            [self.shard_owned, self.shard_epoch, self.shard_misdirected, self.shard_map_fetches]
-        {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for v in [self.map_pushes, self.map_push_rejected, self.drained, self.handoffs] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
     }
 
-    /// Parse the wire encoding produced by `encode`.
+    /// Parse the wire encoding produced by `encode`. Every scalar and
+    /// histogram must appear exactly once, by name, and every histogram
+    /// with its declared bucket count.
     pub(crate) fn decode(r: &mut BodyReader<'_>) -> Result<StatsReport> {
-        let queue_depth = r.u32()?;
-        let queue_capacity = r.u32()?;
-        let mut fixed = [0u64; 22];
-        for slot in &mut fixed {
-            *slot = r.u64()?;
-        }
-        let n_batch = r.u8()? as usize;
-        let mut batch_sizes = Vec::with_capacity(n_batch);
-        for _ in 0..n_batch {
-            batch_sizes.push(r.u64()?);
-        }
-        let n_eps = r.u8()? as usize;
-        let mut endpoints = Vec::with_capacity(n_eps);
-        for _ in 0..n_eps {
-            let requests = r.u64()?;
-            let n_lat = r.u8()? as usize;
-            let mut latency_us = Vec::with_capacity(n_lat);
-            for _ in 0..n_lat {
-                latency_us.push(r.u64()?);
+        let mut report = StatsReport::default();
+        let names: Vec<&str> = Self::SCALARS.iter().map(|&(_, name)| name).collect();
+        let mut scalars = report.scalars_mut();
+        let count = r.u16()? as usize;
+        named_section(r, count, "scalar", &names, |r, i| {
+            *scalars[i] = r.u64()?;
+            Ok(())
+        })?;
+        let names: Vec<&str> = Self::HISTOGRAMS.iter().map(|&(name, _)| name).collect();
+        let mut histograms = report.histograms_mut();
+        let count = r.u8()? as usize;
+        named_section(r, count, "histogram", &names, |r, i| {
+            let (name, want) = Self::HISTOGRAMS[i];
+            let n = r.u8()? as usize;
+            if n != want {
+                return Err(ServeError::Protocol(format!(
+                    "stats histogram `{name}` has {n} buckets, expected {want}"
+                )));
             }
-            endpoints.push(EndpointStats { requests, latency_us });
-        }
-        let brownout_level = r.u8()?;
+            *histograms[i] = (0..n).map(|_| r.u64()).collect::<Result<_>>()?;
+            Ok(())
+        })?;
         let n = r.u16()? as usize;
         let mut tenants = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
@@ -576,66 +378,101 @@ impl StatsReport {
                 inflight: r.u64()?,
             });
         }
-        Ok(StatsReport {
-            queue_depth,
-            queue_capacity,
-            accepted: fixed[0],
-            shed: fixed[1],
-            cache_hits: fixed[2],
-            cache_misses: fixed[3],
-            cache_evictions: fixed[4],
-            cache_entries: fixed[5],
-            cache_capacity: fixed[6],
-            decompress_passes: fixed[7],
-            chunks_decoded: fixed[8],
-            conns_accepted: fixed[9],
-            conns_rejected: fixed[10],
-            conns_active: fixed[11],
-            handshake_timeouts: fixed[12],
-            idle_closed: fixed[13],
-            slow_closed: fixed[14],
-            bad_frames: fixed[15],
-            deadline_rejected: fixed[16],
-            slab_bytes_copied: fixed[17],
-            slab_bytes_shared: fixed[18],
-            degraded: fixed[19],
-            brownout_steps_down: fixed[20],
-            brownout_steps_up: fixed[21],
-            brownout_level,
-            shard_owned: r.u64()?,
-            shard_epoch: r.u64()?,
-            shard_misdirected: r.u64()?,
-            shard_map_fetches: r.u64()?,
-            map_pushes: r.u64()?,
-            map_push_rejected: r.u64()?,
-            drained: r.u64()?,
-            handoffs: r.u64()?,
-            tenants,
-            batch_sizes,
-            endpoints,
-        })
+        report.tenants = tenants;
+        Ok(report)
+    }
+}
+
+/// `num / den`, or 0.0 when `den` is 0.
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
+    }
+}
+
+/// Upper bound in µs of the log2 bucket holding quantile `q` of a latency
+/// histogram (`None` when it is empty).
+fn log2_quantile_us(buckets: &[u64], q: f64) -> Option<u64> {
+    let rank = ((buckets.iter().sum::<u64>() as f64 * q).ceil() as u64).max(1);
+    let mut seen = 0;
+    let i = buckets.iter().position(|&n| {
+        seen += n;
+        seen >= rank
+    })?;
+    Some(1u64 << (i + 1))
+}
+
+fn put_name(out: &mut Vec<u8>, name: &str) {
+    out.push(name.len() as u8);
+    out.extend_from_slice(name.as_bytes());
+}
+
+/// Decode `count` `(u8 name_len, name, value)` entries, resolving each
+/// name against `names` and reading its value with `read`. A name that is
+/// unknown, repeated or missing is a typed `Protocol` error.
+fn named_section<'a>(
+    r: &mut BodyReader<'a>,
+    count: usize,
+    kind: &str,
+    names: &[&str],
+    mut read: impl FnMut(&mut BodyReader<'a>, usize) -> Result<()>,
+) -> Result<()> {
+    let mut seen = vec![false; names.len()];
+    for _ in 0..count {
+        let len = r.u8()? as usize;
+        let raw = r.take(len)?;
+        let name = String::from_utf8_lossy(raw);
+        let i = names
+            .iter()
+            .position(|n| n.as_bytes() == raw)
+            .ok_or_else(|| ServeError::Protocol(format!("unknown stats {kind} `{name}`")))?;
+        if std::mem::replace(&mut seen[i], true) {
+            return Err(ServeError::Protocol(format!("stats {kind} `{name}` appears twice")));
+        }
+        read(r, i)?;
+    }
+    match seen.iter().position(|&s| !s) {
+        Some(i) => Err(ServeError::Protocol(format!("stats frame lacks {kind} `{}`", names[i]))),
+        None => Ok(()),
     }
 }
 
 impl std::fmt::Display for StatsReport {
+    /// One line per section (`section name value, …`), one per histogram
+    /// (total, then each nonzero `[bucket] count`), one of ratios derived
+    /// from them, then the tenant rows.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "queue      {}/{} waiting", self.queue_depth, self.queue_capacity)?;
-        writeln!(f, "admission  {} accepted, {} shed", self.accepted, self.shed)?;
-        writeln!(
+        let rows: Vec<_> = Self::SCALARS.iter().zip(self.scalars()).collect();
+        for section in rows.chunk_by(|a, b| a.0 .0 == b.0 .0) {
+            write!(f, "{:<10}", section[0].0 .0)?;
+            for (i, &(&(_, name), v)) in section.iter().enumerate() {
+                write!(f, "{} {name} {v}", if i == 0 { "" } else { "," })?;
+            }
+            writeln!(f)?;
+        }
+        for (&(name, _), buckets) in Self::HISTOGRAMS.iter().zip(self.histograms()) {
+            write!(f, "{name} {} total", buckets.iter().sum::<u64>())?;
+            for (i, n) in buckets.iter().enumerate().filter(|&(_, &n)| n > 0) {
+                write!(f, ", [{i}] {n}")?;
+            }
+            writeln!(f)?;
+        }
+        write!(
             f,
-            "brownout   level {}, {} steps down, {} steps up, {} degraded replies",
-            self.brownout_level, self.brownout_steps_down, self.brownout_steps_up, self.degraded
+            "derived    {:.1}% cache hit, {:.2} chunks/pass, {:.1}x slab fan-out",
+            100.0 * self.cache_hit_ratio(),
+            ratio(self.chunks_decoded, self.decompress_passes),
+            ratio(self.slab_bytes_shared, self.slab_bytes_copied)
         )?;
-        writeln!(
-            f,
-            "shard      map epoch {}, {} owned keys, {} misdirected, {} map fetches",
-            self.shard_epoch, self.shard_owned, self.shard_misdirected, self.shard_map_fetches
-        )?;
-        writeln!(
-            f,
-            "reconfig   {} map pushes, {} rejected, {} drained, {} keys handed off",
-            self.map_pushes, self.map_push_rejected, self.drained, self.handoffs
-        )?;
+        let fetch = &self.fetch_latency_us;
+        if let (Some(p50), Some(p99)) =
+            (log2_quantile_us(fetch, 0.5), log2_quantile_us(fetch, 0.99))
+        {
+            write!(f, ", fetch p50 ≤ {p50} µs, p99 ≤ {p99} µs")?;
+        }
+        writeln!(f)?;
         writeln!(f, "tenants    {} tracked", self.tenants.len())?;
         for t in &self.tenants {
             writeln!(
@@ -644,61 +481,6 @@ impl std::fmt::Display for StatsReport {
                 t.tenant, t.weight, t.accepted, t.shed, t.degraded, t.queued, t.inflight
             )?;
         }
-        writeln!(
-            f,
-            "cache      {} hits / {} misses ({:.1}% hit), {} evictions, {}/{} entries",
-            self.cache_hits,
-            self.cache_misses,
-            100.0 * self.cache_hit_ratio(),
-            self.cache_evictions,
-            self.cache_entries,
-            self.cache_capacity
-        )?;
-        writeln!(
-            f,
-            "batching   {} passes, {} chunks ({:.2} chunks/pass)",
-            self.decompress_passes,
-            self.chunks_decoded,
-            self.mean_batch()
-        )?;
-        writeln!(
-            f,
-            "conns      {} active, {} accepted, {} rejected",
-            self.conns_active, self.conns_accepted, self.conns_rejected
-        )?;
-        writeln!(
-            f,
-            "discipline {} handshake timeouts, {} idle closes, {} slow closes, \
-             {} bad frames, {} deadline sheds",
-            self.handshake_timeouts,
-            self.idle_closed,
-            self.slow_closed,
-            self.bad_frames,
-            self.deadline_rejected
-        )?;
-        writeln!(
-            f,
-            "slabs      {} bytes encoded, {} bytes served ({:.2}x shared)",
-            self.slab_bytes_copied,
-            self.slab_bytes_shared,
-            self.slab_share_ratio()
-        )?;
-        for (i, name) in ENDPOINT_NAMES.iter().enumerate() {
-            let Some(ep) = self.endpoints.get(i) else { continue };
-            let endpoint = match i {
-                0 => Endpoint::Info,
-                1 => Endpoint::Fetch,
-                _ => Endpoint::Stats,
-            };
-            match (self.quantile_us(endpoint, 0.5), self.quantile_us(endpoint, 0.99)) {
-                (Some(p50), Some(p99)) => writeln!(
-                    f,
-                    "{name:<10} {} requests, p50 ≤ {p50} µs, p99 ≤ {p99} µs",
-                    ep.requests
-                )?,
-                _ => writeln!(f, "{name:<10} {} requests", ep.requests)?,
-            }
-        }
         Ok(())
     }
 }
@@ -706,119 +488,187 @@ impl std::fmt::Display for StatsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{decode_response, encode_response, Response};
+
+    fn wire(report: &StatsReport) -> (u8, Vec<u8>) {
+        encode_response(&Response::Stats(Box::new(report.clone())))
+    }
+
+    fn decode(op: u8, body: &[u8]) -> Result<StatsReport> {
+        match decode_response(op, body)? {
+            Response::Stats(report) => Ok(*report),
+            other => panic!("decoded {other:?}"),
+        }
+    }
+
+    /// A stats body built entry by entry, for frames `encode` never writes.
+    fn body(scalars: &[(&str, u64)], histograms: &[(&str, &[u64])]) -> Vec<u8> {
+        let mut out = (scalars.len() as u16).to_le_bytes().to_vec();
+        for &(name, v) in scalars {
+            put_name(&mut out, name);
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        out.push(histograms.len() as u8);
+        for &(name, buckets) in histograms {
+            put_name(&mut out, name);
+            out.push(buckets.len() as u8);
+            buckets.iter().for_each(|v| out.extend_from_slice(&v.to_le_bytes()));
+        }
+        out.extend_from_slice(&0u16.to_le_bytes());
+        out
+    }
 
     #[test]
-    fn report_roundtrips_through_wire() {
-        let stats = ServeStats::new();
-        stats.accepted.store(120, Ordering::Relaxed);
-        stats.shed.store(8, Ordering::Relaxed);
-        stats.conns_accepted.store(17, Ordering::Relaxed);
-        stats.conns_active.store(2, Ordering::Relaxed);
-        stats.slow_closed.store(1, Ordering::Relaxed);
-        stats.bad_frames.store(3, Ordering::Relaxed);
-        stats.deadline_rejected.store(5, Ordering::Relaxed);
-        stats.slab_bytes_copied.store(4096, Ordering::Relaxed);
-        stats.slab_bytes_shared.store(12288, Ordering::Relaxed);
-        stats.record_request(Endpoint::Fetch, Duration::from_micros(350));
-        stats.record_request(Endpoint::Fetch, Duration::from_millis(12));
-        stats.record_request(Endpoint::Info, Duration::from_micros(40));
-        stats.record_batch(1);
-        stats.record_batch(7);
-        stats.record_batch(500); // clamps into the last bucket
-        stats.degraded.store(9, Ordering::Relaxed);
-        stats.brownout_steps_down.store(4, Ordering::Relaxed);
-        stats.brownout_steps_up.store(2, Ordering::Relaxed);
+    fn every_scalar_and_bucket_roundtrips_distinctly() {
+        // Distinct values everywhere: a swap of any two scalars, two
+        // histograms or two buckets changes the decoded report.
+        let mut report = ServeStats::default().snapshot(&[]);
+        let mut next = 1u64..;
+        for v in report.scalars_mut() {
+            *v = next.next().unwrap();
+        }
+        for v in report.histograms_mut().into_iter().flatten() {
+            *v = next.next().unwrap();
+        }
+        report.tenants = vec![
+            TenantStats {
+                tenant: 7,
+                weight: 3,
+                accepted: 2,
+                shed: 4,
+                degraded: 1,
+                queued: 2,
+                inflight: 5,
+            },
+            TenantStats {
+                tenant: 9,
+                weight: 2,
+                accepted: 6,
+                shed: 0,
+                degraded: 3,
+                queued: 1,
+                inflight: 8,
+            },
+        ];
+        let (op, bytes) = wire(&report);
+        assert_eq!(decode(op, &bytes).unwrap(), report);
+    }
+
+    #[test]
+    fn malformed_bodies_are_typed_protocol_errors() {
+        let report = ServeStats::default().snapshot(&[(3, 1, 0, 0)]);
+        let (op, good) = wire(&report);
+        assert_eq!(decode(op, &good).unwrap(), report);
+        let scalars: Vec<(&str, u64)> = StatsReport::SCALARS.iter().map(|&(_, n)| (n, 1)).collect();
+        let zeros = [0u64; 64];
+        let hists: Vec<(&str, &[u64])> =
+            StatsReport::HISTOGRAMS.iter().map(|&(n, len)| (n, &zeros[..len])).collect();
+        assert!(decode(op, &body(&scalars, &hists)).is_ok());
+        let resized = |len: usize| {
+            let mut h = hists.clone();
+            h[0].1 = &zeros[..len];
+            body(&scalars, &h)
+        };
+        let (_, want) = StatsReport::HISTOGRAMS[0];
+
+        let mut bad = vec![
+            ("missing scalar", body(&scalars[1..], &hists)),
+            ("duplicate scalar", body(&[&scalars[..], &scalars[..1]].concat(), &hists)),
+            ("unknown scalar", body(&[&scalars[..], &[("bogus", 1)]].concat(), &hists)),
+            ("missing histogram", body(&scalars, &hists[1..])),
+            ("duplicate histogram", body(&scalars, &[&hists[..], &hists[..1]].concat())),
+            (
+                "unknown histogram",
+                body(&scalars, &[&hists[..], &[("bogus", &zeros[..4])]].concat()),
+            ),
+            ("short histogram", resized(want - 1)),
+            ("long histogram", resized(want + 1)),
+            ("empty histogram", resized(0)),
+            ("trailing bytes", [&good[..], &[0]].concat()),
+        ];
+        bad.extend((0..good.len()).map(|cut| ("truncated", good[..cut].to_vec())));
+        for (what, bytes) in bad {
+            match decode(op, &bytes) {
+                Err(ServeError::Protocol(_)) => {}
+                other => panic!("{what} ({} bytes) gave {other:?}", bytes.len()),
+            }
+        }
+    }
+
+    #[test]
+    fn snapshot_derives_totals_from_the_ledger_and_histograms() {
+        let stats = ServeStats::default();
         stats.tenant_accepted(7, 3);
         stats.tenant_accepted(7, 3);
         stats.tenant_shed(42, 1);
         stats.tenant_degraded(7, 3);
-        stats.misdirected.store(6, Ordering::Relaxed);
-        stats.shard_map_fetches.store(2, Ordering::Relaxed);
-        stats.map_pushes.store(3, Ordering::Relaxed);
-        stats.map_push_rejected.store(1, Ordering::Relaxed);
-        stats.drained.store(4, Ordering::Relaxed);
-        stats.handoffs.store(12, Ordering::Relaxed);
-        let cache = CacheSnapshot { hits: 30, misses: 10, evictions: 2, entries: 5, capacity: 64 };
-        let report = stats.snapshot(3, 64, cache, 1, &[(7, 3, 2, 5), (9, 2, 1, 1)], 11, 4);
-
-        assert_eq!(report.brownout_level, 1);
-        assert_eq!(
-            (
-                report.shard_owned,
-                report.shard_epoch,
-                report.shard_misdirected,
-                report.shard_map_fetches
-            ),
-            (11, 4, 6, 2)
-        );
-        assert_eq!(
-            (report.map_pushes, report.map_push_rejected, report.drained, report.handoffs),
-            (3, 1, 4, 12)
-        );
+        stats.fetch_latency_us.record_us(Duration::from_micros(350));
+        stats.fetch_latency_us.record_us(Duration::from_millis(12));
+        stats.info_latency_us.record_us(Duration::from_micros(40));
+        let report = stats.snapshot(&[(7, 3, 2, 5), (9, 2, 1, 1)]);
+        assert_eq!((report.accepted, report.shed, report.degraded), (2, 1, 1));
         let t7 = report.tenants.iter().find(|t| t.tenant == 7).unwrap();
         assert_eq!((t7.accepted, t7.shed, t7.degraded, t7.queued, t7.inflight), (2, 0, 1, 2, 5));
         let t9 = report.tenants.iter().find(|t| t.tenant == 9).unwrap();
         assert_eq!((t9.accepted, t9.queued, t9.inflight), (0, 1, 1), "lane-only tenant included");
         assert!(report.tenants.iter().any(|t| t.tenant == 42));
-
-        let mut wire = Vec::new();
-        report.encode(&mut wire);
-        let mut r = BodyReader::new(&wire);
-        let decoded = StatsReport::decode(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(decoded, report);
+        assert_eq!(report.fetch_latency_us.iter().sum::<u64>(), 2);
+        assert_eq!(report.info_latency_us.iter().sum::<u64>(), 1);
     }
 
     #[test]
-    fn every_section_is_mandatory() {
-        let report = ServeStats::new().snapshot(0, 8, CacheSnapshot::default(), 0, &[], 7, 2);
-        let mut wire = Vec::new();
-        report.encode(&mut wire);
-        // Cut at the end of each section (reconfig 32 bytes, shard 32,
-        // empty QoS 3): every shorter body is a typed error, not defaults.
-        for cut in [1, 32, 64, 67] {
-            let mut r = BodyReader::new(&wire[..wire.len() - cut]);
-            assert!(StatsReport::decode(&mut r).is_err(), "cut {cut} decoded");
-        }
-    }
-
-    #[test]
-    fn quantiles_bound_recorded_latencies() {
-        let stats = ServeStats::new();
+    fn latency_lands_in_its_log2_bucket() {
+        let stats = ServeStats::default();
         for _ in 0..99 {
-            stats.record_request(Endpoint::Fetch, Duration::from_micros(100));
+            stats.fetch_latency_us.record_us(Duration::from_micros(100));
         }
-        stats.record_request(Endpoint::Fetch, Duration::from_millis(50));
-        let report = stats.snapshot(0, 1, CacheSnapshot::default(), 0, &[], 0, 0);
-        let p50 = report.quantile_us(Endpoint::Fetch, 0.5).unwrap();
-        let p99 = report.quantile_us(Endpoint::Fetch, 0.99).unwrap();
-        // p50 lands in the 100 µs bucket (≤ 128 µs); p99 must not be
-        // dragged up to the 50 ms outlier.
-        assert_eq!(p50, 128);
-        assert_eq!(p99, 128);
-        let p100 = report.quantile_us(Endpoint::Fetch, 1.0).unwrap();
-        assert!(p100 >= 50_000, "max quantile must cover the outlier, got {p100}");
-        assert_eq!(report.quantile_us(Endpoint::Stats, 0.5), None);
+        stats.fetch_latency_us.record_us(Duration::from_millis(50));
+        stats.fetch_latency_us.record_us(Duration::from_nanos(300));
+        stats.fetch_latency_us.record_us(Duration::from_secs(3600));
+        let hist = stats.snapshot(&[]).fetch_latency_us;
+        // 100 µs is in [64, 128); 50 ms in [32768, 65536) µs; sub-µs in
+        // bucket 0; an hour clamps into the last bucket.
+        assert_eq!((hist[6], hist[15], hist[0], hist[LATENCY_BUCKETS - 1]), (99, 1, 1, 1));
+        assert_eq!(hist.iter().sum::<u64>(), 102);
     }
 
     #[test]
     fn batch_histogram_indexes_by_size() {
-        let stats = ServeStats::new();
+        let stats = ServeStats::default();
         stats.record_batch(0); // ignored
         stats.record_batch(1);
         stats.record_batch(1);
         stats.record_batch(4);
-        let report = stats.snapshot(0, 1, CacheSnapshot::default(), 0, &[], 0, 0);
+        stats.record_batch(500); // clamps into the last bucket
+        let report = stats.snapshot(&[]);
         assert_eq!(report.batch_sizes[0], 2);
         assert_eq!(report.batch_sizes[3], 1);
-        assert_eq!(report.decompress_passes, 3);
-        assert_eq!(report.chunks_decoded, 6);
-        assert!((report.mean_batch() - 2.0).abs() < 1e-9);
+        assert_eq!(report.batch_sizes[BATCH_BUCKETS - 1], 1);
+        assert_eq!(report.decompress_passes, 4);
+        assert_eq!(report.chunks_decoded, 506);
+    }
+
+    #[test]
+    fn display_derives_hit_ratio_pass_size_fan_out_and_fetch_quantiles() {
+        let stats = ServeStats::default();
+        stats.record_batch(3);
+        stats.record_batch(5);
+        stats.slab_bytes_copied.store(100, Ordering::Relaxed);
+        stats.slab_bytes_shared.store(250, Ordering::Relaxed);
+        for us in [100, 100, 100, 5000] {
+            stats.fetch_latency_us.record_us(Duration::from_micros(us));
+        }
+        let mut report = stats.snapshot(&[]);
+        (report.cache_hits, report.cache_misses) = (3, 1);
+        let text = report.to_string();
+        let needle = "derived    75.0% cache hit, 4.00 chunks/pass, 2.5x slab fan-out, \
+                      fetch p50 ≤ 128 µs, p99 ≤ 8192 µs";
+        assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
     }
 
     #[test]
     fn display_mentions_every_section() {
-        let report = ServeStats::new().snapshot(0, 8, CacheSnapshot::default(), 0, &[], 0, 0);
+        let report = ServeStats::default().snapshot(&[]);
         let text = report.to_string();
         for needle in [
             "queue",
@@ -834,14 +684,5 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");
         }
-    }
-
-    #[test]
-    fn slab_share_ratio_is_served_over_encoded() {
-        let stats = ServeStats::new();
-        stats.slab_bytes_copied.store(100, Ordering::Relaxed);
-        stats.slab_bytes_shared.store(250, Ordering::Relaxed);
-        let report = stats.snapshot(0, 1, CacheSnapshot::default(), 0, &[], 0, 0);
-        assert!((report.slab_share_ratio() - 2.5).abs() < 1e-9);
     }
 }

@@ -7,6 +7,7 @@ use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
+use aicomp_serve::{Client, ServeConfig, Server, StatsReport};
 use aicomp_store::writer::pack_file;
 use aicomp_store::StoreOptions;
 use aicomp_tensor::Tensor;
@@ -95,4 +96,23 @@ fn pack_rejects_unknown_flags_and_writes_nothing() {
 fn a_flag_missing_its_value_is_a_usage_error() {
     assert_usage_error(&dcz(&["codecs", "--n"]), "--n");
     assert_usage_error(&dcz(&["cluster", "suspect", "--addr", "127.0.0.1:1", "--ring"]), "--ring");
+}
+
+#[test]
+fn stats_prints_every_counter_by_name() {
+    let store = scratch("stats.dcz");
+    let sample = Tensor::from_vec(vec![0.5; 16 * 16], [1, 16, 16]).unwrap();
+    pack_file(&store, &StoreOptions::dct(16, 4, 1, 1), [sample]).unwrap();
+    let handle = Server::bind("127.0.0.1:0", &[&store], ServeConfig::default()).unwrap().spawn();
+    let addr = handle.addr().to_string();
+    let out = dcz(&["stats", "--addr", &addr]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let names = StatsReport::SCALARS.iter().map(|&(_, name)| name);
+    for name in names.chain(StatsReport::HISTOGRAMS.iter().map(|&(name, _)| name)) {
+        assert!(stdout.contains(name), "`dcz stats` omits {name}:\n{stdout}");
+    }
+    Client::connect(handle.addr()).unwrap().shutdown().unwrap();
+    handle.join();
+    std::fs::remove_file(&store).ok();
 }

@@ -300,7 +300,7 @@ impl RetryPolicy {
     }
 }
 
-/// Run `f`, retrying transient errors ([`StoreError::is_transient`]) up to
+/// Run `f`, retrying transient errors ([`crate::StoreError::is_transient`]) up to
 /// the policy's attempt budget. Non-transient errors return immediately.
 pub fn with_retry<T>(policy: RetryPolicy, mut f: impl FnMut() -> Result<T>) -> Result<T> {
     let attempts = policy.max_attempts.max(1);

@@ -10,7 +10,7 @@
 //! `store_training` integration test asserts this).
 //!
 //! The epoch loop reads batches in ascending sample order and rewinds to
-//! sample 0 each epoch; [`PassReader`] detects the rewind (a batch start
+//! sample 0 each epoch; `PassReader` detects the rewind (a batch start
 //! below the retained window) and restarts its prefetch pass.
 //!
 //! Under a non-default [`crate::ReadPolicy`] the source keeps training

@@ -76,7 +76,7 @@ struct RunOutcome {
     victim_shed: u64,
     victim_degraded: u64,
     aggressor_total: u64,
-    brownout_level: u8,
+    brownout_level: u64,
     brownout_steps_down: u64,
     brownout_steps_up: u64,
 }
@@ -226,7 +226,7 @@ fn aggressor_cannot_starve_victim_threads_backend() {
     assert_eq!(first.victim_shed, 0);
     assert_eq!(first.victim_degraded, chunks * 2);
     assert_eq!(first.aggressor_total, (AGG_THREADS * AGG_REQUESTS) as u64);
-    assert_eq!(first.brownout_level, MAX_STEPS);
+    assert_eq!(first.brownout_level, u64::from(MAX_STEPS));
     assert_eq!(first.brownout_steps_down, u64::from(MAX_STEPS));
     assert_eq!(first.brownout_steps_up, 0);
     let second = mixed_tenant_saturation(&path);

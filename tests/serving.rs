@@ -120,7 +120,7 @@ fn thirty_two_concurrent_clients_are_bit_identical_through_the_batcher() {
     assert!(stats.decompress_passes > 0);
     assert!(stats.cache_hits > 0, "repeat traffic must hit the cache: {stats:?}");
     assert!(stats.cache_evictions > 0, "a 4-entry cache over 10 keys must evict");
-    assert_eq!(stats.endpoints[1].requests, fetches);
+    assert_eq!(stats.fetch_latency_us.iter().sum::<u64>(), fetches);
     assert_eq!(
         stats.batch_sizes.iter().enumerate().map(|(i, c)| (i as u64 + 1) * c).sum::<u64>(),
         stats.chunks_decoded,
