@@ -7,11 +7,24 @@
 //! Implementation: byte-alphabet Huffman with canonical code assignment
 //! (codes reconstructible from the length table alone, as in JPEG/DEFLATE),
 //! length-limited to 15 bits by frequency flattening.
+//!
+//! Decoding is table-driven, the libjpeg lookahead scheme: the next bits
+//! of the stream, taken with [`BitReader::peek_bits`], index a 1024-entry
+//! table that resolves every code of up to 10 bits in one lookup, and one
+//! 57-bit peek serves several such codes in a row. The rare longer codes
+//! fall to a per-length canonical range check. Both tables are built once
+//! per code, when it is constructed.
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::{BaselineError, Result};
 
 const MAX_LEN: usize = 15;
+
+/// Bits resolved by the primary decode table.
+const PRIMARY_BITS: usize = 10;
+
+/// Primary-table codes decoded from one lookahead window.
+const GROUP: usize = BitReader::MAX_PEEK as usize / PRIMARY_BITS;
 
 /// A canonical Huffman code over the byte alphabet.
 #[derive(Debug, Clone)]
@@ -20,6 +33,17 @@ pub struct HuffmanCode {
     lengths: [u8; 256],
     /// Codeword per symbol (valid where length > 0).
     codes: [u16; 256],
+    /// Indexed by the next `PRIMARY_BITS` bits: `(len << 8) | symbol` of
+    /// the code of length ≤ `PRIMARY_BITS` they start with, or 0 if none.
+    primary: [u16; 1 << PRIMARY_BITS],
+    /// Per code length (slow path, lengths above `PRIMARY_BITS`): the
+    /// first canonical code, how many codes follow it, and where their
+    /// symbols start in `sorted`.
+    first_code: [u16; MAX_LEN + 1],
+    count: [u16; MAX_LEN + 1],
+    first_index: [u16; MAX_LEN + 1],
+    /// Coded symbols in canonical `(length, symbol)` order.
+    sorted: [u8; 256],
 }
 
 impl HuffmanCode {
@@ -63,16 +87,39 @@ impl HuffmanCode {
         // consecutive codes.
         let mut order: Vec<usize> = (0..256).filter(|&s| lengths[s] > 0).collect();
         order.sort_by_key(|&s| (lengths[s], s));
-        let mut codes = [0u16; 256];
-        let mut code = 0u16;
+        let mut code = HuffmanCode {
+            lengths,
+            codes: [0; 256],
+            primary: [0; 1 << PRIMARY_BITS],
+            first_code: [0; MAX_LEN + 1],
+            count: [0; MAX_LEN + 1],
+            first_index: [0; MAX_LEN + 1],
+            sorted: [0; 256],
+        };
+        let mut next = 0u16;
         let mut prev_len = 0u8;
-        for &s in &order {
-            code <<= lengths[s] - prev_len;
-            codes[s] = code;
-            code += 1;
-            prev_len = lengths[s];
+        for (ix, &s) in order.iter().enumerate() {
+            let len = lengths[s];
+            next <<= len - prev_len;
+            prev_len = len;
+            code.codes[s] = next;
+            code.sorted[ix] = s as u8;
+            let l = len as usize;
+            if code.count[l] == 0 {
+                code.first_code[l] = next;
+                code.first_index[l] = ix as u16;
+            }
+            code.count[l] += 1;
+            if l <= PRIMARY_BITS {
+                // Every primary index that starts with this code. Kraft ≤ 1
+                // keeps the code prefix-free, so the ranges never overlap.
+                let lo = (next as usize) << (PRIMARY_BITS - l);
+                code.primary[lo..lo + (1 << (PRIMARY_BITS - l))]
+                    .fill(((len as u16) << 8) | s as u16);
+            }
+            next += 1;
         }
-        HuffmanCode { lengths, codes }
+        code
     }
 
     /// The length table (what a container format would store).
@@ -93,33 +140,88 @@ impl HuffmanCode {
     }
 
     /// Decode exactly `count` symbols.
-    #[allow(clippy::needless_range_loop)] // per-length tables indexed by code length
     pub fn decode(&self, r: &mut BitReader, count: usize) -> Result<Vec<u8>> {
-        // Build a (length, code) → symbol lookup. With ≤15-bit codes a
-        // linear scan per bit-extension is fine for this codec's role.
-        let mut by_len: Vec<Vec<(u16, u8)>> = vec![Vec::new(); MAX_LEN + 1];
-        for s in 0..256 {
-            let l = self.lengths[s] as usize;
-            if l > 0 {
-                by_len[l].push((self.codes[s], s as u8));
-            }
-        }
-        let mut out = Vec::with_capacity(count);
-        'symbols: for _ in 0..count {
-            let mut code = 0u16;
-            for len in 1..=MAX_LEN {
-                let bit = r
-                    .get_bit()
-                    .ok_or_else(|| BaselineError::Corrupt("truncated Huffman stream".into()))?;
-                code = (code << 1) | (bit as u16);
-                if let Some(&(_, sym)) = by_len[len].iter().find(|&&(c, _)| c == code) {
-                    out.push(sym);
-                    continue 'symbols;
+        let mut out = vec![0u8; count];
+        self.decode_into(r, &mut out, |slot, sym| *slot = sym)?;
+        Ok(out)
+    }
+
+    /// Decode `out.len()` symbols, handing each to `put` with its slot —
+    /// the form that lets a caller decode straight into its own layout.
+    ///
+    /// Errors as a bit-at-a-time decoder would: when the stream ends inside
+    /// a code, "truncated Huffman stream" with the reader at end of stream;
+    /// when 15 bits (the longest code length) match no code, "invalid
+    /// Huffman code" with the reader past those bits. Slots before the
+    /// failing symbol are written.
+    pub fn decode_into<T>(
+        &self,
+        r: &mut BitReader,
+        out: &mut [T],
+        mut put: impl FnMut(&mut T, u8),
+    ) -> Result<()> {
+        let mut i = 0;
+        while i < out.len() {
+            // Fast path: one peek serves up to `GROUP` codes that resolve in
+            // the primary table, with every bit they take inside the stream.
+            if r.remaining_bits() >= GROUP * PRIMARY_BITS {
+                let mut window = r.peek_bits(BitReader::MAX_PEEK) << (64 - BitReader::MAX_PEEK);
+                let (mut used, stop) = (0, out.len().min(i + GROUP));
+                while i < stop {
+                    let entry = self.primary[(window >> (64 - PRIMARY_BITS)) as usize];
+                    if entry == 0 {
+                        break;
+                    }
+                    let len = (entry >> 8) as usize;
+                    put(&mut out[i], entry as u8);
+                    window <<= len;
+                    used += len;
+                    i += 1;
+                }
+                r.consume(used);
+                if i == stop {
+                    continue;
                 }
             }
-            return Err(BaselineError::Corrupt("invalid Huffman code".into()));
+            // One code at a time: long codes, and the stream's last bits.
+            let avail = r.remaining_bits();
+            let window = r.peek_bits(MAX_LEN as u32) as usize;
+            let entry = self.primary[window >> (MAX_LEN - PRIMARY_BITS)];
+            let (len, sym) = match entry {
+                0 => self.long_code(window),
+                e => ((e >> 8) as usize, e as u8),
+            };
+            // Bits past the end peek as zeros, so a code found there is
+            // only real if it fits in what remains.
+            if len == 0 || len > avail {
+                return Err(if len == 0 && avail >= MAX_LEN {
+                    r.consume(MAX_LEN);
+                    BaselineError::Corrupt("invalid Huffman code".into())
+                } else {
+                    r.consume(avail);
+                    BaselineError::Corrupt("truncated Huffman stream".into())
+                });
+            }
+            r.consume(len);
+            put(&mut out[i], sym);
+            i += 1;
         }
-        Ok(out)
+        Ok(())
+    }
+
+    /// Slow path: the code longer than `PRIMARY_BITS` that `window` (the
+    /// next `MAX_LEN` bits) starts with, as `(length, symbol)`, or length 0
+    /// when there is none.
+    #[cold]
+    fn long_code(&self, window: usize) -> (usize, u8) {
+        for len in PRIMARY_BITS + 1..=MAX_LEN {
+            let code = (window >> (MAX_LEN - len)) as u16;
+            let offset = code.wrapping_sub(self.first_code[len]);
+            if offset < self.count[len] {
+                return (len, self.sorted[(self.first_index[len] + offset) as usize]);
+            }
+        }
+        (0, 0)
     }
 
     /// Expected bits per symbol under `freqs`.
@@ -185,6 +287,151 @@ fn huffman_lengths(freqs: &[u64]) -> Result<[u8; 256]> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The bit-serial decoder the lookup tables replaced: one bit at a
+    /// time, a linear scan of the codes of each length. The reference the
+    /// table-driven decoder must match in output, error and position.
+    #[allow(clippy::needless_range_loop)] // per-length tables indexed by code length
+    fn decode_bit_serial(code: &HuffmanCode, r: &mut BitReader, count: usize) -> Result<Vec<u8>> {
+        let mut by_len: Vec<Vec<(u16, u8)>> = vec![Vec::new(); MAX_LEN + 1];
+        for s in 0..256 {
+            let l = code.lengths[s] as usize;
+            if l > 0 {
+                by_len[l].push((code.codes[s], s as u8));
+            }
+        }
+        let mut out = Vec::with_capacity(count);
+        'symbols: for _ in 0..count {
+            let mut word = 0u16;
+            for len in 1..=MAX_LEN {
+                let bit = r
+                    .get_bit()
+                    .ok_or_else(|| BaselineError::Corrupt("truncated Huffman stream".into()))?;
+                word = (word << 1) | (bit as u16);
+                if let Some(&(_, sym)) = by_len[len].iter().find(|&&(c, _)| c == word) {
+                    out.push(sym);
+                    continue 'symbols;
+                }
+            }
+            return Err(BaselineError::Corrupt("invalid Huffman code".into()));
+        }
+        Ok(out)
+    }
+
+    /// A length table of `kind`, from `picks` of `(symbol, length)`:
+    /// - 0: the picked lengths, the shortest lengthened until Kraft ≤ 1 —
+    ///   usually an incomplete code (Kraft < 1), often with 11–15-bit codes;
+    /// - 1: a complete code fitted to frequencies halving pick by pick,
+    ///   which the 15-bit limit flattens, so long picks give 11–15-bit codes;
+    /// - 2: a single symbol, of the first pick's length;
+    /// - 3: no symbols at all.
+    fn length_table(kind: u8, picks: &[(u8, u8)]) -> [u8; 256] {
+        let mut lengths = [0u8; 256];
+        match kind {
+            0 => {
+                for &(s, l) in picks {
+                    lengths[s as usize] = l;
+                }
+                let kraft = |ls: &[u8; 256]| -> u32 {
+                    ls.iter().filter(|&&l| l > 0).map(|&l| 1u32 << (MAX_LEN - l as usize)).sum()
+                };
+                while kraft(&lengths) > 1 << MAX_LEN {
+                    let s = (0..256)
+                        .filter(|&s| lengths[s] > 0 && (lengths[s] as usize) < MAX_LEN)
+                        .min_by_key(|&s| lengths[s])
+                        .expect("at most 256 codes fit in 15 bits");
+                    lengths[s] += 1;
+                }
+            }
+            1 => {
+                let mut freqs = [0u64; 256];
+                for (i, &(s, _)) in picks.iter().enumerate() {
+                    freqs[s as usize] = 1u64 << (48 - i.min(48));
+                }
+                lengths = *HuffmanCode::from_frequencies(&freqs).unwrap().lengths();
+            }
+            2 => lengths[picks[0].0 as usize] = picks[0].1,
+            _ => {}
+        }
+        lengths
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The table-driven decoder returns what the bit-serial reference
+        /// returns — the same symbols or the same error — and leaves the
+        /// reader at the same bit, on valid, truncated, bit-flipped and
+        /// garbage streams, and when asked for more symbols than were coded.
+        #[test]
+        fn lut_decode_matches_bit_serial_reference(
+            kind in 0u8..4,
+            picks in prop::collection::vec((0u8..=255, 1u8..=15), 1..48),
+            msg in prop::collection::vec(0u16..=u16::MAX, 0..300),
+            mode in 0u8..5,
+            at in 0u32..=u32::MAX,
+        ) {
+            let code = HuffmanCode::from_lengths(&length_table(kind, &picks)).unwrap();
+            let coded: Vec<u8> = (0..=255u8).filter(|&s| code.lengths[s as usize] > 0).collect();
+            let data: Vec<u8> = if coded.is_empty() {
+                Vec::new()
+            } else {
+                msg.iter().map(|&m| coded[m as usize % coded.len()]).collect()
+            };
+            let mut w = BitWriter::new();
+            code.encode(&data, &mut w).unwrap();
+            let mut bytes = w.finish();
+            let mut count = data.len();
+            let at = at as usize;
+            match mode {
+                0 => {}
+                1 => bytes.truncate(at % (bytes.len() + 1)),
+                2 if !bytes.is_empty() => {
+                    for k in 0..1 + at % 3 {
+                        let bit = (at / 3 + 977 * k) % (8 * bytes.len());
+                        bytes[bit / 8] ^= 0x80 >> (bit % 8);
+                    }
+                }
+                3 => count += 1 + at % 8,
+                _ => bytes = msg.iter().map(|&m| m as u8).collect(),
+            }
+            let (mut fast, mut slow) = (BitReader::new(&bytes), BitReader::new(&bytes));
+            let got = code.decode(&mut fast, count).map_err(|e| e.to_string());
+            let want = decode_bit_serial(&code, &mut slow, count).map_err(|e| e.to_string());
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(fast.position_bits(), slow.position_bits());
+        }
+    }
+
+    #[test]
+    fn long_codes_take_the_slow_path() {
+        let picks: Vec<(u8, u8)> = (0..40u8).map(|s| (s, 1)).collect();
+        let code = HuffmanCode::from_lengths(&length_table(1, &picks)).unwrap();
+        assert_eq!(code.lengths.iter().max(), Some(&(MAX_LEN as u8)));
+        assert!(code.lengths.iter().any(|&l| l as usize == PRIMARY_BITS + 1));
+        let data: Vec<u8> = (0..40u8).rev().cycle().take(400).collect();
+        let mut w = BitWriter::new();
+        code.encode(&data, &mut w).unwrap();
+        let bytes = w.finish();
+        assert_eq!(code.decode(&mut BitReader::new(&bytes), data.len()).unwrap(), data);
+    }
+
+    #[test]
+    fn decode_errors_name_their_cause() {
+        // A single 1-bit code "0": a run of 1-bits matches nothing.
+        let mut lengths = [0u8; 256];
+        lengths[7] = 1;
+        let code = HuffmanCode::from_lengths(&lengths).unwrap();
+        let mut r = BitReader::new(&[0x00, 0xFF, 0xFF]);
+        let err = code.decode(&mut r, 9).unwrap_err().to_string();
+        assert!(err.contains("invalid Huffman code"), "{err}");
+        assert_eq!(r.position_bits(), 8 + MAX_LEN);
+        let mut r = BitReader::new(&[0x00, 0xFF]);
+        let err = code.decode(&mut r, 9).unwrap_err().to_string();
+        assert!(err.contains("truncated Huffman stream"), "{err}");
+        assert_eq!(r.position_bits(), 16);
+    }
 
     fn freq_of(data: &[u8]) -> [u64; 256] {
         let mut f = [0u64; 256];

@@ -15,9 +15,10 @@ use bytes::{BufMut, BytesMut};
 #[derive(Debug, Default)]
 pub struct BitWriter {
     buf: BytesMut,
-    /// Bits accumulated in `current`, from the MSB down.
-    current: u8,
-    filled: u8,
+    /// Pending bits, the newest in the low `filled` bits (`filled < 8`
+    /// between calls: whole bytes go to `buf` as soon as they form).
+    acc: u64,
+    filled: u32,
 }
 
 impl BitWriter {
@@ -28,11 +29,10 @@ impl BitWriter {
 
     /// Append a single bit.
     pub fn put_bit(&mut self, bit: bool) {
-        self.current = (self.current << 1) | (bit as u8);
+        self.acc = (self.acc << 1) | bit as u64;
         self.filled += 1;
         if self.filled == 8 {
-            self.buf.put_u8(self.current);
-            self.current = 0;
+            self.buf.put_u8(self.acc as u8);
             self.filled = 0;
         }
     }
@@ -40,8 +40,18 @@ impl BitWriter {
     /// Append the low `n` bits of `value`, MSB first.
     pub fn put_bits(&mut self, value: u64, n: u32) {
         debug_assert!(n <= 64);
-        for i in (0..n).rev() {
-            self.put_bit((value >> i) & 1 == 1);
+        if n > 32 {
+            // Two halves keep `acc` (< 8 pending + ≤ 32 new bits) in range.
+            self.put_bits(value >> 32, n - 32);
+            self.put_bits(value, 32);
+            return;
+        }
+        self.acc = (self.acc << n) | (value & ((1u64 << n) - 1));
+        self.filled += n;
+        while self.filled >= 8 {
+            self.filled -= 8;
+            // Bits above the byte are older ones, already flushed.
+            self.buf.put_u8((self.acc >> self.filled) as u8);
         }
     }
 
@@ -53,14 +63,18 @@ impl BitWriter {
     /// Flush the final partial byte (zero-padded) and return the buffer.
     pub fn finish(mut self) -> Vec<u8> {
         if self.filled > 0 {
-            self.current <<= 8 - self.filled;
-            self.buf.put_u8(self.current);
+            self.buf.put_u8((self.acc << (8 - self.filled)) as u8);
         }
         self.buf.to_vec()
     }
 }
 
 /// MSB-first bit reader over a byte slice.
+///
+/// Besides bit-at-a-time reads it offers a lookahead window —
+/// [`Self::peek_bits`] then [`Self::consume`] — so a table-driven decoder
+/// can look at the next code's worth of bits in one load and advance by
+/// the code's actual length.
 #[derive(Debug)]
 pub struct BitReader<'a> {
     data: &'a [u8],
@@ -68,6 +82,10 @@ pub struct BitReader<'a> {
 }
 
 impl<'a> BitReader<'a> {
+    /// Widest [`Self::peek_bits`] window: a 64-bit load less the up to 7
+    /// bits already consumed from its first byte.
+    pub const MAX_PEEK: u32 = 57;
+
     /// Read from the start of `data`.
     pub fn new(data: &'a [u8]) -> Self {
         BitReader { data, pos_bits: 0 }
@@ -83,6 +101,33 @@ impl<'a> BitReader<'a> {
         self.pos_bits
     }
 
+    /// The next `n ≤ MAX_PEEK` bits MSB-first in the low bits of a u64,
+    /// without advancing. Bits past the end of the stream read as zero;
+    /// compare against [`Self::remaining_bits`] to tell them apart.
+    #[inline]
+    pub fn peek_bits(&self, n: u32) -> u64 {
+        assert!(n <= Self::MAX_PEEK, "peek of {n} bits exceeds {}", Self::MAX_PEEK);
+        let byte = self.pos_bits / 8;
+        let word = match self.data.get(byte..byte + 8) {
+            Some(w) => u64::from_be_bytes(w.try_into().expect("8-byte slice")),
+            None => {
+                let tail = &self.data[byte..];
+                let mut w = [0u8; 8];
+                w[..tail.len()].copy_from_slice(tail);
+                u64::from_be_bytes(w)
+            }
+        };
+        (word << (self.pos_bits % 8)).checked_shr(64 - n).unwrap_or(0)
+    }
+
+    /// Advance past `n` bits, which must not exceed
+    /// [`Self::remaining_bits`].
+    #[inline]
+    pub fn consume(&mut self, n: usize) {
+        assert!(n <= self.remaining_bits(), "consume of {n} bits past end of stream");
+        self.pos_bits += n;
+    }
+
     /// Read one bit; `None` at end of stream.
     pub fn get_bit(&mut self) -> Option<bool> {
         if self.pos_bits >= self.data.len() * 8 {
@@ -94,11 +139,22 @@ impl<'a> BitReader<'a> {
         Some(bit == 1)
     }
 
-    /// Read `n` bits MSB-first into the low bits of a u64.
+    /// Read `n ≤ 64` bits MSB-first into the low bits of a u64. `None`
+    /// when fewer than `n` remain, leaving the reader at end of stream
+    /// (where a bit-at-a-time read would have stopped).
     pub fn get_bits(&mut self, n: u32) -> Option<u64> {
+        debug_assert!(n <= 64);
+        if n as usize > self.remaining_bits() {
+            self.pos_bits = self.data.len() * 8;
+            return None;
+        }
         let mut v = 0u64;
-        for _ in 0..n {
-            v = (v << 1) | (self.get_bit()? as u64);
+        let mut left = n;
+        while left > 0 {
+            let take = left.min(32);
+            v = (v << take) | self.peek_bits(take);
+            self.consume(take as usize);
+            left -= take;
         }
         Some(v)
     }
@@ -121,6 +177,7 @@ pub fn negabinary_to_int(u: u32) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn roundtrip_single_bits() {
@@ -157,6 +214,72 @@ mod tests {
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.get_bits(8), Some(0xFF));
+        assert_eq!(r.get_bit(), None);
+    }
+
+    /// The bit-at-a-time read that `get_bits` replaced.
+    fn get_bits_per_bit(r: &mut BitReader, n: u32) -> Option<u64> {
+        let mut v = 0u64;
+        for _ in 0..n {
+            v = (v << 1) | r.get_bit()? as u64;
+        }
+        Some(v)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `put_bits`/`get_bits` move whole words but write the same bytes
+        /// and read the same values, to the same positions, as the per-bit
+        /// `put_bit`/`get_bit` path — reads past the end included.
+        #[test]
+        fn word_bitio_matches_per_bit_path(
+            ops in prop::collection::vec((0u64..=u64::MAX, 0u32..=64), 0..48),
+            overrun in 0u32..=64,
+        ) {
+            let (mut fast, mut slow) = (BitWriter::new(), BitWriter::new());
+            for &(v, n) in &ops {
+                fast.put_bits(v, n);
+                for i in (0..n).rev() {
+                    slow.put_bit((v >> i) & 1 == 1);
+                }
+                prop_assert_eq!(fast.bit_len(), slow.bit_len());
+            }
+            let bytes = fast.finish();
+            prop_assert_eq!(&bytes, &slow.finish());
+
+            let (mut a, mut b) = (BitReader::new(&bytes), BitReader::new(&bytes));
+            let widths = ops.iter().map(|&(_, n)| n).chain([overrun, 1]);
+            for (k, n) in widths.enumerate() {
+                if n <= BitReader::MAX_PEEK && n as usize <= a.remaining_bits() {
+                    let peeked = a.peek_bits(n);
+                    prop_assert_eq!(Some(peeked), get_bits_per_bit(&mut b, n));
+                    prop_assert_eq!(a.get_bits(n), Some(peeked));
+                } else {
+                    prop_assert_eq!(a.get_bits(n), get_bits_per_bit(&mut b, n));
+                }
+                if let Some(&(v, _)) = ops.get(k) {
+                    let mask = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
+                    prop_assert_eq!(a.position_bits(), b.position_bits());
+                    let mut c = BitReader::new(&bytes);
+                    c.consume(a.position_bits() - n as usize);
+                    prop_assert_eq!(c.get_bits(n), Some(v & mask));
+                }
+                prop_assert_eq!(a.position_bits(), b.position_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn peek_zero_fills_past_the_end() {
+        let bytes = [0b1010_0000u8];
+        let mut r = BitReader::new(&bytes);
+        r.consume(1);
+        assert_eq!(r.peek_bits(3), 0b010);
+        assert_eq!(r.peek_bits(12), 0b0100_0000_0000);
+        assert_eq!(r.peek_bits(0), 0);
+        r.consume(7);
+        assert_eq!(r.peek_bits(BitReader::MAX_PEEK), 0);
         assert_eq!(r.get_bit(), None);
     }
 

@@ -102,24 +102,37 @@ pub fn assemble_rings(
     let cs = read_cf * nb;
     let mut data = vec![0.0f32; samples * channels * cs * cs];
     for (r, vals) in rings.iter().enumerate().take(read_cf) {
-        let cells = ring_cells(r);
-        let mut src = vals.iter();
-        for s in 0..samples {
-            for c in 0..channels {
-                let plane = (s * channels + c) * cs * cs;
-                for bi in 0..nb {
-                    for bj in 0..nb {
-                        for &(i, j) in &cells {
-                            data[plane + (bi * read_cf + i) * cs + (bj * read_cf + j)] =
-                                *src.next().expect("length checked above");
-                        }
-                    }
-                }
-            }
-        }
+        scatter_ring(&mut data, vals, |v| v, nb, read_cf, r);
     }
     Ok(Tensor::from_vec(data, [samples, channels, cs, cs])
         .map_err(aicomp_core::CoreError::Tensor)?)
+}
+
+/// Write ring `r`'s values, in scan order, to their cells of `out`: the
+/// `[S, C, cs, cs]` coefficient buffer at chop factor `read_cf`, with
+/// `cs = read_cf·nb`. `vals` holds [`ring_values`] of them; `to_f32` turns
+/// each into its coefficient. The one copy of the ring layout on the read
+/// side, shared by [`assemble_rings`] and the fused chunk decode.
+pub(crate) fn scatter_ring<T: Copy>(
+    out: &mut [f32],
+    vals: &[T],
+    to_f32: impl Fn(T) -> f32,
+    nb: usize,
+    read_cf: usize,
+    r: usize,
+) {
+    let cs = read_cf * nb;
+    let cells: Vec<usize> = ring_cells(r).into_iter().map(|(i, j)| i * cs + j).collect();
+    let per_plane = nb * nb * cells.len();
+    assert_eq!(vals.len() * cs * cs, out.len() * per_plane, "ring {r} does not fit the buffer");
+    for (plane, src) in out.chunks_exact_mut(cs * cs).zip(vals.chunks_exact(per_plane)) {
+        for (b, block) in src.chunks_exact(cells.len()).enumerate() {
+            let corner = (b / nb * cs + b % nb) * read_cf;
+            for (&cell, &v) in cells.iter().zip(block) {
+                plane[corner + cell] = to_f32(v);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 
 use aicomp_tensor::Tensor;
 
-use crate::bands::{assemble_rings, gather_rings, ring_values};
+use crate::bands::{gather_rings, ring_values, scatter_ring};
 use crate::entropy::{PlaneCodes, TABLES_LEN};
 use crate::layout::Header;
 use crate::{Result, StoreError};
@@ -103,16 +103,22 @@ pub fn decode_sections(
     if section_bytes.len() < prelude.prefix_len(read_cf) {
         return Err(StoreError::Format("chunk sections truncated".into()));
     }
+    // Each ring decodes into one reused scratch of f32 bit patterns and is
+    // scattered from there straight into the coefficient buffer.
     let (channels, nb) = (header.channels as usize, header.blocks_per_side());
-    let mut rings = Vec::with_capacity(read_cf);
+    let cs = read_cf * nb;
+    let mut data = vec![0.0f32; samples * channels * cs * cs];
+    let mut words = Vec::with_capacity(ring_values(samples, channels, nb, read_cf - 1));
     let mut at = 0usize;
     for (r, &len) in prelude.section_lens.iter().enumerate().take(read_cf) {
         let len = len as usize;
-        let section = &section_bytes[at..at + len];
-        rings.push(prelude.codes.decode(section, ring_values(samples, channels, nb, r))?);
+        words.resize(ring_values(samples, channels, nb, r), 0);
+        prelude.codes.decode_words(&section_bytes[at..at + len], &mut words)?;
+        scatter_ring(&mut data, &words, f32::from_bits, nb, read_cf, r);
         at += len;
     }
-    assemble_rings(&rings, samples, channels, nb, read_cf)
+    Ok(Tensor::from_vec(data, [samples, channels, cs, cs])
+        .map_err(aicomp_core::CoreError::Tensor)?)
 }
 
 /// Decode a full chunk blob (prelude + all sections) at fidelity `read_cf`.
@@ -141,7 +147,120 @@ pub fn decode_chunk(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bands::assemble_rings;
     use aicomp_core::{ChopCompressor, CodecSpec};
+    use proptest::prelude::*;
+
+    /// The decode the fused path replaced: a `Vec<f32>` per ring from
+    /// `decode_ring`, then `assemble_rings`.
+    fn decode_sections_per_ring(
+        prelude: &ChunkPrelude,
+        section_bytes: &[u8],
+        header: &Header,
+        samples: usize,
+        read_cf: usize,
+        decode_ring: impl Fn(&PlaneCodes, &[u8], usize) -> Result<Vec<f32>>,
+    ) -> Result<Tensor> {
+        let cf = header.cf();
+        if read_cf == 0 || read_cf > cf {
+            return Err(StoreError::InvalidArg(format!(
+                "read chop factor {read_cf} outside 1..={cf}"
+            )));
+        }
+        if section_bytes.len() < prelude.prefix_len(read_cf) {
+            return Err(StoreError::Format("chunk sections truncated".into()));
+        }
+        let (channels, nb) = (header.channels as usize, header.blocks_per_side());
+        let mut rings = Vec::with_capacity(read_cf);
+        let mut at = 0usize;
+        for (r, &len) in prelude.section_lens.iter().enumerate().take(read_cf) {
+            let len = len as usize;
+            let section = &section_bytes[at..at + len];
+            let count = ring_values(samples, channels, nb, r);
+            rings.push(decode_ring(&prelude.codes, section, count)?);
+            at += len;
+        }
+        assemble_rings(&rings, samples, channels, nb, read_cf)
+    }
+
+    /// A decode's outcome in comparable form: dims and coefficient bits,
+    /// or the error's text.
+    fn outcome(r: Result<Tensor>) -> std::result::Result<(Vec<usize>, Vec<u32>), String> {
+        r.map(|t| (t.dims().to_vec(), t.data().iter().map(|v| v.to_bits()).collect()))
+            .map_err(|e| e.to_string())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Fused `decode_sections` equals per-ring `PlaneCodes::decode` +
+        /// `assemble_rings` bit for bit at every fidelity, and fails with the same error on
+        /// truncated, bit-flipped or misframed sections and wrong sample
+        /// counts.
+        #[test]
+        fn fused_decode_sections_matches_per_ring_reference(
+            (samples, channels, n) in (1usize..4, 1u32..3, 1usize..3),
+            cf in 1usize..=8,
+            rc in 0usize..64,
+            seed in prop::collection::vec(0u32..=u32::MAX, 16),
+            dct_like in 0u8..2,
+            mode in 0u8..5,
+            at in 0u32..=u32::MAX,
+        ) {
+            let n = 8 * n;
+            // Mostly a stored fidelity; now and then one outside 1..=cf.
+            let read_cf = match rc % 16 {
+                0 => 0,
+                1 => cf + 1,
+                _ => 1 + rc % cf,
+            };
+            let h = header(n as u32, channels, cf as u32);
+            let cs = cf * n / 8;
+            let total = samples * channels as usize * cs * cs;
+            let vals: Vec<f32> = (0..total)
+                .map(|i| {
+                    let v = seed[i % 16].wrapping_mul(2 * i as u32 + 1).rotate_left(i as u32 / 16);
+                    if dct_like == 1 {
+                        ((v % 61) as f32 - 30.0) / (1 + i % cs) as f32
+                    } else {
+                        f32::from_bits(v)
+                    }
+                })
+                .collect();
+            let y = Tensor::from_vec(vals, [samples, channels as usize, cs, cs]).unwrap();
+            let bytes = encode_chunk(&y, cf).unwrap();
+            let plen = prelude_len(cf);
+            let mut prelude = decode_prelude(&bytes[..plen], &h).unwrap();
+            let mut sections = bytes[plen..].to_vec();
+            let mut s = samples;
+            let at = at as usize;
+            match mode {
+                0 => {}
+                1 => sections.truncate(at % (sections.len() + 1)),
+                2 => {
+                    let bit = at % (8 * sections.len());
+                    sections[bit / 8] ^= 0x80 >> (bit % 8);
+                }
+                3 => s = if at.is_multiple_of(2) { samples + 1 } else { samples - 1 },
+                _ => {
+                    // Move a section boundary: one ring loses bytes to the next.
+                    let r = at % cf;
+                    let shift = (1 + at / 8 % 3) as u32;
+                    prelude.section_lens[r] = prelude.section_lens[r].saturating_sub(shift);
+                    if r + 1 < cf {
+                        prelude.section_lens[r + 1] += shift;
+                    }
+                }
+            }
+            let got = outcome(decode_sections(&prelude, &sections, &h, s, read_cf));
+            // Against the public per-ring decode, and against the
+            // plane-by-plane decode it replaced.
+            for ring in [PlaneCodes::decode, PlaneCodes::decode_per_plane] {
+                let want = decode_sections_per_ring(&prelude, &sections, &h, s, read_cf, ring);
+                prop_assert_eq!(&got, &outcome(want));
+            }
+        }
+    }
 
     fn header(n: u32, channels: u32, cf: u32) -> Header {
         Header {

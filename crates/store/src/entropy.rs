@@ -100,14 +100,43 @@ impl PlaneCodes {
 
     /// Decode a section of exactly `count` values.
     pub fn decode(&self, bytes: &[u8], count: usize) -> Result<Vec<f32>> {
+        let mut words = vec![0u32; count];
+        self.decode_words(bytes, &mut words)?;
+        Ok(words.into_iter().map(f32::from_bits).collect())
+    }
+
+    /// Decode a section of exactly `words.len()` values into `words` as f32
+    /// bit patterns. Each plane's bytes are ORed into place, so no plane
+    /// buffer exists and a caller can reuse `words` from ring to ring.
+    pub(crate) fn decode_words(&self, bytes: &[u8], words: &mut [u32]) -> Result<()> {
+        words.fill(0);
+        let mut r = BitReader::new(bytes);
+        for (p, code) in self.codes.iter().enumerate() {
+            let shift = 8 * p;
+            code.decode_into(&mut r, words, |w, b| *w |= (b as u32) << shift)?;
+        }
+        // A well-formed section is fully consumed up to its zero padding;
+        // anything else means the stream desynced (corruption, or a caller
+        // asking for the wrong value count).
+        let left = r.remaining_bits();
+        if left >= 8 {
+            return Err(StoreError::Format(format!("section leaves {left} unread bits")));
+        }
+        if r.peek_bits(left as u32) != 0 {
+            return Err(StoreError::Format("nonzero padding bits in section".into()));
+        }
+        Ok(())
+    }
+
+    /// The section decode the fused one replaced: a `Vec<u8>` per plane,
+    /// the padding read bit by bit, then the planes zipped into values.
+    #[cfg(test)]
+    pub(crate) fn decode_per_plane(&self, bytes: &[u8], count: usize) -> Result<Vec<f32>> {
         let mut r = BitReader::new(bytes);
         let mut planes = Vec::with_capacity(PLANES);
         for code in &self.codes {
             planes.push(code.decode(&mut r, count)?);
         }
-        // A well-formed section is fully consumed up to its zero padding;
-        // anything else means the stream desynced (corruption, or a caller
-        // asking for the wrong value count).
         if r.remaining_bits() >= 8 {
             return Err(StoreError::Format(format!(
                 "section leaves {} unread bits",

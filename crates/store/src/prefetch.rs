@@ -10,7 +10,10 @@
 //! consumer reorders them with a small buffer so chunks arrive in file
 //! order regardless of which worker finished first.
 //!
-//! Memory is bounded by `lookahead + workers + reorder window` chunks.
+//! Memory is bounded by `max(lookahead, workers)` decoded chunks, plus the
+//! one the caller holds: a worker may only start a chunk within that many
+//! of the next one the consumer hands on, so a worker that stalls cannot
+//! let the others fill the reorder buffer behind it.
 //!
 //! ## Failure handling
 //!
@@ -41,8 +44,8 @@ use std::fs::File;
 use std::io::BufReader;
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use aicomp_tensor::Tensor;
@@ -102,7 +105,8 @@ impl ChunkFidelity {
 pub struct PrefetchConfig {
     /// Decoder threads.
     pub workers: usize,
-    /// Decoded chunks the channel may buffer ahead of the consumer.
+    /// Chunks the loader may decode ahead of the consumer: the channel's
+    /// capacity, and the claim window when it is at least `workers`.
     pub lookahead: usize,
     /// Read at this chop factor instead of the stored one (progressive
     /// prefix reads); `None` reads full fidelity.
@@ -154,17 +158,59 @@ type Meta = (Header, Vec<IndexEntry>);
 pub struct PrefetchLoader {
     rx: Option<Receiver<(usize, Result<PrefetchedChunk>)>>,
     workers: Vec<JoinHandle<()>>,
-    /// Tells workers to stop claiming chunks. Without it, a dropped loader
-    /// still joins (closing the channel fails pending sends), but each
-    /// worker first *finishes decoding the chunk it already claimed* — for
-    /// large chunks that is seconds of wasted work per worker, and an
-    /// epoch-loop rewind ([`crate::StoreBatchSource`]) pays it on every
-    /// restart. The flag bounds drop latency to the in-flight I/O op.
-    cancel: Arc<AtomicBool>,
+    /// Admits each claimed chunk once it is within the window, and tells
+    /// workers to stop when the loader is dropped.
+    gate: Arc<ClaimGate>,
     /// Reorder buffer for chunks that finished ahead of their turn.
     pending: BTreeMap<usize, Result<PrefetchedChunk>>,
     next: usize,
     chunk_count: usize,
+}
+
+/// Holds workers to chunks within `window` of the next one the consumer
+/// hands on, and carries the loader's cancellation.
+///
+/// Cancellation matters: without it a dropped loader still joins (closing
+/// the channel fails pending sends), but each worker first *finishes
+/// decoding the chunk it already claimed* — for large chunks that is
+/// seconds of wasted work per worker, and an epoch-loop rewind
+/// ([`crate::StoreBatchSource`]) pays it on every restart. Closing the gate
+/// bounds drop latency to the in-flight I/O op.
+#[derive(Debug)]
+struct ClaimGate {
+    window: usize,
+    /// Chunks handed to the caller so far, and whether the loader is gone.
+    /// Each update is a single assignment, so a poisoned lock still holds a
+    /// consistent state.
+    state: Mutex<(usize, bool)>,
+    moved: Condvar,
+}
+
+impl ClaimGate {
+    fn new(window: usize) -> Self {
+        ClaimGate { window, state: Mutex::new((0, false)), moved: Condvar::new() }
+    }
+
+    /// Wait until `chunk` is within the window; `false` once closed.
+    fn admit(&self, chunk: usize) -> bool {
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        while !st.1 && chunk >= st.0 + self.window {
+            st = self.moved.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+        !st.1
+    }
+
+    /// One more chunk handed to the caller.
+    fn advance(&self) {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).0 += 1;
+        self.moved.notify_all();
+    }
+
+    /// Stop admitting chunks and wake every waiting worker.
+    fn close(&self) {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).1 = true;
+        self.moved.notify_all();
+    }
 }
 
 impl PrefetchLoader {
@@ -191,12 +237,12 @@ impl PrefetchLoader {
         let workers_n = cfg.workers.max(1);
         let (tx, rx) = bounded(cfg.lookahead.max(1));
         let cursor = Arc::new(AtomicUsize::new(0));
-        let cancel = Arc::new(AtomicBool::new(false));
+        let gate = Arc::new(ClaimGate::new(cfg.lookahead.max(workers_n)));
         let mut workers = Vec::with_capacity(workers_n);
         for _ in 0..workers_n {
             let tx = tx.clone();
             let cursor = Arc::clone(&cursor);
-            let cancel = Arc::clone(&cancel);
+            let gate = Arc::clone(&gate);
             let meta = Arc::clone(&meta);
             let path = path.clone();
             workers.push(std::thread::spawn(move || {
@@ -204,7 +250,7 @@ impl PrefetchLoader {
                 let mut reader: Option<FaultyReader> = None;
                 loop {
                     let chunk = cursor.fetch_add(1, Ordering::Relaxed);
-                    if chunk >= meta.1.len() || cancel.load(Ordering::Relaxed) {
+                    if chunk >= meta.1.len() || !gate.admit(chunk) {
                         return;
                     }
                     // A panicking decode must not lose the claimed index —
@@ -243,7 +289,7 @@ impl PrefetchLoader {
         Ok(PrefetchLoader {
             rx: Some(rx),
             workers,
-            cancel,
+            gate,
             pending: BTreeMap::new(),
             next: 0,
             chunk_count,
@@ -263,6 +309,7 @@ impl PrefetchLoader {
         loop {
             if let Some(ready) = self.pending.remove(&self.next) {
                 self.next += 1;
+                self.gate.advance();
                 return Some(ready);
             }
             let rx = self.rx.as_ref()?;
@@ -382,10 +429,11 @@ impl Iterator for PrefetchLoader {
 
 impl Drop for PrefetchLoader {
     fn drop(&mut self) {
-        // Cancel first so workers stop claiming fresh chunks, then drop the
-        // receiver so pending sends fail, unblocking any worker waiting on
-        // the bounded channel; only then is joining safe and bounded.
-        self.cancel.store(true, Ordering::Relaxed);
+        // Close the gate first so workers stop claiming fresh chunks (and
+        // any waiting on it wake), then drop the receiver so pending sends
+        // fail, unblocking any worker waiting on the bounded channel; only
+        // then is joining safe and bounded.
+        self.gate.close();
         self.rx = None;
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -442,6 +490,29 @@ mod tests {
     }
 
     #[test]
+    fn claim_gate_holds_workers_to_the_window() {
+        let gate = Arc::new(ClaimGate::new(2));
+        assert!(gate.admit(0) && gate.admit(1));
+        let waiter = |chunk| {
+            let (g, (tx, rx)) = (Arc::clone(&gate), std::sync::mpsc::channel());
+            let h = std::thread::spawn(move || tx.send(g.admit(chunk)).unwrap());
+            (h, rx)
+        };
+        // Chunk 2 is outside a window of 2 until the consumer hands one on.
+        let (h, rx) = waiter(2);
+        assert!(rx.recv_timeout(std::time::Duration::from_millis(50)).is_err());
+        gate.advance();
+        assert_eq!(rx.recv(), Ok(true));
+        h.join().unwrap();
+        // Closing releases a waiter, refused.
+        let (h, rx) = waiter(9);
+        gate.close();
+        assert_eq!(rx.recv(), Ok(false));
+        h.join().unwrap();
+        assert!(!gate.admit(0), "a closed gate admits nothing");
+    }
+
+    #[test]
     fn progressive_prefetch_matches_direct_chop() {
         let path = temp_path("prog");
         let opts = StoreOptions::dct(16, 6, 1, 3);
@@ -474,10 +545,10 @@ mod tests {
         let mut loader = PrefetchLoader::open(&path, cfg).unwrap();
         let first = loader.next_chunk().unwrap().unwrap();
         assert_eq!(first.chunk, 0);
-        // Every worker holds a clone of the cancel flag; zero strong refs
+        // Every worker holds a clone of the claim gate; zero strong refs
         // after the drop proves all worker threads actually exited (joined,
         // not leaked) rather than racing on toward the remaining 11 chunks.
-        let workers_alive = Arc::downgrade(&loader.cancel);
+        let workers_alive = Arc::downgrade(&loader.gate);
         drop(loader); // must not hang on blocked senders
         assert_eq!(workers_alive.strong_count(), 0, "worker threads leaked past drop");
         std::fs::remove_file(&path).ok();
@@ -495,7 +566,7 @@ mod tests {
         let loader = PrefetchLoader::open(&path, cfg).unwrap();
         // Give workers time to claim chunks and jam the bounded channel.
         std::thread::sleep(std::time::Duration::from_millis(20));
-        let workers_alive = Arc::downgrade(&loader.cancel);
+        let workers_alive = Arc::downgrade(&loader.gate);
         drop(loader);
         assert_eq!(workers_alive.strong_count(), 0, "worker threads leaked past drop");
         std::fs::remove_file(&path).ok();
