@@ -42,14 +42,38 @@ fn bench_decompress_by_cf(c: &mut Criterion) {
     group.finish();
 }
 
+/// Resolutions of the flat-in-n check: with the block-span gemm, MB/s at
+/// cf=4 should stay roughly level from n=32 to n=512 in both directions.
+const RESOLUTIONS: [usize; 5] = [32, 64, 128, 256, 512];
+
+/// About 3 MB of input per resolution, so every n times the same bytes.
+fn slices_for(n: usize) -> usize {
+    (768 * 1024 / (n * n)).max(1)
+}
+
 fn bench_compress_by_resolution(c: &mut Criterion) {
     let mut group = c.benchmark_group("compress_by_resolution");
-    for n in [32usize, 64, 128] {
-        let x = batch(12, n);
+    for n in RESOLUTIONS {
+        let x = batch(slices_for(n), n);
         group.throughput(Throughput::Bytes(x.size_bytes() as u64));
         let comp = ChopCompressor::new(n, 4).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| comp.compress(&x).unwrap())
+        });
+    }
+    group.finish();
+}
+
+fn bench_decompress_by_resolution(c: &mut Criterion) {
+    let mut group = c.benchmark_group("decompress_by_resolution");
+    for n in RESOLUTIONS {
+        let x = batch(slices_for(n), n);
+        // Throughput in reconstructed (uncompressed) bytes, as for compress.
+        group.throughput(Throughput::Bytes(x.size_bytes() as u64));
+        let comp = ChopCompressor::new(n, 4).unwrap();
+        let y = comp.compress(&x).unwrap();
+        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
+            b.iter(|| comp.decompress(&y).unwrap())
         });
     }
     group.finish();
@@ -86,6 +110,7 @@ criterion_group!(
     bench_compress_by_cf,
     bench_decompress_by_cf,
     bench_compress_by_resolution,
+    bench_decompress_by_resolution,
     bench_partial_serialization,
     bench_scatter_gather
 );

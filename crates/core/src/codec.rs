@@ -583,6 +583,59 @@ mod tests {
         }
     }
 
+    /// FNV-1a (64-bit) over the little-endian bit patterns of `t`.
+    fn fnv1a_bits(t: &Tensor) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for v in t.data() {
+            for b in v.to_bits().to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Pins the exact output bits of every Chop-family codec. Stored
+    /// containers hold these coefficients, so a kernel change that moves a
+    /// single bit shows up here. The digests were recorded with the dense
+    /// gemm loop; the block-span kernel must reproduce them.
+    #[test]
+    fn codec_outputs_are_bit_stable() {
+        // (spec name, FNV-1a of compress output, FNV-1a of decompress output)
+        const PINNED: [(&str, u64, u64); 20] = [
+            ("dct2d-n32-cf2", 0x1f83ace99f21cd29, 0x4ad9ea3b2d5564bf),
+            ("dct2d-n32-cf4", 0xdbb574a84ba9b82e, 0x62058eba9e3d194d),
+            ("dct2d-n32-cf7", 0x27ad9de389551a93, 0xcf71d2094aaaa27e),
+            ("dct2d-n64-cf2", 0x0aecbd2e2ac3e944, 0x0eec3edbfb1a8fe3),
+            ("dct2d-n64-cf4", 0xb2cd7afd66c87670, 0xeaf9fb322bd63fb1),
+            ("dct2d-n64-cf7", 0x12f7d3e4c466d3f3, 0xf2cd0d06517ae3e1),
+            ("dct2d-n128-cf2", 0xf2749fd6ed09d3f4, 0x8b09677b764d9fc3),
+            ("dct2d-n128-cf4", 0xc3f9ba1476281f2b, 0x94086ed72a94125b),
+            ("dct2d-n128-cf7", 0x4cf360672a7bd897, 0xccdc2942a7383168),
+            ("dct2d-n256-cf2", 0x7cda5d81138c1ddd, 0xd242c959527596f5),
+            ("dct2d-n256-cf4", 0x6c4e6c9685c85c01, 0x37e0092c6eec98aa),
+            ("dct2d-n256-cf7", 0x15b65af8f6e4f8ef, 0x379a04055f619e03),
+            ("dct2d-n512-cf2", 0xe4a51eb12f71c8ef, 0xbf5bc8e4d014dbcd),
+            ("dct2d-n512-cf4", 0x83c4bdd8aa807884, 0xb1d67b782023b2ea),
+            ("dct2d-n512-cf7", 0x3c787c184609d93e, 0x6b01fa1b2b2df8c3),
+            ("zfp2d-n64-cf3", 0x9650c9210679695e, 0xf962cab4191472f7),
+            ("fmap-n64-cf4-q6", 0x07c73a452e247778, 0xa5a25cff49854d64),
+            ("chop1d-len256-cf3", 0xfebfa1fef3a7e198, 0x9dd4a13d27ae2bb2),
+            ("partial-n128-cf4-s2", 0xc3f9ba1476281f2b, 0x94086ed72a94125b),
+            ("sg-n64-cf5", 0xe23da4151aeff818, 0x881b2d67398401a9),
+        ];
+        let mut got = Vec::new();
+        for (name, _, _) in PINNED {
+            let codec = build_codec(name).unwrap();
+            let dims: Vec<usize> = std::iter::once(2usize).chain(codec.input_shape()).collect();
+            let mut rng = Tensor::seeded_rng(23);
+            let x = Tensor::rand_uniform(dims.as_slice(), -1.0, 1.0, &mut rng);
+            let y = codec.compress(&x).unwrap();
+            let back = codec.decompress(&y).unwrap();
+            got.push((name, fnv1a_bits(&y), fnv1a_bits(&back)));
+        }
+        assert_eq!(got, PINNED.to_vec());
+    }
+
     #[test]
     fn codec_shapes_and_ratio_match_legacy_accessors() {
         let chop = ChopCompressor::new(32, 4).unwrap();

@@ -582,7 +582,9 @@ fn reject_at_accept(shared: &Shared, stream: std::net::TcpStream) {
 
 fn classify(e: &StoreError) -> ErrorCode {
     match e {
-        StoreError::InvalidArg(_) | StoreError::Unsupported(_) => ErrorCode::BadRequest,
+        StoreError::InvalidArg(_) | StoreError::NonFinite { .. } | StoreError::Unsupported(_) => {
+            ErrorCode::BadRequest
+        }
         StoreError::Format(_) | StoreError::Core(_) | StoreError::Codec(_) => ErrorCode::Corrupt,
         StoreError::Io(_) | StoreError::Panic(_) => ErrorCode::Internal,
     }

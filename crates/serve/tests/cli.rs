@@ -93,6 +93,43 @@ fn pack_rejects_unknown_flags_and_writes_nothing() {
 }
 
 #[test]
+fn pack_rejects_non_finite_samples_and_writes_nothing() {
+    let raw = scratch("nonfinite.f32");
+    let out_path = scratch("nonfinite.dcz");
+    // Three 1×32×32 samples; sample 1 holds a NaN at element 100.
+    let mut floats = vec![0.25f32; 3 * 32 * 32];
+    floats[32 * 32 + 100] = f32::NAN;
+    let bytes: Vec<u8> = floats.iter().flat_map(|v| v.to_le_bytes()).collect();
+    std::fs::write(&raw, bytes).unwrap();
+    let out = dcz(&[
+        "pack",
+        "--input",
+        raw.to_str().unwrap(),
+        "--codec",
+        "dct2d-n32-cf4",
+        "--channels",
+        "1",
+        "--chunk",
+        "2",
+        "--out",
+        out_path.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("sample 1") && stderr.contains("element 100"), "{stderr}");
+    assert!(!out_path.exists(), "a rejected pack must not write {}", out_path.display());
+    let dir = out_path.parent().unwrap();
+    let name = out_path.file_name().unwrap().to_str().unwrap();
+    let leftovers: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .filter(|e| e.file_name().to_str().is_some_and(|f| f.starts_with(&format!(".{name}"))))
+        .collect();
+    assert!(leftovers.is_empty(), "temporary left behind: {leftovers:?}");
+    std::fs::remove_file(&raw).ok();
+}
+
+#[test]
 fn a_flag_missing_its_value_is_a_usage_error() {
     assert_usage_error(&dcz(&["codecs", "--n"]), "--n");
     assert_usage_error(&dcz(&["cluster", "suspect", "--addr", "127.0.0.1:1", "--ring"]), "--ring");

@@ -113,6 +113,9 @@ pub enum StoreError {
     Unsupported(String),
     /// Invalid API usage (shape mismatch, chop factor out of range, …).
     InvalidArg(String),
+    /// A sample pushed for packing holds a NaN or ±Inf: `element` is the
+    /// flat index of the first one within the `sample`-th pushed sample.
+    NonFinite { sample: u64, element: usize, value: f32 },
     /// Compressor-layer failure.
     Core(aicomp_core::CoreError),
     /// Entropy-coding failure.
@@ -144,6 +147,9 @@ impl std::fmt::Display for StoreError {
             StoreError::Format(msg) => write!(f, "malformed .dcz container: {msg}"),
             StoreError::Unsupported(msg) => write!(f, "unsupported .dcz feature: {msg}"),
             StoreError::InvalidArg(msg) => write!(f, "invalid argument: {msg}"),
+            StoreError::NonFinite { sample, element, value } => {
+                write!(f, "sample {sample} holds non-finite value {value} at element {element}")
+            }
             StoreError::Core(e) => write!(f, "compressor error: {e}"),
             StoreError::Codec(e) => write!(f, "entropy codec error: {e}"),
             StoreError::Panic(msg) => write!(f, "worker panic: {msg}"),

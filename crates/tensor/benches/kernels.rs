@@ -1,4 +1,4 @@
-//! Criterion benches for the tensor substrate's hot kernels: the blocked
+//! Criterion benches for the tensor substrate's hot kernels: the block-span
 //! parallel matmul (the compressor's entire compute), broadcast batched
 //! matmul, and im2col convolution.
 
