@@ -33,7 +33,7 @@
 //! the same store print an identical `chaos-counters:` line — CI diffs it.
 //!
 //! Any argument that is not one of the flags above (`--help` included)
-//! is a usage error: nonzero exit, no server, no record appended.
+//! is a usage error: nonzero exit, no server started.
 //!
 //! QoS modes: `--tenant <id> --weight <class>` files every connection
 //! under one tenant (the aggressor/victim halves of the CI `qos-smoke`
@@ -42,10 +42,9 @@
 //! one tenant's traffic replays from the seed alone. Either mode reports
 //! per-tenant ok/shed/degraded counts and p50/p99 latency, prints one
 //! machine-diffable `qos-counters:` line (CI greps the victim's
-//! `shed=0`), and appends a seeded record to `BENCH_serve.json`. Replies
-//! the brownout governor degraded are verified against the reference
-//! decode *at the fidelity they declare* — degradation must never mean
-//! wrong bits, only coarser ones.
+//! `shed=0`). Replies the brownout governor degraded are verified against
+//! the reference decode *at the fidelity they declare* — degradation must
+//! never mean wrong bits, only coarser ones.
 //!
 //! `--cluster <addr,addr,...>` drives a sharded cluster (e.g. one started
 //! by `dcz cluster`): every client is a ring-routing [`RobustClient`]
@@ -733,7 +732,6 @@ fn run() -> Result<bool, String> {
             total.disruptions,
         );
     }
-    let mut churn_fields: Vec<(&str, f64)> = Vec::new();
     if let Some((map, before)) = &churn_base {
         let report = churn_report.as_ref().expect("churn ran before the threads were joined");
         // Put the roster back at epoch+2 so a re-run of the same command
@@ -766,49 +764,9 @@ fn run() -> Result<bool, String> {
             total.hedges_lost,
             total.hedges_wasted,
         );
-        churn_fields.push(("map_pushes", delta[0] as f64));
-        churn_fields.push(("handoffs", delta[3] as f64));
-        churn_fields.push(("reconfig_pause_ms", report.pause.as_secs_f64() * 1e3));
-        churn_fields.push(("hedge_fraction", hedge));
-        churn_fields.push(("hedges_fired", total.hedges_fired as f64));
-        let win_rate = if total.hedges_fired > 0 {
-            total.hedges_won as f64 / total.hedges_fired as f64
-        } else {
-            0.0
-        };
-        churn_fields.push(("hedge_win_rate", win_rate));
     }
     let stats = control.stats().map_err(|e| e.to_string())?;
     println!("server stats:\n{stats}");
-
-    // Perf-trajectory log: one flat record per run so later sessions can
-    // diff serving throughput/latency over time (seeded → comparable).
-    // Churn runs additionally record the reconfiguration pause and the
-    // hedge win rate; comparing the p99 of a `mode=churn` record with
-    // hedging on against its hedge-off twin is the tail-at-scale figure.
-    let mut nums: Vec<(&str, f64)> = vec![
-        ("seed", seed as f64),
-        ("clients", clients as f64),
-        ("requests", requests as f64),
-        ("tenants", tenants as f64),
-        ("shards", cluster_seeds.as_ref().map_or(0.0, |s| s.len() as f64)),
-        ("redirects", total.redirects as f64),
-        ("ok", total.ok as f64),
-        ("shed", total.shed as f64),
-        ("degraded", total.degraded as f64),
-        ("failed", total.failed as f64),
-        ("mismatched", total.mismatched as f64),
-        ("fetches_per_s", total.ok as f64 / wall.as_secs_f64().max(1e-9)),
-        ("p50_ms", quantile(&total.latencies, 0.50).as_secs_f64() * 1e3),
-        ("p99_ms", quantile(&total.latencies, 0.99).as_secs_f64() * 1e3),
-    ];
-    nums.extend(churn_fields);
-    let log = aicomp_bench::append_bench_record(
-        "serve",
-        &[("bin", "loadgen"), ("mode", if churn { "churn" } else { "load" })],
-        &nums,
-    );
-    println!("appended run record to {}", log.display());
 
     if let Some(h) = handle {
         control.shutdown().map_err(|e| e.to_string())?;

@@ -23,7 +23,7 @@
 
 use std::sync::Arc;
 
-use aicomp_store::crc::crc32;
+use aicomp_store::crc::Crc32;
 
 use crate::protocol::{
     decode_request, encode_request, encode_response, ErrorCode, Request, Response, MAX_FRAME,
@@ -31,12 +31,13 @@ use crate::protocol::{
 };
 use crate::{Result, ServeError};
 
-/// CRC-32 of a frame's `opcode ++ body` (the trailing checksum).
+/// CRC-32 of a frame's `opcode ++ body` (the trailing checksum), hashed
+/// in place.
 pub fn frame_crc(op: u8, body: &[u8]) -> u32 {
-    let mut buf = Vec::with_capacity(1 + body.len());
-    buf.push(op);
-    buf.extend_from_slice(body);
-    crc32(&buf)
+    let mut crc = Crc32::new();
+    crc.update(&[op]);
+    crc.update(body);
+    crc.finish()
 }
 
 /// Encode one `(opcode, body)` frame to bytes, CRC trailer included.
@@ -98,18 +99,19 @@ impl FrameDecoder {
         if self.buf.len() < 4 + len as usize {
             return Ok(None);
         }
-        let mut frame: Vec<u8> = self.buf.drain(..4 + len as usize).collect();
-        frame.drain(..4);
-        let op = frame.remove(0);
-        let tail = frame.split_off(frame.len() - 4);
+        // Verify in place, then copy the body out once.
+        let end = 4 + len as usize;
+        let (op, body, tail) = (self.buf[4], &self.buf[5..end - 4], &self.buf[end - 4..end]);
         let want = u32::from_le_bytes(tail.try_into().unwrap());
-        let got = frame_crc(op, &frame);
+        let got = frame_crc(op, body);
         if got != want {
             return Err(ServeError::Protocol(format!(
                 "frame checksum mismatch (got {got:#010x}, want {want:#010x})"
             )));
         }
-        Ok(Some((op, frame)))
+        let body = body.to_vec();
+        self.buf.drain(..end);
+        Ok(Some((op, body)))
     }
 }
 

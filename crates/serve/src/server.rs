@@ -71,7 +71,9 @@ use crate::stats::{ServeStats, StatsReport};
 /// deployments; the `dcz serve` CLI exposes each as a flag.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Decompression worker threads.
+    /// Decompression worker threads. Each one owns a core and runs the
+    /// codec serially on it: parallelism comes from decoding one batch per
+    /// worker at once, not from splitting one batch's matmuls.
     pub workers: usize,
     /// Admission queue bound — beyond this, fetches are shed.
     pub queue_depth: usize,
@@ -461,7 +463,9 @@ impl Server {
             // closing the queue lets any workers that did start exit.
             let handle = thread::Builder::new()
                 .name(format!("serve-worker-{i}"))
-                .spawn(move || worker_loop(&worker_shared))
+                // The worker owns a core, so the codec's matmuls run inline
+                // on it instead of spawning threads per pass.
+                .spawn(move || rayon::in_worker(|| worker_loop(&worker_shared)))
                 .map_err(|e| {
                     shared.queue.close();
                     crate::ServeError::Io(e)

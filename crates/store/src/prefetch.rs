@@ -103,7 +103,9 @@ impl ChunkFidelity {
 /// Prefetching knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct PrefetchConfig {
-    /// Decoder threads.
+    /// Decoder threads. Each one owns a core and runs the codec serially
+    /// on it: parallelism comes from decoding `workers` chunks at once,
+    /// not from splitting one chunk's matmuls.
     pub workers: usize,
     /// Chunks the loader may decode ahead of the consumer: the channel's
     /// capacity, and the claim window when it is at least `workers`.
@@ -245,45 +247,49 @@ impl PrefetchLoader {
             let gate = Arc::clone(&gate);
             let meta = Arc::clone(&meta);
             let path = path.clone();
+            // Each worker owns a core, so the codec's matmuls run inline
+            // on it instead of spawning threads per chunk.
             workers.push(std::thread::spawn(move || {
-                // Opened lazily (and reopened after a panic poisons it).
-                let mut reader: Option<FaultyReader> = None;
-                loop {
-                    let chunk = cursor.fetch_add(1, Ordering::Relaxed);
-                    if chunk >= meta.1.len() || !gate.admit(chunk) {
-                        return;
-                    }
-                    // A panicking decode must not lose the claimed index —
-                    // the consumer's reorder buffer would wait on it
-                    // forever. Catch, surface in order, move on.
-                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        produce(&mut reader, &path, &cfg, &meta, chunk)
-                    }));
-                    let item = match outcome {
-                        Ok(res) => res,
-                        Err(payload) => {
-                            // Reader state is unknown mid-panic: drop it
-                            // and reopen on the next chunk.
-                            reader = None;
-                            Err(StoreError::Panic(panic_message(payload)))
+                rayon::in_worker(|| {
+                    // Opened lazily (and reopened after a panic poisons it).
+                    let mut reader: Option<FaultyReader> = None;
+                    loop {
+                        let chunk = cursor.fetch_add(1, Ordering::Relaxed);
+                        if chunk >= meta.1.len() || !gate.admit(chunk) {
+                            return;
                         }
-                    };
-                    let item = match item {
-                        Ok(c) => Ok(c),
-                        // Persistent transients mean the *source* is gone;
-                        // no policy should paper over that.
-                        Err(e) if e.is_transient() => Err(e),
-                        Err(e) => match cfg.policy {
-                            ReadPolicy::Fail => Err(e),
-                            ReadPolicy::SkipChunk | ReadPolicy::DegradeToPrefix => {
-                                zeros_chunk(&meta, chunk, &e)
+                        // A panicking decode must not lose the claimed index —
+                        // the consumer's reorder buffer would wait on it
+                        // forever. Catch, surface in order, move on.
+                        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                            produce(&mut reader, &path, &cfg, &meta, chunk)
+                        }));
+                        let item = match outcome {
+                            Ok(res) => res,
+                            Err(payload) => {
+                                // Reader state is unknown mid-panic: drop it
+                                // and reopen on the next chunk.
+                                reader = None;
+                                Err(StoreError::Panic(panic_message(payload)))
                             }
-                        },
-                    };
-                    if tx.send((chunk, item)).is_err() {
-                        return; // consumer dropped
+                        };
+                        let item = match item {
+                            Ok(c) => Ok(c),
+                            // Persistent transients mean the *source* is gone;
+                            // no policy should paper over that.
+                            Err(e) if e.is_transient() => Err(e),
+                            Err(e) => match cfg.policy {
+                                ReadPolicy::Fail => Err(e),
+                                ReadPolicy::SkipChunk | ReadPolicy::DegradeToPrefix => {
+                                    zeros_chunk(&meta, chunk, &e)
+                                }
+                            },
+                        };
+                        if tx.send((chunk, item)).is_err() {
+                            return; // consumer dropped
+                        }
                     }
-                }
+                })
             }));
         }
         Ok(PrefetchLoader {

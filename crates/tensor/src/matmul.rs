@@ -5,7 +5,10 @@
 //! kernel (`gemm_panel`) runs over contiguous row-major buffers, and the
 //! callers parallelize over row panels or batch slices with Rayon, following
 //! the HPC guide idioms (chunked slices, no per-element bounds checks in the
-//! inner loop). Each row of the right operand is swept only over the column
+//! inner loop). Called from a thread that already owns a core (a loader or
+//! server worker, see `rayon::in_worker`), the same loops run inline; every
+//! panel or slice is computed alone, so the result does not depend on the
+//! split. Each row of the right operand is swept only over the column
 //! span holding its nonzeros, so the block-structured Chop operators cost
 //! O(n²·CF) per pass instead of O(n³), with bit-identical results.
 
@@ -123,7 +126,7 @@ pub fn gemm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     let mut c = vec![0.0f32; m * n];
     let runs = row_runs(b, k, n);
     if m * n * k < 32 * 32 * 32 {
-        // Small problems: skip the thread-pool overhead.
+        // Small problems: skip the per-call thread spawn and join.
         gemm_panel(a, b, &runs, &mut c, k, n);
         return c;
     }
@@ -386,6 +389,43 @@ mod tests {
 
             let got = ab.bmm(&xb).unwrap();
             prop_assert_eq!(bits(got.data()), dense_batched(&a, &bs, batch, m, k, n));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// On a worker thread every entry point runs its panels or slices
+        /// inline, in order, and the result is bit-equal to the split one,
+        /// for single, even and odd batches.
+        #[test]
+        fn inline_matmuls_match_parallel(
+            (m, k, n) in (1usize..48, 1usize..96, 1usize..48),
+            batch in 1usize..10,
+            kind in 0u8..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let a = Tensor::from_vec(finite_vec(batch * m * k, &mut rng), [batch, m, k]).unwrap();
+            let b = Tensor::from_vec(structured(kind, k, n, &mut rng), [k, n]).unwrap();
+            let lhs = Tensor::from_vec(finite_vec(m * k, &mut rng), [m, k]).unwrap();
+            let xs: Vec<f32> = (0..batch).flat_map(|_| structured(kind, k, n, &mut rng)).collect();
+            let xs = Tensor::from_vec(xs, [batch, k, n]).unwrap();
+            let a_rows = Tensor::from_vec(a.data().to_vec(), [batch * m, k]).unwrap();
+            let run = || {
+                [
+                    a_rows.matmul(&b).unwrap(),
+                    a.matmul_broadcast(&b).unwrap(),
+                    xs.lmatmul_broadcast(&lhs).unwrap(),
+                    a.bmm(&xs).unwrap(),
+                ]
+                .map(|t| bits(t.data()))
+            };
+            let split = run();
+            let inline = rayon::in_worker(run);
+            for (s, i) in split.iter().zip(&inline) {
+                prop_assert_eq!(s, i);
+            }
         }
     }
 
