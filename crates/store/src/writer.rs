@@ -544,6 +544,47 @@ mod tests {
         std::fs::remove_file(&dest).ok();
     }
 
+    /// FNV-1a (64-bit) over `bytes`.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Pins the whole `DczWriter::pack` output, byte for byte: header,
+    /// preludes, Huffman sections, CRCs, index and footer. The inputs are
+    /// smooth seeded fields with noise, so the codes are skewed and the
+    /// sections end at varied bit offsets. The digests were recorded with
+    /// the symbol-at-a-time encoder; any faster encoder must reproduce them.
+    #[test]
+    fn packed_container_bytes_are_stable() {
+        // (spec, channels, chunk size, samples, FNV-1a of the container)
+        const PINNED: [(&str, usize, usize, usize, u64); 3] = [
+            ("dct2d-n32-cf4", 3, 4, 10, 0xa66c_a82d_1f5c_8a7f),
+            ("dct2d-n256-cf4", 1, 2, 3, 0x2e2e_4119_bc6a_9615),
+            ("zfp2d-n32-cf3", 2, 3, 7, 0x1e57_7510_ec41_71e7),
+        ];
+        let mut got = Vec::new();
+        for (name, channels, chunk_size, count, _) in PINNED {
+            let opts = StoreOptions { codec: name.parse().unwrap(), channels, chunk_size };
+            let n = opts.codec.build_chop().unwrap().resolution();
+            let mut rng = Tensor::seeded_rng(29);
+            let samples: Vec<Tensor> = (0..count)
+                .map(|i| {
+                    let mut t = Tensor::rand_uniform([channels, n, n], -0.05, 0.05, &mut rng);
+                    for (k, v) in t.data_mut().iter_mut().enumerate() {
+                        let (y, x) = ((k / n) % n, k % n);
+                        *v += ((x + 2 * y + i) % n) as f32 / n as f32 - 0.5;
+                    }
+                    t
+                })
+                .collect();
+            let (cur, _) = DczWriter::pack(Cursor::new(Vec::new()), &opts, samples).unwrap();
+            got.push((name, channels, chunk_size, count, fnv1a(&cur.into_inner())));
+        }
+        assert_eq!(got, PINNED.to_vec());
+    }
+
     #[test]
     fn injected_sink_crash_surfaces_as_error() {
         use crate::fault::{FaultPlan, FaultySink};
