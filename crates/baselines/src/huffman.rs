@@ -8,6 +8,12 @@
 //! (codes reconstructible from the length table alone, as in JPEG/DEFLATE),
 //! length-limited to 15 bits by frequency flattening.
 //!
+//! Encoding is one pass per run of symbols: [`HuffmanCode::encode_symbols`]
+//! looks each symbol's `(code, len)` up and hands the run to
+//! [`BitWriter::put_codes`], which keeps its accumulator in locals and
+//! stores whole 32-bit words. A symbol without a code only sets a flag in
+//! that loop; the error is built after the run.
+//!
 //! Decoding is table-driven, the libjpeg lookahead scheme: the next bits
 //! of the stream, taken with [`BitReader::peek_bits`], index a 1024-entry
 //! table that resolves every code of up to 10 bits in one lookup, and one
@@ -129,14 +135,38 @@ impl HuffmanCode {
 
     /// Encode a byte slice.
     pub fn encode(&self, data: &[u8], w: &mut BitWriter) -> Result<()> {
-        for &b in data {
+        self.encode_symbols(data.iter().copied(), w)
+    }
+
+    /// Encode a run of symbols in one [`BitWriter::put_codes`] pass — the
+    /// form that lets a caller derive each symbol on the fly.
+    ///
+    /// A symbol without a code only sets a flag in the loop; after the run,
+    /// the symbols are scanned again to name the first such one in the
+    /// error. The writer then holds an unspecified prefix of the run.
+    pub fn encode_symbols<I>(&self, symbols: I, w: &mut BitWriter) -> Result<()>
+    where
+        I: IntoIterator<Item = u8>,
+        I::IntoIter: Clone,
+    {
+        let symbols = symbols.into_iter();
+        let mut missing = false;
+        w.put_codes(symbols.clone().map(|b| {
             let len = self.lengths[b as usize];
-            if len == 0 {
-                return Err(BaselineError::Corrupt(format!("symbol {b} has no code")));
-            }
-            w.put_bits(self.codes[b as usize] as u64, len as u32);
+            missing |= len == 0;
+            (self.codes[b as usize] as u32, len as u32)
+        }));
+        if missing {
+            return Err(self.uncoded(symbols));
         }
         Ok(())
+    }
+
+    /// The error naming the first of `symbols` without a code.
+    #[cold]
+    fn uncoded(&self, mut symbols: impl Iterator<Item = u8>) -> BaselineError {
+        let b = symbols.find(|&b| self.lengths[b as usize] == 0).expect("a symbol has no code");
+        BaselineError::Corrupt(format!("symbol {b} has no code"))
     }
 
     /// Decode exactly `count` symbols.

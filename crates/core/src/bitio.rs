@@ -12,11 +12,15 @@
 use bytes::{BufMut, BytesMut};
 
 /// MSB-first bit writer over a growable byte buffer.
+///
+/// Bits gather in a 64-bit accumulator and go to the buffer a whole 32-bit
+/// big-endian word at a time. [`Self::put_codes`] appends a run of codes
+/// with the accumulator held in locals — the entropy coders' hot loop.
 #[derive(Debug, Default)]
 pub struct BitWriter {
     buf: BytesMut,
-    /// Pending bits, the newest in the low `filled` bits (`filled < 8`
-    /// between calls: whole bytes go to `buf` as soon as they form).
+    /// Pending bits, the newest in the low `filled` bits (`filled < 32`
+    /// between calls: whole words go to `buf` as soon as they form).
     acc: u64,
     filled: u32,
 }
@@ -27,12 +31,17 @@ impl BitWriter {
         Self::default()
     }
 
+    /// New empty writer with room for `bytes` output bytes.
+    pub fn with_capacity(bytes: usize) -> Self {
+        BitWriter { buf: BytesMut::with_capacity(bytes), ..Self::default() }
+    }
+
     /// Append a single bit.
     pub fn put_bit(&mut self, bit: bool) {
         self.acc = (self.acc << 1) | bit as u64;
         self.filled += 1;
-        if self.filled == 8 {
-            self.buf.put_u8(self.acc as u8);
+        if self.filled == 32 {
+            self.buf.put_u32(self.acc as u32);
             self.filled = 0;
         }
     }
@@ -41,18 +50,32 @@ impl BitWriter {
     pub fn put_bits(&mut self, value: u64, n: u32) {
         debug_assert!(n <= 64);
         if n > 32 {
-            // Two halves keep `acc` (< 8 pending + ≤ 32 new bits) in range.
+            // Two halves keep `acc` (< 32 pending + ≤ 32 new bits) in range.
             self.put_bits(value >> 32, n - 32);
             self.put_bits(value, 32);
             return;
         }
-        self.acc = (self.acc << n) | (value & ((1u64 << n) - 1));
-        self.filled += n;
-        while self.filled >= 8 {
-            self.filled -= 8;
-            // Bits above the byte are older ones, already flushed.
-            self.buf.put_u8((self.acc >> self.filled) as u8);
+        self.put_codes([((value & ((1u64 << n) - 1)) as u32, n)]);
+    }
+
+    /// Append a run of `(code, len)` pairs, each `len ≤ 32` bits MSB first
+    /// — the same bits as [`Self::put_bits`] per pair. The bits of `code`
+    /// above `len` must be zero: a table-built code has none, so the loop
+    /// does not mask them off.
+    #[inline]
+    pub fn put_codes(&mut self, codes: impl IntoIterator<Item = (u32, u32)>) {
+        let (mut acc, mut filled) = (self.acc, self.filled);
+        for (code, len) in codes {
+            debug_assert!(len <= 32 && u64::from(code) >> len == 0, "{code:#x} exceeds {len} bits");
+            acc = (acc << len) | code as u64;
+            filled += len;
+            if filled >= 32 {
+                filled -= 32;
+                // Bits above the word are older ones, already flushed.
+                self.buf.put_u32((acc >> filled) as u32);
+            }
         }
+        (self.acc, self.filled) = (acc, filled);
     }
 
     /// Total bits written so far.
@@ -60,12 +83,17 @@ impl BitWriter {
         self.buf.len() * 8 + self.filled as usize
     }
 
-    /// Flush the final partial byte (zero-padded) and return the buffer.
+    /// Flush the pending whole bytes and the final partial byte
+    /// (zero-padded), and return the buffer.
     pub fn finish(mut self) -> Vec<u8> {
+        while self.filled >= 8 {
+            self.filled -= 8;
+            self.buf.put_u8((self.acc >> self.filled) as u8);
+        }
         if self.filled > 0 {
             self.buf.put_u8((self.acc << (8 - self.filled)) as u8);
         }
-        self.buf.to_vec()
+        self.buf.into()
     }
 }
 
@@ -229,24 +257,53 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// `put_bits`/`get_bits` move whole words but write the same bytes
-        /// and read the same values, to the same positions, as the per-bit
-        /// `put_bit`/`get_bit` path — reads past the end included.
+        /// `put_bits`/`put_codes`/`get_bits` move whole words but write the
+        /// same bytes and read the same values, to the same positions, as the
+        /// per-bit `put_bit`/`get_bit` path — reads past the end included.
+        /// A third writer takes each op as `put_bits` (`how` 0), bit by bit
+        /// (1), or within a `put_codes` run of consecutive 2s; all three
+        /// must match a plain list of the bits, packed at the end.
         #[test]
         fn word_bitio_matches_per_bit_path(
             ops in prop::collection::vec((0u64..=u64::MAX, 0u32..=64), 0..48),
+            hows in prop::collection::vec(0u8..3, 48),
             overrun in 0u32..=64,
         ) {
             let (mut fast, mut slow) = (BitWriter::new(), BitWriter::new());
-            for &(v, n) in &ops {
+            let (mut mixed, mut run, mut bits) = (BitWriter::new(), Vec::new(), Vec::new());
+            for (k, &(v, n)) in ops.iter().enumerate() {
                 fast.put_bits(v, n);
                 for i in (0..n).rev() {
                     slow.put_bit((v >> i) & 1 == 1);
+                    bits.push((v >> i) & 1 == 1);
                 }
                 prop_assert_eq!(fast.bit_len(), slow.bit_len());
+                match hows[k] {
+                    0 => mixed.put_bits(v, n),
+                    1 => (0..n).rev().for_each(|i| mixed.put_bit((v >> i) & 1 == 1)),
+                    _ => {
+                        // A code wider than 32 bits goes in as two; each
+                        // is masked to its width, as `put_codes` requires.
+                        let low = |x: u64, k: u32| (x & ((1u64 << k) - 1)) as u32;
+                        if n > 32 {
+                            run.push((low(v >> 32, n - 32), n - 32));
+                        }
+                        run.push((low(v, n.min(32)), n.min(32)));
+                    }
+                }
+                if k + 1 == ops.len() || hows[k] != 2 || hows[k + 1] != 2 {
+                    mixed.put_codes(run.drain(..));
+                    prop_assert_eq!(mixed.bit_len(), bits.len());
+                }
             }
             let bytes = fast.finish();
             prop_assert_eq!(&bytes, &slow.finish());
+            prop_assert_eq!(&bytes, &mixed.finish());
+            let packed: Vec<u8> = bits
+                .chunks(8)
+                .map(|byte| byte.iter().enumerate().fold(0u8, |b, (i, &x)| b | (x as u8) << (7 - i)))
+                .collect();
+            prop_assert_eq!(&bytes, &packed);
 
             let (mut a, mut b) = (BitReader::new(&bytes), BitReader::new(&bytes));
             let widths = ops.iter().map(|&(_, n)| n).chain([overrun, 1]);

@@ -17,13 +17,22 @@
 use aicomp_tensor::Tensor;
 
 use crate::bands::{gather_rings, ring_values, scatter_ring};
-use crate::entropy::{PlaneCodes, TABLES_LEN};
+use crate::entropy::{PlaneCodes, PLANES, TABLES_LEN};
 use crate::layout::Header;
 use crate::{Result, StoreError};
 
 /// Byte length of a chunk's prelude for chop factor `cf`.
 pub fn prelude_len(cf: usize) -> usize {
     2 + 4 * cf + TABLES_LEN
+}
+
+/// Largest chunk [`encode_chunk`] can write for `values` coefficients at
+/// chop factor `cf`: every byte-plane symbol at the 15-bit Huffman code
+/// limit, each section padded to a whole byte, plus the prelude. `None`
+/// when even that count overflows.
+pub(crate) fn max_chunk_len(values: u128, cf: usize) -> Option<u128> {
+    let bits = values.checked_mul(PLANES as u128 * 15)?;
+    Some(bits.div_ceil(8) + (cf + prelude_len(cf)) as u128)
 }
 
 /// Parsed chunk prelude.
@@ -52,7 +61,10 @@ pub fn encode_chunk(coeffs: &Tensor, cf: usize) -> Result<Vec<u8>> {
     let mut bytes = Vec::with_capacity(prelude_len(cf) + payload);
     bytes.extend_from_slice(&(cf as u16).to_le_bytes());
     for s in &sections {
-        bytes.extend_from_slice(&(s.len() as u32).to_le_bytes());
+        let len = u32::try_from(s.len()).map_err(|_| {
+            StoreError::InvalidArg(format!("a {}-byte section overflows its u32 length", s.len()))
+        })?;
+        bytes.extend_from_slice(&len.to_le_bytes());
     }
     bytes.extend_from_slice(&codes.length_tables());
     for s in &sections {

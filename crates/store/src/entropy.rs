@@ -17,6 +17,10 @@
 //! chunk prelude. Codes are chunk-wide (fitted over all rings) and stored
 //! once per chunk as four 256-entry length tables — canonical codes
 //! rebuild from lengths alone, as in JPEG/DEFLATE.
+//!
+//! Neither direction builds a plane buffer: encode reads each plane's
+//! bytes straight out of the f32 bit patterns, and decode ORs them back
+//! into place.
 
 use aicomp_baselines::bitio::{BitReader, BitWriter};
 use aicomp_baselines::huffman::HuffmanCode;
@@ -88,12 +92,44 @@ impl PlaneCodes {
         Ok(PlaneCodes { codes })
     }
 
-    /// Encode one section: plane-major, byte-aligned at the end.
+    /// Encode one section: plane-major, byte-aligned at the end. Each
+    /// plane's symbols come straight from the values' bit patterns, so no
+    /// plane buffer exists; the writer starts with room for the raw bytes.
     pub fn encode(&self, values: &[f32]) -> Result<Vec<u8>> {
+        let mut w = BitWriter::with_capacity(values.len() * PLANES);
+        for (p, code) in self.codes.iter().enumerate() {
+            let shift = 8 * p;
+            code.encode_symbols(values.iter().map(|v| (v.to_bits() >> shift) as u8), &mut w)?;
+        }
+        Ok(w.finish())
+    }
+
+    /// The section encode the fused one replaced: a `Vec<u8>` per plane,
+    /// then one `put_bits` per symbol, with each plane's canonical codewords
+    /// rebuilt here from its length table.
+    #[cfg(test)]
+    pub(crate) fn encode_per_symbol(&self, values: &[f32]) -> Result<Vec<u8>> {
         let mut w = BitWriter::new();
         for (p, code) in self.codes.iter().enumerate() {
+            let lengths = code.lengths();
+            let mut order: Vec<usize> = (0..256).filter(|&s| lengths[s] > 0).collect();
+            order.sort_by_key(|&s| (lengths[s], s));
+            let (mut codewords, mut next, mut prev_len) = ([0u64; 256], 0u64, 0u8);
+            for s in order {
+                next <<= lengths[s] - prev_len;
+                prev_len = lengths[s];
+                codewords[s] = next;
+                next += 1;
+            }
             let plane: Vec<u8> = values.iter().map(|v| v.to_le_bytes()[p]).collect();
-            code.encode(&plane, &mut w)?;
+            for b in plane {
+                let len = lengths[b as usize];
+                if len == 0 {
+                    let msg = format!("symbol {b} has no code");
+                    return Err(aicomp_baselines::BaselineError::Corrupt(msg).into());
+                }
+                w.put_bits(codewords[b as usize], len as u32);
+            }
         }
         Ok(w.finish())
     }
@@ -157,9 +193,49 @@ impl PlaneCodes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn values(n: usize) -> Vec<f32> {
         (0..n).map(|i| ((i * 37 % 101) as f32 - 50.0) / (1.0 + (i % 9) as f32)).collect()
+    }
+
+    /// An f32 bit pattern of `kind` from the random word `x`: ±0, a
+    /// subnormal, a NaN with a payload, a small DCT-like value, or (4–7)
+    /// any pattern at all.
+    fn value_bits(kind: u8, x: u32) -> u32 {
+        match kind {
+            0 => x & 0x8000_0000,
+            1 => x & 0x807f_ffff,
+            2 => (x & 0x807f_ffff) | 0x7f80_0001,
+            3 => ((x % 2001) as f32 / 64.0 - 15.625).to_bits(),
+            _ => x,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The fused `encode` writes the bytes the per-plane, per-symbol
+        /// reference writes, and fails with the same error when a value
+        /// has a byte the codes were not fitted to. Half the cases fit the
+        /// codes to all values; the rest to a random prefix, possibly empty.
+        #[test]
+        fn plane_encode_matches_per_symbol_reference(
+            words in prop::collection::vec((0u8..8, 0u32..=u32::MAX), 0..1100),
+            (whole, prefix) in (0u8..2, 0usize..=1100),
+        ) {
+            let vals: Vec<f32> =
+                words.iter().map(|&(kind, x)| f32::from_bits(value_bits(kind, x))).collect();
+            let fit = if whole == 1 { vals.len() } else { prefix % (vals.len() + 1) };
+            let codes = PlaneCodes::fit([&vals[..fit]]).unwrap();
+            let got = codes.encode(&vals).map_err(|e| e.to_string());
+            let want = codes.encode_per_symbol(&vals).map_err(|e| e.to_string());
+            prop_assert_eq!(&got, &want);
+            if let Ok(bytes) = got {
+                let bits = |vs: &[f32]| vs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&codes.decode(&bytes, vals.len()).unwrap()), bits(&vals));
+            }
+        }
     }
 
     #[test]

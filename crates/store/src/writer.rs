@@ -2,11 +2,14 @@
 //!
 //! Samples flow through a [`StreamingCompressor`] (the §1 bounded-memory
 //! path), whose full batches become chunks. Completed chunks accumulate in
-//! a small pending queue and are entropy-encoded **in parallel** with
-//! rayon — chunk encoding (ring gather + Huffman fit + bit packing) is the
+//! a small pending queue and are finished **in parallel** with rayon —
+//! ring gather, Huffman fit, bit packing and the chunk's CRC-32 are the
 //! writer's dominant cost and every chunk is independent — then written to
-//! the sink in order. Memory stays bounded by
+//! the sink and indexed in order. Memory stays bounded by
 //! `pending-queue length × chunk size` regardless of stream length.
+//!
+//! Chunk and section lengths are `u32` on disk, so [`DczWriter::new`]
+//! refuses a geometry whose worst-case chunk could not fit one.
 //!
 //! File-backed packs go through [`DczFileWriter`], which writes to a
 //! hidden temporary sibling and only renames it into place (after an
@@ -23,7 +26,7 @@ use aicomp_core::CodecSpec;
 use aicomp_tensor::Tensor;
 use rayon::prelude::*;
 
-use crate::chunk::encode_chunk;
+use crate::chunk::{encode_chunk, max_chunk_len};
 use crate::crc::crc32;
 use crate::layout::{write_index, Header, IndexEntry, FOOTER_LEN, INDEX_ENTRY_LEN};
 use crate::{Result, StoreError};
@@ -109,8 +112,25 @@ pub struct DczWriter<W: Write + Seek> {
 
 impl<W: Write + Seek> DczWriter<W> {
     /// Start a container on `sink` (positioned at its beginning).
+    ///
+    /// Fails with [`StoreError::InvalidArg`] when a chunk of this geometry
+    /// could encode to more bytes than the format's `u32` lengths hold.
     pub fn new(mut sink: W, opts: &StoreOptions) -> Result<Self> {
         let streamer = StreamingCompressor::from_spec(opts.codec, opts.channels, opts.chunk_size)?;
+        // Chunk and section lengths are u32 on disk; refuse a geometry whose
+        // chunks could outgrow them before a single sample is buffered.
+        let side = streamer.compressor().compressed_side() as u128;
+        let worst = [opts.channels as u128, side, side]
+            .into_iter()
+            .try_fold(opts.chunk_size as u128, u128::checked_mul)
+            .and_then(|values| max_chunk_len(values, opts.codec.chop_factor()));
+        if worst.is_none_or(|w| w > u32::MAX as u128) {
+            return Err(StoreError::InvalidArg(format!(
+                "chunks of {} samples × {} channels can encode past the format's \
+                 u32 chunk length",
+                opts.chunk_size, opts.channels
+            )));
+        }
         let header = Header {
             codec: opts.codec,
             channels: opts.channels as u32,
@@ -173,24 +193,35 @@ impl<W: Write + Seek> DczWriter<W> {
         Ok(())
     }
 
-    /// Encode all pending chunks in parallel and write them in order.
+    /// Encode and checksum all pending chunks in parallel, then write and
+    /// index them in order.
     fn flush_pending(&mut self) -> Result<()> {
         if self.pending.is_empty() {
             return Ok(());
         }
         let cf = self.header.cf();
         let drained: Vec<(Tensor, usize)> = std::mem::take(&mut self.pending);
-        let encoded: Vec<(Vec<u8>, usize)> = drained
+        let encoded: Vec<(Vec<u8>, u32, usize)> = drained
             .par_iter()
-            .map(|(coeffs, samples)| encode_chunk(coeffs, cf).map(|b| (b, *samples)))
+            .map(|(coeffs, samples)| {
+                let bytes = encode_chunk(coeffs, cf)?;
+                let crc = crc32(&bytes);
+                Ok((bytes, crc, *samples))
+            })
             .collect::<Result<_>>()?;
-        for (bytes, samples) in encoded {
+        for (bytes, crc, samples) in encoded {
+            let len = u32::try_from(bytes.len()).map_err(|_| {
+                StoreError::InvalidArg(format!(
+                    "a {}-byte chunk overflows its u32 length",
+                    bytes.len()
+                ))
+            })?;
             self.index.push(IndexEntry {
                 offset: self.offset,
-                len: bytes.len() as u32,
+                len,
                 first_sample: self.samples_written,
                 samples: samples as u32,
-                crc: crc32(&bytes),
+                crc,
             });
             self.sink.write_all(&bytes)?;
             self.offset += bytes.len() as u64;
@@ -433,6 +464,23 @@ mod tests {
             channels: 1,
             chunk_size: 4,
         };
+        assert!(DczWriter::new(Cursor::new(Vec::new()), &opts).is_err());
+    }
+
+    #[test]
+    fn chunks_past_u32_lengths_rejected_up_front() {
+        // 2^14 samples of 512×512 coefficients: 2^32 values, up to 30 GiB
+        // per chunk. Rejected before any chunk memory exists.
+        let opts = StoreOptions::dct(512, 8, 1, 1 << 14);
+        let err = DczWriter::new(Cursor::new(Vec::new()), &opts).unwrap_err();
+        assert!(matches!(err, StoreError::InvalidArg(_)), "{err}");
+        assert!(err.to_string().contains("u32 chunk length"), "{err}");
+        let opts = StoreOptions::dct(512, 8, usize::MAX, usize::MAX);
+        assert!(DczWriter::new(Cursor::new(Vec::new()), &opts).is_err());
+        // Just inside the limit: 2^32 bytes hold 2^32·8/60 coefficients.
+        let opts = StoreOptions::dct(512, 8, 1, 2184);
+        assert!(DczWriter::new(Cursor::new(Vec::new()), &opts).is_ok());
+        let opts = StoreOptions::dct(512, 8, 1, 2185);
         assert!(DczWriter::new(Cursor::new(Vec::new()), &opts).is_err());
     }
 
