@@ -43,11 +43,9 @@ fn pack_in_memory(inputs: &Tensor, cf: usize) -> (DczReader<Cursor<Vec<u8>>>, f6
 }
 
 fn decode_all(reader: &mut DczReader<Cursor<Vec<u8>>>, read_cf: Option<usize>) -> Tensor {
+    let read_cf = read_cf.unwrap_or(reader.header().cf());
     let chunks: Vec<Tensor> = (0..reader.chunk_count())
-        .map(|c| match read_cf {
-            Some(cf) => reader.decompress_chunk_at(c, cf).expect("progressive decode"),
-            None => reader.decompress_chunk(c).expect("decode"),
-        })
+        .map(|c| reader.decompress_chunk_at(c, read_cf).expect("decode"))
         .collect();
     let refs: Vec<&Tensor> = chunks.iter().collect();
     Tensor::concat0(&refs).expect("concat")

@@ -367,18 +367,12 @@ fn unpack(args: &[String]) -> Result<(), String> {
     let input = required(args, "--input")?;
     let out = required(args, "--out")?;
     let mut reader = DczReader::open(&input).map_err(|e| e.to_string())?;
-    let stored_cf = reader.header().cf();
-    let read_cf: usize = parse(args, "--cf", stored_cf)?;
+    let read_cf: usize = parse(args, "--cf", reader.header().cf())?;
 
     let mut w = BufWriter::new(File::create(&out).map_err(|e| e.to_string())?);
     let mut samples = 0u64;
     for chunk in 0..reader.chunk_count() {
-        let batch = if read_cf == stored_cf {
-            reader.decompress_chunk(chunk)
-        } else {
-            reader.decompress_chunk_at(chunk, read_cf)
-        }
-        .map_err(|e| e.to_string())?;
+        let batch = reader.decompress_chunk_at(chunk, read_cf).map_err(|e| e.to_string())?;
         samples += batch.dims()[0] as u64;
         for v in batch.data() {
             w.write_all(&v.to_le_bytes()).map_err(|e| e.to_string())?;

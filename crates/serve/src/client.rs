@@ -1,10 +1,13 @@
 //! Blocking client for the serve protocol.
 //!
 //! One request in flight per connection (the protocol is strictly
-//! request/reply), which keeps the client a thin wrapper: write a frame,
-//! read a frame, turn `Error` frames into [`ServeError::Server`]. Used by
-//! the `dcz fetch`/`stats`/`shutdown` subcommands, the `loadgen`
-//! benchmark, and the concurrency tests — many connections, one client
+//! request/reply), which keeps the client thin: write a frame, read a
+//! frame, turn `Error` frames into [`ServeError::Server`]. The client owns
+//! every client-side protocol rule: the `Hello` exchange, one
+//! [`FrameDecoder`] for the connection's whole life (bytes past a frame,
+//! or a frame cut by a read timeout, stay buffered), and request/reply
+//! pairing. Used by the `dcz` subcommands, the `loadgen` benchmark, the
+//! [`crate::RobustClient`] and the tests — many connections, one client
 //! each, is the intended way to drive the server in parallel.
 
 use std::net::{TcpStream, ToSocketAddrs};
@@ -13,8 +16,9 @@ use std::time::Duration;
 use aicomp_tensor::Tensor;
 
 use crate::chaos::Wire;
+use crate::proto::FrameDecoder;
 use crate::protocol::{
-    client_handshake, read_response, write_request, ContainerInfo, Request, Response, PROTO_VERSION,
+    decode_response, read_frame, write_request, ContainerInfo, Request, Response, PROTO_VERSION,
 };
 use crate::stats::StatsReport;
 use crate::{Result, ServeError};
@@ -67,10 +71,15 @@ impl FetchedChunk {
 }
 
 /// A connected, handshaken client. Holds any [`Wire`] stream — a plain
-/// `TcpStream` from [`Client::connect`], or a chaos-wrapped one handed in
-/// through [`Client::from_parts`] by tests and the `RobustClient`.
+/// `TcpStream` from [`Client::connect`], or a chaos-wrapped one handed to
+/// [`Client::from_stream`] by tests and the `RobustClient`.
 pub struct Client {
     stream: Box<dyn Wire>,
+    decoder: FrameDecoder,
+    /// Requests written whose replies have not been read in full — a read
+    /// timeout leaves one behind. They are read off before the next
+    /// request is written, so no reply answers the wrong request.
+    owed: u32,
 }
 
 impl std::fmt::Debug for Client {
@@ -91,29 +100,45 @@ impl Client {
     /// weighted-fair lane and count against its quotas. A weight of 0 is
     /// treated as 1.
     pub fn connect_tenant(addr: impl ToSocketAddrs, tenant: u32, weight: u8) -> Result<Client> {
-        let mut stream = TcpStream::connect(addr)?;
+        let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        client_handshake(&mut stream, tenant, weight)?;
-        Ok(Client { stream: Box::new(stream) })
+        Client::handshake(Box::new(stream), tenant, weight)
     }
 
     /// Handshake an already-established stream and wrap it. `version`
     /// must be [`PROTO_VERSION`], the one version this build speaks; any
     /// other is refused before a byte is written.
-    pub fn from_stream(mut stream: Box<dyn Wire>, version: u16) -> Result<Client> {
+    pub fn from_stream(stream: Box<dyn Wire>, version: u16) -> Result<Client> {
         if version != PROTO_VERSION {
             return Err(ServeError::Protocol(format!(
                 "this build speaks only protocol version {PROTO_VERSION}, not {version}"
             )));
         }
-        client_handshake(&mut stream, 0, 1)?;
-        Ok(Client { stream })
+        Client::handshake(stream, 0, 1)
     }
 
-    /// Wrap a stream whose handshake the *caller* already ran (the
-    /// chaos path: handshake clean, arm the fault plan, then wrap).
-    pub fn from_parts(stream: Box<dyn Wire>) -> Client {
-        Client { stream }
+    /// Run the `Hello` exchange on a fresh stream, identifying as `tenant`
+    /// at `weight` (0 is sent as 1), and wrap it. An ack at another
+    /// version or a non-ack reply is `Protocol`, a typed rejection is
+    /// `Server`.
+    pub(crate) fn handshake(stream: Box<dyn Wire>, tenant: u32, weight: u8) -> Result<Client> {
+        let mut client = Client { stream, decoder: FrameDecoder::new(), owed: 0 };
+        let hello = Request::Hello { version: PROTO_VERSION, tenant, weight: weight.max(1) };
+        write_request(&mut client.stream, &hello)?;
+        let Some((op, body)) = read_frame(&mut client.stream, &mut client.decoder)? else {
+            return Err(ServeError::Protocol("connection closed during handshake".into()));
+        };
+        match decode_response(op, &body)? {
+            Response::Hello { version: PROTO_VERSION } => Ok(client),
+            Response::Hello { version } => Err(ServeError::Protocol(format!(
+                "server speaks protocol version {version}, client speaks {PROTO_VERSION}"
+            ))),
+            Response::Error { code, message } => Err(ServeError::Server { code, message }),
+            other => Err(ServeError::Protocol(format!(
+                "expected hello acknowledgement, got {}",
+                variant(&other)
+            ))),
+        }
     }
 
     /// Bound the time any single reply read may block (`None` = forever).
@@ -123,23 +148,37 @@ impl Client {
         Ok(())
     }
 
-    fn read(&mut self) -> Result<Response> {
-        match read_response(&mut self.stream)? {
-            Some(Response::Error { code, message }) => Err(ServeError::Server { code, message }),
-            // A shard redirect is typed all the way up: the ring-aware
-            // RobustClient catches it and re-routes; plain callers see
-            // where the key lives instead of a generic failure.
-            Some(Response::WrongShard { epoch, owner }) => {
-                Err(ServeError::WrongShard { epoch, owner })
-            }
-            Some(resp) => Ok(resp),
-            None => Err(ServeError::Protocol("server closed the connection".into())),
-        }
+    /// Replies this connection still owes: requests whose reply a read
+    /// timeout cut off.
+    pub(crate) fn owed(&self) -> u32 {
+        self.owed
+    }
+
+    /// Read the next whole reply; it settles one owed reply, whatever it
+    /// holds — a typed error frame included. The `RobustClient` calls it
+    /// to read a hedge's late reply off as waste.
+    pub(crate) fn read_reply(&mut self) -> Result<Response> {
+        let Some((op, body)) = read_frame(&mut self.stream, &mut self.decoder)? else {
+            return Err(ServeError::Protocol("server closed the connection".into()));
+        };
+        self.owed = self.owed.saturating_sub(1);
+        decode_response(op, &body)
     }
 
     fn roundtrip(&mut self, req: &Request) -> Result<Response> {
+        while self.owed > 0 {
+            self.read_reply()?;
+        }
         write_request(&mut self.stream, req)?;
-        self.read()
+        self.owed += 1;
+        match self.read_reply()? {
+            Response::Error { code, message } => Err(ServeError::Server { code, message }),
+            // A shard redirect is typed all the way up: the ring-aware
+            // RobustClient catches it and re-routes; plain callers see
+            // where the key lives instead of a generic failure.
+            Response::WrongShard { epoch, owner } => Err(ServeError::WrongShard { epoch, owner }),
+            resp => Ok(resp),
+        }
     }
 
     /// Liveness probe.
@@ -213,14 +252,6 @@ impl Client {
         }
     }
 
-    /// Read one reply frame without writing a request — the
-    /// `RobustClient`'s drain hook for hedged reads, consuming a late
-    /// reply that a hedge-window timeout left in flight so the
-    /// connection's request/reply pairing realigns.
-    pub(crate) fn drain_reply(&mut self) -> Result<Response> {
-        self.read()
-    }
-
     /// Ask the server to shut down gracefully.
     pub fn shutdown(&mut self) -> Result<()> {
         match self.roundtrip(&Request::Shutdown)? {
@@ -231,8 +262,13 @@ impl Client {
 }
 
 fn unexpected(wanted: &str, got: &Response) -> ServeError {
-    // Responses can embed whole chunks; name the variant, don't dump it.
-    let name = match got {
+    ServeError::Protocol(format!("expected a {wanted} reply, got {}", variant(got)))
+}
+
+/// The variant name of a reply — responses can embed whole chunks, so
+/// errors name the variant instead of dumping it.
+fn variant(resp: &Response) -> &'static str {
+    match resp {
         Response::Hello { .. } => "Hello",
         Response::Info(_) => "Info",
         Response::Chunk { .. } => "Chunk",
@@ -243,6 +279,125 @@ fn unexpected(wanted: &str, got: &Response) -> ServeError {
         Response::MapPushed { .. } => "MapPushed",
         Response::WrongShard { .. } => "WrongShard",
         Response::Error { .. } => "Error",
-    };
-    ServeError::Protocol(format!("expected a {wanted} reply, got {name}"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::VecDeque;
+    use std::io::{ErrorKind, Read, Write};
+
+    use crate::proto::encode_frame;
+    use crate::protocol::{encode_response, ErrorCode};
+
+    /// In-memory [`Wire`] that replays a script of reads — byte runs,
+    /// errors, and EOF once the script runs out — and swallows writes.
+    struct Scripted(VecDeque<std::io::Result<Vec<u8>>>);
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(Err(e)) => Err(e),
+                Some(Ok(mut bytes)) => {
+                    let n = bytes.len().min(buf.len());
+                    buf[..n].copy_from_slice(&bytes[..n]);
+                    if n < bytes.len() {
+                        self.0.push_front(Ok(bytes.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    impl Write for Scripted {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Wire for Scripted {
+        fn set_read_timeout(&self, _: Option<Duration>) -> std::io::Result<()> {
+            Ok(())
+        }
+
+        fn set_nodelay(&self, _: bool) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn reply(resp: &Response) -> Vec<u8> {
+        let (op, body) = encode_response(resp);
+        encode_frame(op, &body).unwrap()
+    }
+
+    fn chunk(first_sample: u64) -> Response {
+        Response::Chunk {
+            first_sample,
+            dims: [2, 1, 4, 4],
+            read_cf: 3,
+            served_cf: 3,
+            data: (0..32).map(|i| i as f32 / 3.0 - first_sample as f32).collect(),
+        }
+    }
+
+    fn timeout() -> std::io::Result<Vec<u8>> {
+        Err(std::io::Error::new(ErrorKind::WouldBlock, "read timed out"))
+    }
+
+    #[test]
+    fn reply_split_by_a_timeout_is_drained_whole() {
+        let ack = reply(&Response::Hello { version: PROTO_VERSION });
+        let (late, next) = (reply(&chunk(8)), reply(&chunk(16)));
+        let half = late.len() / 2;
+
+        // The late reply is read off whole, and the next request gets its
+        // own reply.
+        let script = [Ok(ack.clone()), Ok(late[..half].to_vec()), timeout()]
+            .into_iter()
+            .chain([Ok(late[half..].to_vec()), Ok(next.clone())])
+            .collect();
+        let mut client = Client::from_stream(Box::new(Scripted(script)), PROTO_VERSION).unwrap();
+        let err = client.fetch(0, 1, 3).unwrap_err();
+        assert!(matches!(&err, ServeError::Io(e) if e.kind() == ErrorKind::WouldBlock), "{err}");
+        assert_eq!(client.read_reply().unwrap(), chunk(8));
+        assert_eq!(client.fetch(0, 2, 3).unwrap().first_sample, 16);
+
+        // Without an explicit drain, the next request reads the owed reply
+        // off first instead of taking it as its own answer.
+        let script = [Ok(ack), Ok(late[..half].to_vec()), timeout()]
+            .into_iter()
+            .chain([Ok(late[half..].to_vec()), Ok(reply(&Response::Pong))])
+            .collect();
+        let mut client = Client::from_stream(Box::new(Scripted(script)), PROTO_VERSION).unwrap();
+        assert!(client.fetch(0, 1, 3).is_err());
+        client.ping().unwrap();
+    }
+
+    #[test]
+    fn handshake_rejects_bad_grants() {
+        let handshake = |script: Vec<Vec<u8>>| {
+            let wire = Scripted(script.into_iter().map(Ok).collect());
+            Client::handshake(Box::new(wire), 0, 1).unwrap_err()
+        };
+        // An ack at any other version.
+        let err = handshake(vec![reply(&Response::Hello { version: PROTO_VERSION + 1 })]);
+        assert!(err.to_string().contains("server speaks protocol version"), "{err}");
+        // Non-hello handshake reply.
+        let err = handshake(vec![reply(&Response::Pong)]);
+        assert!(err.to_string().contains("expected hello acknowledgement"), "{err}");
+        // A typed rejection surfaces as a server error.
+        let rejection = Response::Error { code: ErrorCode::Overloaded, message: "full".into() };
+        let err = handshake(vec![reply(&rejection)]);
+        assert!(matches!(err, ServeError::Server { code: ErrorCode::Overloaded, .. }), "{err}");
+        // EOF before the ack.
+        let err = handshake(vec![]);
+        assert!(err.to_string().contains("closed during handshake"), "{err}");
+    }
 }

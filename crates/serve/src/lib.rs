@@ -42,11 +42,13 @@
 //! Module map:
 //!
 //! * [`proto`] — the sans-I/O protocol core: incremental
-//!   [`FrameDecoder`], per-role connection state machines
-//!   ([`ServerConn`], [`ClientConn`]), and zero-copy [`ResponseSlab`]s —
-//!   the *one* implementation of framing, CRC, and the version check.
+//!   [`FrameDecoder`], the server's connection state machine
+//!   ([`ServerConn`]), and zero-copy [`ResponseSlab`]s — the *one*
+//!   implementation of framing and CRC, and of the server's handshake and
+//!   deadline rules.
 //! * [`protocol`] — wire frames, opcodes, error codes (`PROTOCOL.md`);
-//!   its blocking read/write helpers are thin adapters over [`proto`].
+//!   its blocking read/write helpers are thin adapters over [`proto`],
+//!   reading through the caller's persistent [`FrameDecoder`].
 //! * [`queue`] — the weighted-fair admission queue [`Wfq`] (per-tenant
 //!   lanes, deficit-round-robin drain, quotas, a priority lane for cheap
 //!   ring-prefix fetches); `try_push` is the load-shedding edge,
@@ -55,12 +57,14 @@
 //!   counters.
 //! * [`stats`] — one declaration table of named counters and
 //!   histograms, from which the live atomics, the serializable
-//!   [`StatsReport`], and its name-keyed wire encoding and display are
+//!   [`StatsReport`], and its positional wire encoding and display are
 //!   generated.
 //! * [`server`] — listener, one thread per connection, worker pool,
 //!   dynamic batcher, connection supervision, graceful shutdown.
 //! * [`client`] — blocking client used by the `dcz` subcommands, the
-//!   `loadgen` benchmark, and the tests.
+//!   `loadgen` benchmark, the [`RobustClient`], and the tests. It owns
+//!   every client-side rule: the `Hello` exchange, one persistent
+//!   [`FrameDecoder`] per connection, and request/reply pairing.
 //! * [`chaos`] — seeded, deterministic wire-fault injection
 //!   ([`FaultyStream`]): the network analogue of the store's `FaultPlan`.
 //! * [`robust`] — [`RobustClient`]: bounded retry with backoff,
@@ -89,10 +93,7 @@ pub mod stats;
 pub use cache::{CacheKey, CacheSnapshot, ChunkCache};
 pub use chaos::{FaultyStream, Wire, WireCounters, WireFaultPlan};
 pub use client::{Client, FetchedChunk};
-pub use proto::{
-    Action, ClientConn, ClientEvent, CloseReason, DeadlineKind, FrameDecoder, ResponseSlab,
-    ServerConn,
-};
+pub use proto::{Action, CloseReason, DeadlineKind, FrameDecoder, ResponseSlab, ServerConn};
 pub use protocol::{ContainerInfo, ErrorCode, Request, Response, MAX_FRAME, PROTO_VERSION};
 pub use queue::{PushError, TenantQuota, Wfq};
 pub use robust::{BreakerState, RobustClient, RobustConfig, RobustCounters};

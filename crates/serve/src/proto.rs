@@ -1,17 +1,19 @@
 //! Sans-I/O protocol core: bytes in, typed actions out — no sockets.
 //!
-//! This module is the *one* implementation of framing, CRC verification,
-//! the version check, and connection discipline for the serve protocol.
-//! It deliberately imports nothing from `std::net` or `std::io`: a
-//! [`FrameDecoder`] is fed raw bytes (however the transport chopped
-//! them) and yields complete frames; a [`ServerConn`] / [`ClientConn`]
-//! consumes frames and emits [`Action`]s (`Send` these bytes, `Deliver`
-//! this request, `Close` for this reason). The server's connection
-//! threads and the blocking client both drive these machines, so the
-//! protocol rules live in one place and are unit-tested without a socket
-//! (the shape IronRDP's sans-I/O session crates use).
+//! This module is the *one* implementation of framing, CRC verification
+//! and server-side connection discipline for the serve protocol. It
+//! deliberately imports nothing from `std::net` or `std::io`: a
+//! [`FrameDecoder`] is fed raw bytes (however the transport chopped them)
+//! and yields complete frames; a [`ServerConn`] consumes frames and emits
+//! [`Action`]s (`Send` these bytes, `Deliver` this request, `Close` for
+//! this reason). The server's connection threads drive the machine, so
+//! the server's rules live in one place and are unit-tested without a
+//! socket (the shape IronRDP's sans-I/O session crates use). The client
+//! side needs no machine of its own: the blocking [`crate::Client`] owns
+//! one persistent `FrameDecoder` per connection, and with it the `Hello`
+//! exchange and request/reply pairing.
 //!
-//! Clocks stay outside: the state machines never read time. Transports
+//! Clocks stay outside: the state machine never reads time. Transports
 //! own deadlines and call [`ServerConn::expire`] when one fires; the
 //! machine answers with the typed close.
 //!
@@ -26,8 +28,7 @@ use std::sync::Arc;
 use aicomp_store::crc::Crc32;
 
 use crate::protocol::{
-    decode_request, encode_request, encode_response, ErrorCode, Request, Response, MAX_FRAME,
-    PROTO_VERSION,
+    decode_request, encode_response, ErrorCode, Request, Response, MAX_FRAME, PROTO_VERSION,
 };
 use crate::{Result, ServeError};
 
@@ -439,134 +440,17 @@ impl ServerConn {
     }
 }
 
-// -------------------------------------------------------------- ClientConn
-
-/// What a [`ClientConn`] surfaced from received bytes.
-#[derive(Debug)]
-pub enum ClientEvent {
-    /// The server acknowledged the `Hello`; requests may flow.
-    Ready,
-    /// A complete response frame (boxed: `Response` dwarfs the other
-    /// variants).
-    Response(Box<Response>),
-    /// The server closed cleanly at a frame boundary.
-    Closed,
-}
-
-/// Client-side connection state machine: hello → ack → steady.
-///
-/// [`ClientConn::hello_bytes`] is the opening frame; feed replies through
-/// [`ClientConn::on_bytes`] and drain [`ClientEvent`]s with
-/// [`ClientConn::next_event`]. After the ack,
-/// [`ClientConn::request_bytes`] frames requests.
-#[derive(Debug)]
-pub struct ClientConn {
-    decoder: FrameDecoder,
-    /// Tenant id declared in the `Hello` (`0` = the default tenant).
-    tenant: u32,
-    /// Weight class declared in the `Hello`.
-    weight: u8,
-    /// Has the server acknowledged the `Hello`?
-    ready: bool,
-    events: std::collections::VecDeque<ClientEvent>,
-}
-
-impl ClientConn {
-    /// Start a handshake declaring a tenant id and admission weight (the
-    /// anonymous default is tenant 0 at weight 1).
-    pub fn new(tenant: u32, weight: u8) -> ClientConn {
-        ClientConn {
-            decoder: FrameDecoder::new(),
-            tenant,
-            weight: weight.max(1),
-            ready: false,
-            events: std::collections::VecDeque::new(),
-        }
-    }
-
-    /// The opening `Hello` frame.
-    pub fn hello_bytes(&self) -> Vec<u8> {
-        let hello =
-            Request::Hello { version: PROTO_VERSION, tenant: self.tenant, weight: self.weight };
-        let (op, body) = encode_request(&hello);
-        encode_frame(op, &body).expect("hello frame fits")
-    }
-
-    /// Frame a request. Errors before the handshake completes.
-    pub fn request_bytes(&self, req: &Request) -> Result<Vec<u8>> {
-        if !self.ready {
-            return Err(ServeError::Protocol("request before handshake completed".into()));
-        }
-        let (op, body) = encode_request(req);
-        encode_frame(op, &body)
-    }
-
-    /// Feed received bytes; surfaces events (including handshake
-    /// completion). A bad or unexpected handshake reply is `Protocol`, a
-    /// typed rejection is `Server`.
-    pub fn on_bytes(&mut self, bytes: &[u8]) -> Result<()> {
-        self.decoder.push(bytes);
-        self.pump()
-    }
-
-    /// The server closed its write side.
-    pub fn on_eof(&mut self) -> Result<()> {
-        if self.decoder.has_partial() {
-            return Err(ServeError::Protocol("EOF mid-frame".into()));
-        }
-        if !self.ready {
-            return Err(ServeError::Protocol("connection closed during handshake".into()));
-        }
-        self.events.push_back(ClientEvent::Closed);
-        Ok(())
-    }
-
-    /// Next surfaced event, if any.
-    pub fn next_event(&mut self) -> Option<ClientEvent> {
-        self.events.pop_front()
-    }
-
-    fn pump(&mut self) -> Result<()> {
-        while let Some((op, body)) = self.decoder.pop()? {
-            let resp = crate::protocol::decode_response(op, &body)?;
-            if self.ready {
-                self.events.push_back(ClientEvent::Response(Box::new(resp)));
-                continue;
-            }
-            match resp {
-                Response::Hello { version: PROTO_VERSION } => {
-                    self.ready = true;
-                    self.events.push_back(ClientEvent::Ready);
-                }
-                Response::Hello { version } => {
-                    return Err(ServeError::Protocol(format!(
-                        "server speaks protocol version {version}, client speaks {PROTO_VERSION}"
-                    )));
-                }
-                Response::Error { code, message } => {
-                    return Err(ServeError::Server { code, message });
-                }
-                other => {
-                    return Err(ServeError::Protocol(format!(
-                        "expected hello acknowledgement, got {other:?}"
-                    )));
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{decode_response, encode_request};
 
     fn drain(conn: &mut ServerConn) -> Vec<Action> {
         std::iter::from_fn(|| conn.next_action()).collect()
     }
 
     fn hello_frame() -> Vec<u8> {
-        ClientConn::new(0, 1).hello_bytes()
+        frame(&Request::hello())
     }
 
     fn frame(req: &Request) -> Vec<u8> {
@@ -629,7 +513,7 @@ mod tests {
     fn server_conn_captures_tenant_and_weight_from_hello() {
         // Declared tenancy lands on the connection.
         let mut conn = ServerConn::new();
-        conn.on_bytes(&ClientConn::new(42, 5).hello_bytes());
+        conn.on_bytes(&frame(&Request::Hello { version: PROTO_VERSION, tenant: 42, weight: 5 }));
         assert!(conn.handshaken());
         assert_eq!(conn.tenant(), 42);
         assert_eq!(conn.weight(), 5);
@@ -729,71 +613,18 @@ mod tests {
         assert!(matches!(drain(&mut conn).last(), Some(Action::Close(CloseReason::BadFrame))));
     }
 
-    #[test]
-    fn client_conn_round_trips_against_server_conn() {
-        let mut server = ServerConn::new();
-        let mut client = ClientConn::new(0, 1);
-        assert!(client.request_bytes(&Request::Ping).is_err(), "no requests before the ack");
-        server.on_bytes(&client.hello_bytes());
-        // Relay every server send to the client.
+    /// Relay every `Send` action from the server machine into a
+    /// client-side decoder and parse the replies — the no-socket "wire"
+    /// the shard test drives.
+    fn relay(server: &mut ServerConn, client: &mut FrameDecoder) -> Vec<Response> {
         while let Some(a) = server.next_action() {
             if let Action::Send(bytes) = a {
-                client.on_bytes(&bytes).unwrap();
+                client.push(&bytes);
             }
         }
-        assert!(matches!(client.next_event(), Some(ClientEvent::Ready)));
-        // Steady state both ways.
-        server.on_bytes(&client.request_bytes(&Request::Ping).unwrap());
-        match server.next_action() {
-            Some(Action::Deliver(Request::Ping)) => {}
-            other => panic!("expected ping delivery, got {other:?}"),
-        }
-        server.push_response(&Response::Pong);
-        while let Some(a) = server.next_action() {
-            if let Action::Send(bytes) = a {
-                client.on_bytes(&bytes).unwrap();
-            }
-        }
-        assert!(matches!(
-            client.next_event(),
-            Some(ClientEvent::Response(r)) if matches!(*r, Response::Pong)
-        ));
-    }
-
-    #[test]
-    fn client_conn_rejects_bad_grants() {
-        let reply = |resp: &Response| {
-            let (op, body) = encode_response(resp);
-            encode_frame(op, &body).unwrap()
-        };
-        // An ack at any other version.
-        let mut client = ClientConn::new(0, 1);
-        let ack = reply(&Response::Hello { version: PROTO_VERSION + 1 });
-        let err = client.on_bytes(&ack).unwrap_err();
-        assert!(err.to_string().contains("server speaks protocol version"));
-        // Non-hello handshake reply.
-        let mut client = ClientConn::new(0, 1);
-        let err = client.on_bytes(&reply(&Response::Pong)).unwrap_err();
-        assert!(err.to_string().contains("expected hello acknowledgement"));
-        // A typed rejection surfaces as a server error.
-        let mut client = ClientConn::new(0, 1);
-        let rejection = Response::Error { code: ErrorCode::Overloaded, message: "full".into() };
-        let err = client.on_bytes(&reply(&rejection)).unwrap_err();
-        assert!(matches!(err, ServeError::Server { code: ErrorCode::Overloaded, .. }));
-        // EOF before the ack.
-        let mut client = ClientConn::new(0, 1);
-        let err = client.on_eof().unwrap_err();
-        assert!(err.to_string().contains("closed during handshake"));
-    }
-
-    /// Relay every `Send` action from the server machine into the client
-    /// machine — the no-socket "wire" the shard tests drive.
-    fn relay(server: &mut ServerConn, client: &mut ClientConn) {
-        while let Some(a) = server.next_action() {
-            if let Action::Send(bytes) = a {
-                client.on_bytes(&bytes).unwrap();
-            }
-        }
+        std::iter::from_fn(|| client.pop().unwrap())
+            .map(|(op, body)| decode_response(op, &body).unwrap())
+            .collect()
     }
 
     #[test]
@@ -819,46 +650,40 @@ mod tests {
         let owner = map.owner(container, chunk).unwrap();
 
         let mut server = ServerConn::new();
-        let mut client = ClientConn::new(0, 1);
-        server.on_bytes(&client.hello_bytes());
-        relay(&mut server, &mut client);
-        assert!(matches!(client.next_event(), Some(ClientEvent::Ready)));
+        let mut client = FrameDecoder::new();
+        server.on_bytes(&hello_frame());
+        match &relay(&mut server, &mut client)[..] {
+            [Response::Hello { version: PROTO_VERSION }] => {}
+            other => panic!("expected the hello ack, got {other:?}"),
+        }
 
         // Misdirected fetch → the application (here: the test, standing
         // in for `admit_fetch`) answers with the typed redirect.
         let fetch = Request::Fetch { container, chunk, read_cf: 0, deadline_ms: 0 };
-        server.on_bytes(&client.request_bytes(&fetch).unwrap());
+        server.on_bytes(&frame(&fetch));
         match server.next_action() {
             Some(Action::Deliver(req)) => assert_eq!(req, fetch),
             other => panic!("expected fetch delivery, got {other:?}"),
         }
         server.push_response(&Response::WrongShard { epoch: map.epoch, owner: owner as u32 });
-        relay(&mut server, &mut client);
-        let redirected_to = match client.next_event() {
-            Some(ClientEvent::Response(r)) => match *r {
-                Response::WrongShard { epoch, owner } => {
-                    assert_eq!(epoch, map.epoch);
-                    owner
-                }
-                other => panic!("expected WrongShard, got {other:?}"),
-            },
-            other => panic!("expected a response, got {other:?}"),
+        let redirected_to = match &relay(&mut server, &mut client)[..] {
+            [Response::WrongShard { epoch, owner }] => {
+                assert_eq!(*epoch, map.epoch);
+                *owner
+            }
+            other => panic!("expected WrongShard, got {other:?}"),
         };
 
-        // The client refreshes its map over the same machine pair...
-        server.on_bytes(&client.request_bytes(&Request::ShardMap).unwrap());
+        // The client refreshes its map over the same connection...
+        server.on_bytes(&frame(&Request::ShardMap));
         match server.next_action() {
             Some(Action::Deliver(Request::ShardMap)) => {}
             other => panic!("expected map request delivery, got {other:?}"),
         }
         server.push_response(&Response::ShardMap(map.clone()));
-        relay(&mut server, &mut client);
-        let fetched = match client.next_event() {
-            Some(ClientEvent::Response(r)) => match *r {
-                Response::ShardMap(m) => m,
-                other => panic!("expected ShardMap, got {other:?}"),
-            },
-            other => panic!("expected a response, got {other:?}"),
+        let fetched = match relay(&mut server, &mut client).pop() {
+            Some(Response::ShardMap(m)) => m,
+            other => panic!("expected ShardMap, got {other:?}"),
         };
         // ...and re-routes to exactly the shard the redirect named.
         assert_eq!(fetched.owner(container, chunk).unwrap() as u32, redirected_to);

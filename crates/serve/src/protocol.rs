@@ -22,12 +22,13 @@
 
 use std::io::{ErrorKind, Read, Write};
 
+use crate::proto::FrameDecoder;
 use crate::shard::ShardMap;
 use crate::stats::StatsReport;
 use crate::{Result, ServeError};
 
 /// The protocol version this build speaks (in the `Hello` exchange).
-pub const PROTO_VERSION: u16 = 4;
+pub const PROTO_VERSION: u16 = 5;
 /// Magic leading the `Hello` request body.
 pub const PROTO_MAGIC: [u8; 4] = *b"DCZS";
 /// Upper bound on a frame (1 MiB control + payload chunks well under it).
@@ -549,12 +550,13 @@ pub fn write_frame(w: &mut impl Write, op: u8, body: &[u8]) -> Result<()> {
     Ok(())
 }
 
-/// Read one `(opcode, body)` frame, verifying its CRC; `Ok(None)` on
-/// clean EOF at a frame boundary (the peer closed between frames). Thin
-/// blocking adapter over the sans-I/O [`crate::proto::FrameDecoder`] —
-/// the one framing parser.
-pub fn read_frame(r: &mut impl Read) -> Result<Option<(u8, Vec<u8>)>> {
-    let mut dec = crate::proto::FrameDecoder::new();
+/// Read one `(opcode, body)` frame through the caller's decoder,
+/// verifying its CRC; `Ok(None)` on clean EOF at a frame boundary (the
+/// peer closed between frames). Bytes read past the frame, and a frame an
+/// error (a read timeout) cut short, stay in `dec` for the next call. Thin
+/// blocking adapter over the sans-I/O [`FrameDecoder`] — the one framing
+/// parser.
+pub fn read_frame(r: &mut impl Read, dec: &mut FrameDecoder) -> Result<Option<(u8, Vec<u8>)>> {
     let mut tmp = [0u8; 64 * 1024];
     loop {
         if let Some(frame) = dec.pop()? {
@@ -587,35 +589,12 @@ pub fn write_response(w: &mut impl Write, resp: &Response) -> Result<()> {
     write_frame(w, op, &body)
 }
 
-/// Read a [`Response`] frame (blocking; `None` on clean EOF).
-pub fn read_response(r: &mut impl Read) -> Result<Option<Response>> {
-    match read_frame(r)? {
+/// Read a [`Response`] frame through the caller's decoder (blocking;
+/// `None` on clean EOF).
+pub fn read_response(r: &mut impl Read, dec: &mut FrameDecoder) -> Result<Option<Response>> {
+    match read_frame(r, dec)? {
         Some((op, body)) => Ok(Some(decode_response(op, &body)?)),
         None => Ok(None),
-    }
-}
-
-/// Run the client half of the `Hello` exchange on a fresh stream,
-/// identifying as `tenant` at `weight` — the QoS identity the server files
-/// this connection's fetches under (tenant 0 at weight 1 is the anonymous
-/// default). Blocking adapter over the sans-I/O
-/// [`crate::proto::ClientConn`] machine, which owns the ack-validation
-/// rules.
-pub fn client_handshake<S: Read + Write>(stream: &mut S, tenant: u32, weight: u8) -> Result<()> {
-    let mut conn = crate::proto::ClientConn::new(tenant, weight);
-    stream.write_all(&conn.hello_bytes())?;
-    stream.flush()?;
-    let mut tmp = [0u8; 4096];
-    loop {
-        if let Some(crate::proto::ClientEvent::Ready) = conn.next_event() {
-            return Ok(());
-        }
-        match stream.read(&mut tmp) {
-            Ok(0) => conn.on_eof()?,
-            Ok(n) => conn.on_bytes(&tmp[..n])?,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
     }
 }
 
@@ -629,14 +608,15 @@ mod tests {
         // And through the framed byte stream.
         let mut wire = Vec::new();
         write_request(&mut wire, &req).unwrap();
-        let (op, body) = read_frame(&mut wire.as_slice()).unwrap().unwrap();
+        let (op, body) =
+            read_frame(&mut wire.as_slice(), &mut FrameDecoder::new()).unwrap().unwrap();
         assert_eq!(decode_request(op, &body).unwrap(), req);
     }
 
     fn roundtrip_response(resp: Response) {
         let mut wire = Vec::new();
         write_response(&mut wire, &resp).unwrap();
-        let got = read_response(&mut wire.as_slice()).unwrap().unwrap();
+        let got = read_response(&mut wire.as_slice(), &mut FrameDecoder::new()).unwrap().unwrap();
         assert_eq!(got, resp);
     }
 
@@ -772,14 +752,17 @@ mod tests {
         for len in [0, 4, MAX_FRAME + 1] {
             let mut wire = len.to_le_bytes().to_vec();
             wire.extend_from_slice(&[OP_PING, 0, 0, 0]);
-            assert!(read_frame(&mut wire.as_slice()).is_err(), "len {len}");
+            assert!(
+                read_frame(&mut wire.as_slice(), &mut FrameDecoder::new()).is_err(),
+                "len {len}"
+            );
         }
         // Clean EOF at the boundary is None, mid-frame EOF is an error.
-        assert!(read_frame(&mut [].as_slice()).unwrap().is_none());
+        assert!(read_frame(&mut [].as_slice(), &mut FrameDecoder::new()).unwrap().is_none());
         let mut partial = Vec::new();
         write_request(&mut partial, &Request::Stats).unwrap();
         partial.truncate(4);
-        assert!(read_frame(&mut partial.as_slice()).is_err());
+        assert!(read_frame(&mut partial.as_slice(), &mut FrameDecoder::new()).is_err());
     }
 
     #[test]
@@ -791,7 +774,8 @@ mod tests {
             let mut wire = Vec::new();
             write_request(&mut wire, &req).unwrap();
             // Pristine frame parses.
-            let (op, body) = read_frame(&mut wire.as_slice()).unwrap().unwrap();
+            let (op, body) =
+                read_frame(&mut wire.as_slice(), &mut FrameDecoder::new()).unwrap().unwrap();
             assert_eq!(decode_request(op, &body).unwrap(), req);
             // Any bit flip past the length prefix must be *detected* —
             // the handshake included.
@@ -800,7 +784,7 @@ mod tests {
                     let mut evil = wire.clone();
                     evil[byte] ^= 1 << bit;
                     assert!(
-                        read_frame(&mut evil.as_slice()).is_err(),
+                        read_frame(&mut evil.as_slice(), &mut FrameDecoder::new()).is_err(),
                         "{req:?}: flip at byte {byte} bit {bit} went undetected"
                     );
                 }

@@ -14,9 +14,9 @@
 //! an aggressor tenant can saturate only its own lane, plus a priority
 //! sub-queue for low-fidelity (cheap ring-prefix) requests.
 //!
-//! (The vendored `crossbeam` stand-in is single-consumer, so the worker
-//! pool cannot share its receiver; this queue is the multi-consumer side
-//! the service needs, kept dependency-free on `Mutex` + `Condvar`.)
+//! (A `std::sync::mpsc` receiver is single-consumer, so the worker pool
+//! cannot share one; this queue is the multi-consumer side the service
+//! needs, kept dependency-free on `Mutex` + `Condvar`.)
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex, MutexGuard};

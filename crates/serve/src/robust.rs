@@ -66,7 +66,7 @@ use aicomp_store::{RetryPolicy, SplitMix64};
 
 use crate::chaos::{FaultyStream, WireCounters, WireFaultPlan};
 use crate::client::{Client, FetchedChunk};
-use crate::protocol::{client_handshake, ContainerInfo};
+use crate::protocol::ContainerInfo;
 use crate::shard::{MapInstall, ShardMap};
 use crate::stats::StatsReport;
 use crate::{Result, ServeError};
@@ -237,27 +237,11 @@ struct Endpoint {
     conn: Option<Client>,
     breaker: Breaker,
     ever_connected: bool,
-    /// Replies still owed on `conn` by hedge-window timeouts — drained
-    /// (and counted wasted) before the connection carries a new request.
-    stale_pending: u32,
 }
 
 impl Endpoint {
     fn new(addr: SocketAddr) -> Endpoint {
-        Endpoint {
-            addr,
-            conn: None,
-            breaker: Breaker::new(),
-            ever_connected: false,
-            stale_pending: 0,
-        }
-    }
-
-    /// Drop the connection (and with it any replies still in flight —
-    /// a fresh connection owes nothing).
-    fn drop_conn(&mut self) {
-        self.conn = None;
-        self.stale_pending = 0;
+        Endpoint { addr, conn: None, breaker: Breaker::new(), ever_connected: false }
     }
 }
 
@@ -472,7 +456,6 @@ impl RobustClient {
                 // known broken — no breaker blame, connection kept (the
                 // reply it owes is still coming). Fire the duplicate.
                 self.counters.bump(&self.counters.hedges_fired);
-                self.endpoints[primary].stale_pending += 1;
                 let hedged = self.call_routed(Some(&pin[1..]), op);
                 match &hedged {
                     Ok(_) => self.counters.bump(&self.counters.hedges_won),
@@ -485,7 +468,7 @@ impl RobustClient {
                 // one call_routed attempt would do, then hand the call
                 // to the retry engine over the full replica set.
                 if matches!(e, ServeError::Io(_) | ServeError::Protocol(_)) {
-                    self.endpoints[primary].drop_conn();
+                    self.endpoints[primary].conn = None;
                 }
                 if !e.is_retryable() {
                     self.endpoints[primary].breaker.on_success();
@@ -708,7 +691,7 @@ impl RobustClient {
                 Err(e) => {
                     let drop_conn = matches!(e, ServeError::Io(_) | ServeError::Protocol(_));
                     if drop_conn {
-                        self.endpoints[index].drop_conn();
+                        self.endpoints[index].conn = None;
                     }
                     if !e.is_retryable() {
                         // A fatal typed answer is a *healthy* server
@@ -802,22 +785,14 @@ impl RobustClient {
         op: &mut impl FnMut(&mut Client, Option<Duration>) -> Result<T>,
     ) -> Result<T> {
         // Settle replies owed by earlier hedge-window timeouts before
-        // this connection carries a new request — a late reply drained
+        // this connection carries a new request — a late reply read off
         // here is a hedge's waste, not the answer to the next ask.
-        while self.endpoints[index].stale_pending > 0 {
-            self.endpoints[index].stale_pending -= 1;
+        while let Some(conn) = self.endpoints[index].conn.as_mut().filter(|c| c.owed() > 0) {
             self.counters.bump(&self.counters.hedges_wasted);
-            let full = self.config.timeout;
-            let drained = match self.endpoints[index].conn.as_mut() {
-                // A dropped connection owes nothing (drop_conn clears
-                // the debt; this arm is belt-and-braces).
-                None => break,
-                Some(conn) => conn.set_op_timeout(full).and_then(|()| conn.drain_reply()),
-            };
-            // A typed error frame is still a whole frame — the stream
+            // A typed error frame is still a whole reply — the stream
             // stays aligned. Only transport failures poison it.
-            if matches!(drained, Err(ServeError::Io(_)) | Err(ServeError::Protocol(_))) {
-                self.endpoints[index].drop_conn();
+            if conn.set_op_timeout(self.config.timeout).and_then(|()| conn.read_reply()).is_err() {
+                self.endpoints[index].conn = None;
             }
         }
         if self.endpoints[index].conn.is_none() {
@@ -849,33 +824,24 @@ impl RobustClient {
         let stream = TcpStream::connect(self.endpoints[index].addr)?;
         let _ = stream.set_nodelay(true);
         let (tenant, weight) = (self.config.tenant, self.config.weight);
-        match self.config.chaos {
-            Some(plan) if plan.is_active() => {
-                let mut faulty = FaultyStream::with_counters(
-                    stream,
-                    WireFaultPlan::none(),
-                    Arc::clone(&self.wire),
-                );
-                let derived = plan.derive(self.conn_seq);
-                self.conn_seq += 1;
-                if plan.cover_handshake {
-                    // Arm first: the seq is consumed up front, so a
-                    // fault-killed handshake still advances the
-                    // per-connection schedule deterministically.
-                    faulty.set_plan(derived);
-                    client_handshake(&mut faulty, tenant, weight)?;
-                } else {
-                    client_handshake(&mut faulty, tenant, weight)?;
-                    faulty.set_plan(derived);
-                }
-                Ok(Client::from_parts(Box::new(faulty)))
-            }
-            _ => {
-                let mut stream = stream;
-                client_handshake(&mut stream, tenant, weight)?;
-                Ok(Client::from_parts(Box::new(stream)))
-            }
+        let Some(plan) = self.config.chaos.filter(WireFaultPlan::is_active) else {
+            return Client::handshake(Box::new(stream), tenant, weight);
+        };
+        let mut faulty =
+            FaultyStream::with_counters(stream, WireFaultPlan::none(), Arc::clone(&self.wire));
+        let derived = plan.derive(self.conn_seq);
+        self.conn_seq += 1;
+        if plan.cover_handshake {
+            // Arm first: the seq is consumed up front, so a fault-killed
+            // handshake still advances the per-connection schedule
+            // deterministically.
+            faulty.set_plan(derived);
+            return Client::handshake(Box::new(faulty), tenant, weight);
         }
+        let arm = faulty.arm_handle();
+        let client = Client::handshake(Box::new(faulty), tenant, weight)?;
+        arm.arm(derived);
+        Ok(client)
     }
 }
 

@@ -666,7 +666,6 @@ fn process_group(shared: &Shared, container: u32, cf: u8, group: Vec<Job>) {
 
     // Re-check the cache under the key a sibling worker may have filled
     // between admission and now.
-    let stored_cf = cont.reader.header().cf();
     let mut batch: Vec<(u32, Waiters, Tensor)> = Vec::new();
     for (chunk, senders) in waiters {
         let key = (container, chunk, cf);
@@ -678,12 +677,7 @@ fn process_group(shared: &Shared, container: u32, cf: u8, group: Vec<Job>) {
             }
             continue;
         }
-        let read = if cf as usize == stored_cf {
-            cont.reader.read_chunk(chunk as usize)
-        } else {
-            cont.reader.read_chunk_at(chunk as usize, cf as usize)
-        };
-        match read {
+        match cont.reader.read_chunk_at(chunk as usize, cf as usize) {
             Ok(coeffs) => batch.push((chunk, senders, coeffs)),
             Err(e) => {
                 let err = (classify(&e), format!("chunk {chunk}: {e}"));
@@ -1209,6 +1203,7 @@ fn info(shared: &Shared, container: u32) -> Response {
 mod tests {
     use super::*;
     use crate::client::Client;
+    use crate::proto::FrameDecoder;
     use aicomp_store::writer::pack_file;
     use aicomp_store::StoreOptions;
     use std::net::TcpStream;
@@ -1344,7 +1339,7 @@ mod tests {
             let mut s = TcpStream::connect(handle.addr()).unwrap();
             let hello = Request::Hello { version: bad, tenant: 0, weight: 1 };
             protocol::write_request(&mut s, &hello).unwrap();
-            match protocol::read_response(&mut s).unwrap().unwrap() {
+            match protocol::read_response(&mut s, &mut FrameDecoder::new()).unwrap().unwrap() {
                 Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadRequest),
                 other => panic!("expected error, got {other:?}"),
             }
@@ -1352,7 +1347,7 @@ mod tests {
         // No hello at all.
         let mut s = TcpStream::connect(handle.addr()).unwrap();
         protocol::write_request(&mut s, &Request::Ping).unwrap();
-        match protocol::read_response(&mut s).unwrap().unwrap() {
+        match protocol::read_response(&mut s, &mut FrameDecoder::new()).unwrap().unwrap() {
             Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadRequest),
             other => panic!("expected error, got {other:?}"),
         }

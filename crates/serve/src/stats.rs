@@ -4,7 +4,9 @@
 //! list below; the live atomics of [`ServeStats`], the fields of
 //! [`StatsReport`], and the snapshot, wire encoding, decoding and
 //! `Display` are all generated from it. Adding a counter is one table line
-//! plus the increment where the event happens.
+//! plus the increment where the event happens. The wire body is
+//! positional, so any change to the table is a wire change: bump
+//! `PROTO_VERSION` with it.
 //!
 //! Two layers: [`ServeStats`] is the live, lock-free (atomic) collector
 //! the server threads write into on every request, and [`StatsReport`]
@@ -313,17 +315,16 @@ impl StatsReport {
         ratio(self.cache_hits, self.cache_hits + self.cache_misses)
     }
 
-    /// Append the wire encoding to `out`: named scalars, named
-    /// histograms, then the tenant rows.
+    /// Append the wire encoding to `out`: the scalars and then the
+    /// histograms, each in table order behind its count, then the tenant
+    /// rows.
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(Self::SCALARS.len() as u16).to_le_bytes());
-        for (&(_, name), v) in Self::SCALARS.iter().zip(self.scalars()) {
-            put_name(out, name);
+        for v in self.scalars() {
             out.extend_from_slice(&v.to_le_bytes());
         }
         out.push(Self::HISTOGRAMS.len() as u8);
-        for (&(name, _), buckets) in Self::HISTOGRAMS.iter().zip(self.histograms()) {
-            put_name(out, name);
+        for buckets in self.histograms() {
             out.push(buckets.len() as u8);
             for v in buckets {
                 out.extend_from_slice(&v.to_le_bytes());
@@ -339,32 +340,39 @@ impl StatsReport {
         }
     }
 
-    /// Parse the wire encoding produced by `encode`. Every scalar and
-    /// histogram must appear exactly once, by name, and every histogram
-    /// with its declared bucket count.
+    /// Parse the wire encoding produced by `encode`. The scalar and
+    /// histogram counts must equal the table's, and every histogram must
+    /// carry its declared bucket count: both ends build from one table and
+    /// the `Hello` version check fails fast, so position alone names each
+    /// value.
     pub(crate) fn decode(r: &mut BodyReader<'_>) -> Result<StatsReport> {
         let mut report = StatsReport::default();
-        let names: Vec<&str> = Self::SCALARS.iter().map(|&(_, name)| name).collect();
-        let mut scalars = report.scalars_mut();
         let count = r.u16()? as usize;
-        named_section(r, count, "scalar", &names, |r, i| {
-            *scalars[i] = r.u64()?;
-            Ok(())
-        })?;
-        let names: Vec<&str> = Self::HISTOGRAMS.iter().map(|&(name, _)| name).collect();
-        let mut histograms = report.histograms_mut();
+        if count != Self::SCALARS.len() {
+            return Err(ServeError::Protocol(format!(
+                "stats frame has {count} scalars, expected {}",
+                Self::SCALARS.len()
+            )));
+        }
+        for v in report.scalars_mut() {
+            *v = r.u64()?;
+        }
         let count = r.u8()? as usize;
-        named_section(r, count, "histogram", &names, |r, i| {
-            let (name, want) = Self::HISTOGRAMS[i];
+        if count != Self::HISTOGRAMS.len() {
+            return Err(ServeError::Protocol(format!(
+                "stats frame has {count} histograms, expected {}",
+                Self::HISTOGRAMS.len()
+            )));
+        }
+        for (&(name, want), hist) in Self::HISTOGRAMS.iter().zip(report.histograms_mut()) {
             let n = r.u8()? as usize;
             if n != want {
                 return Err(ServeError::Protocol(format!(
                     "stats histogram `{name}` has {n} buckets, expected {want}"
                 )));
             }
-            *histograms[i] = (0..n).map(|_| r.u64()).collect::<Result<_>>()?;
-            Ok(())
-        })?;
+            *hist = (0..n).map(|_| r.u64()).collect::<Result<_>>()?;
+        }
         let n = r.u16()? as usize;
         let mut tenants = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
@@ -402,41 +410,6 @@ fn log2_quantile_us(buckets: &[u64], q: f64) -> Option<u64> {
         seen >= rank
     })?;
     Some(1u64 << (i + 1))
-}
-
-fn put_name(out: &mut Vec<u8>, name: &str) {
-    out.push(name.len() as u8);
-    out.extend_from_slice(name.as_bytes());
-}
-
-/// Decode `count` `(u8 name_len, name, value)` entries, resolving each
-/// name against `names` and reading its value with `read`. A name that is
-/// unknown, repeated or missing is a typed `Protocol` error.
-fn named_section<'a>(
-    r: &mut BodyReader<'a>,
-    count: usize,
-    kind: &str,
-    names: &[&str],
-    mut read: impl FnMut(&mut BodyReader<'a>, usize) -> Result<()>,
-) -> Result<()> {
-    let mut seen = vec![false; names.len()];
-    for _ in 0..count {
-        let len = r.u8()? as usize;
-        let raw = r.take(len)?;
-        let name = String::from_utf8_lossy(raw);
-        let i = names
-            .iter()
-            .position(|n| n.as_bytes() == raw)
-            .ok_or_else(|| ServeError::Protocol(format!("unknown stats {kind} `{name}`")))?;
-        if std::mem::replace(&mut seen[i], true) {
-            return Err(ServeError::Protocol(format!("stats {kind} `{name}` appears twice")));
-        }
-        read(r, i)?;
-    }
-    match seen.iter().position(|&s| !s) {
-        Some(i) => Err(ServeError::Protocol(format!("stats frame lacks {kind} `{}`", names[i]))),
-        None => Ok(()),
-    }
 }
 
 impl std::fmt::Display for StatsReport {
@@ -502,15 +475,11 @@ mod tests {
     }
 
     /// A stats body built entry by entry, for frames `encode` never writes.
-    fn body(scalars: &[(&str, u64)], histograms: &[(&str, &[u64])]) -> Vec<u8> {
+    fn body(scalars: &[u64], histograms: &[&[u64]]) -> Vec<u8> {
         let mut out = (scalars.len() as u16).to_le_bytes().to_vec();
-        for &(name, v) in scalars {
-            put_name(&mut out, name);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
+        scalars.iter().for_each(|v| out.extend_from_slice(&v.to_le_bytes()));
         out.push(histograms.len() as u8);
-        for &(name, buckets) in histograms {
-            put_name(&mut out, name);
+        for buckets in histograms {
             out.push(buckets.len() as u8);
             buckets.iter().for_each(|v| out.extend_from_slice(&v.to_le_bytes()));
         }
@@ -559,28 +528,23 @@ mod tests {
         let report = ServeStats::default().snapshot(&[(3, 1, 0, 0)]);
         let (op, good) = wire(&report);
         assert_eq!(decode(op, &good).unwrap(), report);
-        let scalars: Vec<(&str, u64)> = StatsReport::SCALARS.iter().map(|&(_, n)| (n, 1)).collect();
+        let scalars = vec![1u64; StatsReport::SCALARS.len()];
         let zeros = [0u64; 64];
-        let hists: Vec<(&str, &[u64])> =
-            StatsReport::HISTOGRAMS.iter().map(|&(n, len)| (n, &zeros[..len])).collect();
+        let hists: Vec<&[u64]> =
+            StatsReport::HISTOGRAMS.iter().map(|&(_, len)| &zeros[..len]).collect();
         assert!(decode(op, &body(&scalars, &hists)).is_ok());
         let resized = |len: usize| {
             let mut h = hists.clone();
-            h[0].1 = &zeros[..len];
+            h[0] = &zeros[..len];
             body(&scalars, &h)
         };
         let (_, want) = StatsReport::HISTOGRAMS[0];
 
         let mut bad = vec![
             ("missing scalar", body(&scalars[1..], &hists)),
-            ("duplicate scalar", body(&[&scalars[..], &scalars[..1]].concat(), &hists)),
-            ("unknown scalar", body(&[&scalars[..], &[("bogus", 1)]].concat(), &hists)),
+            ("extra scalar", body(&[&scalars[..], &[1]].concat(), &hists)),
             ("missing histogram", body(&scalars, &hists[1..])),
-            ("duplicate histogram", body(&scalars, &[&hists[..], &hists[..1]].concat())),
-            (
-                "unknown histogram",
-                body(&scalars, &[&hists[..], &[("bogus", &zeros[..4])]].concat()),
-            ),
+            ("extra histogram", body(&scalars, &[&hists[..], &hists[..1]].concat())),
             ("short histogram", resized(want - 1)),
             ("long histogram", resized(want + 1)),
             ("empty histogram", resized(0)),

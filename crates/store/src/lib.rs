@@ -41,7 +41,7 @@
 //!   bounded-memory iteration, random chunk access, progressive prefix
 //!   reads, `verify`.
 //! * [`prefetch`] — [`PrefetchLoader`]: background worker threads decode
-//!   ahead of the training loop (crossbeam channels).
+//!   ahead of the training loop (a bounded `std::sync::mpsc` channel).
 //! * [`shared`] — [`SharedReader`]: validated-once metadata plus a pool of
 //!   per-thread reader handles, so many concurrent consumers (the
 //!   `aicomp-serve` service) share one container without a read-path lock.

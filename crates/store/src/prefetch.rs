@@ -6,7 +6,7 @@
 //! worker threads, each with its **own** [`DczReader`] over the same file
 //! (seek positions are per-handle, so workers never contend on a shared
 //! cursor), claiming chunk indices from a shared atomic counter and
-//! pushing decoded tensors through a bounded crossbeam channel. The
+//! pushing decoded tensors through a bounded `std::sync::mpsc` channel. The
 //! consumer reorders them with a small buffer so chunks arrive in file
 //! order regardless of which worker finished first.
 //!
@@ -45,11 +45,11 @@ use std::io::BufReader;
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use aicomp_tensor::Tensor;
-use crossbeam::channel::{bounded, Receiver};
 
 use crate::fault::{FaultPlan, FaultySource, RetryPolicy};
 use crate::layout::{Header, IndexEntry};
@@ -237,7 +237,7 @@ impl PrefetchLoader {
         drop(probe);
 
         let workers_n = cfg.workers.max(1);
-        let (tx, rx) = bounded(cfg.lookahead.max(1));
+        let (tx, rx) = sync_channel(cfg.lookahead.max(1));
         let cursor = Arc::new(AtomicUsize::new(0));
         let gate = Arc::new(ClaimGate::new(cfg.lookahead.max(workers_n)));
         let mut workers = Vec::with_capacity(workers_n);
@@ -358,46 +358,17 @@ fn produce(
         }
     };
     let first_sample = meta.1[chunk].first_sample;
-    let stored_cf = meta.0.cf();
-    let target_cf = cfg.read_cf.unwrap_or(stored_cf);
+    let target_cf = cfg.read_cf.unwrap_or(meta.0.cf());
     let (data, fidelity) = match cfg.policy {
-        ReadPolicy::DegradeToPrefix => degrade_read(r, chunk, target_cf, stored_cf)?,
+        ReadPolicy::DegradeToPrefix => match r.decompress_chunk_salvage(chunk, target_cf)? {
+            (t, cf) if cf == target_cf => (t, ChunkFidelity::Full),
+            (t, cf) => (t, ChunkFidelity::Degraded { cf }),
+        },
         ReadPolicy::Fail | ReadPolicy::SkipChunk => {
-            let data = match cfg.read_cf {
-                Some(cf) => r.decompress_chunk_at(chunk, cf)?,
-                None => r.decompress_chunk(chunk)?,
-            };
-            (data, ChunkFidelity::Full)
+            (r.decompress_chunk_at(chunk, target_cf)?, ChunkFidelity::Full)
         }
     };
     Ok(PrefetchedChunk { chunk, first_sample, data, fidelity })
-}
-
-/// Full read first, then coarser ring prefixes below `target_cf` — the
-/// progressive-layout salvage. Transient errors propagate untouched.
-fn degrade_read(
-    r: &mut FaultyReader,
-    chunk: usize,
-    target_cf: usize,
-    stored_cf: usize,
-) -> Result<(Tensor, ChunkFidelity)> {
-    let full = if target_cf == stored_cf {
-        r.decompress_chunk(chunk)
-    } else {
-        r.decompress_chunk_at(chunk, target_cf)
-    };
-    match full {
-        Ok(t) => Ok((t, ChunkFidelity::Full)),
-        Err(e) if e.is_transient() => Err(e),
-        Err(e) => {
-            for cf in (1..target_cf).rev() {
-                if let Ok(t) = r.decompress_chunk_at(chunk, cf) {
-                    return Ok((t, ChunkFidelity::Degraded { cf }));
-                }
-            }
-            Err(e)
-        }
-    }
 }
 
 /// Shape-stable substitute for an undecodable chunk: zeros of the chunk's
@@ -607,6 +578,27 @@ mod tests {
         bytes[at as usize] ^= 0x2A;
         std::fs::write(&path, bytes).unwrap();
         (path, samples)
+    }
+
+    #[test]
+    fn stored_cf_reads_reject_every_section_bit_flip() {
+        // `read_cf: Some(stored)` is the CRC-checked full read, not a
+        // prefix read that trusts the Huffman bit counts alone.
+        let path = temp_path("crcflip");
+        pack_file(&path, &StoreOptions::dct(16, 4, 1, 1), [sample(0, 1, 16)]).unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        let e = DczReader::open(&path).unwrap().index()[0];
+        let start = e.offset as usize + crate::chunk::prelude_len(4);
+        let end = (e.offset + e.len as u64) as usize;
+        let cfg = PrefetchConfig { workers: 1, read_cf: Some(4), ..Default::default() };
+        for bit in start * 8..end * 8 {
+            let mut bad = clean.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            std::fs::write(&path, bad).unwrap();
+            let results: Vec<_> = PrefetchLoader::open(&path, cfg).unwrap().collect();
+            assert!(matches!(results[..], [Err(_)]), "flip of bit {bit} went undetected");
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

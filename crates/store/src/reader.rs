@@ -175,34 +175,38 @@ impl<R: Read + Seek> DczReader<R> {
     /// Read chunk `chunk` in full (CRC-checked) and decode its coefficient
     /// tensor at the stored chop factor.
     pub fn read_chunk(&mut self, chunk: usize) -> Result<Tensor> {
-        let e = self.entry(chunk)?;
-        let bytes = self.read_payload(e.offset, e.len as usize)?;
-        if crc32(&bytes) != e.crc {
-            return Err(StoreError::Format(format!("chunk {chunk} fails its CRC check")));
-        }
-        decode_chunk(&bytes, &self.header, e.samples as usize, self.header.cf())
+        self.read_chunk_at(chunk, self.header.cf())
     }
 
-    /// Read only the prefix of chunk `chunk` covering chop factor
-    /// `read_cf` and decode the `[S, C, cf'·nb, cf'·nb]` coefficients.
+    /// Read chunk `chunk` at chop factor `read_cf` and decode the
+    /// `[S, C, cf'·nb, cf'·nb]` coefficients.
     ///
-    /// Reads `prelude + rings 0..read_cf` — strictly fewer bytes than the
-    /// chunk for `read_cf < cf`. The chunk CRC covers the whole payload, so
-    /// prefix reads rely on the per-section Huffman self-checks instead.
+    /// At the stored chop factor this reads the whole payload and checks
+    /// it against the chunk CRC. Below it, only `prelude + rings
+    /// 0..read_cf` is read — strictly fewer bytes. The chunk CRC covers
+    /// the whole payload, so a prefix read relies on the per-section
+    /// Huffman bit-count checks instead, which miss many bit flips.
     pub fn read_chunk_at(&mut self, chunk: usize, read_cf: usize) -> Result<Tensor> {
         let e = self.entry(chunk)?;
-        let plen = prelude_len(self.header.cf());
+        let stored_cf = self.header.cf();
+        if read_cf == 0 || read_cf > stored_cf {
+            return Err(StoreError::InvalidArg(format!(
+                "read chop factor {read_cf} outside 1..={stored_cf}"
+            )));
+        }
+        if read_cf == stored_cf {
+            let bytes = self.read_payload(e.offset, e.len as usize)?;
+            if crc32(&bytes) != e.crc {
+                return Err(StoreError::Format(format!("chunk {chunk} fails its CRC check")));
+            }
+            return decode_chunk(&bytes, &self.header, e.samples as usize, stored_cf);
+        }
+        let plen = prelude_len(stored_cf);
         if (e.len as usize) < plen {
             return Err(StoreError::Format(format!("chunk {chunk} shorter than its prelude")));
         }
         let prelude_bytes = self.read_payload(e.offset, plen)?;
         let prelude = decode_prelude(&prelude_bytes, &self.header)?;
-        if read_cf == 0 || read_cf > self.header.cf() {
-            return Err(StoreError::InvalidArg(format!(
-                "read chop factor {read_cf} outside 1..={}",
-                self.header.cf()
-            )));
-        }
         let prefix = prelude.prefix_len(read_cf);
         if plen + prefix > e.len as usize {
             return Err(StoreError::Format(format!("chunk {chunk} sections truncated")));
@@ -224,39 +228,43 @@ impl<R: Read + Seek> DczReader<R> {
     /// Read chunk `chunk` and reconstruct samples: `[S, C, n, n]` —
     /// bit-identical to the host codec's `decompress`.
     pub fn decompress_chunk(&mut self, chunk: usize) -> Result<Tensor> {
-        let coeffs = self.read_chunk(chunk)?;
-        let c = self.decompressor(self.header.cf())?;
-        Ok(c.decompress(&coeffs)?)
+        self.decompress_chunk_at(chunk, self.header.cf())
     }
 
-    /// Progressive variant of [`Self::decompress_chunk`]: reconstruct at
-    /// chop factor `read_cf` from a prefix read.
+    /// Reconstruct chunk `chunk` at chop factor `read_cf` (a CRC-checked
+    /// full read at the stored one, a prefix read below it; see
+    /// [`Self::read_chunk_at`]).
     pub fn decompress_chunk_at(&mut self, chunk: usize, read_cf: usize) -> Result<Tensor> {
         let coeffs = self.read_chunk_at(chunk, read_cf)?;
         let c = self.decompressor(read_cf)?;
         Ok(c.decompress(&coeffs)?)
     }
 
-    /// Best-effort decode of a damaged chunk: try the full read first, then
-    /// walk coarser ring prefixes (`cf−1 … 1`) until one decodes — the
-    /// progressive layout means a chunk whose *tail* is corrupt still holds
-    /// a bit-exact coarser encoding in its intact prefix (each section's
-    /// Huffman stream self-checks, standing in for the full-payload CRC).
+    /// Best-effort decode of a damaged chunk: try `read_cf` first, then
+    /// walk coarser ring prefixes (`read_cf−1 … 1`) until one decodes —
+    /// the progressive layout means a chunk whose *tail* is corrupt still
+    /// holds a bit-exact coarser encoding in its intact prefix (each
+    /// section's Huffman bit count is checked, standing in for the
+    /// full-payload CRC).
     ///
     /// Returns the reconstruction and the chop factor actually used, or the
     /// original error when no prefix decodes (prelude/ring-0 damage).
     /// Transient I/O errors are *not* walked down — they are retried by
     /// [`RetryPolicy`] and propagate if they persist, since a coarser read
-    /// of a timing-out source would time out too.
-    pub fn decompress_chunk_salvage(&mut self, chunk: usize) -> Result<(Tensor, usize)> {
-        let stored_cf = self.header.cf();
-        match self.decompress_chunk(chunk) {
-            Ok(t) => Ok((t, stored_cf)),
-            Err(e) if e.is_transient() => Err(e),
+    /// of a timing-out source would time out too — and neither is an
+    /// invalid argument (a chunk or `read_cf` out of range).
+    pub fn decompress_chunk_salvage(
+        &mut self,
+        chunk: usize,
+        read_cf: usize,
+    ) -> Result<(Tensor, usize)> {
+        match self.decompress_chunk_at(chunk, read_cf) {
+            Ok(t) => Ok((t, read_cf)),
+            Err(e) if e.is_transient() || matches!(e, StoreError::InvalidArg(_)) => Err(e),
             Err(e) => {
-                for read_cf in (1..stored_cf).rev() {
-                    if let Ok(t) = self.decompress_chunk_at(chunk, read_cf) {
-                        return Ok((t, read_cf));
+                for cf in (1..read_cf).rev() {
+                    if let Ok(t) = self.decompress_chunk_at(chunk, cf) {
+                        return Ok((t, cf));
                     }
                 }
                 Err(e)
@@ -448,6 +456,22 @@ mod tests {
     }
 
     #[test]
+    fn stored_cf_reads_reject_every_section_bit_flip() {
+        // Below the stored cf only the Huffman bit counts guard a read;
+        // at it, the chunk CRC must catch every flip past the prelude.
+        let opts = StoreOptions::dct(16, 4, 1, 1);
+        let file = pack(&[sample(0, 1, 16)], &opts);
+        let e = DczReader::new(Cursor::new(file.clone())).unwrap().entry(0).unwrap();
+        let sections = e.offset as usize + prelude_len(4)..(e.offset + e.len as u64) as usize;
+        for bit in sections.start * 8..sections.end * 8 {
+            let mut bad = file.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            let mut r = DczReader::new(Cursor::new(bad)).unwrap();
+            assert!(r.read_chunk_at(0, 4).is_err(), "flip of bit {bit} went undetected");
+        }
+    }
+
+    #[test]
     fn verify_covers_all_chunks() {
         let opts = StoreOptions::dct(16, 3, 2, 2);
         let samples: Vec<Tensor> = (0..7).map(|i| sample(i, 2, 16)).collect();
@@ -506,7 +530,7 @@ mod tests {
         bad[(e.offset + e.len as u64 - 1) as usize] ^= 0x10;
         let mut r = DczReader::new(Cursor::new(bad)).unwrap();
         assert!(r.decompress_chunk(0).is_err());
-        let (got, used_cf) = r.decompress_chunk_salvage(0).unwrap();
+        let (got, used_cf) = r.decompress_chunk_salvage(0, 4).unwrap();
         assert_eq!(used_cf, 3);
         let mut clean = DczReader::new(Cursor::new(file.clone())).unwrap();
         let want = clean.decompress_chunk_at(0, 3).unwrap();
@@ -518,7 +542,7 @@ mod tests {
         let mut dead = file;
         dead[e.offset as usize] ^= 0xFF; // ring_count field
         let mut r = DczReader::new(Cursor::new(dead)).unwrap();
-        assert!(r.decompress_chunk_salvage(0).is_err());
+        assert!(r.decompress_chunk_salvage(0, 4).is_err());
     }
 
     #[test]

@@ -108,19 +108,9 @@ impl SharedReader {
         self.pool.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// [`DczReader::read_chunk`] through a pooled handle.
-    pub fn read_chunk(&self, chunk: usize) -> Result<Tensor> {
-        self.with_reader(|r| r.read_chunk(chunk))
-    }
-
     /// [`DczReader::read_chunk_at`] through a pooled handle.
     pub fn read_chunk_at(&self, chunk: usize, read_cf: usize) -> Result<Tensor> {
         self.with_reader(|r| r.read_chunk_at(chunk, read_cf))
-    }
-
-    /// [`DczReader::decompress_chunk`] through a pooled handle.
-    pub fn decompress_chunk(&self, chunk: usize) -> Result<Tensor> {
-        self.with_reader(|r| r.decompress_chunk(chunk))
     }
 
     /// [`DczReader::decompress_chunk_at`] through a pooled handle.
@@ -187,7 +177,7 @@ mod tests {
                     for i in 0..2 * chunks {
                         let c = (t + i) % chunks;
                         let got: Vec<u32> = shared
-                            .decompress_chunk(c)
+                            .decompress_chunk_at(c, 4)
                             .unwrap()
                             .data()
                             .iter()
@@ -220,11 +210,11 @@ mod tests {
         let opts = StoreOptions::dct(16, 4, 1, 2);
         pack_file(&path, &opts, (0..4).map(|i| sample(i, 1, 16))).unwrap();
         let shared = SharedReader::open(&path).unwrap();
-        assert!(shared.read_chunk(99).is_err());
+        assert!(shared.read_chunk_at(99, 4).is_err());
         assert!(shared.read_chunk_at(0, 99).is_err());
         // Healthy reads still work (and refill the pool) afterwards.
-        let a = shared.decompress_chunk(0).unwrap();
-        let b = shared.decompress_chunk(0).unwrap();
+        let a = shared.decompress_chunk_at(0, 4).unwrap();
+        let b = shared.decompress_chunk_at(0, 4).unwrap();
         assert_eq!(a.data(), b.data());
         std::fs::remove_file(&path).ok();
     }

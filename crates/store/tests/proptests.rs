@@ -159,7 +159,7 @@ proptest! {
         if let Ok(mut r) = DczReader::new(Cursor::new(buf.clone())) {
             let _ = r.verify();
             for c in 0..r.chunk_count() {
-                let _ = r.decompress_chunk_salvage(c);
+                let _ = r.decompress_chunk_salvage(c, r.header().cf());
             }
             let _ = deep_verify(&mut r);
         }

@@ -18,7 +18,7 @@ use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-use aicomp::serve::proto::encode_frame;
+use aicomp::serve::proto::{encode_frame, FrameDecoder};
 use aicomp::serve::protocol::{encode_request, read_response, write_request};
 use aicomp::serve::{
     Client, ErrorCode, Request, Response, RobustClient, RobustConfig, ServeConfig, ServeError,
@@ -178,7 +178,7 @@ fn silent_and_slow_loris_connections_are_cut_with_typed_closes() {
 
     // A connection that never says Hello is cut at the handshake deadline.
     let mut silent = TcpStream::connect(addr).unwrap();
-    match read_response(&mut silent).unwrap() {
+    match read_response(&mut silent, &mut FrameDecoder::new()).unwrap() {
         Some(Response::Error { code, .. }) => assert_eq!(code, ErrorCode::DeadlineExceeded),
         other => panic!("silent connection: expected typed deadline close, got {other:?}"),
     }
@@ -189,12 +189,12 @@ fn silent_and_slow_loris_connections_are_cut_with_typed_closes() {
     // held the buffer forever.
     let mut loris = TcpStream::connect(addr).unwrap();
     write_request(&mut loris, &Request::hello()).unwrap();
-    match read_response(&mut loris).unwrap() {
+    match read_response(&mut loris, &mut FrameDecoder::new()).unwrap() {
         Some(Response::Hello { version: PROTO_VERSION, .. }) => {}
         other => panic!("expected the hello ack, got {other:?}"),
     }
     loris.write_all(&[64, 0, 0, 0, 2]).unwrap(); // 64-byte frame, 1 byte sent
-    match read_response(&mut loris).unwrap() {
+    match read_response(&mut loris, &mut FrameDecoder::new()).unwrap() {
         Some(Response::Error { code, .. }) => assert_eq!(code, ErrorCode::DeadlineExceeded),
         other => panic!("slow loris: expected typed deadline close, got {other:?}"),
     }
@@ -204,11 +204,11 @@ fn silent_and_slow_loris_connections_are_cut_with_typed_closes() {
     let mut evil = TcpStream::connect(addr).unwrap();
     write_request(&mut evil, &Request::hello()).unwrap();
     assert!(matches!(
-        read_response(&mut evil).unwrap(),
+        read_response(&mut evil, &mut FrameDecoder::new()).unwrap(),
         Some(Response::Hello { version: PROTO_VERSION, .. })
     ));
     evil.write_all(&(MAX_FRAME + 1).to_le_bytes()).unwrap();
-    match read_response(&mut evil).unwrap() {
+    match read_response(&mut evil, &mut FrameDecoder::new()).unwrap() {
         Some(Response::Error { code, .. }) => assert_eq!(code, ErrorCode::BadFrame),
         other => panic!("oversize frame: expected typed BadFrame close, got {other:?}"),
     }
@@ -220,7 +220,7 @@ fn silent_and_slow_loris_connections_are_cut_with_typed_closes() {
     let mut hello = encode_frame(op, &body).unwrap();
     *hello.last_mut().unwrap() ^= 0x40;
     garbled.write_all(&hello).unwrap();
-    match read_response(&mut garbled).unwrap() {
+    match read_response(&mut garbled, &mut FrameDecoder::new()).unwrap() {
         Some(Response::Error { code, .. }) => assert_eq!(code, ErrorCode::BadFrame),
         other => panic!("CRC mismatch: expected typed BadFrame close, got {other:?}"),
     }
