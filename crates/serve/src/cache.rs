@@ -70,7 +70,7 @@ impl CacheSnapshot {
 }
 
 /// Sharded LRU of decoded chunks. Generic over the cached value — the
-/// server stores encoded [`crate::proto::ResponseSlab`]s (so cache hits
+/// server stores encoded [`crate::protocol::ResponseSlab`]s (so cache hits
 /// skip re-encoding, not just re-decoding); the default `Arc<Tensor>`
 /// keeps the decoded-tensor shape available (and the proptests below
 /// exercise it).

@@ -59,6 +59,87 @@ impl Wire for std::net::TcpStream {
     }
 }
 
+/// The crate's one in-memory [`Wire`] test double.
+#[cfg(test)]
+pub(crate) mod scripted {
+    use std::collections::VecDeque;
+    use std::io::{ErrorKind, Read, Write};
+    use std::sync::{Arc, Mutex};
+    use std::time::Duration;
+
+    use super::Wire;
+
+    /// Replays a script of reads — byte runs, errors, and EOF once the
+    /// script runs out — and records every byte written to it. A scripted
+    /// timeout sleeps 2 ms before it returns, as a socket read timeout
+    /// blocks, so a reader polling its deadlines does not spin.
+    pub(crate) struct Scripted {
+        reads: VecDeque<std::io::Result<Vec<u8>>>,
+        written: Arc<Mutex<Vec<u8>>>,
+    }
+
+    impl Scripted {
+        /// A wire whose reads replay `reads` in order.
+        pub(crate) fn new(reads: impl IntoIterator<Item = std::io::Result<Vec<u8>>>) -> Scripted {
+            Scripted { reads: reads.into_iter().collect(), written: Arc::default() }
+        }
+
+        /// Everything written so far; the handle outlives a move of the
+        /// wire into a client or a connection loop.
+        pub(crate) fn written(&self) -> Arc<Mutex<Vec<u8>>> {
+            Arc::clone(&self.written)
+        }
+    }
+
+    /// A script entry that reads as a timed-out read.
+    pub(crate) fn timeout() -> std::io::Result<Vec<u8>> {
+        Err(std::io::Error::new(ErrorKind::WouldBlock, "read timed out"))
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.reads.pop_front() {
+                None => Ok(0),
+                Some(Err(e)) => {
+                    if e.kind() == ErrorKind::WouldBlock {
+                        std::thread::sleep(Duration::from_millis(2));
+                    }
+                    Err(e)
+                }
+                Some(Ok(mut bytes)) => {
+                    let n = bytes.len().min(buf.len());
+                    buf[..n].copy_from_slice(&bytes[..n]);
+                    if n < bytes.len() {
+                        self.reads.push_front(Ok(bytes.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    impl Write for Scripted {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.written.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Wire for Scripted {
+        fn set_read_timeout(&self, _: Option<Duration>) -> std::io::Result<()> {
+            Ok(())
+        }
+
+        fn set_nodelay(&self, _: bool) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+}
+
 /// Seeded description of injected wire faults. Event spacings are *mean
 /// bytes between events* per direction; `None` disables that fault class.
 /// The default plan injects nothing and the wrapper is a pass-through.
@@ -475,44 +556,23 @@ impl<S: Wire> Wire for FaultyStream<S> {
 
 #[cfg(test)]
 mod tests {
+    use super::scripted::Scripted;
     use super::*;
-    use std::io::Cursor;
 
-    /// In-memory `Read + Write` pair: reads drain `rx`, writes fill `tx`.
-    struct Pipe {
-        rx: Cursor<Vec<u8>>,
-        tx: Vec<u8>,
-    }
-
-    impl Read for Pipe {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            self.rx.read(buf)
-        }
-    }
-
-    impl Write for Pipe {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.tx.write(buf)
-        }
-
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    fn pipe(incoming: Vec<u8>) -> Pipe {
-        Pipe { rx: Cursor::new(incoming), tx: Vec::new() }
+    fn pipe(incoming: Vec<u8>) -> Scripted {
+        Scripted::new([Ok(incoming)])
     }
 
     #[test]
     fn inactive_plan_is_passthrough() {
         let data: Vec<u8> = (0..=255u8).collect();
         let mut s = FaultyStream::new(pipe(data.clone()), WireFaultPlan::none());
+        let written = s.inner.written();
         let mut out = Vec::new();
         s.read_to_end(&mut out).unwrap();
         assert_eq!(out, data);
         s.write_all(&data).unwrap();
-        assert_eq!(s.into_inner().tx, data);
+        assert_eq!(*written.lock().unwrap(), data);
     }
 
     #[test]
@@ -568,11 +628,12 @@ mod tests {
         let data: Vec<u8> = (0..2048u32).map(|i| (i * 31 % 254) as u8).collect();
         let plan = WireFaultPlan { seed: 2, partial_write_rate: 0.8, ..WireFaultPlan::none() };
         let mut s = FaultyStream::new(pipe(Vec::new()), plan);
+        let written = s.inner.written();
         for part in data.chunks(100) {
             s.write_all(part).unwrap();
         }
         assert!(s.counters().partial_writes.load(Ordering::Relaxed) > 0);
-        assert_eq!(s.into_inner().tx, data);
+        assert_eq!(*written.lock().unwrap(), data);
     }
 
     #[test]

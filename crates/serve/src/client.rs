@@ -16,9 +16,9 @@ use std::time::Duration;
 use aicomp_tensor::Tensor;
 
 use crate::chaos::Wire;
-use crate::proto::FrameDecoder;
 use crate::protocol::{
-    decode_response, read_frame, write_request, ContainerInfo, Request, Response, PROTO_VERSION,
+    decode_response, read_frame, write_request, ContainerInfo, FrameDecoder, Request, Response,
+    PROTO_VERSION,
 };
 use crate::stats::StatsReport;
 use crate::{Result, ServeError};
@@ -285,52 +285,10 @@ fn variant(resp: &Response) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::VecDeque;
-    use std::io::{ErrorKind, Read, Write};
+    use std::io::ErrorKind;
 
-    use crate::proto::encode_frame;
-    use crate::protocol::{encode_response, ErrorCode};
-
-    /// In-memory [`Wire`] that replays a script of reads — byte runs,
-    /// errors, and EOF once the script runs out — and swallows writes.
-    struct Scripted(VecDeque<std::io::Result<Vec<u8>>>);
-
-    impl Read for Scripted {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            match self.0.pop_front() {
-                None => Ok(0),
-                Some(Err(e)) => Err(e),
-                Some(Ok(mut bytes)) => {
-                    let n = bytes.len().min(buf.len());
-                    buf[..n].copy_from_slice(&bytes[..n]);
-                    if n < bytes.len() {
-                        self.0.push_front(Ok(bytes.split_off(n)));
-                    }
-                    Ok(n)
-                }
-            }
-        }
-    }
-
-    impl Write for Scripted {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            Ok(buf.len())
-        }
-
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    impl Wire for Scripted {
-        fn set_read_timeout(&self, _: Option<Duration>) -> std::io::Result<()> {
-            Ok(())
-        }
-
-        fn set_nodelay(&self, _: bool) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
+    use crate::chaos::scripted::{timeout, Scripted};
+    use crate::protocol::{encode_frame, encode_response, ErrorCode};
 
     fn reply(resp: &Response) -> Vec<u8> {
         let (op, body) = encode_response(resp);
@@ -347,10 +305,6 @@ mod tests {
         }
     }
 
-    fn timeout() -> std::io::Result<Vec<u8>> {
-        Err(std::io::Error::new(ErrorKind::WouldBlock, "read timed out"))
-    }
-
     #[test]
     fn reply_split_by_a_timeout_is_drained_whole() {
         let ack = reply(&Response::Hello { version: PROTO_VERSION });
@@ -361,9 +315,9 @@ mod tests {
         // own reply.
         let script = [Ok(ack.clone()), Ok(late[..half].to_vec()), timeout()]
             .into_iter()
-            .chain([Ok(late[half..].to_vec()), Ok(next.clone())])
-            .collect();
-        let mut client = Client::from_stream(Box::new(Scripted(script)), PROTO_VERSION).unwrap();
+            .chain([Ok(late[half..].to_vec()), Ok(next.clone())]);
+        let mut client =
+            Client::from_stream(Box::new(Scripted::new(script)), PROTO_VERSION).unwrap();
         let err = client.fetch(0, 1, 3).unwrap_err();
         assert!(matches!(&err, ServeError::Io(e) if e.kind() == ErrorKind::WouldBlock), "{err}");
         assert_eq!(client.read_reply().unwrap(), chunk(8));
@@ -373,9 +327,9 @@ mod tests {
         // off first instead of taking it as its own answer.
         let script = [Ok(ack), Ok(late[..half].to_vec()), timeout()]
             .into_iter()
-            .chain([Ok(late[half..].to_vec()), Ok(reply(&Response::Pong))])
-            .collect();
-        let mut client = Client::from_stream(Box::new(Scripted(script)), PROTO_VERSION).unwrap();
+            .chain([Ok(late[half..].to_vec()), Ok(reply(&Response::Pong))]);
+        let mut client =
+            Client::from_stream(Box::new(Scripted::new(script)), PROTO_VERSION).unwrap();
         assert!(client.fetch(0, 1, 3).is_err());
         client.ping().unwrap();
     }
@@ -383,7 +337,7 @@ mod tests {
     #[test]
     fn handshake_rejects_bad_grants() {
         let handshake = |script: Vec<Vec<u8>>| {
-            let wire = Scripted(script.into_iter().map(Ok).collect());
+            let wire = Scripted::new(script.into_iter().map(Ok));
             Client::handshake(Box::new(wire), 0, 1).unwrap_err()
         };
         // An ack at any other version.

@@ -41,14 +41,11 @@
 //!
 //! Module map:
 //!
-//! * [`proto`] — the sans-I/O protocol core: incremental
-//!   [`FrameDecoder`], the server's connection state machine
-//!   ([`ServerConn`]), and zero-copy [`ResponseSlab`]s — the *one*
-//!   implementation of framing and CRC, and of the server's handshake and
-//!   deadline rules.
-//! * [`protocol`] — wire frames, opcodes, error codes (`PROTOCOL.md`);
-//!   its blocking read/write helpers are thin adapters over [`proto`],
-//!   reading through the caller's persistent [`FrameDecoder`].
+//! * [`protocol`] — wire frames, opcodes, error codes (`PROTOCOL.md`),
+//!   and the *one* implementation of framing and CRC: the incremental
+//!   [`FrameDecoder`], zero-copy [`ResponseSlab`]s, and blocking
+//!   read/write helpers that read through the caller's persistent
+//!   [`FrameDecoder`].
 //! * [`queue`] — the weighted-fair admission queue [`Wfq`] (per-tenant
 //!   lanes, deficit-round-robin drain, quotas, a priority lane for cheap
 //!   ring-prefix fetches); `try_push` is the load-shedding edge,
@@ -60,7 +57,9 @@
 //!   [`StatsReport`], and its positional wire encoding and display are
 //!   generated.
 //! * [`server`] — listener, one thread per connection, worker pool,
-//!   dynamic batcher, connection supervision, graceful shutdown.
+//!   dynamic batcher, graceful shutdown. Each connection thread owns
+//!   every server-side protocol rule: the `Hello` exchange, one
+//!   [`FrameDecoder`], and the handshake, idle and frame deadlines.
 //! * [`client`] — blocking client used by the `dcz` subcommands, the
 //!   `loadgen` benchmark, the [`RobustClient`], and the tests. It owns
 //!   every client-side rule: the `Hello` exchange, one persistent
@@ -82,7 +81,6 @@
 pub mod cache;
 pub mod chaos;
 pub mod client;
-pub mod proto;
 pub mod protocol;
 pub mod queue;
 pub mod robust;
@@ -93,8 +91,10 @@ pub mod stats;
 pub use cache::{CacheKey, CacheSnapshot, ChunkCache};
 pub use chaos::{FaultyStream, Wire, WireCounters, WireFaultPlan};
 pub use client::{Client, FetchedChunk};
-pub use proto::{Action, CloseReason, DeadlineKind, FrameDecoder, ResponseSlab, ServerConn};
-pub use protocol::{ContainerInfo, ErrorCode, Request, Response, MAX_FRAME, PROTO_VERSION};
+pub use protocol::{
+    ContainerInfo, ErrorCode, FrameDecoder, Request, Response, ResponseSlab, MAX_FRAME,
+    PROTO_VERSION,
+};
 pub use queue::{PushError, TenantQuota, Wfq};
 pub use robust::{BreakerState, RobustClient, RobustConfig, RobustCounters};
 pub use server::{BrownoutConfig, ServeConfig, Server, ServerHandle, ShardRole};
@@ -128,6 +128,15 @@ pub enum ServeError {
         /// Shard index of the key's primary owner under that map.
         owner: u32,
     },
+    /// A container offered to [`Server::bind`] holds chunks whose decoded
+    /// reply cannot fit in one frame ([`MAX_FRAME`]), so no fetch of it
+    /// could ever be answered.
+    ReplyTooLarge {
+        /// The container's path.
+        store: String,
+        /// The `len` field its largest `Chunk` reply would need.
+        frame_len: u64,
+    },
 }
 
 impl ServeError {
@@ -147,7 +156,7 @@ impl ServeError {
         match self {
             ServeError::Io(_) | ServeError::Protocol(_) => true,
             ServeError::Server { code, .. } => code.is_retryable(),
-            ServeError::Store(_) => false,
+            ServeError::Store(_) | ServeError::ReplyTooLarge { .. } => false,
             // Blind retry against the same server gets the same redirect
             // — only the routing layer (refresh + re-route) can help.
             ServeError::WrongShard { .. } => false,
@@ -165,6 +174,11 @@ impl std::fmt::Display for ServeError {
             ServeError::WrongShard { epoch, owner } => {
                 write!(f, "wrong shard: key is owned by shard {owner} under map epoch {epoch}")
             }
+            ServeError::ReplyTooLarge { store, frame_len } => write!(
+                f,
+                "container {store}: its largest chunk reply is a {frame_len}-byte frame, \
+                 over the {MAX_FRAME}-byte limit"
+            ),
         }
     }
 }

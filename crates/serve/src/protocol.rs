@@ -19,10 +19,20 @@
 //! fidelity) and a relative deadline (`deadline_ms`, `0` = none) the
 //! server enforces before decoding; the reply carries the factor actually
 //! served.
+//!
+//! This module is the one implementation of framing: [`encode_frame`]
+//! builds a frame, the incremental [`FrameDecoder`] reassembles frames
+//! from transport bytes in any segmentation and checks their CRCs, and a
+//! [`ResponseSlab`] is one encoded response body shared zero-copy by
+//! every connection that sends it. The blocking helpers at the bottom
+//! ([`write_frame`], [`read_frame`], …) are the only code that moves
+//! frames through a `Read`/`Write`.
 
 use std::io::{ErrorKind, Read, Write};
+use std::sync::Arc;
 
-use crate::proto::FrameDecoder;
+use aicomp_store::crc::Crc32;
+
 use crate::shard::ShardMap;
 use crate::stats::StatsReport;
 use crate::{Result, ServeError};
@@ -277,7 +287,7 @@ const OP_MAP_PUSH: u8 = 0x08;
 // Response opcodes.
 const OP_R_HELLO: u8 = 0x81;
 const OP_R_INFO: u8 = 0x82;
-pub(crate) const OP_R_CHUNK: u8 = 0x83;
+const OP_R_CHUNK: u8 = 0x83;
 const OP_R_STATS: u8 = 0x84;
 const OP_R_PONG: u8 = 0x85;
 const OP_R_SHUTDOWN: u8 = 0x86;
@@ -474,9 +484,19 @@ pub fn encode_response(resp: &Response) -> (u8, Vec<u8>) {
     (op, b)
 }
 
+/// Bytes of the fixed `Chunk` header: `first_sample`, four dims,
+/// `read_cf`, `served_cf`.
+const CHUNK_HEADER: u64 = 8 + 16 + 2;
+
+/// The `len` field (opcode + body + CRC) of a `Chunk` reply carrying
+/// `values` payload floats: the figure [`MAX_FRAME`] bounds.
+pub(crate) fn chunk_frame_len(values: u64) -> u64 {
+    values.saturating_mul(4).saturating_add(1 + CHUNK_HEADER + 4)
+}
+
 /// Write the fixed `Chunk` header — `first_sample`, `dims`, `read_cf`,
 /// `served_cf` — reserving room for `values` payload floats behind it.
-pub(crate) fn put_chunk_header(
+fn put_chunk_header(
     b: &mut Vec<u8>,
     first_sample: u64,
     dims: [u32; 4],
@@ -484,7 +504,7 @@ pub(crate) fn put_chunk_header(
     served_cf: u8,
     values: usize,
 ) {
-    b.reserve(8 + 16 + 2 + values * 4);
+    b.reserve(CHUNK_HEADER as usize + values * 4);
     b.extend_from_slice(&first_sample.to_le_bytes());
     for d in dims {
         b.extend_from_slice(&d.to_le_bytes());
@@ -541,11 +561,145 @@ pub fn decode_response(op: u8, body: &[u8]) -> Result<Response> {
     Ok(resp)
 }
 
-/// Write one `(opcode, body)` frame with its CRC trailer. Thin blocking
-/// adapter over the sans-I/O [`crate::proto::encode_frame`] — the one
-/// framing encoder.
+/// CRC-32 of a frame's `opcode ++ body` (the trailing checksum), hashed
+/// in place.
+pub fn frame_crc(op: u8, body: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(&[op]);
+    crc.update(body);
+    crc.finish()
+}
+
+/// Encode one `(opcode, body)` frame to bytes, CRC trailer included.
+pub fn encode_frame(op: u8, body: &[u8]) -> Result<Vec<u8>> {
+    let len = 1u32 + body.len() as u32 + 4;
+    if len > MAX_FRAME {
+        return Err(ServeError::Protocol(format!("frame of {len} bytes exceeds {MAX_FRAME}")));
+    }
+    let mut out = Vec::with_capacity(4 + len as usize);
+    out.extend_from_slice(&len.to_le_bytes());
+    out.push(op);
+    out.extend_from_slice(body);
+    out.extend_from_slice(&frame_crc(op, body).to_le_bytes());
+    Ok(out)
+}
+
+/// Incremental frame parser: push transport bytes in (in any
+/// segmentation), pop complete, CRC-verified `(opcode, body)` frames out.
+///
+/// Length sanity (`len` in `5..=MAX_FRAME`: opcode + CRC at least) is
+/// checked as soon as the 4-byte prefix is buffered, so an attacker
+/// announcing a 4 GiB frame is rejected before any payload accumulates.
+#[derive(Debug, Default)]
+pub struct FrameDecoder {
+    buf: Vec<u8>,
+}
+
+impl FrameDecoder {
+    /// Fresh decoder with an empty buffer.
+    pub fn new() -> FrameDecoder {
+        FrameDecoder::default()
+    }
+
+    /// Feed transport bytes (any segmentation, including 0 bytes).
+    pub fn push(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Is a frame *started* but not yet complete? (The slow-loris clock
+    /// runs exactly while this is true.)
+    pub fn has_partial(&self) -> bool {
+        !self.buf.is_empty()
+    }
+
+    /// Pop one complete frame, verifying its CRC trailer. `Ok(None)`
+    /// means more bytes are needed; `Err` means the stream is
+    /// desynchronized (bad length or CRC mismatch) and the connection
+    /// must close.
+    pub fn pop(&mut self) -> Result<Option<(u8, Vec<u8>)>> {
+        if self.buf.len() < 4 {
+            return Ok(None);
+        }
+        let len = u32::from_le_bytes(self.buf[..4].try_into().unwrap());
+        if !(5..=MAX_FRAME).contains(&len) {
+            return Err(ServeError::Protocol(format!("bad frame length {len}")));
+        }
+        if self.buf.len() < 4 + len as usize {
+            return Ok(None);
+        }
+        // Verify in place, then copy the body out once.
+        let end = 4 + len as usize;
+        let (op, body, tail) = (self.buf[4], &self.buf[5..end - 4], &self.buf[end - 4..end]);
+        let want = u32::from_le_bytes(tail.try_into().unwrap());
+        let got = frame_crc(op, body);
+        if got != want {
+            return Err(ServeError::Protocol(format!(
+                "frame checksum mismatch (got {got:#010x}, want {want:#010x})"
+            )));
+        }
+        let body = body.to_vec();
+        self.buf.drain(..end);
+        Ok(Some((op, body)))
+    }
+}
+
+/// One encoded response body shared zero-copy across connections.
+///
+/// Workers build a slab once per decoded chunk (straight from the tensor
+/// data — no intermediate `Vec<f32>`); each connection serving it writes
+/// `header ++ body ++ trailer`. The body `Arc` is the only large
+/// allocation and it is never copied per connection. The CRC is computed
+/// once at build time, so serving a slab costs no hashing either.
+#[derive(Debug)]
+pub struct ResponseSlab {
+    op: u8,
+    body: Arc<[u8]>,
+    crc: u32,
+}
+
+impl ResponseSlab {
+    /// Build a slab from an already-encoded `(opcode, body)` pair.
+    pub fn new(op: u8, body: Vec<u8>) -> ResponseSlab {
+        let crc = frame_crc(op, &body);
+        ResponseSlab { op, body: body.into(), crc }
+    }
+
+    /// Encode a `Response::Chunk` body directly from tensor data. The
+    /// `served_cf` field always equals the decoded fidelity — a slab is
+    /// cached and shared across requests, so it can only describe what
+    /// it *contains*; degradation is judged against what each client
+    /// *asked* for.
+    pub fn chunk(first_sample: u64, dims: [u32; 4], read_cf: u8, data: &[f32]) -> ResponseSlab {
+        let mut b = Vec::new();
+        put_chunk_header(&mut b, first_sample, dims, read_cf, read_cf, data.len());
+        for v in data {
+            b.extend_from_slice(&v.to_le_bytes());
+        }
+        ResponseSlab::new(OP_R_CHUNK, b)
+    }
+
+    /// Frame header for this slab: `[len u32 LE][opcode]`.
+    pub fn header(&self) -> [u8; 5] {
+        let len = 1u32 + self.body.len() as u32 + 4;
+        let l = len.to_le_bytes();
+        [l[0], l[1], l[2], l[3], self.op]
+    }
+
+    /// The shared encoded body.
+    pub fn body(&self) -> &Arc<[u8]> {
+        &self.body
+    }
+
+    /// The trailing CRC-32 (over `opcode ++ body`), little-endian.
+    pub fn trailer(&self) -> [u8; 4] {
+        self.crc.to_le_bytes()
+    }
+}
+
+/// Write one `(opcode, body)` frame with its CRC trailer through
+/// [`encode_frame`], then flush.
 pub fn write_frame(w: &mut impl Write, op: u8, body: &[u8]) -> Result<()> {
-    w.write_all(&crate::proto::encode_frame(op, body)?)?;
+    w.write_all(&encode_frame(op, body)?)?;
     w.flush()?;
     Ok(())
 }
@@ -553,9 +707,7 @@ pub fn write_frame(w: &mut impl Write, op: u8, body: &[u8]) -> Result<()> {
 /// Read one `(opcode, body)` frame through the caller's decoder,
 /// verifying its CRC; `Ok(None)` on clean EOF at a frame boundary (the
 /// peer closed between frames). Bytes read past the frame, and a frame an
-/// error (a read timeout) cut short, stay in `dec` for the next call. Thin
-/// blocking adapter over the sans-I/O [`FrameDecoder`] — the one framing
-/// parser.
+/// error (a read timeout) cut short, stay in `dec` for the next call.
 pub fn read_frame(r: &mut impl Read, dec: &mut FrameDecoder) -> Result<Option<(u8, Vec<u8>)>> {
     let mut tmp = [0u8; 64 * 1024];
     loop {
@@ -763,6 +915,78 @@ mod tests {
         write_request(&mut partial, &Request::Stats).unwrap();
         partial.truncate(4);
         assert!(read_frame(&mut partial.as_slice(), &mut FrameDecoder::new()).is_err());
+    }
+
+    fn frame(req: &Request) -> Vec<u8> {
+        let (op, body) = encode_request(req);
+        encode_frame(op, &body).unwrap()
+    }
+
+    #[test]
+    fn decoder_reassembles_any_segmentation() {
+        let mut wire = Vec::new();
+        for req in [Request::Ping, Request::Stats, Request::Info { container: 7 }] {
+            wire.extend_from_slice(&frame(&req));
+        }
+        for chunk_size in [1, 2, 3, 7, wire.len()] {
+            let mut dec = FrameDecoder::new();
+            let mut got = Vec::new();
+            for piece in wire.chunks(chunk_size) {
+                dec.push(piece);
+                while let Some(f) = dec.pop().unwrap() {
+                    got.push(f);
+                }
+            }
+            assert_eq!(got.len(), 3, "chunk size {chunk_size}");
+            assert!(!dec.has_partial());
+        }
+    }
+
+    #[test]
+    fn decoder_rejects_bad_lengths_immediately() {
+        let mut dec = FrameDecoder::new();
+        dec.push(&(MAX_FRAME + 1).to_le_bytes());
+        assert!(dec.pop().is_err());
+        let mut dec = FrameDecoder::new();
+        dec.push(&0u32.to_le_bytes());
+        assert!(dec.pop().is_err());
+        // len 4 < 5 is impossible (opcode + CRC alone need 5).
+        let mut dec = FrameDecoder::new();
+        dec.push(&4u32.to_le_bytes());
+        dec.push(&[0x05, 0, 0, 0]);
+        assert!(dec.pop().is_err());
+    }
+
+    #[test]
+    fn slabs_frame_identically_to_plain_encoding() {
+        let resp = Response::Chunk {
+            first_sample: 9,
+            dims: [2, 1, 4, 4],
+            read_cf: 3,
+            served_cf: 3,
+            data: (0..32).map(|i| i as f32 / 3.0 - 5.0).collect(),
+        };
+        let (data, first_sample, dims, read_cf) = match &resp {
+            Response::Chunk { first_sample, dims, read_cf, data, .. } => {
+                (data.clone(), *first_sample, *dims, *read_cf)
+            }
+            _ => unreachable!(),
+        };
+        let slab = ResponseSlab::chunk(first_sample, dims, read_cf, &data);
+        let (op, body) = encode_response(&resp);
+        let want = encode_frame(op, &body).unwrap();
+        let mut got = slab.header().to_vec();
+        got.extend_from_slice(slab.body());
+        got.extend_from_slice(&slab.trailer());
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn slab_fanout_shares_one_allocation() {
+        let slab = Arc::new(ResponseSlab::chunk(0, [1, 1, 2, 2], 1, &[1.0, 2.0, 3.0, 4.0]));
+        let a = Arc::clone(slab.body());
+        let b = Arc::clone(slab.body());
+        assert!(Arc::ptr_eq(&a, &b), "fan-out must be refcounts, not copies");
     }
 
     #[test]

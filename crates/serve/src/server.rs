@@ -56,16 +56,19 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use aicomp_core::Codec;
-use aicomp_store::{SharedReader, StoreError};
+use aicomp_store::{Header, SharedReader, StoreError};
 use aicomp_tensor::Tensor;
 
 use crate::cache::ChunkCache;
 use crate::chaos::{FaultyStream, Wire, WireFaultPlan};
-use crate::proto::{Action, CloseReason, DeadlineKind, ResponseSlab, ServerConn};
-use crate::protocol::{self, ContainerInfo, ErrorCode, Request, Response};
+use crate::protocol::{
+    self, decode_request, ContainerInfo, ErrorCode, FrameDecoder, Request, Response, ResponseSlab,
+    MAX_FRAME, PROTO_VERSION,
+};
 use crate::queue::{PushError, TenantQuota, Wfq};
 use crate::shard::{MapInstall, ShardMap, ShardMember};
 use crate::stats::{ServeStats, StatsReport};
+use crate::ServeError;
 
 /// Tunables for [`Server::bind`]. `Default` is sized for tests and small
 /// deployments; the `dcz serve` CLI exposes each as a flag.
@@ -86,10 +89,13 @@ pub struct ServeConfig {
     /// Test/bench knob: sleep this long at the start of every worker
     /// pass, so saturation (and thus shedding) is reproducible.
     pub worker_delay: Option<Duration>,
-    /// A fresh connection must complete `Hello` within this.
+    /// A fresh connection must complete the `Hello` exchange within this,
+    /// counted from accept whatever it has sent (part of a `Hello`
+    /// included). The frame deadline applies meanwhile too; whichever
+    /// expires first cuts the connection.
     pub handshake_timeout: Duration,
-    /// Close connections that idle this long between frames (`None`
-    /// keeps them open indefinitely).
+    /// Close handshaken connections that send nothing for this long after
+    /// their last reply (`None` keeps them open indefinitely).
     pub idle_timeout: Option<Duration>,
     /// A started frame must arrive in full within this (slow-loris guard).
     pub frame_deadline: Duration,
@@ -389,10 +395,15 @@ impl Server {
     ) -> crate::Result<Server> {
         let mut containers = Vec::with_capacity(stores.len());
         for p in stores {
-            containers.push(Container {
-                reader: SharedReader::open(p)?,
-                codecs: Mutex::new(HashMap::new()),
-            });
+            let reader = SharedReader::open(p)?;
+            // A reply that cannot be framed could never be answered:
+            // refuse the container now instead of failing every fetch.
+            let frame_len = largest_reply_frame(reader.header());
+            if frame_len > u64::from(MAX_FRAME) {
+                let store = p.as_ref().display().to_string();
+                return Err(ServeError::ReplyTooLarge { store, frame_len });
+            }
+            containers.push(Container { reader, codecs: Mutex::new(HashMap::new()) });
         }
         let quota =
             TenantQuota { max_inflight: config.tenant_inflight, max_bytes: config.tenant_bytes };
@@ -405,7 +416,7 @@ impl Server {
         let slot = match &config.shard {
             Some(role) => {
                 if role.index >= role.map.len() {
-                    return Err(crate::ServeError::Protocol(format!(
+                    return Err(ServeError::Protocol(format!(
                         "shard index {} outside the {}-member map",
                         role.index,
                         role.map.len()
@@ -468,7 +479,7 @@ impl Server {
                 .spawn(move || rayon::in_worker(|| worker_loop(&worker_shared)))
                 .map_err(|e| {
                     shared.queue.close();
-                    crate::ServeError::Io(e)
+                    ServeError::Io(e)
                 })?;
             workers.push(handle);
         }
@@ -530,7 +541,7 @@ impl ServerHandle {
 }
 
 /// The accept loop: nonblocking listener polled at 5 ms, one blocking
-/// thread per accepted connection driving a [`ServerConn`] machine.
+/// [`handle_conn`] thread per accepted connection.
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     // Failing to unblock the listener would turn the shutdown poll into a
     // hang — refuse to serve instead of aborting the process.
@@ -582,6 +593,15 @@ fn reject_at_accept(shared: &Shared, stream: std::net::TcpStream) {
     let mut s = stream;
     let _ =
         protocol::write_response(&mut s, &err(ErrorCode::Overloaded, "connection limit reached"));
+}
+
+/// The `len` field of the largest `Chunk` reply a container can produce:
+/// its fullest chunk, decoded at full resolution (a decoded reply is
+/// `n × n` whatever the fidelity asked for).
+fn largest_reply_frame(h: &Header) -> u64 {
+    let samples = u64::from(h.chunk_size).min(h.sample_count);
+    let n = h.n() as u64;
+    protocol::chunk_frame_len(samples.saturating_mul(u64::from(h.channels)).saturating_mul(n * n))
 }
 
 fn classify(e: &StoreError) -> ErrorCode {
@@ -784,68 +804,66 @@ fn encode_chunk_slab(
 
 // ------------------------------------------------------------ connections
 
-/// One blocking connection thread driving a [`ServerConn`] machine:
-/// 50 ms read timeouts keep the deadline clocks ticking, the machine
-/// decides *what* every event means, and this loop only moves bytes and
-/// time.
+/// One blocking connection thread: the server's one connection path. It
+/// owns the connection's [`FrameDecoder`], the `(tenant, weight)` its
+/// `Hello` declared, and the three supervision clocks, and it answers each
+/// complete frame inline, writing the reply straight to the stream. 50 ms
+/// read timeouts keep the clocks ticking.
 fn handle_conn<S: Wire>(shared: &Shared, mut stream: S) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let mut conn = ServerConn::new();
-    // Handshake clock runs from accept; the idle clock restarts at each
-    // completed frame; the slow-loris clock runs while a frame is
-    // started but unfinished.
+    let (config, stats) = (&shared.config, &shared.stats);
+    let mut decoder = FrameDecoder::new();
+    let mut hello: Option<(u32, u8)> = None;
+    // The handshake clock runs from accept until the `Hello` exchange
+    // completes, whatever the decoder holds; the idle clock restarts at
+    // each reply; the slow-loris clock runs while a frame is started but
+    // unfinished.
     let opened = Instant::now();
     let mut last_frame = opened;
     let mut partial_since: Option<Instant> = None;
+    let mut buf = [0u8; 64 * 1024];
     loop {
-        if drain_actions(shared, &mut conn, &mut stream) {
-            return;
-        }
         // Shutdown is honored at frame boundaries: every parsed request
-        // was answered by the drain above.
+        // has been answered by now.
         if shared.shutdown.load(Ordering::Relaxed) {
             return;
         }
         let now = Instant::now();
-        if let Some(t0) = partial_since {
-            if now.duration_since(t0) >= shared.config.frame_deadline {
-                conn.expire(DeadlineKind::Frame);
-                drain_actions(shared, &mut conn, &mut stream);
-                return;
-            }
-        } else if !conn.handshaken() {
-            if now.duration_since(opened) >= shared.config.handshake_timeout {
-                conn.expire(DeadlineKind::Handshake);
-                drain_actions(shared, &mut conn, &mut stream);
-                return;
-            }
-        } else if let Some(idle) = shared.config.idle_timeout {
-            if now.duration_since(last_frame) >= idle {
-                conn.expire(DeadlineKind::Idle);
-                drain_actions(shared, &mut conn, &mut stream);
-                return;
-            }
+        let over = |since: Instant, limit: Duration| now.duration_since(since).checked_sub(limit);
+        let handshake = hello.is_none().then(|| over(opened, config.handshake_timeout)).flatten();
+        let frame = partial_since.and_then(|t0| over(t0, config.frame_deadline));
+        let idle = config
+            .idle_timeout
+            .filter(|_| hello.is_some() && partial_since.is_none())
+            .and_then(|limit| over(last_frame, limit));
+        // Whichever deadline expired first cuts the connection.
+        let expired = [
+            (handshake, &stats.handshake_timeouts, "handshake deadline exceeded"),
+            (frame, &stats.slow_closed, "frame read deadline exceeded"),
+            (idle, &stats.idle_closed, "idle timeout exceeded"),
+        ]
+        .into_iter()
+        .filter_map(|(overdue, counter, what)| Some((overdue?, counter, what)))
+        .max_by_key(|&(overdue, ..)| overdue);
+        if let Some((_, counter, what)) = expired {
+            counter.fetch_add(1, Ordering::Relaxed);
+            let _ = protocol::write_response(&mut stream, &err(ErrorCode::DeadlineExceeded, what));
+            return;
         }
-        let mut tmp = [0u8; 64 * 1024];
-        match stream.read(&mut tmp) {
+        match stream.read(&mut buf) {
+            // EOF closes silently at a frame boundary, typed mid-frame.
             Ok(0) => {
-                conn.on_eof();
-                drain_actions(shared, &mut conn, &mut stream);
+                if decoder.has_partial() {
+                    stats.bad_frames.fetch_add(1, Ordering::Relaxed);
+                    let _ = protocol::write_response(
+                        &mut stream,
+                        &err(ErrorCode::BadFrame, "EOF mid-frame"),
+                    );
+                }
                 return;
             }
-            Ok(n) => {
-                let before = conn.frames_parsed();
-                conn.on_bytes(&tmp[..n]);
-                if conn.frames_parsed() > before {
-                    last_frame = Instant::now();
-                }
-                partial_since = if conn.has_partial_frame() {
-                    partial_since.or_else(|| Some(Instant::now()))
-                } else {
-                    None
-                };
-            }
+            Ok(n) => decoder.push(&buf[..n]),
             Err(e)
                 if matches!(
                     e.kind(),
@@ -853,64 +871,82 @@ fn handle_conn<S: Wire>(shared: &Shared, mut stream: S) {
                 ) => {}
             Err(_) => return, // I/O failure: nothing to say it to.
         }
-    }
-}
-
-/// Flush every queued [`Action`] to the stream, answering delivered
-/// requests inline (Fetch blocks on the worker rendezvous). Returns
-/// `true` when the connection is done (a `Close` action or a write
-/// failure).
-fn drain_actions<S: Wire>(shared: &Shared, conn: &mut ServerConn, stream: &mut S) -> bool {
-    while let Some(action) = conn.next_action() {
-        match action {
-            Action::Send(bytes) => {
-                if stream.write_all(&bytes).and_then(|_| stream.flush()).is_err() {
-                    return true;
+        loop {
+            match decoder.pop() {
+                Ok(Some((op, body))) => {
+                    partial_since = None;
+                    if !answer_frame(shared, &mut stream, &mut hello, op, &body) {
+                        return;
+                    }
+                    // Idle time starts once the reply is out: a fetch
+                    // waiting on a worker is not the peer idling.
+                    last_frame = Instant::now();
                 }
-            }
-            Action::SendSlab(slab) => {
-                shared
-                    .stats
-                    .slab_bytes_shared
-                    .fetch_add(slab.body().len() as u64, Ordering::Relaxed);
-                let written = stream
-                    .write_all(&slab.header())
-                    .and_then(|_| stream.write_all(slab.body()))
-                    .and_then(|_| stream.write_all(&slab.trailer()))
-                    .and_then(|_| stream.flush());
-                if written.is_err() {
-                    return true;
+                Ok(None) => break,
+                // Bad length or CRC mismatch: the stream is desynchronized.
+                Err(e) => {
+                    stats.bad_frames.fetch_add(1, Ordering::Relaxed);
+                    let message = match e {
+                        ServeError::Protocol(m) => m,
+                        other => other.to_string(),
+                    };
+                    let _ =
+                        protocol::write_response(&mut stream, &err(ErrorCode::BadFrame, message));
+                    return;
                 }
-            }
-            Action::Deliver(req) => handle_request(shared, conn, req),
-            Action::Close(reason) => {
-                count_close(shared, reason);
-                return true;
             }
         }
+        if decoder.has_partial() {
+            partial_since.get_or_insert_with(Instant::now);
+        }
     }
-    false
 }
 
-/// Bump the per-reason supervision counter for a typed close.
-fn count_close(shared: &Shared, reason: CloseReason) {
-    let counter = match reason {
-        CloseReason::BadFrame => &shared.stats.bad_frames,
-        CloseReason::HandshakeTimeout => &shared.stats.handshake_timeouts,
-        CloseReason::Idle => &shared.stats.idle_closed,
-        CloseReason::SlowFrame => &shared.stats.slow_closed,
-        CloseReason::PeerClosed | CloseReason::BadHandshake | CloseReason::BadRequest => return,
+/// Answer one complete frame: the `Hello` exchange first, then every
+/// request inline (a fetch blocks on the worker rendezvous). Returns
+/// `false` when the connection must close — a fatal protocol error, or a
+/// reply that could not be written (or framed) in full.
+fn answer_frame<S: Wire>(
+    shared: &Shared,
+    stream: &mut S,
+    hello: &mut Option<(u32, u8)>,
+    op: u8,
+    body: &[u8],
+) -> bool {
+    let req = match decode_request(op, body) {
+        Ok(req) => req,
+        // The stream may be misaligned: answer typed, then close.
+        Err(e) => {
+            let _ = protocol::write_response(stream, &err(ErrorCode::BadRequest, e.to_string()));
+            return false;
+        }
     };
-    counter.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Answer one delivered request inline on the connection's thread;
-/// replies go back into the machine so framing stays in one place.
-fn handle_request(shared: &Shared, conn: &mut ServerConn, req: Request) {
+    let Some((tenant, weight)) = *hello else {
+        let refusal = match req {
+            Request::Hello { version: PROTO_VERSION, tenant, weight } => {
+                // A zero-weight tenant would starve itself.
+                *hello = Some((tenant, weight.max(1)));
+                let ack = Response::Hello { version: PROTO_VERSION };
+                return protocol::write_response(stream, &ack).is_ok();
+            }
+            Request::Hello { version, .. } => {
+                format!("client speaks protocol version {version}, server speaks {PROTO_VERSION}")
+            }
+            _ => "first frame must be Hello".into(),
+        };
+        let _ = protocol::write_response(stream, &err(ErrorCode::BadRequest, refusal));
+        return false;
+    };
     let resp = match req {
         Request::Fetch { container, chunk, read_cf, deadline_ms } => {
-            return serve_fetch(shared, conn, container, chunk, read_cf, deadline_ms);
+            match serve_fetch(shared, tenant, weight, container, chunk, read_cf, deadline_ms) {
+                Ok(slab) => return write_slab(shared, stream, &slab).is_ok(),
+                Err(resp) => resp,
+            }
         }
+        // A duplicate Hello is a typed error but not fatal: the stream is
+        // still aligned.
+        Request::Hello { .. } => err(ErrorCode::BadRequest, "duplicate Hello"),
         Request::Ping => Response::Pong,
         Request::Shutdown => {
             shared.shutdown.store(true, Ordering::Relaxed);
@@ -933,11 +969,22 @@ fn handle_request(shared: &Shared, conn: &mut ServerConn, req: Request) {
             Response::ShardMap(shared.shard.read().unwrap_or_else(|e| e.into_inner()).map.clone())
         }
         Request::MapPush(map) => push_map(shared, &map),
-        // `ServerConn` answers duplicate Hellos itself and never
-        // delivers them.
-        Request::Hello { .. } => return,
     };
-    conn.push_response(&resp);
+    protocol::write_response(stream, &resp).is_ok()
+}
+
+/// Write a shared reply slab — `header ++ body ++ trailer`, then flush —
+/// without copying its body.
+fn write_slab<S: Wire>(
+    shared: &Shared,
+    stream: &mut S,
+    slab: &ResponseSlab,
+) -> std::io::Result<()> {
+    shared.stats.slab_bytes_shared.fetch_add(slab.body().len() as u64, Ordering::Relaxed);
+    stream.write_all(&slab.header())?;
+    stream.write_all(slab.body())?;
+    stream.write_all(&slab.trailer())?;
+    stream.flush()
 }
 
 /// The `Stats` reply: the live counters plus the gauges kept by the
@@ -963,27 +1010,28 @@ fn stats_report(shared: &Shared) -> StatsReport {
 /// the worker rendezvous until its reply slab (or typed error) arrives.
 fn serve_fetch(
     shared: &Shared,
-    conn: &mut ServerConn,
+    tenant: u32,
+    weight: u8,
     container: u32,
     chunk: u32,
     read_cf: u8,
     deadline_ms: u32,
-) {
+) -> std::result::Result<Arc<ResponseSlab>, Response> {
     let t0 = Instant::now();
     let expires = (deadline_ms > 0).then(|| t0 + Duration::from_millis(deadline_ms as u64));
-    let (tenant, weight) = (conn.tenant(), conn.weight());
     let (tx, rx) = mpsc::sync_channel(1);
-    match admit_fetch(shared, tenant, weight, container, chunk, read_cf, expires, tx) {
-        Admission::Ready(slab) => conn.push_slab(slab),
-        Admission::Rejected(resp) => conn.push_response(&resp),
+    let reply = match admit_fetch(shared, tenant, weight, container, chunk, read_cf, expires, tx) {
+        Admission::Ready(slab) => Ok(slab),
+        Admission::Rejected(resp) => Err(*resp),
         Admission::Queued => match rx.recv() {
-            Ok(Ok(slab)) => conn.push_slab(slab),
-            Ok(Err((code, message))) => conn.push_response(&Response::Error { code, message }),
+            Ok(Ok(slab)) => Ok(slab),
+            Ok(Err((code, message))) => Err(Response::Error { code, message }),
             // A worker died mid-job; its reply sender was dropped.
-            Err(_) => conn.push_response(&err(ErrorCode::Internal, "worker abandoned the request")),
+            Err(_) => Err(err(ErrorCode::Internal, "worker abandoned the request")),
         },
-    }
+    };
     shared.stats.fetch_latency_us.record_us(t0.elapsed());
+    reply
 }
 
 /// Install a pushed [`ShardMap`] on this running server — the live-
@@ -1202,10 +1250,12 @@ fn info(shared: &Shared, container: u32) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::scripted::{timeout, Scripted};
     use crate::client::Client;
-    use crate::proto::FrameDecoder;
+    use crate::protocol::{decode_response, encode_frame, encode_request};
     use aicomp_store::writer::pack_file;
     use aicomp_store::StoreOptions;
+    use std::io::Write;
     use std::net::TcpStream;
     use std::path::PathBuf;
 
@@ -1483,5 +1533,304 @@ mod tests {
         assert_eq!(t8.shed, 0);
         handle.shutdown_and_join();
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A script entry carrying one framed request.
+    fn frame(req: &Request) -> std::io::Result<Vec<u8>> {
+        let (op, body) = encode_request(req);
+        Ok(encode_frame(op, &body).unwrap())
+    }
+
+    fn hello() -> std::io::Result<Vec<u8>> {
+        frame(&Request::hello())
+    }
+
+    /// Enough scripted read timeouts to outlast any test deadline.
+    fn silence() -> impl Iterator<Item = std::io::Result<Vec<u8>>> {
+        std::iter::repeat_with(timeout).take(5_000)
+    }
+
+    /// Run one connection over a scripted wire until `handle_conn` closes
+    /// it, and return every reply it wrote, decoded in order.
+    fn converse(
+        handle: &ServerHandle,
+        script: impl IntoIterator<Item = std::io::Result<Vec<u8>>>,
+    ) -> Vec<Response> {
+        let wire = Scripted::new(script);
+        let written = wire.written();
+        handle_conn(&handle.shared, wire);
+        let mut dec = FrameDecoder::new();
+        dec.push(&written.lock().unwrap());
+        let replies = std::iter::from_fn(|| dec.pop().unwrap())
+            .map(|(op, body)| decode_response(op, &body).unwrap())
+            .collect();
+        assert!(!dec.has_partial(), "every reply is a whole frame");
+        replies
+    }
+
+    fn assert_error(resp: &Response, want: ErrorCode, text: &str) {
+        match resp {
+            Response::Error { code, message } => {
+                assert_eq!(*code, want, "{message}");
+                assert!(message.contains(text), "{message:?} lacks {text:?}");
+            }
+            other => panic!("expected a {want} error, got {other:?}"),
+        }
+    }
+
+    const ACK: Response = Response::Hello { version: PROTO_VERSION };
+
+    #[test]
+    fn conn_handshakes_then_answers_each_frame() {
+        let (path, handle) = start("conn_hello", ServeConfig::default());
+        let replies = converse(&handle, [hello(), frame(&Request::Ping)]);
+        assert_eq!(replies, [ACK, Response::Pong]);
+        // EOF at a frame boundary closed the connection silently.
+        assert_eq!(stats_report(&handle.shared).bad_frames, 0);
+        handle.shutdown_and_join();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn conn_records_the_hello_tenant_and_weight() {
+        let (path, handle) = start("conn_tenant", ServeConfig::default());
+        let fetch =
+            |chunk| frame(&Request::Fetch { container: 0, chunk, read_cf: 0, deadline_ms: 0 });
+        for (tenant, weight, chunk) in [(42, 5, 0), (7, 0, 1)] {
+            let hello = frame(&Request::Hello { version: PROTO_VERSION, tenant, weight });
+            let replies = converse(&handle, [hello, fetch(chunk)]);
+            assert_eq!(replies[0], ACK);
+            assert!(matches!(replies[1], Response::Chunk { .. }), "{:?}", replies[1]);
+        }
+        let ledger = stats_report(&handle.shared).tenants;
+        let weight_of = |id| ledger.iter().find(|t| t.tenant == id).map(|t| (t.weight, t.accepted));
+        assert_eq!(weight_of(42), Some((5, 1)));
+        assert_eq!(weight_of(7), Some((1, 1)), "a declared weight of 0 reads as 1");
+        handle.shutdown_and_join();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn bad_handshakes_get_a_typed_reply_then_close() {
+        let (path, handle) = start("conn_badhello", ServeConfig::default());
+        // Each refusal is the only reply: the Ping behind it goes unread.
+        let ping = || frame(&Request::Ping);
+        for v in [0, 1, 2, PROTO_VERSION + 1, 99] {
+            let hello = frame(&Request::Hello { version: v, tenant: 0, weight: 1 });
+            let replies = converse(&handle, [hello, ping()]);
+            let text = format!("client speaks protocol version {v}, server speaks {PROTO_VERSION}");
+            assert_eq!(replies.len(), 1, "version {v}: {replies:?}");
+            assert_error(&replies[0], ErrorCode::BadRequest, &text);
+        }
+        let replies = converse(&handle, [ping(), hello()]);
+        assert_eq!(replies.len(), 1, "{replies:?}");
+        assert_error(&replies[0], ErrorCode::BadRequest, "first frame must be Hello");
+        // A CRC-less (pre-checksum) Hello is a framing failure.
+        let (op, body) = encode_request(&Request::hello());
+        let mut bare = (1 + body.len() as u32).to_le_bytes().to_vec();
+        bare.push(op);
+        bare.extend_from_slice(&body);
+        let replies = converse(&handle, [Ok(bare), ping()]);
+        assert_eq!(replies.len(), 1, "{replies:?}");
+        assert_error(&replies[0], ErrorCode::BadFrame, "");
+        // After the handshake, a body that does not decode is fatal too.
+        let (op, mut body) = encode_request(&Request::Ping);
+        body.push(9);
+        let replies = converse(&handle, [hello(), Ok(encode_frame(op, &body).unwrap()), ping()]);
+        assert_eq!(replies.len(), 2, "{replies:?}");
+        assert_error(&replies[1], ErrorCode::BadRequest, "trailing bytes");
+        assert_eq!(stats_report(&handle.shared).bad_frames, 1);
+        handle.shutdown_and_join();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn duplicate_hello_is_typed_but_not_fatal() {
+        let (path, handle) = start("conn_duphello", ServeConfig::default());
+        let replies = converse(&handle, [hello(), hello(), frame(&Request::Ping)]);
+        assert_eq!(replies.len(), 3, "{replies:?}");
+        assert_eq!(replies[0], ACK);
+        assert_error(&replies[1], ErrorCode::BadRequest, "duplicate Hello");
+        assert_eq!(replies[2], Response::Pong, "the stream survives a duplicate Hello");
+        handle.shutdown_and_join();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn crc_mismatch_closes_with_bad_frame() {
+        let (path, handle) = start("conn_crc", ServeConfig::default());
+        let mut stats = frame(&Request::Stats).unwrap();
+        *stats.last_mut().unwrap() ^= 1; // corrupt the CRC
+        let replies = converse(&handle, [hello(), Ok(stats), frame(&Request::Ping)]);
+        assert_eq!(replies.len(), 2, "{replies:?}");
+        assert_error(&replies[1], ErrorCode::BadFrame, "frame checksum mismatch");
+        assert_eq!(stats_report(&handle.shared).bad_frames, 1);
+        handle.shutdown_and_join();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn eof_mid_frame_is_bad_frame_at_boundary_is_clean() {
+        let (path, handle) = start("conn_eof", ServeConfig::default());
+        assert_eq!(converse(&handle, [hello()]), [ACK]);
+        assert_eq!(stats_report(&handle.shared).bad_frames, 0);
+        let replies = converse(&handle, [hello(), Ok(vec![3, 0, 0])]); // half a length prefix
+        assert_eq!(replies.len(), 2, "{replies:?}");
+        assert_error(&replies[1], ErrorCode::BadFrame, "EOF mid-frame");
+        assert_eq!(stats_report(&handle.shared).bad_frames, 1);
+        handle.shutdown_and_join();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn each_deadline_cuts_with_its_reply_and_counter() {
+        let limit = Duration::from_millis(40);
+        let config = ServeConfig {
+            handshake_timeout: limit,
+            idle_timeout: Some(limit),
+            frame_deadline: limit,
+            ..ServeConfig::default()
+        };
+        let (path, handle) = start("conn_deadlines", config);
+        let counters = || {
+            let s = stats_report(&handle.shared);
+            [s.handshake_timeouts, s.idle_closed, s.slow_closed]
+        };
+        // The Hello, then a 64-byte frame of which 1 byte is sent, in one
+        // read, so the idle clock never runs between them.
+        let started = || Ok([hello().unwrap(), vec![64, 0, 0, 0, 2]].concat());
+        for (script, what, want) in [
+            (vec![], "handshake deadline exceeded", [1, 0, 0]),
+            (vec![hello()], "idle timeout exceeded", [1, 1, 0]),
+            (vec![started()], "frame read deadline exceeded", [1, 1, 1]),
+        ] {
+            let acks = usize::from(!script.is_empty());
+            let replies = converse(&handle, script.into_iter().chain(silence()));
+            assert_eq!(replies[..acks], [ACK][..acks], "{what}: {replies:?}");
+            assert_eq!(replies.len(), acks + 1, "{what}: {replies:?}");
+            assert_error(&replies[acks], ErrorCode::DeadlineExceeded, what);
+            assert_eq!(counters(), want, "{what}");
+        }
+        handle.shutdown_and_join();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn idle_clock_restarts_after_the_reply() {
+        // A fetch that waits on the worker longer than the idle timeout
+        // is not idleness: the next request on the connection is served.
+        let config = ServeConfig {
+            idle_timeout: Some(Duration::from_millis(200)),
+            worker_delay: Some(Duration::from_millis(500)),
+            cache_entries: 0,
+            ..ServeConfig::default()
+        };
+        let (path, handle) = start("conn_idle_reply", config);
+        let fetch = Request::Fetch { container: 0, chunk: 0, read_cf: 0, deadline_ms: 0 };
+        let script = [hello(), frame(&fetch), timeout(), frame(&Request::Ping)];
+        match &converse(&handle, script)[..] {
+            [ACK, Response::Chunk { .. }, Response::Pong] => {}
+            [.., last] => panic!("expected ack, Chunk, Pong; the last reply is {last:?}"),
+            [] => panic!("no reply"),
+        }
+        assert_eq!(stats_report(&handle.shared).idle_closed, 0);
+        handle.shutdown_and_join();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn partial_hello_is_cut_at_the_handshake_deadline() {
+        // The frame deadline is far longer than the handshake deadline:
+        // part of a Hello must not stretch the handshake to it.
+        let config = ServeConfig {
+            handshake_timeout: Duration::from_millis(100),
+            frame_deadline: Duration::from_secs(3),
+            ..ServeConfig::default()
+        };
+        let (path, handle) = start("conn_partialhello", config);
+        let mut s = TcpStream::connect(handle.addr()).unwrap();
+        let t0 = Instant::now();
+        s.write_all(&[64, 0]).unwrap(); // half a length prefix
+        match protocol::read_response(&mut s, &mut FrameDecoder::new()).unwrap() {
+            Some(Response::Error { code: ErrorCode::DeadlineExceeded, message }) => {
+                assert_eq!(message, "handshake deadline exceeded");
+            }
+            other => panic!("expected the handshake deadline, got {other:?}"),
+        }
+        assert!(t0.elapsed() < Duration::from_secs(2), "cut after {:?}", t0.elapsed());
+        let stats = Client::connect(handle.addr()).unwrap().stats().unwrap();
+        assert_eq!((stats.handshake_timeouts, stats.slow_closed), (1, 0), "{stats:?}");
+        handle.shutdown_and_join();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn wrong_shard_redirect_round_trips_over_one_connection() {
+        use crate::shard::ShardMember;
+        // The full redirect conversation: a misdirected fetch is answered
+        // WrongShard, the client fetches the map on the same connection
+        // and recomputes the owner, which matches the redirect.
+        let members = ["a:1", "b:2", "c:3"].iter().enumerate();
+        let map = ShardMap::new(
+            2,
+            77,
+            64,
+            2,
+            members
+                .map(|(i, addr)| ShardMember { name: format!("shard{i}"), addr: addr.to_string() })
+                .collect(),
+        );
+        let config = ServeConfig {
+            shard: Some(ShardRole { map: map.clone(), index: 0 }),
+            ..ServeConfig::default()
+        };
+        let (path, handle) = start("conn_redirect", config);
+        // Find a key shard 0 does not serve.
+        let (container, chunk) =
+            (0..100u32).map(|k| (0, k)).find(|&(c, k)| !map.serves(0, c, k)).unwrap();
+        let owner = map.owner(container, chunk).unwrap() as u32;
+        let fetch = Request::Fetch { container, chunk, read_cf: 0, deadline_ms: 0 };
+        let replies = converse(&handle, [hello(), frame(&fetch), frame(&Request::ShardMap)]);
+        match &replies[..] {
+            [ACK, Response::WrongShard { epoch, owner: to }, Response::ShardMap(fetched)] => {
+                assert_eq!((*epoch, *to), (map.epoch, owner));
+                // ...and re-routes to exactly the shard the redirect named.
+                assert_eq!(fetched.owner(container, chunk).unwrap() as u32, owner);
+            }
+            other => panic!("expected ack, WrongShard, ShardMap; got {other:?}"),
+        }
+        handle.shutdown_and_join();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn bind_refuses_containers_whose_replies_cannot_be_framed() {
+        let header = |codec: &str, channels, sample_count, chunk_size| Header {
+            codec: codec.parse().unwrap(),
+            channels,
+            sample_count,
+            chunk_size,
+            chunk_count: 1,
+        };
+        // `len` = opcode 1 + Chunk header 26 + payload + CRC 4.
+        let n64 = |samples: u64| 31 + samples * 64 * 64 * 4;
+        assert_eq!(largest_reply_frame(&header("dct2d-n64-cf4", 1, 4095, 4095)), n64(4095));
+        assert!(n64(4095) <= u64::from(MAX_FRAME) && n64(4096) > u64::from(MAX_FRAME));
+        // The fullest chunk holds min(chunk_size, sample_count) samples,
+        // each `channels × n × n` floats whatever the fidelity.
+        assert_eq!(largest_reply_frame(&header("dct2d-n64-cf4", 1, 4095, 8192)), n64(4095));
+        assert_eq!(largest_reply_frame(&header("dct2d-n64-cf4", 1, 9000, 4096)), n64(4096));
+        assert_eq!(largest_reply_frame(&header("dct2d-n32-cf2", 4, 4097, 1024)), n64(1024));
+        // A servable container binds; the refusal names the store and sizes.
+        let path = temp_container("bind_fits", 10);
+        Server::bind("127.0.0.1:0", &[&path], ServeConfig::default())
+            .unwrap()
+            .spawn()
+            .shutdown_and_join();
+        std::fs::remove_file(&path).ok();
+        let refusal = ServeError::ReplyTooLarge { store: "big.dcz".into(), frame_len: n64(4097) };
+        let text = refusal.to_string();
+        assert!(text.contains("big.dcz") && text.contains(&n64(4097).to_string()), "{text}");
+        assert!(text.contains(&MAX_FRAME.to_string()) && !refusal.is_retryable(), "{text}");
     }
 }

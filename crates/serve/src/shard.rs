@@ -250,7 +250,7 @@ pub enum MapInstall {
 /// liveness. The detector never reads a clock or a socket: the transport
 /// (test harness, `dcz cluster suspect`, loadgen churn mode) sends
 /// `Ping`s on its own schedule and reports each outcome here with an
-/// injected timestamp, exactly the pattern `proto.rs` uses for deadlines.
+/// injected timestamp.
 /// That is what makes suspicion counts reproducible under seeded replay:
 /// two runs feeding the same observation sequence produce the same
 /// suspicions, regardless of wall-clock jitter.

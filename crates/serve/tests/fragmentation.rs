@@ -1,4 +1,4 @@
-//! Fragmentation invariance for the sans-I/O [`FrameDecoder`]: a frame
+//! Fragmentation invariance for the incremental [`FrameDecoder`]: a frame
 //! stream is the same stream no matter how the transport slices it.
 //!
 //! TCP owes the protocol nothing about read boundaries — one socket read
@@ -9,7 +9,7 @@
 //! 5-byte header), every single split point, and seeded random slices —
 //! and demands the identical frame sequence every time.
 
-use aicomp_serve::proto::{encode_frame, frame_crc, FrameDecoder};
+use aicomp_serve::protocol::{encode_frame, frame_crc, FrameDecoder};
 use proptest::prelude::*;
 
 /// Decode an entire byte stream delivered in `chunks`-sized (or

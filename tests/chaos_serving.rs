@@ -18,8 +18,9 @@ use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-use aicomp::serve::proto::{encode_frame, FrameDecoder};
-use aicomp::serve::protocol::{encode_request, read_response, write_request};
+use aicomp::serve::protocol::{
+    encode_frame, encode_request, read_response, write_request, FrameDecoder,
+};
 use aicomp::serve::{
     Client, ErrorCode, Request, Response, RobustClient, RobustConfig, ServeConfig, ServeError,
     Server, WireFaultPlan, MAX_FRAME, PROTO_VERSION,
