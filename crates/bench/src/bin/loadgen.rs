@@ -18,12 +18,11 @@
 //!
 //! Reports client-side throughput and exact p50/p99/max latency, plus an
 //! error taxonomy (sheds, deadline hits, retries, breaker opens) and the
-//! server's own stats frame — mean batch size is the direct measurement of
-//! how many clients each coalesced decompress pass served (the Eq. 5/7
-//! FLOPs saving), and the cache hit ratio shows repeat traffic skipping
-//! decompression entirely. With `--verify` (implied when self-hosting)
-//! every fetched chunk is bit-compared against a direct [`DczReader`]
-//! decode — batching and caching must not change a single bit.
+//! server's own stats frame — chunks decoded against cache misses, and the
+//! cache hit ratio showing repeat traffic skipping decompression entirely.
+//! With `--verify` (implied when self-hosting) every fetched chunk is
+//! bit-compared against a direct [`DczReader`] decode — queueing and
+//! caching must not change a single bit.
 //!
 //! `--chaos <seed>` drives every worker through a [`RobustClient`] whose
 //! connections are wrapped in the seeded [`aicomp_serve::FaultyStream`]

@@ -33,7 +33,7 @@
 //! scanning when the footer is gone).
 //!
 //! `serve` runs the concurrent compression service over one or more
-//! containers (batched decompression, decoded-chunk cache, load shedding;
+//! containers (per-chunk decode workers, decoded-chunk cache, load shedding;
 //! wire format in `crates/serve/PROTOCOL.md`); `fetch`/`stats`/`shutdown`
 //! are its client-side counterparts.
 //!
@@ -145,14 +145,14 @@ fn usage() -> String {
      \x20 repair   --input <file.dcz> --out <salvaged.dcz>\n\
      \x20 serve    --store <file.dcz> [--store <more.dcz> ...] [--addr <ip:port>] \
      [--shard-name <name, identity for a later cluster join>] \
-     [--workers <N>] [--queue <depth>] [--batch <max>] [--cache <chunks>] [--shards <N>] \
+     [--workers <N>] [--queue <depth>] [--cache <chunks>] \
      [--idle-timeout <ms, 0 = never>] [--max-conns <N>] [--chaos <seed, 0 = off>] \
      [--quantum <pops>] [--tenant-inflight <N, 0 = unlimited>] \
      [--tenant-bytes <B, 0 = unlimited>] [--brownout] [--worker-delay <ms, 0 = off>]\n\
      \x20 cluster  --store <file.dcz> [--store <more.dcz> ...] -n <shards> \
      [--addr-base <ip:port, fixed — port 0 rejected>] \
      [--seed <ring seed>] [--vnodes <per member>] [--replication <R>] [--epoch <nonzero>] \
-     [--workers <N>] [--queue <depth>] [--batch <max>] [--cache <chunks>] [--shards <N>] \
+     [--workers <N>] [--queue <depth>] [--cache <chunks>] \
      [--worker-delay <ms> [--slow-shard <index, default: all shards>]  (hedging demos)]\n\
      \x20 cluster push    --addr <member[,member...]> --epoch <E, above the live one> \
      [--members <name@ip:port,...>  (default: the current membership)] \
@@ -458,9 +458,7 @@ fn serve(args: &[String]) -> Result<(), String> {
             "--shard-name",
             "--workers",
             "--queue",
-            "--batch",
             "--cache",
-            "--shards",
             "--idle-timeout",
             "--max-conns",
             "--chaos",
@@ -480,9 +478,7 @@ fn serve(args: &[String]) -> Result<(), String> {
     let config = ServeConfig {
         workers: parse(args, "--workers", 4)?,
         queue_depth: parse(args, "--queue", 64)?,
-        batch_max: parse(args, "--batch", 16)?,
         cache_entries: parse(args, "--cache", 256)?,
-        cache_shards: parse(args, "--shards", 8)?,
         worker_delay: {
             let ms: u64 = parse(args, "--worker-delay", 0)?;
             (ms > 0).then(|| Duration::from_millis(ms))
@@ -555,9 +551,7 @@ fn cluster(args: &[String]) -> Result<(), String> {
             "--epoch",
             "--workers",
             "--queue",
-            "--batch",
             "--cache",
-            "--shards",
             "--worker-delay",
             "--slow-shard",
         ],
@@ -615,9 +609,7 @@ fn cluster(args: &[String]) -> Result<(), String> {
         let config = ServeConfig {
             workers: parse(args, "--workers", 4)?,
             queue_depth: parse(args, "--queue", 64)?,
-            batch_max: parse(args, "--batch", 16)?,
             cache_entries: parse(args, "--cache", 256)?,
-            cache_shards: parse(args, "--shards", 8)?,
             worker_delay: (delay_ms > 0 && (slow == usize::MAX || slow == i))
                 .then(|| Duration::from_millis(delay_ms)),
             shard: Some(ShardRole { map: map.clone(), index: i }),

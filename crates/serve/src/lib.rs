@@ -9,23 +9,19 @@
 //! offline dependency policy) speaking a length-prefixed binary protocol
 //! ([`protocol`], documented in `PROTOCOL.md`).
 //!
-//! Three serving ideas from the related literature shape the internals:
+//! Two serving ideas from the related literature shape the internals:
 //!
 //! * **Per-request fidelity** — Progressive Compressed Records (Kuchnik
 //!   et al., arXiv:1911.00472): one container serves every client at the
 //!   fidelity it asks for. A fetch carries a chop factor; coarse requests
 //!   ride the store's frequency-ring layout, so they are *prefix reads*
 //!   bit-identical to a direct coarse compression.
-//! * **Request batching** — the two-matmul structure means decompression
-//!   throughput scales with batch size (Fig. 13). The [`server`]'s worker
-//!   pool drains the admission queue greedily and coalesces same-
-//!   `(container, fidelity)` requests into **one** `Codec::decompress`
-//!   pass — one matmul pair serves many clients, and the per-pass batch
-//!   sizes are histogrammed in the [`stats`] frame.
 //! * **Stay compressed until the last moment** — EBPC (Cavigelli et al.,
 //!   arXiv:1908.11645): bytes cross the disk and the queue compressed;
-//!   decompression happens once per chunk and fans out through a sharded
-//!   LRU [`cache`] of decoded chunks keyed `(container, chunk, fidelity)`.
+//!   each of the [`server`]'s workers decodes one chunk per job through
+//!   the store's own `SharedReader::decompress_chunk_at`, and the encoded
+//!   reply fans out through a sharded LRU [`cache`] keyed `(container,
+//!   chunk, fidelity)`.
 //!
 //! Overload is a typed answer, not a hang — and shedding is the *last*
 //! resort, not the first. Admission runs through a weighted-fair
@@ -48,16 +44,15 @@
 //!   [`FrameDecoder`].
 //! * [`queue`] — the weighted-fair admission queue [`Wfq`] (per-tenant
 //!   lanes, deficit-round-robin drain, quotas, a priority lane for cheap
-//!   ring-prefix fetches); `try_push` is the load-shedding edge,
-//!   `try_pop` feeds the batcher.
-//! * [`cache`] — sharded LRU over decoded chunks, hit/miss/eviction
-//!   counters.
+//!   ring-prefix fetches); `try_push` is the load-shedding edge.
+//! * [`cache`] — sharded LRU over encoded chunk replies, holding exactly
+//!   its configured number of entries.
 //! * [`stats`] — one declaration table of named counters and
 //!   histograms, from which the live atomics, the serializable
 //!   [`StatsReport`], and its positional wire encoding and display are
 //!   generated.
 //! * [`server`] — listener, one thread per connection, worker pool,
-//!   dynamic batcher, graceful shutdown. Each connection thread owns
+//!   graceful shutdown. Each connection thread owns
 //!   every server-side protocol rule: the `Hello` exchange, one
 //!   [`FrameDecoder`], and the handshake, idle and frame deadlines.
 //! * [`client`] — blocking client used by the `dcz` subcommands, the

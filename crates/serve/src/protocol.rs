@@ -38,7 +38,7 @@ use crate::stats::StatsReport;
 use crate::{Result, ServeError};
 
 /// The protocol version this build speaks (in the `Hello` exchange).
-pub const PROTO_VERSION: u16 = 5;
+pub const PROTO_VERSION: u16 = 6;
 /// Magic leading the `Hello` request body.
 pub const PROTO_MAGIC: [u8; 4] = *b"DCZS";
 /// Upper bound on a frame (1 MiB control + payload chunks well under it).

@@ -7,11 +7,9 @@
 //! surfaced to the client as a retryable error instead of unbounded
 //! queueing or a silent drop.
 //!
-//! Worker threads consume with blocking [`Wfq::pop`] plus non-blocking
-//! [`Wfq::try_pop`], which is what the dynamic batcher uses to drain
-//! everything already waiting into one coalesced decompress pass. There
-//! is one bounded queue *per tenant*, drained by deficit-round-robin so
-//! an aggressor tenant can saturate only its own lane, plus a priority
+//! Worker threads consume with blocking [`Wfq::pop`], one job at a time.
+//! There is one bounded queue *per tenant*, drained by deficit-round-robin
+//! so an aggressor tenant can saturate only its own lane, plus a priority
 //! sub-queue for low-fidelity (cheap ring-prefix) requests.
 //!
 //! (A `std::sync::mpsc` receiver is single-consumer, so the worker pool
@@ -247,8 +245,9 @@ impl<T> Wfq<T> {
         }
     }
 
-    /// Take the next scheduled item only if one is already waiting — the
-    /// batcher's drain step.
+    /// Take the next scheduled item only if one is already waiting. The
+    /// server never calls it; the scheduler tests read the drain order
+    /// through it without blocking.
     pub fn try_pop(&self) -> Option<T> {
         let mut s = self.lock();
         if s.len > 0 {

@@ -1,4 +1,4 @@
-//! The service: listener, connection threads, worker pool, dynamic batcher.
+//! The service: listener, connection threads, worker pool.
 //!
 //! Threading model (pure `std::thread` / `std::net`):
 //!
@@ -9,14 +9,12 @@
 //!   cache misses to the worker queue with a non-blocking `try_push` —
 //!   a full queue is answered with a typed `Overloaded` frame
 //!   immediately (load shedding, never a silent drop);
-//! * a fixed **worker pool** draining the queue. Each worker takes one
-//!   job, then greedily drains up to `batch_max − 1` more, groups them
-//!   by `(container, fidelity)`, and decodes each group's coefficient
-//!   tensors **concatenated along dim 0 in one `Codec::decompress`
-//!   pass** — bit-identical to per-chunk decodes because the inverse
-//!   transform is per-sample matmuls (Eq. 5/7), so batching changes the
-//!   FLOP *schedule*, not the results. Decoded chunks land in the shared
-//!   cache and fan out to every waiter.
+//! * a fixed **worker pool** draining the queue. Each worker pops one
+//!   job and decodes its chunk through the container's
+//!   [`SharedReader::decompress_chunk_at`] — the same `DczReader` call
+//!   the prefetch loader, `dcz unpack` and every bit-identity check make,
+//!   so a served chunk *is* the reference decode. It encodes the reply
+//!   slab once, caches it, and answers the job.
 //!
 //! Graceful shutdown is a strict ordering: the `Shutdown` frame (or
 //! [`ServerHandle::shutdown`]) sets the flag → the listener stops
@@ -46,7 +44,6 @@
 //! (paper §3.2) — and replies carry their `served_cf` so degradation is
 //! explicit, never silent. Shedding is the last resort, not the first.
 
-use std::collections::HashMap;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::Path;
@@ -55,7 +52,6 @@ use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use aicomp_core::Codec;
 use aicomp_store::{Header, SharedReader, StoreError};
 use aicomp_tensor::Tensor;
 
@@ -75,19 +71,15 @@ use crate::ServeError;
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Decompression worker threads. Each one owns a core and runs the
-    /// codec serially on it: parallelism comes from decoding one batch per
-    /// worker at once, not from splitting one batch's matmuls.
+    /// codec serially on it: parallelism comes from decoding one chunk per
+    /// worker at once, not from splitting one chunk's matmuls.
     pub workers: usize,
     /// Admission queue bound — beyond this, fetches are shed.
     pub queue_depth: usize,
-    /// Most chunks one worker coalesces into a single decompress pass.
-    pub batch_max: usize,
     /// Decoded-chunk cache capacity, in chunks (0 disables caching).
     pub cache_entries: usize,
-    /// Lock shards the cache is spread over.
-    pub cache_shards: usize,
-    /// Test/bench knob: sleep this long at the start of every worker
-    /// pass, so saturation (and thus shedding) is reproducible.
+    /// Test/bench knob: sleep this long before every job a worker pops,
+    /// so saturation (and thus shedding) is reproducible.
     pub worker_delay: Option<Duration>,
     /// A fresh connection must complete the `Hello` exchange within this,
     /// counted from accept whatever it has sent (part of a `Hello`
@@ -138,9 +130,7 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 4,
             queue_depth: 64,
-            batch_max: 16,
             cache_entries: 256,
-            cache_shards: 8,
             worker_delay: None,
             handshake_timeout: Duration::from_secs(5),
             idle_timeout: None,
@@ -161,8 +151,8 @@ impl Default for ServeConfig {
 /// server's index into it. Fetches for keys outside `map.replicas(..)`
 /// of `index` are answered with a typed `WrongShard` redirect *before*
 /// any container lookup or read — a shard touches only the chunk ranges
-/// it owns, so its cache and batcher concentrate on ~1/N of the keyspace
-/// (the Eq. 5/7 batch-amortization argument, DESIGN.md §8.3).
+/// it owns, so its cache concentrates on ~1/N of the keyspace
+/// (DESIGN.md §8.3).
 #[derive(Debug, Clone)]
 pub struct ShardRole {
     /// The cluster-wide map (identical on every member).
@@ -183,8 +173,8 @@ pub struct BrownoutConfig {
     pub high_watermark: f64,
     /// Step fidelity back *up* when the fill fraction drops to this.
     pub low_watermark: f64,
-    /// A worker pass slower than this also counts as pressure (queue
-    /// depth alone misses a slow disk or huge batches).
+    /// A worker job (read, decode and encode of one chunk) slower than
+    /// this also counts as pressure: queue depth alone misses a slow disk.
     pub slow_batch: Duration,
     /// Minimum time between level changes in either direction.
     pub dwell: Duration,
@@ -229,13 +219,13 @@ impl Brownout {
     }
 
     /// Feed one observation (queue depth at admission, or a finished
-    /// worker pass with its wall time) and maybe step the level. Steps
+    /// worker job with its wall time) and maybe step the level. Steps
     /// serialize on the dwell clock's mutex so concurrent observations
     /// can't double-step.
-    fn observe(&self, depth: usize, capacity: usize, batch: Option<Duration>, stats: &ServeStats) {
+    fn observe(&self, depth: usize, capacity: usize, job: Option<Duration>, stats: &ServeStats) {
         let Some(cfg) = &self.config else { return };
         let fill = depth as f64 / capacity.max(1) as f64;
-        let slow = batch.is_some_and(|d| d >= cfg.slow_batch);
+        let slow = job.is_some_and(|d| d >= cfg.slow_batch);
         let pressure = slow || fill >= cfg.high_watermark;
         let relieved = !slow && fill <= cfg.low_watermark;
         let mut last = self.last_change.lock().unwrap_or_else(|e| e.into_inner());
@@ -260,34 +250,6 @@ impl Brownout {
 /// shareable reply slab, or a typed error.
 type JobResult = std::result::Result<Arc<ResponseSlab>, (ErrorCode, String)>;
 
-/// One request waiting on a chunk: the rendezvous its connection thread
-/// is parked on, plus the tenant accounting needed to release the quota
-/// the moment it is answered.
-struct Waiter {
-    reply: mpsc::SyncSender<JobResult>,
-    tenant: u32,
-    cost: u64,
-}
-
-impl Waiter {
-    /// Deliver the result and release this request's slice of its
-    /// tenant's in-flight quota — the single place both happen, so the
-    /// conservation invariant (answered exactly once, released exactly
-    /// once) holds on every exit path out of the batcher.
-    ///
-    /// The quota is released *before* the reply leaves: the instant a
-    /// client holds the answer, the in-flight accounting has already let
-    /// go, so a quiesced observer (a stats poll, a map push counting its
-    /// drains) can never see a request that was in fact answered.
-    fn finish(&self, shared: &Shared, result: JobResult) {
-        shared.queue.complete(self.tenant, self.cost);
-        let _ = self.reply.send(result);
-    }
-}
-
-/// Reply slots of every request waiting on one chunk.
-type Waiters = Vec<Waiter>;
-
 /// One admitted cache miss: decode `chunk` of `container` at `read_cf`
 /// (already resolved — never 0) and send the result to `reply`. A job
 /// that sits in the queue past `expires` is shed with
@@ -307,23 +269,19 @@ struct Job {
     cost: u64,
 }
 
-/// One served container: the shared reader plus its per-fidelity codecs
-/// (built lazily through the registry, shared by all workers).
-struct Container {
-    reader: SharedReader,
-    codecs: Mutex<HashMap<u8, Arc<dyn Codec>>>,
-}
-
-impl Container {
-    fn codec(&self, cf: u8) -> std::result::Result<Arc<dyn Codec>, StoreError> {
-        let mut map = self.codecs.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(c) = map.get(&cf) {
-            return Ok(Arc::clone(c));
-        }
-        let built = self.reader.header().codec.with_chop_factor(cf as usize).build()?;
-        let arc: Arc<dyn Codec> = Arc::from(built);
-        map.insert(cf, Arc::clone(&arc));
-        Ok(arc)
+impl Job {
+    /// Deliver the result and release this request's slice of its
+    /// tenant's in-flight quota — the single place both happen, so the
+    /// conservation invariant (answered exactly once, released exactly
+    /// once) holds on every exit path out of a worker.
+    ///
+    /// The quota is released *before* the reply leaves: the instant a
+    /// client holds the answer, the in-flight accounting has already let
+    /// go, so a quiesced observer (a stats poll, a map push counting its
+    /// drains) can never see a request that was in fact answered.
+    fn finish(self, shared: &Shared, result: JobResult) {
+        shared.queue.complete(self.tenant, self.cost);
+        let _ = self.reply.send(result);
     }
 }
 
@@ -352,9 +310,9 @@ struct ShardSlot {
 /// cache stores *encoded* reply slabs, so a hit skips both the decode and
 /// the re-encode, and fan-out is an `Arc` bump.
 struct Shared {
-    containers: Vec<Container>,
+    containers: Vec<SharedReader>,
     queue: Wfq<Job>,
-    cache: ChunkCache<Arc<ResponseSlab>>,
+    cache: ChunkCache,
     stats: ServeStats,
     shutdown: AtomicBool,
     config: ServeConfig,
@@ -403,7 +361,7 @@ impl Server {
                 let store = p.as_ref().display().to_string();
                 return Err(ServeError::ReplyTooLarge { store, frame_len });
             }
-            containers.push(Container { reader, codecs: Mutex::new(HashMap::new()) });
+            containers.push(reader);
         }
         let quota =
             TenantQuota { max_inflight: config.tenant_inflight, max_bytes: config.tenant_bytes };
@@ -411,8 +369,7 @@ impl Server {
         // shard map names the *bound* address (port 0 resolves here).
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let chunk_counts: Vec<u32> =
-            containers.iter().map(|c| c.reader.chunk_count() as u32).collect();
+        let chunk_counts: Vec<u32> = containers.iter().map(|c| c.chunk_count() as u32).collect();
         let slot = match &config.shard {
             Some(role) => {
                 if role.index >= role.map.len() {
@@ -459,7 +416,7 @@ impl Server {
         let shared = Arc::new(Shared {
             containers,
             queue: Wfq::new(config.queue_depth, config.quantum, quota),
-            cache: ChunkCache::new(config.cache_entries, config.cache_shards),
+            cache: ChunkCache::new(config.cache_entries),
             stats: ServeStats::default(),
             shutdown: AtomicBool::new(false),
             brownout: Brownout::new(config.brownout),
@@ -475,7 +432,7 @@ impl Server {
             let handle = thread::Builder::new()
                 .name(format!("serve-worker-{i}"))
                 // The worker owns a core, so the codec's matmuls run inline
-                // on it instead of spawning threads per pass.
+                // on it instead of spawning threads per decode.
                 .spawn(move || rayon::in_worker(|| worker_loop(&worker_shared)))
                 .map_err(|e| {
                     shared.queue.close();
@@ -621,30 +578,13 @@ fn err(code: ErrorCode, message: impl Into<String>) -> Response {
 // ---------------------------------------------------------------- workers
 
 fn worker_loop(shared: &Shared) {
-    while let Some(first) = shared.queue.pop() {
-        // Dynamic batching: greedily drain everything already waiting, up
-        // to the pass bound — under load one pass serves many clients.
-        // The weighted-fair pop order means the drain takes each tenant's
-        // deficit-round-robin share, not whoever arrived first.
-        let mut jobs = vec![first];
-        while jobs.len() < shared.config.batch_max.max(1) {
-            match shared.queue.try_pop() {
-                Some(j) => jobs.push(j),
-                None => break,
-            }
-        }
+    while let Some(job) = shared.queue.pop() {
         if let Some(d) = shared.config.worker_delay {
             thread::sleep(d);
         }
         let t0 = Instant::now();
-        let mut groups: HashMap<(u32, u8), Vec<Job>> = HashMap::new();
-        for j in jobs {
-            groups.entry((j.container, j.read_cf)).or_default().push(j);
-        }
-        for ((container, cf), group) in groups {
-            process_group(shared, container, cf, group);
-        }
-        // Pass wall time feeds the brownout governor: a slow pass is
+        process_job(shared, job);
+        // Job wall time feeds the brownout governor: a slow decode is
         // pressure even when the queue looks shallow.
         shared.brownout.observe(
             shared.queue.len(),
@@ -655,147 +595,63 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Decode one `(container, fidelity)` group in a single codec pass and
-/// encode each decoded chunk into **one** shared [`ResponseSlab`] — the
-/// only per-chunk memcpy on the reply path. Every waiter (including
-/// deduped duplicates) receives an `Arc` of the same slab.
-fn process_group(shared: &Shared, container: u32, cf: u8, group: Vec<Job>) {
-    // Containers/chunks/fidelities were validated at admission.
-    let cont = &shared.containers[container as usize];
-
-    // Shed jobs whose deadline expired while they queued — before any
-    // read or decode work, the same pre-worker edge as `Overloaded`.
-    // Then coalesce duplicate chunks: every live waiter shares one decode.
-    let now = Instant::now();
-    let mut waiters: HashMap<u32, Waiters> = HashMap::new();
-    for j in group {
-        let w = Waiter { reply: j.reply, tenant: j.tenant, cost: j.cost };
-        if j.expires.is_some_and(|e| e <= now) {
-            shared.stats.deadline_rejected.fetch_add(1, Ordering::Relaxed);
-            w.finish(
-                shared,
-                Err((
-                    ErrorCode::DeadlineExceeded,
-                    format!("chunk {}: deadline expired before decode", j.chunk),
-                )),
-            );
-            continue;
-        }
-        waiters.entry(j.chunk).or_default().push(w);
+/// Answer one admitted fetch: decode its chunk and encode **one** shared
+/// [`ResponseSlab`] — the only per-chunk memcpy on the reply path — that
+/// the cache and the client both hold.
+fn process_job(shared: &Shared, job: Job) {
+    // Shed a job whose deadline expired while it queued — before any read
+    // or decode work, the same pre-worker edge as `Overloaded`.
+    if job.expires.is_some_and(|e| e <= Instant::now()) {
+        shared.stats.deadline_rejected.fetch_add(1, Ordering::Relaxed);
+        let message = format!("chunk {}: deadline expired before decode", job.chunk);
+        return job.finish(shared, Err((ErrorCode::DeadlineExceeded, message)));
     }
-
     // Re-check the cache under the key a sibling worker may have filled
     // between admission and now.
-    let mut batch: Vec<(u32, Waiters, Tensor)> = Vec::new();
-    for (chunk, senders) in waiters {
-        let key = (container, chunk, cf);
-        // A lookup that leaves the hit/miss counters alone: admission
-        // already counted this fetch's outcome once.
-        if let Some(hit) = shared.cache.peek(&key) {
-            for s in &senders {
-                s.finish(shared, Ok(Arc::clone(&hit)));
-            }
-            continue;
-        }
-        match cont.reader.read_chunk_at(chunk as usize, cf as usize) {
-            Ok(coeffs) => batch.push((chunk, senders, coeffs)),
-            Err(e) => {
-                let err = (classify(&e), format!("chunk {chunk}: {e}"));
-                for s in &senders {
-                    s.finish(shared, Err(err.clone()));
-                }
-            }
-        }
+    let key = (job.container, job.chunk, job.read_cf);
+    if let Some(hit) = shared.cache.peek(&key) {
+        return job.finish(shared, Ok(hit));
     }
-    if batch.is_empty() {
-        return;
+    // Containers/chunks/fidelities were validated at admission.
+    let reader = &shared.containers[job.container as usize];
+    let result = match reader.decompress_chunk_at(job.chunk as usize, job.read_cf as usize) {
+        Ok(part) => {
+            shared.stats.chunks_decoded.fetch_add(1, Ordering::Relaxed);
+            encode_chunk_slab(shared, reader, &job, &part)
+        }
+        Err(e) => Err((classify(&e), format!("chunk {}: {e}", job.chunk))),
+    };
+    if let Ok(slab) = &result {
+        shared.cache.insert(key, Arc::clone(slab));
     }
-
-    let fail_all = |batch: &[(u32, Waiters, Tensor)], code: ErrorCode, message: String| {
-        for (_, senders, _) in batch {
-            for s in senders {
-                s.finish(shared, Err((code, message.clone())));
-            }
-        }
-    };
-    let codec = match cont.codec(cf) {
-        Ok(c) => c,
-        Err(e) => {
-            fail_all(&batch, classify(&e), format!("building codec at cf {cf}: {e}"));
-            return;
-        }
-    };
-
-    // One pass: concat coefficient tensors along dim 0, decompress once,
-    // split back. Per-sample matmuls make this bit-identical to decoding
-    // each chunk alone (pinned by the root `serving` integration test).
-    let parts: Vec<&Tensor> = batch.iter().map(|(_, _, t)| t).collect();
-    let joined = match Tensor::concat0(&parts) {
-        Ok(j) => j,
-        Err(e) => {
-            fail_all(&batch, ErrorCode::Internal, format!("batch concat: {e}"));
-            return;
-        }
-    };
-    let decoded = match codec.decompress(&joined) {
-        Ok(d) => d,
-        Err(e) => {
-            fail_all(&batch, ErrorCode::Corrupt, format!("batched decompress: {e}"));
-            return;
-        }
-    };
-    shared.stats.record_batch(batch.len());
-
-    let mut at = 0usize;
-    for (chunk, senders, coeffs) in &batch {
-        let n_samples = coeffs.dims()[0];
-        match decoded.slice0(at, at + n_samples) {
-            Ok(part) => match encode_chunk_slab(shared, cont, container, *chunk, cf, &part) {
-                Ok(slab) => {
-                    shared.cache.insert((container, *chunk, cf), Arc::clone(&slab));
-                    for s in senders {
-                        s.finish(shared, Ok(Arc::clone(&slab)));
-                    }
-                }
-                Err(err) => {
-                    for s in senders {
-                        s.finish(shared, Err(err.clone()));
-                    }
-                }
-            },
-            Err(e) => {
-                let err = (ErrorCode::Internal, format!("batch split: {e}"));
-                for s in senders {
-                    s.finish(shared, Err(err.clone()));
-                }
-            }
-        }
-        at += n_samples;
-    }
+    job.finish(shared, result);
 }
 
 /// Encode one decoded chunk into its shared reply slab (the single
 /// encode; `slab_bytes_copied` counts it).
 fn encode_chunk_slab(
     shared: &Shared,
-    cont: &Container,
-    container: u32,
-    chunk: u32,
-    cf: u8,
+    reader: &SharedReader,
+    job: &Job,
     part: &Tensor,
-) -> std::result::Result<Arc<ResponseSlab>, (ErrorCode, String)> {
+) -> JobResult {
     let d = part.dims();
     if d.len() != 4 {
         return Err((
             ErrorCode::Internal,
-            format!("decoded chunk {chunk} of container {container} has {} dims", d.len()),
+            format!(
+                "decoded chunk {} of container {} has {} dims",
+                job.chunk,
+                job.container,
+                d.len()
+            ),
         ));
     }
-    let first_sample = cont.reader.index()[chunk as usize].first_sample;
+    let first_sample = reader.index()[job.chunk as usize].first_sample;
     let slab = ResponseSlab::chunk(
         first_sample,
         [d[0] as u32, d[1] as u32, d[2] as u32, d[3] as u32],
-        cf,
+        job.read_cf,
         part.data(),
     );
     shared.stats.slab_bytes_copied.fetch_add(slab.body().len() as u64, Ordering::Relaxed);
@@ -998,8 +854,6 @@ fn stats_report(shared: &Shared) -> StatsReport {
     report.brownout_level = shared.brownout.level().into();
     report.shard_owned = slot.owned;
     report.shard_epoch = slot.map.epoch;
-    report.cache_hits = cache.hits;
-    report.cache_misses = cache.misses;
     report.cache_evictions = cache.evictions;
     report.cache_entries = cache.entries;
     report.cache_capacity = cache.capacity;
@@ -1122,8 +976,8 @@ enum Admission {
 /// result when the job queues.
 ///
 /// Brownout applies *before* the cache lookup, so the cache key, the
-/// batcher's `(container, cf)` grouping, and the reply's `served_cf`
-/// all see the same effective fidelity — a degraded reply is
+/// worker's decode, and the reply's `served_cf` all see the same
+/// effective fidelity — a degraded reply is
 /// indistinguishable from an honest coarse fetch at that level, which
 /// is exactly the §3.2 prefix property.
 #[allow(clippy::too_many_arguments)]
@@ -1159,19 +1013,19 @@ fn admit_fetch(
             };
         }
     }
-    let Some(cont) = shared.containers.get(container as usize) else {
+    let Some(reader) = shared.containers.get(container as usize) else {
         return Admission::Rejected(Box::new(err(
             ErrorCode::NotFound,
             format!("container {container} (server has {})", shared.containers.len()),
         )));
     };
-    if chunk as usize >= cont.reader.chunk_count() {
+    if chunk as usize >= reader.chunk_count() {
         return Admission::Rejected(Box::new(err(
             ErrorCode::NotFound,
-            format!("chunk {chunk} (container has {})", cont.reader.chunk_count()),
+            format!("chunk {chunk} (container has {})", reader.chunk_count()),
         )));
     }
-    let h = cont.reader.header();
+    let h = reader.header();
     let stored = h.cf() as u8;
     let resolved = if read_cf == 0 { stored } else { read_cf };
     if resolved > stored {
@@ -1189,8 +1043,10 @@ fn admit_fetch(
             shared.stats.tenant_degraded(tenant, weight);
         }
     };
-    if let Some(hit) = shared.cache.get(&(container, chunk, cf)) {
+    // Hits and misses count admitted fetches only: a shed fetch is neither.
+    if let Some(hit) = shared.cache.peek(&(container, chunk, cf)) {
         shared.stats.tenant_accepted(tenant, weight);
+        shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
         count_degraded();
         return Admission::Ready(hit);
     }
@@ -1205,6 +1061,7 @@ fn admit_fetch(
     match shared.queue.try_push(tenant, weight, cost, priority, job) {
         Ok(()) => {
             shared.stats.tenant_accepted(tenant, weight);
+            shared.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
             count_degraded();
             Admission::Queued
         }
@@ -1229,13 +1086,13 @@ fn admit_fetch(
 }
 
 fn info(shared: &Shared, container: u32) -> Response {
-    let Some(cont) = shared.containers.get(container as usize) else {
+    let Some(reader) = shared.containers.get(container as usize) else {
         return err(
             ErrorCode::NotFound,
             format!("container {container} (server has {})", shared.containers.len()),
         );
     };
-    let h = cont.reader.header();
+    let h = reader.header();
     Response::Info(ContainerInfo {
         samples: h.sample_count,
         chunks: h.chunk_count,
@@ -1418,7 +1275,6 @@ mod tests {
         let config = ServeConfig {
             workers: 1,
             queue_depth: 1,
-            batch_max: 1,
             cache_entries: 0,
             worker_delay: Some(Duration::from_millis(40)),
             ..ServeConfig::default()
@@ -1500,7 +1356,6 @@ mod tests {
         // fine through the same (deep) global queue.
         let config = ServeConfig {
             workers: 1,
-            batch_max: 1,
             cache_entries: 0,
             worker_delay: Some(Duration::from_millis(150)),
             tenant_inflight: 1,

@@ -8,15 +8,14 @@
 //! serves the same map, and a client holding a stale one is corrected by
 //! a typed `WrongShard` redirect rather than wrong data.
 //!
-//! Why sharding at all: the paper's batch-amortization argument (Eq. 5/7,
-//! Fig. 13) says decompression throughput comes from coalescing many
-//! requests for the *same* chunk into one two-matmul pass. A uniform
+//! Why sharding at all: a node's decoded-chunk cache only pays when
+//! repeat requests for the *same* chunk reach the *same* node. A uniform
 //! smear of the keyspace across a fleet defeats that: every node sees
-//! every chunk rarely, so batches stay small and caches stay cold.
-//! Consistent hashing concentrates each key on one primary (plus a short
-//! replica chain for failover), so each node's working set is ~1/N of
-//! the keyspace and its decoded-chunk cache and batcher see the full
-//! request density for the keys it owns (DESIGN.md §8.3).
+//! every chunk rarely, so caches stay cold. Consistent hashing
+//! concentrates each key on one primary (plus a short replica chain for
+//! failover), so each node's working set is ~1/N of the keyspace and its
+//! cache sees the full request density for the keys it owns
+//! (DESIGN.md §8.3).
 //!
 //! Determinism is load-bearing: ring points hash the member *names*
 //! (never their socket addresses), so ownership is a pure function of

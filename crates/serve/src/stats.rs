@@ -12,9 +12,7 @@
 //! the server threads write into on every request, and [`StatsReport`]
 //! is the plain-data snapshot that crosses the wire in a `Stats` reply.
 //! Latency is kept as log2-µs histograms — constant memory, no per-request
-//! allocation. Batch sizes are a small linear histogram: its mass above
-//! bucket 0 is the direct evidence that the dynamic batcher is coalescing
-//! requests into shared decompress passes.
+//! allocation.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,9 +26,6 @@ use crate::{Result, ServeError};
 /// `[2^i, 2^(i+1))` µs; bucket 0 also absorbs sub-µs, the last absorbs
 /// everything ≥ ~33 s.
 const LATENCY_BUCKETS: usize = 26;
-/// Linear batch-size buckets: bucket `i` counts passes of `i + 1` chunks;
-/// the last absorbs everything larger.
-const BATCH_BUCKETS: usize = 32;
 
 /// Expands the declaration list into [`ServeStats`] and [`StatsReport`].
 ///
@@ -38,7 +33,7 @@ const BATCH_BUCKETS: usize = 32;
 /// in [`ServeStats`], bumped where the event happens; `fill` scalars are
 /// written at snapshot time — gauges the server reads from its queue,
 /// cache, governor and shard map, and totals derived from the tenant
-/// ledger or a histogram. A histogram row is `name [buckets] "doc"`.
+/// ledger or another counter. A histogram row is `name [buckets] "doc"`.
 macro_rules! stats_table {
     // Collect the `live` rows: they alone get an atomic.
     (@live $hists:tt [$($acc:tt)*] live $field:ident $doc:literal, $($rest:tt)*) => {
@@ -135,14 +130,15 @@ stats_table! {
                                             old epoch (the drain half of drain-and-handoff).",
         reconfig   live handoffs           "Keys this shard served under the old map but not the new one, \
                                             summed over installs (they answer `WrongShard` from then on).",
-        cache      fill cache_hits         "Admitted fetches served from the cache.",
-        cache      fill cache_misses       "Admitted fetches that missed the cache.",
+        cache      live cache_hits         "Admitted fetches served from the cache.",
+        cache      live cache_misses       "Admitted fetches that missed the cache and queued for a worker.",
         cache      fill cache_evictions    "Cache entries evicted to stay within capacity.",
         cache      fill cache_entries      "Cache entries resident at snapshot time.",
         cache      fill cache_capacity     "Cache capacity in entries (0 = caching disabled).",
-        batching   fill decompress_passes  "Coalesced decompress passes: the batch histogram's total.",
-        batching   live chunks_decoded     "Chunks decoded across all passes (over the pass count: the \
-                                            mean batch size).",
+        decode     fill decompress_passes  "Decompress passes: equal to `chunks_decoded`, since each pass \
+                                            decodes one chunk.",
+        decode     live chunks_decoded     "Chunks decoded by the workers, one per queued fetch that no \
+                                            sibling worker had cached first.",
         conns      live conns_accepted     "Connections accepted by the listener.",
         conns      live conns_rejected     "Connections rejected at accept time (`max_conns` reached).",
         conns      live conns_active       "Connections open right now (incremented on accept, decremented \
@@ -164,8 +160,6 @@ stats_table! {
         info_latency_us  [LATENCY_BUCKETS] "Log2-µs latency of `Info` requests; its total is the request count.",
         fetch_latency_us [LATENCY_BUCKETS] "Log2-µs latency of `Fetch` requests; its total is the request count.",
         stats_latency_us [LATENCY_BUCKETS] "Log2-µs latency of `Stats` requests; its total is the request count.",
-        batch_sizes      [BATCH_BUCKETS]   "Decompress passes by size: bucket `i` counts passes of `i + 1` \
-                                            chunks, the last absorbing larger.",
     }
 }
 
@@ -229,20 +223,11 @@ impl ServeStats {
         self.tenant_entry(tenant, weight, |t| t.degraded += 1);
     }
 
-    /// Record one coalesced decompress pass over `batch` chunks.
-    pub fn record_batch(&self, batch: usize) {
-        if batch == 0 {
-            return;
-        }
-        self.chunks_decoded.fetch_add(batch as u64, Ordering::Relaxed);
-        self.batch_sizes.add(batch - 1);
-    }
-
     /// Freeze the live counters into a [`StatsReport`], deriving the
-    /// admission totals from the tenant ledger and the pass count from
-    /// the batch histogram. `lanes` is the scheduler's `(tenant,
-    /// weight, queued, inflight)` snapshot ([`crate::queue::Wfq::depths`]),
-    /// merged with the admission counters into one per-tenant section.
+    /// admission totals from the tenant ledger. `lanes` is the scheduler's
+    /// `(tenant, weight, queued, inflight)` snapshot
+    /// ([`crate::queue::Wfq::depths`]), merged with the admission counters
+    /// into one per-tenant section.
     /// The gauges the server keeps elsewhere (queue, cache, brownout level,
     /// shard role) are left 0 for the caller to fill.
     pub fn snapshot(&self, lanes: &[(u32, u8, usize, usize)]) -> StatsReport {
@@ -283,7 +268,7 @@ impl ServeStats {
         report.accepted = tenants.iter().map(|t| t.accepted).sum();
         report.shed = tenants.iter().map(|t| t.shed).sum();
         report.degraded = tenants.iter().map(|t| t.degraded).sum();
-        report.decompress_passes = report.batch_sizes.iter().sum();
+        report.decompress_passes = report.chunks_decoded;
         report.tenants = tenants;
         report
     }
@@ -434,9 +419,8 @@ impl std::fmt::Display for StatsReport {
         }
         write!(
             f,
-            "derived    {:.1}% cache hit, {:.2} chunks/pass, {:.1}x slab fan-out",
+            "derived    {:.1}% cache hit, {:.1}x slab fan-out",
             100.0 * self.cache_hit_ratio(),
-            ratio(self.chunks_decoded, self.decompress_passes),
             ratio(self.slab_bytes_shared, self.slab_bytes_copied)
         )?;
         let fetch = &self.fetch_latency_us;
@@ -569,8 +553,10 @@ mod tests {
         stats.fetch_latency_us.record_us(Duration::from_micros(350));
         stats.fetch_latency_us.record_us(Duration::from_millis(12));
         stats.info_latency_us.record_us(Duration::from_micros(40));
+        stats.chunks_decoded.store(3, Ordering::Relaxed);
         let report = stats.snapshot(&[(7, 3, 2, 5), (9, 2, 1, 1)]);
         assert_eq!((report.accepted, report.shed, report.degraded), (2, 1, 1));
+        assert_eq!(report.decompress_passes, 3, "one pass per decoded chunk");
         let t7 = report.tenants.iter().find(|t| t.tenant == 7).unwrap();
         assert_eq!((t7.accepted, t7.shed, t7.degraded, t7.queued, t7.inflight), (2, 0, 1, 2, 5));
         let t9 = report.tenants.iter().find(|t| t.tenant == 9).unwrap();
@@ -597,26 +583,8 @@ mod tests {
     }
 
     #[test]
-    fn batch_histogram_indexes_by_size() {
+    fn display_derives_hit_ratio_fan_out_and_fetch_quantiles() {
         let stats = ServeStats::default();
-        stats.record_batch(0); // ignored
-        stats.record_batch(1);
-        stats.record_batch(1);
-        stats.record_batch(4);
-        stats.record_batch(500); // clamps into the last bucket
-        let report = stats.snapshot(&[]);
-        assert_eq!(report.batch_sizes[0], 2);
-        assert_eq!(report.batch_sizes[3], 1);
-        assert_eq!(report.batch_sizes[BATCH_BUCKETS - 1], 1);
-        assert_eq!(report.decompress_passes, 4);
-        assert_eq!(report.chunks_decoded, 506);
-    }
-
-    #[test]
-    fn display_derives_hit_ratio_pass_size_fan_out_and_fetch_quantiles() {
-        let stats = ServeStats::default();
-        stats.record_batch(3);
-        stats.record_batch(5);
         stats.slab_bytes_copied.store(100, Ordering::Relaxed);
         stats.slab_bytes_shared.store(250, Ordering::Relaxed);
         for us in [100, 100, 100, 5000] {
@@ -625,7 +593,7 @@ mod tests {
         let mut report = stats.snapshot(&[]);
         (report.cache_hits, report.cache_misses) = (3, 1);
         let text = report.to_string();
-        let needle = "derived    75.0% cache hit, 4.00 chunks/pass, 2.5x slab fan-out, \
+        let needle = "derived    75.0% cache hit, 2.5x slab fan-out, \
                       fetch p50 ≤ 128 µs, p99 ≤ 8192 µs";
         assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
     }
@@ -638,7 +606,7 @@ mod tests {
             "queue",
             "admission",
             "cache",
-            "batching",
+            "decode",
             "conns",
             "discipline",
             "slabs",

@@ -48,16 +48,20 @@ fn serve_rejects_the_retired_backend_flag() {
     let store = scratch("serve.dcz");
     let sample = Tensor::from_vec(vec![0.5; 16 * 16], [1, 16, 16]).unwrap();
     pack_file(&store, &StoreOptions::dct(16, 4, 1, 1), [sample]).unwrap();
-    let out = dcz(&[
-        "serve",
-        "--store",
-        store.to_str().unwrap(),
-        "--addr",
-        "127.0.0.1:0",
-        "--backend",
-        "epoll",
-    ]);
-    assert_usage_error(&out, "--backend");
+    // The transport choice, the batch cap and the cache shard count are
+    // all gone; each must be refused, not ignored.
+    for (flag, value) in [("--backend", "epoll"), ("--batch", "2"), ("--shards", "8")] {
+        let out = dcz(&[
+            "serve",
+            "--store",
+            store.to_str().unwrap(),
+            "--addr",
+            "127.0.0.1:0",
+            flag,
+            value,
+        ]);
+        assert_usage_error(&out, flag);
+    }
     std::fs::remove_file(&store).ok();
 }
 

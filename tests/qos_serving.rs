@@ -93,7 +93,6 @@ fn mixed_tenant_saturation(path: &PathBuf) -> RunOutcome {
     let config = ServeConfig {
         workers: 1,
         queue_depth: 16,
-        batch_max: 2,
         cache_entries: 0, // every fetch decodes: keeps the worker saturated
         worker_delay: Some(Duration::from_millis(2)),
         tenant_inflight: 2,
