@@ -47,7 +47,7 @@ fn bench_decompress_by_cf(c: &mut Criterion) {
     group.finish();
 }
 
-/// Resolutions of the flat-in-n check: with the block-span gemm, MB/s at
+/// Resolutions of the flat-in-n check: with the per-block kernel, MB/s at
 /// cf=4 should stay roughly level from n=32 to n=512 in both directions.
 const RESOLUTIONS: [usize; 5] = [32, 64, 128, 256, 512];
 

@@ -597,7 +597,7 @@ mod tests {
     /// Pins the exact output bits of every Chop-family codec. Stored
     /// containers hold these coefficients, so a kernel change that moves a
     /// single bit shows up here. The digests were recorded with the dense
-    /// gemm loop; the block-span kernel must reproduce them.
+    /// gemm loop; the per-block kernel must reproduce them.
     #[test]
     fn codec_outputs_are_bit_stable() {
         // (spec name, FNV-1a of compress output, FNV-1a of decompress output)

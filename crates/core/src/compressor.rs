@@ -9,6 +9,7 @@
 
 use aicomp_tensor::Tensor;
 
+use crate::kernel::BlockKernel;
 use crate::matrices::OperatorMatrices;
 use crate::transform::{BlockTransform, Dct};
 use crate::{CoreError, Result, BLOCK};
@@ -24,6 +25,7 @@ pub struct ChopCompressor {
     bs: usize,
     cf: usize,
     ops: OperatorMatrices,
+    kernel: BlockKernel,
     transform_name: &'static str,
 }
 
@@ -53,10 +55,13 @@ impl ChopCompressor {
 
     /// Build a Chop compressor with an arbitrary block transform (the
     /// paper's future-work ZFP-transform variant uses this entry point).
+    /// The block size must be 4, 8 or 16, the sizes the per-block kernel
+    /// is built for; any other is [`CoreError::UnsupportedBlockSize`].
     pub fn with_transform(t: &dyn BlockTransform, n: usize, cf: usize) -> Result<Self> {
         let bs = t.block_size();
         let ops = OperatorMatrices::new(n, t.forward_matrix(), t.inverse_matrix(), cf)?;
-        Ok(ChopCompressor { n, bs, cf, ops, transform_name: t.name() })
+        let kernel = BlockKernel::new(&ops, bs)?;
+        Ok(ChopCompressor { n, bs, cf, ops, kernel, transform_name: t.name() })
     }
 
     /// Input resolution `n` (inputs are `[..., n, n]`).
@@ -122,20 +127,19 @@ impl ChopCompressor {
     /// Compress a batch. Accepts `[n, n]`, `[C, n, n]` or `[BD, C, n, n]`;
     /// returns the same rank with the trailing two dims replaced by
     /// `CF·n/8`. All `BD·C` channel matrices are compressed in parallel —
-    /// the `torch.matmul(LHS, torch.matmul(A, RHS))` broadcast of §3.3.
+    /// the `torch.matmul(LHS, torch.matmul(A, RHS))` broadcast of §3.3,
+    /// run one 8×8 block at a time (`Y_b = LHS_b · (A_b · RHS_b)`, bit for
+    /// bit the full product; see [`crate::matrices`] for the operators).
     pub fn compress(&self, input: &Tensor) -> Result<Tensor> {
         self.check_input(input, self.n)?;
-        // Y = LHS · (A · RHS)
-        let ar = input.matmul_broadcast(&self.ops.c_rhs)?;
-        Ok(ar.lmatmul_broadcast(&self.ops.c_lhs)?)
+        self.kernel.compress(input)
     }
 
     /// Decompress a batch of `[..., CF·n/8, CF·n/8]` tensors back to
-    /// `[..., n, n]` — `A' = RHS · (Y · LHS)` (§3.4).
+    /// `[..., n, n]` — `A' = RHS · (Y · LHS)` (§3.4), one block at a time.
     pub fn decompress(&self, compressed: &Tensor) -> Result<Tensor> {
         self.check_input(compressed, self.compressed_side())?;
-        let yl = compressed.matmul_broadcast(&self.ops.d_rhs)?;
-        Ok(yl.lmatmul_broadcast(&self.ops.d_lhs)?)
+        self.kernel.decompress(compressed)
     }
 
     /// Convenience: compress then decompress (the training-loop usage in
@@ -182,6 +186,14 @@ mod tests {
         assert!(ChopCompressor::new(30, 4).is_err()); // 30 % 8 != 0
         assert!(ChopCompressor::new(32, 0).is_err());
         assert!(ChopCompressor::new(32, 9).is_err());
+        // Block sizes outside 4, 8 and 16 have no kernel instance.
+        for bs in [4, 8, 16] {
+            assert!(ChopCompressor::with_transform(&Dct::new(bs), 32, bs / 2).is_ok());
+        }
+        assert_eq!(
+            ChopCompressor::with_transform(&Dct::new(6), 24, 3).unwrap_err(),
+            CoreError::UnsupportedBlockSize { block: 6 }
+        );
     }
 
     #[test]

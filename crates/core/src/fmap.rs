@@ -29,6 +29,7 @@ use crate::bitio::{int_to_negabinary, negabinary_to_int};
 use crate::codec::{Codec, CodecSpec};
 use crate::compressor::ChopCompressor;
 use crate::ebpc::{decode_words, encode_words};
+use crate::kernel::BlockKernel;
 use crate::matrices::OperatorMatrices;
 use crate::{CoreError, Result};
 
@@ -50,14 +51,12 @@ const I32_EXACT_LIMIT: f32 = (1u32 << 30) as f32;
 pub struct FmapCodec {
     chop: ChopCompressor,
     q: usize,
-    /// `diag(w)·C_LHS` — compression left operand, weights folded in.
-    c_lhs_w: Tensor,
-    /// `C_RHS·diag(w)` — compression right operand.
-    c_rhs_w: Tensor,
-    /// `D_LHS·diag(w)⁻¹` — decompression left operand.
-    d_lhs_w: Tensor,
-    /// `diag(w)⁻¹·D_RHS` — decompression right operand.
-    d_rhs_w: Tensor,
+    /// The chop's operators with the weights folded in: `diag(w)·C_LHS`,
+    /// `C_RHS·diag(w)`, `D_LHS·diag(w)⁻¹` and `diag(w)⁻¹·D_RHS`.
+    folded: OperatorMatrices,
+    /// The folded operators' diagonal blocks: `w` depends only on
+    /// `i mod cf`, so every block of an operator is still scaled alike.
+    kernel: BlockKernel,
     bound: f64,
 }
 
@@ -78,18 +77,21 @@ impl FmapCodec {
         // selects block-frequency r (see `matrices::mask_matrix`).
         let w: Vec<f32> = (0..cs).map(|i| (2f32).powi(q as i32 - (i % cf) as i32)).collect();
 
-        let c_lhs_w = scale_rows(&ops.c_lhs, &w, false);
-        let c_rhs_w = scale_cols(&ops.c_rhs, &w, false);
-        let d_lhs_w = scale_cols(&ops.d_lhs, &w, true);
-        let d_rhs_w = scale_rows(&ops.d_rhs, &w, true);
+        let folded = OperatorMatrices {
+            c_lhs: scale_rows(&ops.c_lhs, &w, false),
+            c_rhs: scale_cols(&ops.c_rhs, &w, false),
+            d_lhs: scale_cols(&ops.d_lhs, &w, true),
+            d_rhs: scale_rows(&ops.d_rhs, &w, true),
+        };
+        let kernel = BlockKernel::new(&folded, chop.block_size())?;
 
         // |ΔA'| = |D_LHS_w · ΔY · D_RHS_w| with |ΔY| ≤ ½ elementwise; the
         // bound factorizes over the two operands.
-        let max_row = max_abs_row_sum(&d_lhs_w);
-        let max_col = max_abs_col_sum(&d_rhs_w);
+        let max_row = max_abs_row_sum(&folded.d_lhs);
+        let max_col = max_abs_col_sum(&folded.d_rhs);
         let bound = 0.5 * max_row * max_col;
 
-        Ok(FmapCodec { chop, q, c_lhs_w, c_rhs_w, d_lhs_w, d_rhs_w, bound })
+        Ok(FmapCodec { chop, q, folded, kernel, bound })
     }
 
     /// Unit resolution `n`.
@@ -123,7 +125,8 @@ impl FmapCodec {
     /// The four weight-folded operator constants `(c_lhs, c_rhs, d_lhs,
     /// d_rhs)` — what the accelerator pipeline places in device memory.
     pub fn folded_operators(&self) -> (&Tensor, &Tensor, &Tensor, &Tensor) {
-        (&self.c_lhs_w, &self.c_rhs_w, &self.d_lhs_w, &self.d_rhs_w)
+        let f = &self.folded;
+        (&f.c_lhs, &f.c_rhs, &f.d_lhs, &f.d_rhs)
     }
 
     /// The unweighted operator matrices of the underlying chop.
@@ -194,20 +197,18 @@ impl Codec for FmapCodec {
     }
 
     /// `Y = round(C_LHS_w · A · C_RHS_w)` — the same two-matmul broadcast
-    /// as the chop (§3.3), then one elementwise round. The device graph
-    /// mirrors this op-for-op, so host/device outputs are bit-identical.
+    /// as the chop (§3.3), run one block at a time by the same kernel, then
+    /// one elementwise round. The device graph mirrors this op-for-op, so
+    /// host/device outputs are bit-identical.
     fn compress(&self, input: &Tensor) -> Result<Tensor> {
         self.check(input, self.resolution())?;
-        let ar = input.matmul_broadcast(&self.c_rhs_w)?;
-        let z = ar.lmatmul_broadcast(&self.c_lhs_w)?;
-        Ok(z.map(|v| v.round()))
+        Ok(self.kernel.compress(input)?.map(|v| v.round()))
     }
 
     /// `A' = D_LHS_w · Y · D_RHS_w` (§3.4 with the inverse weights folded).
     fn decompress(&self, compressed: &Tensor) -> Result<Tensor> {
         self.check(compressed, self.compressed_side())?;
-        let yl = compressed.matmul_broadcast(&self.d_rhs_w)?;
-        Ok(yl.lmatmul_broadcast(&self.d_lhs_w)?)
+        self.kernel.decompress(compressed)
     }
 
     /// The chop's Eq. 3 ratio — quantization does not change the f32

@@ -1,0 +1,398 @@
+//! The per-block codec kernel: both matmuls of Eq. 4 (or Eq. 6) on one
+//! block at a time.
+//!
+//! `T_L` is block-diagonal and `M` keeps the upper-left `CF×CF` of every
+//! block, so each operator of [`OperatorMatrices`] is one small block
+//! repeated along its diagonal, and every output block depends only on its
+//! own input block. That is §3.5.1's partial-serialization observation
+//! taken down to a single block. With `K1..K4` the diagonal blocks of
+//! `c_rhs` (bs×cf), `c_lhs` (cf×bs), `d_rhs` (cf×bs) and `d_lhs` (bs×cf),
+//! the kernel computes for each `bs×bs` block `A_b` of the input:
+//!
+//! ```text
+//! compress:    ar = A_b·K1   (bs×cf),   Y_b = K2·ar   (cf×cf)
+//! decompress:  yl = Y_b·K3   (cf×bs),   A_b = K4·yl   (bs×bs)
+//! ```
+//!
+//! Both products run in fixed-size arrays, const-generic over `(BS, CF)`,
+//! with one `match` per call choosing the instance. Every element sums
+//! from `+0` in ascending index with each product rounded to f32, exactly
+//! as the matmul does, and the only terms the matmul has that the kernel
+//! lacks are the off-block ones, `a·0 = ±0` for finite `a`. Adding `±0` to
+//! an accumulator that starts at `+0` never changes it, so for finite input
+//! the output is bit-identical to the two full matmuls (DESIGN.md §2.3).
+
+use std::array;
+
+use aicomp_tensor::Tensor;
+use rayon::prelude::*;
+
+use crate::matrices::OperatorMatrices;
+use crate::{CoreError, Result};
+
+/// Block sizes with a kernel instance: ZFP's 4, the paper's 8, and the 16
+/// of the block-size ablation. `dispatch!` lists the same sizes.
+pub(crate) const KERNEL_BLOCK_SIZES: [usize; 3] = [4, 8, 16];
+
+/// The diagonal blocks of one set of Chop operators, ready to run per block.
+#[derive(Debug, Clone)]
+pub(crate) struct BlockKernel {
+    n: usize,
+    bs: usize,
+    cf: usize,
+    /// Block of `c_rhs`, bs×cf row-major.
+    k1: Vec<f32>,
+    /// Block of `c_lhs`, cf×bs.
+    k2: Vec<f32>,
+    /// Block of `d_rhs`, cf×bs.
+    k3: Vec<f32>,
+    /// Block of `d_lhs`, bs×cf.
+    k4: Vec<f32>,
+}
+
+/// Runs `$f::<BS, CF>$args` for the runtime `(bs, cf)`: one `match` over
+/// every supported pair.
+macro_rules! dispatch {
+    ($bs:expr, $cf:expr, $f:ident $args:tt) => {
+        dispatch!(@arms ($bs, $cf) $f $args;
+            4 => [1 2 3 4]
+            8 => [1 2 3 4 5 6 7 8]
+            16 => [1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16])
+    };
+    (@arms $key:tt $f:ident $args:tt; $($b:literal => [$($c:literal)*])*) => {
+        match $key {
+            $($(($b, $c) => $f::<$b, $c> $args,)*)*
+            (bs, cf) => unreachable!("no kernel for bs={bs}, cf={cf}; checked at construction"),
+        }
+    };
+}
+
+impl BlockKernel {
+    /// Take the diagonal block of each operator in `ops`, built for block
+    /// size `bs`. Fails with [`CoreError::UnsupportedBlockSize`] when `bs`
+    /// has no kernel instance, and with [`CoreError::NotBlockDiagonal`]
+    /// when an operator is not one block repeated along its diagonal with
+    /// zeros elsewhere.
+    pub(crate) fn new(ops: &OperatorMatrices, bs: usize) -> Result<Self> {
+        if !KERNEL_BLOCK_SIZES.contains(&bs) {
+            return Err(CoreError::UnsupportedBlockSize { block: bs });
+        }
+        let n = ops.c_rhs.dims()[0];
+        let cf = ops.compressed_side() * bs / n;
+        Ok(BlockKernel {
+            n,
+            bs,
+            cf,
+            k1: diagonal_block(&ops.c_rhs, bs, cf, "c_rhs")?,
+            k2: diagonal_block(&ops.c_lhs, cf, bs, "c_lhs")?,
+            k3: diagonal_block(&ops.d_rhs, cf, bs, "d_rhs")?,
+            k4: diagonal_block(&ops.d_lhs, bs, cf, "d_lhs")?,
+        })
+    }
+
+    fn compressed_side(&self) -> usize {
+        self.n / self.bs * self.cf
+    }
+
+    /// `Y = c_lhs · A · c_rhs` for every trailing `n×n` plane of `input`
+    /// (shape already checked by the caller).
+    pub(crate) fn compress(&self, input: &Tensor) -> Result<Tensor> {
+        let cs = self.compressed_side();
+        let mut out = vec![0.0f32; input.numel() / (self.n * self.n) * cs * cs];
+        dispatch!(self.bs, self.cf, compress_planes(self, input.data(), &mut out));
+        with_plane(input, out, cs)
+    }
+
+    /// `A' = d_lhs · Y · d_rhs` for every trailing `cs×cs` plane of
+    /// `compressed` (shape already checked by the caller).
+    pub(crate) fn decompress(&self, compressed: &Tensor) -> Result<Tensor> {
+        let cs = self.compressed_side();
+        let mut out = vec![0.0f32; compressed.numel() / (cs * cs) * self.n * self.n];
+        dispatch!(self.bs, self.cf, decompress_planes(self, compressed.data(), &mut out));
+        with_plane(compressed, out, self.n)
+    }
+}
+
+/// `data` shaped like `like` with its trailing two dims set to `side`.
+fn with_plane(like: &Tensor, data: Vec<f32>, side: usize) -> Result<Tensor> {
+    let mut dims = like.dims().to_vec();
+    let len = dims.len();
+    dims[len - 2..].fill(side);
+    Ok(Tensor::from_vec(data, dims)?)
+}
+
+/// Block 0 of the `rows×cols` operator `op`, whose diagonal holds
+/// `rows/rb` blocks of `rb×cb`, row-major. Every diagonal block must equal
+/// it bit for bit and every entry off the diagonal blocks must be zero.
+fn diagonal_block(op: &Tensor, rb: usize, cb: usize, name: &'static str) -> Result<Vec<f32>> {
+    let err = || CoreError::NotBlockDiagonal { operator: name };
+    let d = op.dims();
+    if d.len() != 2
+        || !d[0].is_multiple_of(rb)
+        || !d[1].is_multiple_of(cb)
+        || d[0] / rb != d[1] / cb
+    {
+        return Err(err());
+    }
+    let cols = d[1];
+    let data = op.data();
+    let block: Vec<f32> = (0..rb).flat_map(|i| data[i * cols..][..cb].iter().copied()).collect();
+    let repeated = data.chunks_exact(cols).enumerate().all(|(i, row)| {
+        row.iter().enumerate().all(|(j, &v)| {
+            if i / rb == j / cb {
+                v.to_bits() == block[i % rb * cb + j % cb].to_bits()
+            } else {
+                v == 0.0
+            }
+        })
+    });
+    if repeated {
+        Ok(block)
+    } else {
+        Err(err())
+    }
+}
+
+/// A row-major `R×C` slice as a fixed-size array.
+fn fixed<const R: usize, const C: usize>(v: &[f32]) -> [[f32; C]; R] {
+    array::from_fn(|i| array::from_fn(|j| v[i * C + j]))
+}
+
+/// One row of a matmul: `row·b`, each element summing `row[p]·b[p][j]`
+/// from `+0` in ascending `p`, the matmul's order and operand order.
+#[inline(always)]
+fn row_times<const K: usize, const N: usize>(row: &[f32; K], b: &[[f32; N]; K]) -> [f32; N] {
+    let mut acc = [0.0f32; N];
+    for p in 0..K {
+        for j in 0..N {
+            acc[j] += row[p] * b[p][j];
+        }
+    }
+    acc
+}
+
+/// Compress every `n×n` plane of `x` into the matching `cs×cs` plane of
+/// `y`, one plane per parallel item, block by block: each row of `A_b` is
+/// read in place, and each row of `Y_b` is written in place.
+fn compress_planes<const BS: usize, const CF: usize>(k: &BlockKernel, x: &[f32], y: &mut [f32]) {
+    let (k1, k2) = (fixed::<BS, CF>(&k.k1), fixed::<CF, BS>(&k.k2));
+    let (n, cs) = (k.n, k.compressed_side());
+    y.par_chunks_mut(cs * cs).zip(x.par_chunks(n * n)).for_each(|(y, x)| {
+        for (x_rows, y_rows) in x.chunks_exact(BS * n).zip(y.chunks_exact_mut(CF * cs)) {
+            for b in 0..n / BS {
+                let mut ar = [[0.0f32; CF]; BS];
+                for (p, ar_row) in ar.iter_mut().enumerate() {
+                    *ar_row = row_times(
+                        x_rows[p * n + b * BS..].first_chunk().expect("a block row"),
+                        &k1,
+                    );
+                }
+                for (r, k2_row) in k2.iter().enumerate() {
+                    y_rows[r * cs + b * CF..][..CF].copy_from_slice(&row_times(k2_row, &ar));
+                }
+            }
+        }
+    });
+}
+
+/// Decompress every `cs×cs` plane of `y` into the matching `n×n` plane of
+/// `x`, one plane per parallel item, block by block.
+fn decompress_planes<const BS: usize, const CF: usize>(k: &BlockKernel, y: &[f32], x: &mut [f32]) {
+    let (k3, k4) = (fixed::<CF, BS>(&k.k3), fixed::<BS, CF>(&k.k4));
+    let (n, cs) = (k.n, k.compressed_side());
+    x.par_chunks_mut(n * n).zip(y.par_chunks(cs * cs)).for_each(|(x, y)| {
+        for (y_rows, x_rows) in y.chunks_exact(CF * cs).zip(x.chunks_exact_mut(BS * n)) {
+            for b in 0..n / BS {
+                let mut yl = [[0.0f32; BS]; CF];
+                for (r, yl_row) in yl.iter_mut().enumerate() {
+                    *yl_row = row_times(
+                        y_rows[r * cs + b * CF..].first_chunk().expect("a block row"),
+                        &k3,
+                    );
+                }
+                for (p, k4_row) in k4.iter().enumerate() {
+                    x_rows[p * n + b * BS..][..BS].copy_from_slice(&row_times(k4_row, &yl));
+                }
+            }
+        }
+    });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transform::{dct_matrix, BlockTransform};
+    use crate::zfp_transform::ZfpTransform;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The Chop operators for an `n×n` input: DCT-II blocks, or ZFP's
+    /// non-orthonormal transform when `zfp` and `bs == 4`.
+    fn operators(n: usize, bs: usize, cf: usize, zfp: bool) -> OperatorMatrices {
+        if zfp && bs == 4 {
+            let t = ZfpTransform::new();
+            OperatorMatrices::new(n, t.forward_matrix(), t.inverse_matrix(), cf).unwrap()
+        } else {
+            let t = dct_matrix(bs);
+            OperatorMatrices::new(n, &t, &t.transpose().unwrap(), cf).unwrap()
+        }
+    }
+
+    /// The dense matmul the kernel replaces: every element sums all `k`
+    /// of its terms, the off-block zeros included, from `+0` in ascending
+    /// `p`.
+    fn dense_matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+        let mut c = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for p in 0..k {
+                    acc += a[i * k + p] * b[p * n + j];
+                }
+                c[i * n + j] = acc;
+            }
+        }
+        c
+    }
+
+    /// Eq. 4 or Eq. 6 as two dense matmuls per plane: `lhs·(x·rhs)`, with
+    /// `x` made of `side×side` planes.
+    fn dense_two_matmuls(x: &[f32], side: usize, lhs: &Tensor, rhs: &Tensor) -> Vec<u32> {
+        let (out, k) = (lhs.dims()[0], lhs.dims()[1]);
+        x.chunks_exact(side * side)
+            .flat_map(|plane| {
+                let xr = dense_matmul(plane, rhs.data(), side, side, out);
+                dense_matmul(lhs.data(), &xr, out, k, out)
+            })
+            .map(f32::to_bits)
+            .collect()
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A finite value drawn to exercise the sign of zero and gradual
+    /// underflow: ±0, subnormals, tiny, unit-scale and large normals.
+    fn finite_value(rng: &mut StdRng) -> f32 {
+        let sign = if rng.gen_range(0u8..2) == 0 { 1.0 } else { -1.0 };
+        sign * match rng.gen_range(0u8..8) {
+            0 => 0.0,
+            1 => f32::from_bits(rng.gen_range(1u32..0x0080_0000)),
+            2 => rng.gen_range(1e-30f32..1e-20),
+            3 => rng.gen_range(1e10f32..1e20),
+            _ => rng.gen_range(-2.0f32..2.0),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Both directions are bitwise the dense two-matmul reference for
+        /// finite input, for every block size the codecs build, every chop
+        /// factor, single and odd batches, DCT and ZFP operators, inline
+        /// and split across threads.
+        #[test]
+        fn block_kernel_matches_dense_reference(
+            bs_pick in 0usize..3,
+            blocks in 1usize..6,
+            cf_pick in 0usize..16,
+            batch in 1usize..8,
+            zfp in any::<bool>(),
+            seed in 0u64..u64::MAX,
+        ) {
+            let bs = KERNEL_BLOCK_SIZES[bs_pick];
+            let (n, cf) = (blocks * bs, cf_pick % bs + 1);
+            let ops = operators(n, bs, cf, zfp);
+            let kernel = BlockKernel::new(&ops, bs).unwrap();
+            let cs = ops.compressed_side();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let x: Vec<f32> = (0..batch * n * n).map(|_| finite_value(&mut rng)).collect();
+            let y: Vec<f32> = (0..batch * cs * cs).map(|_| finite_value(&mut rng)).collect();
+            let x = Tensor::from_vec(x, [batch, n, n]).unwrap();
+            let y = Tensor::from_vec(y, [batch, cs, cs]).unwrap();
+
+            let want_c = dense_two_matmuls(x.data(), n, &ops.c_lhs, &ops.c_rhs);
+            let want_d = dense_two_matmuls(y.data(), cs, &ops.d_lhs, &ops.d_rhs);
+            let got_c = kernel.compress(&x).unwrap();
+            let got_d = kernel.decompress(&y).unwrap();
+            prop_assert_eq!(got_c.dims(), &[batch, cs, cs]);
+            prop_assert_eq!(got_d.dims(), &[batch, n, n]);
+            prop_assert_eq!(bits(&got_c), want_c);
+            prop_assert_eq!(bits(&got_d), want_d);
+
+            let inline = rayon::in_worker(|| {
+                (kernel.compress(&x).unwrap(), kernel.decompress(&y).unwrap())
+            });
+            prop_assert_eq!(bits(&inline.0), bits(&got_c));
+            prop_assert_eq!(bits(&inline.1), bits(&got_d));
+        }
+    }
+
+    /// A NaN or ±Inf sample poisons exactly its own block, in both
+    /// directions: every output of that block and no output of any other.
+    /// (The dense matmul would spread it along its whole row and column,
+    /// `±inf·0 = NaN`, which is why `store` rejects non-finite samples.)
+    #[test]
+    fn block_kernel_keeps_non_finite_input_in_its_block() {
+        let (n, bs, cf) = (24, 8, 4);
+        let ops = operators(n, bs, cf, false);
+        let kernel = BlockKernel::new(&ops, bs).unwrap();
+        let cs = ops.compressed_side();
+        // Input block (1, 2) holds the bad sample in each direction.
+        let cases = [(n, bs, bs + 3, 2 * bs + 5), (cs, cf, cf + 1, 2 * cf + 2)];
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for (dir, &(side, blk, row, col)) in cases.iter().enumerate() {
+                let clean: Vec<f32> =
+                    (0..side * side).map(|i| (i % 29) as f32 * 0.25 - 3.0).collect();
+                let mut dirty = clean.clone();
+                dirty[row * side + col] = bad;
+                let run = |v: Vec<f32>| {
+                    let t = Tensor::from_vec(v, [side, side]).unwrap();
+                    if dir == 0 { kernel.compress(&t) } else { kernel.decompress(&t) }.unwrap()
+                };
+                let (clean, dirty) = (run(clean), run(dirty));
+                let out_blk = if dir == 0 { cf } else { bs };
+                let out_side = clean.dims()[0];
+                for (i, (c, d)) in clean.data().iter().zip(dirty.data()).enumerate() {
+                    let (r, q) = (i / out_side, i % out_side);
+                    if (r / out_blk, q / out_blk) == (row / blk, col / blk) {
+                        assert!(!d.is_finite(), "{bad} dir {dir}: output ({r},{q}) = {d}");
+                    } else {
+                        assert_eq!(c.to_bits(), d.to_bits(), "{bad} dir {dir}: output ({r},{q})");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn construction_rejects_what_the_kernel_cannot_run() {
+        let ops = operators(32, 8, 4, false);
+        assert!(BlockKernel::new(&ops, 8).is_ok());
+        for bs in [1, 2, 5, 6, 32] {
+            assert_eq!(
+                BlockKernel::new(&ops, bs).unwrap_err(),
+                CoreError::UnsupportedBlockSize { block: bs }
+            );
+        }
+        // A second diagonal block that differs from the first.
+        let mut skewed = ops.clone();
+        skewed.d_lhs.set(&[9, 4], 0.5);
+        assert_eq!(
+            BlockKernel::new(&skewed, 8).unwrap_err(),
+            CoreError::NotBlockDiagonal { operator: "d_lhs" }
+        );
+        // A nonzero entry off the diagonal blocks.
+        let mut leaky = ops.clone();
+        leaky.c_rhs.set(&[0, 4], 1e-30);
+        assert_eq!(
+            BlockKernel::new(&leaky, 8).unwrap_err(),
+            CoreError::NotBlockDiagonal { operator: "c_rhs" }
+        );
+        // Five 4×4 blocks do not tile as 8×8.
+        let zfp = operators(20, 4, 3, true);
+        assert!(BlockKernel::new(&zfp, 8).is_err());
+    }
+}

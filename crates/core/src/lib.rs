@@ -10,7 +10,9 @@
 //!   `RHS = T_Lᵀ·Mᵀ` products.
 //! * [`compressor`] — [`DctChop`]: compression `Y = LHS·A·RHS` (Eq. 4) and
 //!   decompression `A' = RHS·Y·LHS` (Eq. 6), each exactly two matrix
-//!   multiplications; the compression-ratio (Eq. 3) and FLOP-count
+//!   multiplications, run on the host one 8×8 block at a time (the
+//!   operators are block-diagonal, so the result is bit-identical to the
+//!   full products); the compression-ratio (Eq. 3) and FLOP-count
 //!   (Eq. 5/7) formulas.
 //! * [`codec`] — the unified [`Codec`] trait and [`CodecSpec`] registry:
 //!   every variant below is constructible from a canonical string name, and
@@ -40,6 +42,7 @@ pub mod codec;
 pub mod compressor;
 pub mod ebpc;
 pub mod fmap;
+mod kernel;
 pub mod matrices;
 pub mod metrics;
 pub mod partial;
@@ -68,6 +71,11 @@ pub enum CoreError {
     BadResolution { n: usize, block: usize },
     /// Chop factor outside `1..=block`.
     BadChopFactor { cf: usize, block: usize },
+    /// A block transform whose size has no per-block codec kernel.
+    UnsupportedBlockSize { block: usize },
+    /// A Chop operator that is not one block repeated along its diagonal
+    /// with zeros elsewhere, so the per-block kernel cannot run it.
+    NotBlockDiagonal { operator: &'static str },
     /// Subdivision factor does not evenly divide the resolution.
     BadSubdivision { n: usize, s: usize },
     /// A codec spec string failed to parse.
@@ -86,6 +94,12 @@ impl std::fmt::Display for CoreError {
             }
             CoreError::BadChopFactor { cf, block } => {
                 write!(f, "chop factor {cf} must be in 1..={block}")
+            }
+            CoreError::UnsupportedBlockSize { block } => {
+                write!(f, "block size {block} has no codec kernel (supported: 4, 8, 16)")
+            }
+            CoreError::NotBlockDiagonal { operator } => {
+                write!(f, "operator {operator} is not one block repeated along its diagonal")
             }
             CoreError::BadSubdivision { n, s } => {
                 write!(f, "subdivision factor {s} must divide resolution {n} with n/s divisible by the block size")

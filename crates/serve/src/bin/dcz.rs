@@ -61,7 +61,7 @@
 #![forbid(unsafe_code)]
 
 use std::fs::File;
-use std::io::{BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::net::ToSocketAddrs;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -393,19 +393,40 @@ fn inspect(args: &[String]) -> Result<(), String> {
     let input = required(args, "--input")?;
     let reader = DczReader::open(&input).map_err(|e| e.to_string())?;
     let h = *reader.header();
-    println!("{input}:");
-    println!("  codec        {} (block {})", h.codec, h.block());
-    println!("  samples      {} x [{}, {}, {}]", h.sample_count, h.channels, h.n(), h.n());
-    println!("  chop factor  {} (compressed side {})", h.cf(), h.compressed_side());
-    println!("  chunks       {} x {} samples", h.chunk_count, h.chunk_size);
-    println!("  chunk  offset      bytes  first  samples  crc32");
-    for (i, e) in reader.index().to_vec().iter().enumerate() {
-        println!(
-            "  {i:>5}  {:>10}  {:>9}  {:>5}  {:>7}  {:08x}",
-            e.offset, e.len, e.first_sample, e.samples, e.crc
-        );
+    print_listing(|out| {
+        writeln!(out, "{input}:")?;
+        writeln!(out, "  codec        {} (block {})", h.codec, h.block())?;
+        writeln!(
+            out,
+            "  samples      {} x [{}, {}, {}]",
+            h.sample_count,
+            h.channels,
+            h.n(),
+            h.n()
+        )?;
+        writeln!(out, "  chop factor  {} (compressed side {})", h.cf(), h.compressed_side())?;
+        writeln!(out, "  chunks       {} x {} samples", h.chunk_count, h.chunk_size)?;
+        writeln!(out, "  chunk  offset      bytes  first  samples  crc32")?;
+        for (i, e) in reader.index().iter().enumerate() {
+            writeln!(
+                out,
+                "  {i:>5}  {:>10}  {:>9}  {:>5}  {:>7}  {:08x}",
+                e.offset, e.len, e.first_sample, e.samples, e.crc
+            )?;
+        }
+        Ok(())
+    })
+}
+
+/// Write a listing through one locked stdout. A reader that closes early
+/// (`dcz inspect ... | head`) is not an error: the listing just stops, and
+/// the command's result is what it would have been.
+fn print_listing(print: impl FnOnce(&mut io::StdoutLock) -> io::Result<()>) -> Result<(), String> {
+    let mut out = io::stdout().lock();
+    match print(&mut out).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => Err(e.to_string()),
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 fn verify(args: &[String]) -> Result<(), String> {
@@ -414,25 +435,32 @@ fn verify(args: &[String]) -> Result<(), String> {
     let mut reader = DczReader::open(&input).map_err(|e| e.to_string())?;
     if args.iter().any(|a| a == "--deep") {
         let report = deep_verify(&mut reader).map_err(|e| e.to_string())?;
-        println!("{input}: per-chunk health");
-        println!("  chunk  first  samples  status");
-        for c in &report.chunks {
-            let status = match &c.status {
-                ChunkStatus::Healthy => "healthy".to_string(),
-                ChunkStatus::Degraded { max_cf, error } => {
-                    format!("DEGRADED (readable to cf {max_cf}): {error}")
-                }
-                ChunkStatus::Dead { error } => format!("DEAD: {error}"),
-            };
-            println!("  {:>5}  {:>5}  {:>7}  {status}", c.chunk, c.first_sample, c.samples);
-        }
-        println!(
-            "  {} healthy, {} degraded, {} dead of {} chunks",
-            report.healthy(),
-            report.degraded(),
-            report.dead(),
-            report.chunks.len()
-        );
+        print_listing(|out| {
+            writeln!(out, "{input}: per-chunk health")?;
+            writeln!(out, "  chunk  first  samples  status")?;
+            for c in &report.chunks {
+                let status = match &c.status {
+                    ChunkStatus::Healthy => "healthy".to_string(),
+                    ChunkStatus::Degraded { max_cf, error } => {
+                        format!("DEGRADED (readable to cf {max_cf}): {error}")
+                    }
+                    ChunkStatus::Dead { error } => format!("DEAD: {error}"),
+                };
+                writeln!(
+                    out,
+                    "  {:>5}  {:>5}  {:>7}  {status}",
+                    c.chunk, c.first_sample, c.samples
+                )?;
+            }
+            writeln!(
+                out,
+                "  {} healthy, {} degraded, {} dead of {} chunks",
+                report.healthy(),
+                report.degraded(),
+                report.dead(),
+                report.chunks.len()
+            )
+        })?;
         if !report.is_clean() {
             return Err("container has damaged chunks (see report above)".into());
         }

@@ -157,3 +157,35 @@ fn stats_prints_every_counter_by_name() {
     handle.join();
     std::fs::remove_file(&store).ok();
 }
+
+/// `dcz inspect | head` and `dcz verify --deep | head`: a reader that
+/// closes stdout after the first line must not make `dcz` panic. The
+/// listing stops and the command keeps the exit code of its work. The
+/// container has enough chunks that each listing outgrows a pipe buffer,
+/// so `dcz` is still writing when the pipe closes.
+#[test]
+fn listings_end_quietly_when_the_reader_closes_early() {
+    use std::io::{BufRead, BufReader};
+
+    let store = scratch("listing.dcz");
+    let samples = (0..2048).map(|i| Tensor::full([1, 8, 8], i as f32));
+    pack_file(&store, &StoreOptions::dct(8, 2, 1, 1), samples).unwrap();
+    for args in [&["inspect"][..], &["verify", "--deep"][..]] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_dcz"))
+            .args(args)
+            .args(["--input", store.to_str().unwrap()])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn dcz");
+        let mut first = String::new();
+        BufReader::new(child.stdout.take().unwrap()).read_line(&mut first).unwrap();
+        assert!(first.contains("listing.dcz"), "{args:?}: first line {first:?}");
+        // The reader is dropped here, closing the pipe.
+        let out = child.wait_with_output().expect("collect dcz output");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(out.status.success(), "{args:?}: {:?} {stderr}", out.status);
+    }
+    std::fs::remove_file(&store).ok();
+}

@@ -1,6 +1,6 @@
-//! Criterion benches for the tensor substrate's hot kernels: the block-span
-//! parallel matmul (the compressor's entire compute), broadcast batched
-//! matmul, and im2col convolution.
+//! Criterion benches for the tensor substrate's hot kernels: the parallel
+//! matmul (the simulated devices' compressor compute and the networks'
+//! layers), broadcast batched matmul, and im2col convolution.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 

@@ -1,16 +1,16 @@
 //! Matrix multiplication kernels.
 //!
 //! The DCT+Chop compressor is *two matmuls per direction* (Eq. 4 and Eq. 6 in
-//! the paper), so this is the hottest kernel in the reproduction. One serial
-//! kernel (`gemm_panel`) runs over contiguous row-major buffers, and the
-//! callers parallelize over row panels or batch slices with Rayon, following
-//! the HPC guide idioms (chunked slices, no per-element bounds checks in the
-//! inner loop). Called from a thread that already owns a core (a loader or
-//! server worker, see `rayon::in_worker`), the same loops run inline; every
-//! panel or slice is computed alone, so the result does not depend on the
-//! split. Each row of the right operand is swept only over the column
-//! span holding its nonzeros, so the block-structured Chop operators cost
-//! O(n²·CF) per pass instead of O(n³), with bit-identical results.
+//! the paper). The host codec runs them one 8×8 block at a time in
+//! `aicomp_core`'s per-block kernel; these general kernels run the simulated
+//! device graphs (`accel::exec`), build the operator matrices and train the
+//! networks. One serial kernel (`gemm_panel`) runs over contiguous row-major
+//! buffers, and the callers parallelize over row panels or batch slices with
+//! Rayon, following the HPC guide idioms (chunked slices, no per-element
+//! bounds checks in the inner loop). Called from a thread that already owns
+//! a core (a loader or server worker, see `rayon::in_worker`), the same loops
+//! run inline; every panel or slice is computed alone, so the result does
+//! not depend on the split.
 
 use rayon::prelude::*;
 
@@ -24,99 +24,31 @@ const BLOCK_K: usize = 64;
 
 /// `C += A * B` for row-major buffers: A is m×k, B is k×n, C is m×n.
 ///
-/// Serial kernel over one row panel, in cache-blocked i-k-j order. `runs`
-/// ([`row_runs`]) splits the rows of B into runs `(p0, p1, lo, hi)`: rows
-/// `p0..p1` hold all their nonzeros in columns `lo..hi`. The inner loop
-/// updates only that span of the output row. A dense B is one full-width
-/// run per k block, which is the plain i-k-j loop.
-///
-/// The Chop operators are block-structured: a row of the compress operator
-/// `T_Lᵀ·Mᵀ` has `CF` nonzeros and a row of `M·T_L` has 8, however wide the
-/// matrix is, and each 8-row (or `CF`-row) block shares its span. Zero
-/// entries of A (the sparse left operators) and the known-zero columns of B
-/// outside each span are both skipped. A skipped term is `a·(±0) = ±0` for
-/// finite `a`, and adding `±0` to the accumulator never changes it (it
-/// starts at `+0` and can never become `−0`). Every element still sums its
-/// other terms in ascending `p`, so for finite inputs the result is
-/// bit-identical to the dense loop. A NaN or ±Inf in A is the exception:
-/// the dense loop spreads it across its whole output row (`±inf·0 = NaN`),
-/// this one only across the span of B's row.
-fn gemm_panel(
-    a: &[f32],
-    b: &[f32],
-    runs: &[(usize, usize, usize, usize)],
-    c: &mut [f32],
-    k: usize,
-    n: usize,
-) {
+/// Serial kernel over one row panel, in cache-blocked i-k-j order: every
+/// element sums its terms in ascending `p`. A zero entry of A (the sparse
+/// left operators) skips its row update; the skipped term is `0·b = ±0`
+/// for finite `b`, and adding `±0` to the accumulator never changes it (it
+/// starts at `+0` and can never become `−0`), so the skip does not change
+/// the bits for finite inputs.
+fn gemm_panel(a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize) {
     let m = c.len() / n;
-    for block in runs.chunk_by(|x, y| x.0 / BLOCK_K == y.0 / BLOCK_K) {
+    for kk in (0..k).step_by(BLOCK_K) {
+        let k_end = (kk + BLOCK_K).min(k);
         for i in 0..m {
             let a_row = &a[i * k..(i + 1) * k];
             let c_row = &mut c[i * n..(i + 1) * n];
-            for &(p0, p1, lo, hi) in block {
-                let c_span = &mut c_row[lo..hi];
-                for (p, &aval) in (p0..p1).zip(&a_row[p0..p1]) {
-                    if aval == 0.0 {
-                        continue;
-                    }
-                    axpy(aval, &b[p * n + lo..p * n + hi], c_span);
+            for p in kk..k_end {
+                let aval = a_row[p];
+                if aval == 0.0 {
+                    continue;
+                }
+                let b_row = &b[p * n..(p + 1) * n];
+                for (cv, &bv) in c_row.iter_mut().zip(b_row) {
+                    *cv += aval * bv;
                 }
             }
         }
     }
-}
-
-/// `c += a·b`, elementwise. Spans can be as short as `CF` elements, below
-/// what the compiler's vectorized loop handles, so the body runs in fixed
-/// groups of eight, then four, each one SIMD multiply and add (separately
-/// rounded, as in a scalar loop), before a scalar tail.
-#[inline(always)]
-fn axpy(a: f32, b: &[f32], c: &mut [f32]) {
-    let mut c8 = c.chunks_exact_mut(8);
-    let mut b8 = b.chunks_exact(8);
-    for (cv, bv) in (&mut c8).zip(&mut b8) {
-        for q in 0..8 {
-            cv[q] += a * bv[q];
-        }
-    }
-    let mut c4 = c8.into_remainder().chunks_exact_mut(4);
-    let mut b4 = b8.remainder().chunks_exact(4);
-    for (cv, bv) in (&mut c4).zip(&mut b4) {
-        for q in 0..4 {
-            cv[q] += a * bv[q];
-        }
-    }
-    for (cv, &bv) in c4.into_remainder().iter_mut().zip(b4.remainder()) {
-        *cv += a * bv;
-    }
-}
-
-/// Runs `(p0, p1, lo, hi)` of consecutive rows of the row-major k×n matrix
-/// `b` whose nonzeros all lie in columns `lo..hi`, the span from a row's
-/// first to its last nonzero (`(0, 0)` for an all-zero row). A run never
-/// crosses a [`BLOCK_K`] boundary. A dense row costs one comparison at
-/// each end.
-fn row_runs(b: &[f32], k: usize, n: usize) -> Vec<(usize, usize, usize, usize)> {
-    let mut runs: Vec<(usize, usize, usize, usize)> = Vec::new();
-    for p in 0..k {
-        let row = &b[p * n..(p + 1) * n];
-        let (lo, hi) = match row.iter().position(|&v| v != 0.0) {
-            Some(lo) => (lo, row.iter().rposition(|&v| v != 0.0).map_or(lo, |h| h + 1)),
-            None => (0, 0),
-        };
-        match runs.last_mut() {
-            Some(run) if p % BLOCK_K != 0 && (run.2, run.3) == (lo, hi) => run.1 = p + 1,
-            _ => runs.push((p, p + 1, lo, hi)),
-        }
-    }
-    runs
-}
-
-/// The runs of a k×n right operand with no known zeros: one full-width run
-/// per [`BLOCK_K`] rows.
-fn full_runs(k: usize, n: usize) -> Vec<(usize, usize, usize, usize)> {
-    (0..k).step_by(BLOCK_K).map(|p0| (p0, (p0 + BLOCK_K).min(k), 0, n)).collect()
 }
 
 /// Raw GEMM: multiply row-major `a` (m×k) by `b` (k×n) into a fresh m×n buffer.
@@ -124,15 +56,14 @@ pub fn gemm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     assert_eq!(a.len(), m * k, "lhs buffer size");
     assert_eq!(b.len(), k * n, "rhs buffer size");
     let mut c = vec![0.0f32; m * n];
-    let runs = row_runs(b, k, n);
     if m * n * k < 32 * 32 * 32 {
         // Small problems: skip the per-call thread spawn and join.
-        gemm_panel(a, b, &runs, &mut c, k, n);
+        gemm_panel(a, b, &mut c, k, n);
         return c;
     }
     c.par_chunks_mut(PAR_ROWS * n)
         .zip(a.par_chunks(PAR_ROWS * k))
-        .for_each(|(c_panel, a_panel)| gemm_panel(a_panel, b, &runs, c_panel, k, n));
+        .for_each(|(c_panel, a_panel)| gemm_panel(a_panel, b, c_panel, k, n));
     c
 }
 
@@ -177,11 +108,10 @@ impl Tensor {
         let n = rd[1];
         let m = ld[ld.len() - 2];
         let batch = self.numel() / (m * k);
-        let runs = row_runs(rhs.data(), k, n);
         let mut out = vec![0.0f32; batch * m * n];
         out.par_chunks_mut(m * n)
             .zip(self.data().par_chunks(m * k))
-            .for_each(|(c, a)| gemm_panel(a, rhs.data(), &runs, c, k, n));
+            .for_each(|(c, a)| gemm_panel(a, rhs.data(), c, k, n));
         let mut dims = ld.to_vec();
         let len = dims.len();
         dims[len - 2] = m;
@@ -213,12 +143,10 @@ impl Tensor {
         let k = ldm[1];
         let n = sd[sd.len() - 1];
         let batch = self.numel() / (k * n);
-        // The right operand is data, different per slice: full spans.
-        let runs = full_runs(k, n);
         let mut out = vec![0.0f32; batch * m * n];
         out.par_chunks_mut(m * n)
             .zip(self.data().par_chunks(k * n))
-            .for_each(|(c, x)| gemm_panel(lhs.data(), x, &runs, c, k, n));
+            .for_each(|(c, x)| gemm_panel(lhs.data(), x, c, k, n));
         let mut dims = sd.to_vec();
         let len = dims.len();
         dims[len - 2] = m;
@@ -237,11 +165,10 @@ impl Tensor {
             });
         }
         let (batch, m, k, n) = (ld[0], ld[1], ld[2], rd[2]);
-        let runs = full_runs(k, n);
         let mut out = vec![0.0f32; batch * m * n];
         out.par_chunks_mut(m * n)
             .zip(self.data().par_chunks(m * k).zip(rhs.data().par_chunks(k * n)))
-            .for_each(|(c, (a, b))| gemm_panel(a, b, &runs, c, k, n));
+            .for_each(|(c, (a, b))| gemm_panel(a, b, c, k, n));
         Tensor::from_vec(out, [batch, m, n])
     }
 }
@@ -259,30 +186,22 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// The dense i-k-j loop the span kernel replaced: every row of B is
-    /// swept across all n columns. Reference for the equivalence tests.
-    fn dense_gemm_panel(a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize) {
-        let m = c.len() / n;
-        for kk in (0..k).step_by(BLOCK_K) {
-            let k_end = (kk + BLOCK_K).min(k);
-            for i in 0..m {
-                let a_row = &a[i * k..(i + 1) * k];
-                let c_row = &mut c[i * n..(i + 1) * n];
-                for p in kk..k_end {
-                    let aval = a_row[p];
-                    if aval == 0.0 {
-                        continue;
-                    }
-                    let b_row = &b[p * n..(p + 1) * n];
-                    for (cv, &bv) in c_row.iter_mut().zip(b_row.iter()) {
-                        *cv += aval * bv;
-                    }
+    /// The plain definition: every element sums all `k` of its terms, zeros
+    /// included, from `+0` in ascending `p`. Reference for the equivalence
+    /// tests.
+    fn naive_gemm(a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize) {
+        for (i, c_row) in c.chunks_mut(n).enumerate() {
+            for (j, cv) in c_row.iter_mut().enumerate() {
+                let mut acc = 0.0f32;
+                for p in 0..k {
+                    acc += a[i * k + p] * b[p * n + j];
                 }
+                *cv = acc;
             }
         }
     }
 
-    /// Dense reference for `batch` independent products: slice `s` of the
+    /// Reference for `batch` independent products: slice `s` of the
     /// result is `a[s]·b[s]`, where an operand with one slice is shared.
     fn dense_batched(a: &[f32], b: &[f32], batch: usize, m: usize, k: usize, n: usize) -> Vec<u32> {
         let mut c = vec![0.0f32; batch * m * n];
@@ -291,7 +210,7 @@ mod tests {
         for (s, c_slice) in c.chunks_mut(m * n).enumerate() {
             let a_s = &a[s * a_stride..s * a_stride + m * k];
             let b_s = &b[s * b_stride..s * b_stride + k * n];
-            dense_gemm_panel(a_s, b_s, c_slice, k, n);
+            naive_gemm(a_s, b_s, c_slice, k, n);
         }
         bits(&c)
     }
@@ -341,7 +260,7 @@ mod tests {
             for v in &mut row[lo..hi] {
                 *v = finite_value(rng);
             }
-            // A span holding only ±0 must still be skippable.
+            // Some spans hold only ±0.
             if kind == 2 && rng.gen_range(0u8..4) == 0 {
                 for (j, v) in row[lo..hi].iter_mut().enumerate() {
                     *v = if j % 2 == 0 { 0.0 } else { -0.0 };
@@ -358,12 +277,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1024))]
 
-        /// Every entry point is bitwise the dense loop for finite inputs,
-        /// whatever the zero structure of its right operand, below and
-        /// above the serial threshold (`m·k·n` vs `32³`), with k spanning
-        /// up to three k blocks.
+        /// Every entry point is bitwise the plain definition for finite
+        /// inputs, whatever the zero structure of its operands (so skipping
+        /// the zeros of A is bit-neutral), below and above the serial
+        /// threshold (`m·k·n` vs `32³`), with k spanning up to three k
+        /// blocks.
         #[test]
-        fn span_gemm_matches_dense_reference(
+        fn gemm_matches_dense_reference(
             (m, k, n) in (1usize..48, 1usize..160, 1usize..48),
             batch in 1usize..4,
             kind in 0u8..4,
@@ -427,64 +347,6 @@ mod tests {
                 prop_assert_eq!(s, i);
             }
         }
-    }
-
-    /// The one documented difference from the dense loop: a non-finite
-    /// entry of A multiplies only its row's span of B, so it stays inside
-    /// its 8×8 block instead of turning the whole output row into NaN
-    /// (`±inf·0 = NaN`). This is why `store` rejects non-finite samples.
-    #[test]
-    fn non_finite_input_stays_in_its_block() {
-        // A 16×8 block-diagonal operator shaped like the Chop compress
-        // operator at n=16, CF=4: rows 0..8 feed columns 0..4, rows 8..16
-        // feed columns 4..8.
-        let (m, k, n) = (2, 16, 8);
-        let b: Vec<f32> = (0..k * n)
-            .map(|idx| {
-                let (p, j) = (idx / n, idx % n);
-                if p / 8 == j / 4 {
-                    1.0 + (idx % 5) as f32
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-            let mut a: Vec<f32> = (0..m * k).map(|i| i as f32 * 0.25).collect();
-            a[3] = bad; // row 0, input column 3: block 0.
-            let got = gemm(&a, &b, m, k, n);
-            let mut dense = vec![0.0f32; m * n];
-            dense_gemm_panel(&a, &b, &mut dense, k, n);
-            assert!(got[..4].iter().all(|v| !v.is_finite()), "{bad}: {:?}", &got[..4]);
-            assert!(got[4..].iter().all(|v| v.is_finite()), "{bad}: {:?}", &got[4..]);
-            // The dense loop poisons the whole row: `±inf·0 = NaN` outside.
-            assert!(dense[..4].iter().all(|v| !v.is_finite()), "{bad}: {:?}", &dense[..4]);
-            assert!(dense[4..n].iter().all(|v| v.is_nan()), "{bad}: {:?}", &dense[4..n]);
-            // Rows without the bad value agree bitwise.
-            assert_eq!(bits(&got[n..]), bits(&dense[n..]));
-        }
-    }
-
-    #[test]
-    fn row_runs_group_rows_by_span() {
-        let b = [
-            0.0, 1.0, 0.0, 2.0, 0.0, // span 1..4
-            0.0, 3.0, 4.0, 0.0, 0.0, // span 1..3
-            0.0, 5.0, 0.0, 0.0, 6.0, // span 1..5
-            0.0, 7.0, 0.0, 0.0, 8.0, // same span: joins the run above
-            0.0, -0.0, 0.0, 0.0, 0.0, // all zero
-        ];
-        assert_eq!(
-            row_runs(&b, 5, 5),
-            vec![(0, 1, 1, 4), (1, 2, 1, 3), (2, 4, 1, 5), (4, 5, 0, 0)]
-        );
-        // Runs split at k-block boundaries.
-        let dense = vec![1.0f32; 130 * 2];
-        assert_eq!(
-            row_runs(&dense, 130, 2),
-            vec![(0, 64, 0, 2), (64, 128, 0, 2), (128, 130, 0, 2)]
-        );
-        assert_eq!(row_runs(&dense, 130, 2), full_runs(130, 2));
     }
 
     fn naive(a: &Tensor, b: &Tensor) -> Tensor {
