@@ -48,7 +48,6 @@ pub mod metrics;
 pub mod partial;
 pub mod precision;
 pub mod scatter_gather;
-pub mod streaming;
 pub mod transform;
 pub mod tuning;
 pub mod zfp_transform;

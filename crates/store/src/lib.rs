@@ -35,8 +35,9 @@
 //! * [`entropy`] — lossless byte-plane Huffman coding of coefficient
 //!   sections.
 //! * [`chunk`] — chunk encode/decode (compress → ring order → entropy).
-//! * [`writer`] — [`DczWriter`]: streaming writer, chunk encoding fanned
-//!   out over rayon.
+//! * [`writer`] — [`DczWriter`]: the bounded-memory streaming writer; each
+//!   full chunk's compress, entropy encode and CRC run as one item of a
+//!   rayon fan-out.
 //! * [`reader`] — [`DczReader`]: header/index access, sequential
 //!   bounded-memory iteration, random chunk access, progressive prefix
 //!   reads, `verify`.

@@ -1,12 +1,14 @@
 //! [`DczWriter`] — streaming `.dcz` writer.
 //!
-//! Samples flow through a [`StreamingCompressor`] (the §1 bounded-memory
-//! path), whose full batches become chunks. Completed chunks accumulate in
-//! a small pending queue and are finished **in parallel** with rayon —
-//! ring gather, Huffman fit, bit packing and the chunk's CRC-32 are the
-//! writer's dominant cost and every chunk is independent — then written to
-//! the sink and indexed in order. Memory stays bounded by
-//! `pending-queue length × chunk size` regardless of stream length.
+//! The §1 bounded-memory path: samples of any stream length are copied into
+//! the open chunk's buffer, and each full chunk waits as one raw
+//! `[S, C, n, n]` tensor in a small pending queue. When the queue fills,
+//! its chunks are finished **in parallel** with rayon — each one's Chop
+//! compress, ring gather, Huffman fit, bit packing and CRC-32 in one
+//! closure, as every chunk is independent — then written to the sink and
+//! indexed in order. The ragged tail chunk is compressed at its real sample
+//! count. Memory stays bounded by `(pending-queue length + 1) × chunk size`
+//! raw samples regardless of stream length.
 //!
 //! Chunk and section lengths are `u32` on disk, so [`DczWriter::new`]
 //! refuses a geometry whose worst-case chunk could not fit one.
@@ -21,9 +23,8 @@ use std::fs::File;
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use aicomp_core::streaming::{StreamStats, StreamingCompressor};
-use aicomp_core::CodecSpec;
-use aicomp_tensor::Tensor;
+use aicomp_core::{ChopCompressor, CodecSpec};
+use aicomp_tensor::{Tensor, TensorError};
 use rayon::prelude::*;
 
 use crate::chunk::{encode_chunk, max_chunk_len};
@@ -52,6 +53,16 @@ impl StoreOptions {
     }
 }
 
+/// Raw and Chop-coefficient byte counts of a pack.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StreamStats {
+    /// Uncompressed f32 sample bytes packed.
+    pub bytes_in: u64,
+    /// Chop coefficient bytes those samples compress to, before the
+    /// entropy stage.
+    pub bytes_out: u64,
+}
+
 /// What a finished pack achieved.
 #[derive(Debug, Clone)]
 pub struct StoreSummary {
@@ -63,14 +74,19 @@ pub struct StoreSummary {
     pub payload_bytes: u64,
     /// Total container size including header, index, and footer.
     pub file_bytes: u64,
-    /// The streaming-compression statistics (raw vs. coefficient bytes).
+    /// Raw vs. coefficient bytes.
     pub stream: StreamStats,
 }
 
 impl StoreSummary {
-    /// Chop's own ratio (Eq. 3): raw bytes / coefficient bytes.
+    /// Chop's own ratio (Eq. 3): raw bytes / coefficient bytes; 0.0 for an
+    /// empty pack.
     pub fn chop_ratio(&self) -> f64 {
-        self.stream.ratio()
+        if self.stream.bytes_out == 0 {
+            0.0
+        } else {
+            self.stream.bytes_in as f64 / self.stream.bytes_out as f64
+        }
     }
 
     /// Extra factor the entropy stage buys on top of Chop.
@@ -97,9 +113,11 @@ impl StoreSummary {
 pub struct DczWriter<W: Write + Seek> {
     sink: W,
     header: Header,
-    streamer: StreamingCompressor,
-    /// Chunks compressed but not yet encoded: `(coefficients, samples)`.
-    pending: Vec<(Tensor, usize)>,
+    codec: ChopCompressor,
+    /// Floats of the samples pushed into the open chunk, in order.
+    open: Vec<f32>,
+    /// Full chunks of raw samples, `[S, C, n, n]`, not yet compressed.
+    pending: Vec<Tensor>,
     index: Vec<IndexEntry>,
     offset: u64,
     /// Samples accepted by [`DczWriter::push`] (written or still buffered).
@@ -113,13 +131,20 @@ pub struct DczWriter<W: Write + Seek> {
 impl<W: Write + Seek> DczWriter<W> {
     /// Start a container on `sink` (positioned at its beginning).
     ///
-    /// Fails with [`StoreError::InvalidArg`] when a chunk of this geometry
-    /// could encode to more bytes than the format's `u32` lengths hold.
+    /// Fails with [`StoreError::InvalidArg`] when `channels` or
+    /// `chunk_size` is zero, or when a chunk of this geometry could encode
+    /// to more bytes than the format's `u32` lengths hold.
     pub fn new(mut sink: W, opts: &StoreOptions) -> Result<Self> {
-        let streamer = StreamingCompressor::from_spec(opts.codec, opts.channels, opts.chunk_size)?;
+        if opts.channels == 0 || opts.chunk_size == 0 {
+            return Err(StoreError::InvalidArg(format!(
+                "channels ({}) and chunk_size ({}) must be positive",
+                opts.channels, opts.chunk_size
+            )));
+        }
+        let codec = opts.codec.build_chop()?;
         // Chunk and section lengths are u32 on disk; refuse a geometry whose
         // chunks could outgrow them before a single sample is buffered.
-        let side = streamer.compressor().compressed_side() as u128;
+        let side = codec.compressed_side() as u128;
         let worst = [opts.channels as u128, side, side]
             .into_iter()
             .try_fold(opts.chunk_size as u128, u128::checked_mul)
@@ -143,7 +168,8 @@ impl<W: Write + Seek> DczWriter<W> {
         Ok(DczWriter {
             sink,
             header,
-            streamer,
+            codec,
+            open: Vec::new(),
             pending: Vec::new(),
             index: Vec::new(),
             offset,
@@ -154,59 +180,93 @@ impl<W: Write + Seek> DczWriter<W> {
         })
     }
 
+    /// `[channels, n, n]`: the shape of one sample.
+    fn sample_dims(&self) -> [usize; 3] {
+        let n = self.codec.resolution();
+        [self.header.channels as usize, n, n]
+    }
+
     /// Append one `[channels, n, n]` sample.
     ///
-    /// A sample holding a NaN or ±Inf is rejected with
-    /// [`StoreError::NonFinite`] and leaves the writer as it was. Its Chop
-    /// coefficients are undefined: the value turns its 8×8 block into NaN/Inf,
-    /// and how much further it spreads depends on the matmul kernel.
+    /// A sample of another shape is rejected with a shape-mismatch error,
+    /// and a sample holding a NaN or ±Inf with [`StoreError::NonFinite`];
+    /// either leaves the writer as it was. A non-finite value's Chop
+    /// coefficients are undefined: the per-block kernel keeps it inside its
+    /// own transform block (8×8 for DCT), but turns every coefficient of
+    /// that block NaN/Inf.
     pub fn push(&mut self, sample: Tensor) -> Result<()> {
-        if let Some(element) = first_non_finite(sample.data()) {
+        let want = self.sample_dims();
+        if sample.dims() != want {
+            return Err(TensorError::ShapeMismatch {
+                op: "DczWriter::push",
+                lhs: sample.dims().to_vec(),
+                rhs: want.to_vec(),
+            }
+            .into());
+        }
+        self.push_floats(sample.data())
+    }
+
+    /// Append every sample of a `[B, channels, n, n]` batch, in order.
+    ///
+    /// Each sample is accepted or rejected as by [`DczWriter::push`]; the
+    /// first rejection is returned, and the samples before it stay pushed.
+    pub fn push_batch(&mut self, batch: &Tensor) -> Result<()> {
+        let [c, n, _] = self.sample_dims();
+        let d = batch.dims();
+        if d.len() != 4 || d[1..] != [c, n, n] {
+            return Err(StoreError::InvalidArg(format!(
+                "push_batch expects [B, {c}, {n}, {n}], got {d:?}"
+            )));
+        }
+        for sample in batch.data().chunks_exact(c * n * n) {
+            self.push_floats(sample)?;
+        }
+        Ok(())
+    }
+
+    /// Append one sample's floats to the open chunk, queueing the chunk
+    /// once it is full.
+    fn push_floats(&mut self, sample: &[f32]) -> Result<()> {
+        if let Some(element) = first_non_finite(sample) {
             return Err(StoreError::NonFinite {
                 sample: self.samples_pushed,
                 element,
-                value: sample.data()[element],
+                value: sample[element],
             });
         }
         self.samples_pushed += 1;
-        if let Some(batch) = self.streamer.push(sample)? {
-            let samples = batch.dims()[0];
-            self.pending.push((batch, samples));
-            if self.pending.len() >= self.fanout {
-                self.flush_pending()?;
-            }
+        self.open.extend_from_slice(sample);
+        let chunk_len = self.header.chunk_size as usize * sample.len();
+        if self.open.len() == chunk_len {
+            let floats = std::mem::replace(&mut self.open, Vec::with_capacity(chunk_len));
+            self.queue_chunk(floats)?;
         }
         Ok(())
     }
 
-    /// Append every sample of a `[B, channels, n, n]` batch.
-    pub fn push_batch(&mut self, batch: &Tensor) -> Result<()> {
-        let d = batch.dims().to_vec();
-        if d.len() != 4 {
-            return Err(StoreError::InvalidArg(format!(
-                "push_batch expects [B, C, n, n], got {d:?}"
-            )));
-        }
-        for s in 0..d[0] {
-            self.push(batch.slice0(s, s + 1)?.reshaped([d[1], d[2], d[3]])?)?;
+    /// Queue a chunk's raw floats; flush the queue once it holds `fanout`.
+    fn queue_chunk(&mut self, floats: Vec<f32>) -> Result<()> {
+        let [c, n, _] = self.sample_dims();
+        let samples = floats.len() / (c * n * n);
+        self.pending.push(Tensor::from_vec(floats, [samples, c, n, n])?);
+        if self.pending.len() >= self.fanout {
+            self.flush_pending()?;
         }
         Ok(())
     }
 
-    /// Encode and checksum all pending chunks in parallel, then write and
-    /// index them in order.
+    /// Compress, encode and checksum all pending chunks in parallel, then
+    /// write and index them in order.
     fn flush_pending(&mut self) -> Result<()> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
         let cf = self.header.cf();
-        let drained: Vec<(Tensor, usize)> = std::mem::take(&mut self.pending);
-        let encoded: Vec<(Vec<u8>, u32, usize)> = drained
+        let codec = &self.codec;
+        let encoded: Vec<(Vec<u8>, u32, usize)> = std::mem::take(&mut self.pending)
             .par_iter()
-            .map(|(coeffs, samples)| {
-                let bytes = encode_chunk(coeffs, cf)?;
+            .map(|raw| {
+                let bytes = encode_chunk(&codec.compress(raw)?, cf)?;
                 let crc = crc32(&bytes);
-                Ok((bytes, crc, *samples))
+                Ok((bytes, crc, raw.dims()[0]))
             })
             .collect::<Result<_>>()?;
         for (bytes, crc, samples) in encoded {
@@ -234,9 +294,9 @@ impl<W: Write + Seek> DczWriter<W> {
     /// Flush the tail, write index + footer, patch the header, and return
     /// the sink with a [`StoreSummary`].
     pub fn finish(mut self) -> Result<(W, StoreSummary)> {
-        if let Some(tail) = self.streamer.finish()? {
-            let samples = tail.dims()[0];
-            self.pending.push((tail, samples));
+        if !self.open.is_empty() {
+            let tail = std::mem::take(&mut self.open);
+            self.queue_chunk(tail)?;
         }
         self.flush_pending()?;
 
@@ -251,12 +311,17 @@ impl<W: Write + Seek> DczWriter<W> {
         self.sink.seek(SeekFrom::Start(file_bytes))?;
         self.sink.flush()?;
 
+        let [c, n, _] = self.sample_dims();
+        let side = self.codec.compressed_side();
         let summary = StoreSummary {
             samples: self.samples_written,
             chunks: self.index.len() as u32,
             payload_bytes: self.payload_bytes,
             file_bytes,
-            stream: self.streamer.stats().clone(),
+            stream: StreamStats {
+                bytes_in: self.samples_written * (c * n * n * 4) as u64,
+                bytes_out: self.samples_written * (c * side * side * 4) as u64,
+            },
         };
         Ok((self.sink, summary))
     }
@@ -488,8 +553,64 @@ mod tests {
     fn wrong_sample_shape_rejected() {
         let opts = StoreOptions::dct(16, 4, 2, 4);
         let mut w = DczWriter::new(Cursor::new(Vec::new()), &opts).unwrap();
-        assert!(w.push(sample(0, 1, 16)).is_err());
-        assert!(w.push(sample(0, 2, 8)).is_err());
+        w.push(sample(0, 2, 16)).unwrap();
+        for bad in [sample(0, 1, 16), sample(0, 2, 8), Tensor::zeros([2usize * 16 * 16])] {
+            let err = w.push(bad).unwrap_err();
+            assert!(
+                matches!(err, StoreError::Core(aicomp_core::CoreError::Tensor(_))),
+                "typed shape error: {err}"
+            );
+        }
+        for batch in [Tensor::zeros([2usize, 1, 16, 16]), Tensor::zeros([2usize, 16, 16])] {
+            let err = w.push_batch(&batch).unwrap_err();
+            assert!(matches!(err, StoreError::InvalidArg(_)), "{err}");
+        }
+        // The rejections left the writer usable: the remaining samples pack.
+        for i in 1..6 {
+            w.push(sample(i, 2, 16)).unwrap();
+        }
+        let (cur, summary) = w.finish().unwrap();
+        assert_eq!((summary.samples, summary.chunks), (6, 2));
+        let mut r = crate::DczReader::new(Cursor::new(cur.into_inner())).unwrap();
+        r.verify().unwrap();
+        assert_eq!(r.sample_count(), 6);
+    }
+
+    #[test]
+    fn push_batch_matches_per_sample_push() {
+        // Batches of 3 into chunks of 4: batches straddle chunk edges, and
+        // 11 samples end in a ragged tail of 3.
+        for spec in ["dct2d-n16-cf4", "zfp2d-n16-cf3"] {
+            let opts = StoreOptions { codec: spec.parse().unwrap(), channels: 2, chunk_size: 4 };
+            let samples: Vec<Tensor> = (0..11).map(|i| sample(i, 2, 16)).collect();
+            let (one_by_one, _) =
+                DczWriter::pack(Cursor::new(Vec::new()), &opts, samples.clone()).unwrap();
+
+            let mut w = DczWriter::new(Cursor::new(Vec::new()), &opts).unwrap();
+            for part in samples.chunks(3) {
+                let refs: Vec<&Tensor> = part.iter().collect();
+                let batch = Tensor::concat0(&refs).unwrap().reshape([part.len(), 2, 16, 16]);
+                w.push_batch(&batch.unwrap()).unwrap();
+            }
+            let (batched, summary) = w.finish().unwrap();
+            assert_eq!((summary.samples, summary.chunks), (11, 3), "{spec}");
+            assert_eq!(batched.into_inner(), one_by_one.into_inner(), "{spec}");
+        }
+    }
+
+    #[test]
+    fn streaming_stats_track_compile_time_ratio() {
+        // CF 2 keeps 2×2 of every 8×8 block: CR 16 (Eq. 3), ragged tail
+        // included (12 samples in chunks of 5).
+        let opts = StoreOptions::dct(32, 2, 3, 5);
+        let samples = (0..12u64).map(|i| {
+            let mut rng = Tensor::seeded_rng(i);
+            Tensor::rand_uniform([3usize, 32, 32], 0.0, 1.0, &mut rng)
+        });
+        let (_, summary) = DczWriter::pack(Cursor::new(Vec::new()), &opts, samples).unwrap();
+        assert_eq!((summary.samples, summary.chunks), (12, 3));
+        assert_eq!(summary.stream.bytes_in, 12 * 3 * 32 * 32 * 4);
+        assert_eq!(summary.chop_ratio(), 16.0);
     }
 
     #[test]

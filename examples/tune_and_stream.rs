@@ -1,14 +1,15 @@
 //! Downstream-user workflow: measure your dataset's block spectrum, let
 //! the tuner pick the highest compression ratio meeting a PSNR target
-//! (exact prediction via Parseval), then stream the dataset through the
-//! compressor in bounded memory — the §1 scenario where the training set
+//! (exact prediction via Parseval), then stream the dataset into a `.dcz`
+//! container in bounded memory — the §1 scenario where the training set
 //! is far larger than device memory.
 //!
 //! Run with: `cargo run --release --example tune_and_stream`
 
-use aicomp::dct::streaming::compress_stream;
 use aicomp::dct::tuning::{tune_for_psnr, BlockSpectrum};
-use aicomp::Tensor;
+use aicomp::store::writer::pack_file;
+use aicomp::store::StoreOptions;
+use aicomp::{DczReader, Tensor};
 
 fn main() {
     // A "dataset": 200 synthetic 3x64x64 samples (think: a shard of the
@@ -54,34 +55,40 @@ fn main() {
         compressor.compression_ratio()
     );
 
-    // Step 3: stream the full dataset through at that setting.
-    let (batches, stats) = compress_stream(
-        (0..200).map(make_sample),
-        64,
-        compressor.chop_factor(),
-        3,
-        32, // static device batch
-    )
-    .expect("stream compresses");
+    // Step 3: stream the full dataset into a container at that setting.
+    // The writer holds a few chunks of raw samples at a time, however long
+    // the stream.
+    let chunk = 32;
+    let path = std::env::temp_dir().join(format!("tune_and_stream_{}.dcz", std::process::id()));
+    let opts = StoreOptions::dct(64, compressor.chop_factor(), 3, chunk);
+    let summary = pack_file(&path, &opts, (0..200).map(make_sample)).expect("stream packs");
     println!(
-        "\nstreamed {} samples in {} device batches: {:.1} MiB -> {:.1} MiB (CR {:.2})",
-        stats.samples,
-        stats.batches,
-        stats.bytes_in as f64 / (1024.0 * 1024.0),
-        stats.bytes_out as f64 / (1024.0 * 1024.0),
-        stats.ratio()
+        "\npacked {} samples in {} chunks: {:.1} MiB -> {:.1} MiB of chunk payload \
+         (Chop CR {:.2} x entropy {:.2} = {:.2})",
+        summary.samples,
+        summary.chunks,
+        summary.stream.bytes_in as f64 / (1024.0 * 1024.0),
+        summary.payload_bytes as f64 / (1024.0 * 1024.0),
+        summary.chop_ratio(),
+        summary.entropy_gain(),
+        summary.total_ratio()
     );
 
     // Step 4: verify the target held on real reconstructions.
-    let rec = compressor.decompress(&batches[0]).expect("shapes match");
-    let first_batch = {
-        let samples: Vec<Tensor> = (0..32).map(make_sample).collect();
+    let rec = DczReader::open(&path).and_then(|mut r| r.decompress_chunk(0));
+    std::fs::remove_file(&path).expect("remove the container");
+    let rec = rec.expect("container reads back");
+    let first_chunk = {
+        let samples: Vec<Tensor> = (0..chunk).map(make_sample).collect();
         let refs: Vec<&Tensor> = samples.iter().collect();
-        Tensor::concat0(&refs).expect("same shapes").reshape([32, 3, 64, 64]).expect("counts match")
+        Tensor::concat0(&refs)
+            .expect("same shapes")
+            .reshape([chunk, 3, 64, 64])
+            .expect("counts match")
     };
-    let q = aicomp::dct::metrics::quality(&first_batch, &rec).expect("same shapes");
+    let q = aicomp::dct::metrics::quality(&first_chunk, &rec).expect("same shapes");
     println!(
-        "measured PSNR on the first batch: {:.1} dB (target {target_db} dB) -> {}",
+        "measured PSNR on the first chunk: {:.1} dB (target {target_db} dB) -> {}",
         q.psnr_db,
         if q.psnr_db >= target_db { "met" } else { "MISSED" }
     );

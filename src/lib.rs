@@ -18,8 +18,8 @@
 //!   streams (chunked, checksummed, frequency-band-progressive) and the
 //!   prefetching training loader over it.
 //! * [`serve`] — a concurrent TCP service over `.dcz` containers:
-//!   per-request fidelity, dynamic request batching into single codec
-//!   passes, a sharded decoded-chunk cache, and typed load shedding.
+//!   per-request fidelity, one chunk decode per fetch, a sharded cache of
+//!   encoded replies, and typed load shedding.
 //!
 //! ## Quickstart
 //!

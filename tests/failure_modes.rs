@@ -61,7 +61,8 @@ fn error_messages_are_informative() {
 #[test]
 fn nan_inputs_propagate_not_panic() {
     // Lossy compression of NaN-poisoned data must not panic; the NaN is
-    // visible in the output (matmul propagates it).
+    // visible in the output (the per-block kernel spreads it through its
+    // own block).
     let c = ChopCompressor::new(16, 4).unwrap();
     let mut x = Tensor::zeros([1, 1, 16, 16]);
     x.data_mut()[0] = f32::NAN;

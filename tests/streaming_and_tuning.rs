@@ -1,30 +1,25 @@
-//! Integration: the streaming API, the quality tuner, and the simulated
+//! Integration: host compression, the quality tuner, and the simulated
 //! devices working together — the full "downstream user" path.
 
 use aicomp::accel::{CompressorDeployment, Platform};
 use aicomp::dct::metrics::quality;
-use aicomp::dct::streaming::{compress_stream, StreamingCompressor};
 use aicomp::dct::tuning::{tune_for_psnr, BlockSpectrum};
 use aicomp::sciml::{Dataset, DatasetKind};
-use aicomp::Tensor;
 
 #[test]
 fn streamed_batches_decompress_on_device() {
-    // Stream-compress on the host, decompress each batch on a simulated
+    // Compress batches on the host, decompress each on a simulated
     // accelerator: the bytes must round-trip identically to the host path.
     let ds = Dataset::generate(DatasetKind::EmDenoise, 8, 99);
-    let samples: Vec<Tensor> =
-        (0..8).map(|i| ds.inputs.slice0(i, i + 1).unwrap().reshape([1, 64, 64]).unwrap()).collect();
-    let (batches, stats) = compress_stream(samples, 64, 4, 1, 4).unwrap();
-    assert_eq!(stats.batches, 2);
-
-    let dep = CompressorDeployment::plain(Platform::Cs2, 64, 4, 4).unwrap();
     let host = aicomp::ChopCompressor::new(64, 4).unwrap();
-    for batch in &batches {
-        // Device expects [slices, cs, cs]; each streamed batch is [4,1,32,32].
+    let dep = CompressorDeployment::plain(Platform::Cs2, 64, 4, 4).unwrap();
+    for b in 0..2 {
+        let x = ds.inputs.slice0(4 * b, 4 * b + 4).unwrap().reshape([4, 1, 64, 64]).unwrap();
+        let batch = host.compress(&x).unwrap();
+        // Device expects [slices, cs, cs]; each batch is [4,1,32,32].
         let y = batch.reshape([4, 32, 32]).unwrap();
         let dev = dep.decompress(&y).unwrap();
-        let host_rec = host.decompress(batch).unwrap();
+        let host_rec = host.decompress(&batch).unwrap();
         assert!(dev.outputs[0]
             .reshape(host_rec.dims().to_vec())
             .unwrap()
@@ -68,16 +63,4 @@ fn tuned_compressor_deploys_and_meets_target() {
     let rec = dep.decompress(&y.outputs[0]).unwrap();
     let q = quality(&x, &rec.outputs[0]).unwrap();
     assert!(q.psnr_db >= target - 0.5, "target {target}, got {}", q.psnr_db);
-}
-
-#[test]
-fn streaming_stats_track_compile_time_ratio() {
-    let mut sc = StreamingCompressor::new(32, 2, 3, 5).unwrap();
-    for i in 0..12 {
-        let mut rng = Tensor::seeded_rng(i);
-        sc.push(Tensor::rand_uniform([3usize, 32, 32], 0.0, 1.0, &mut rng)).unwrap();
-    }
-    sc.finish().unwrap();
-    assert_eq!(sc.stats().samples, 12);
-    assert!((sc.stats().ratio() - 16.0).abs() < 1e-9); // CF 2 → CR 16 (Eq. 3)
 }
