@@ -355,7 +355,9 @@ mod tests {
     /// - 1: a complete code fitted to frequencies halving pick by pick,
     ///   which the 15-bit limit flattens, so long picks give 11–15-bit codes;
     /// - 2: a single symbol, of the first pick's length;
-    /// - 3: no symbols at all.
+    /// - 3: no symbols at all;
+    /// - 4: every symbol at 8 bits, the table of a plane stored raw: symbol
+    ///   `s` has code `s`, and every 8-bit window is a code.
     fn length_table(kind: u8, picks: &[(u8, u8)]) -> [u8; 256] {
         let mut lengths = [0u8; 256];
         match kind {
@@ -382,7 +384,8 @@ mod tests {
                 lengths = *HuffmanCode::from_frequencies(&freqs).unwrap().lengths();
             }
             2 => lengths[picks[0].0 as usize] = picks[0].1,
-            _ => {}
+            3 => {}
+            _ => lengths = [8; 256],
         }
         lengths
     }
@@ -396,7 +399,7 @@ mod tests {
         /// garbage streams, and when asked for more symbols than were coded.
         #[test]
         fn lut_decode_matches_bit_serial_reference(
-            kind in 0u8..4,
+            kind in 0u8..5,
             picks in prop::collection::vec((0u8..=255, 1u8..=15), 1..48),
             msg in prop::collection::vec(0u16..=u16::MAX, 0..300),
             mode in 0u8..5,
@@ -444,6 +447,19 @@ mod tests {
         let mut w = BitWriter::new();
         code.encode(&data, &mut w).unwrap();
         let bytes = w.finish();
+        assert_eq!(code.decode(&mut BitReader::new(&bytes), data.len()).unwrap(), data);
+    }
+
+    #[test]
+    fn all_eight_code_is_the_identity() {
+        // Canonical order over 256 equal lengths gives symbol s the code s,
+        // so the coded stream is the input bytes themselves.
+        let code = HuffmanCode::from_lengths(&length_table(4, &[(0, 1)])).unwrap();
+        let data: Vec<u8> = (0..=255u8).rev().chain(0..=255).collect();
+        let mut w = BitWriter::new();
+        code.encode(&data, &mut w).unwrap();
+        let bytes = w.finish();
+        assert_eq!(bytes, data);
         assert_eq!(code.decode(&mut BitReader::new(&bytes), data.len()).unwrap(), data);
     }
 

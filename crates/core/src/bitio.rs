@@ -78,6 +78,25 @@ impl BitWriter {
         (self.acc, self.filled) = (acc, filled);
     }
 
+    /// Append a run of whole bytes — the same bits as [`Self::put_bits`]
+    /// with `(b, 8)` per byte. On a byte boundary the pending bytes go out
+    /// and the run is copied straight into the buffer; off one, the run
+    /// goes through [`Self::put_codes`].
+    pub fn put_bytes<I>(&mut self, bytes: I)
+    where
+        I: IntoIterator<Item = u8>,
+    {
+        if !self.filled.is_multiple_of(8) {
+            self.put_codes(bytes.into_iter().map(|b| (b as u32, 8)));
+            return;
+        }
+        while self.filled > 0 {
+            self.filled -= 8;
+            self.buf.put_u8((self.acc >> self.filled) as u8);
+        }
+        self.buf.extend(bytes);
+    }
+
     /// Total bits written so far.
     pub fn bit_len(&self) -> usize {
         self.buf.len() * 8 + self.filled as usize
@@ -154,6 +173,20 @@ impl<'a> BitReader<'a> {
     pub fn consume(&mut self, n: usize) {
         assert!(n <= self.remaining_bits(), "consume of {n} bits past end of stream");
         self.pos_bits += n;
+    }
+
+    /// The next `n` whole bytes, advancing past them, when the reader sits
+    /// on a byte boundary with at least `n` bytes left; otherwise `None`,
+    /// with the reader unmoved.
+    #[inline]
+    pub fn aligned_bytes(&mut self, n: usize) -> Option<&'a [u8]> {
+        if !self.pos_bits.is_multiple_of(8) {
+            return None;
+        }
+        let at = self.pos_bits / 8;
+        let bytes = self.data.get(at..at.checked_add(n)?)?;
+        self.pos_bits += 8 * n;
+        Some(bytes)
     }
 
     /// Read one bit; `None` at end of stream.
@@ -325,6 +358,65 @@ mod tests {
                 prop_assert_eq!(a.position_bits(), b.position_bits());
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `put_bytes` writes what `put_bits(b, 8)` per byte writes, after
+        /// every pending width from 0 to 40 bits: the byte-aligned copy at
+        /// 0, 8, 16, 24, 32 and 40, the `put_codes` run at the rest. Bits
+        /// written after the run land the same way too. `aligned_bytes`
+        /// hands back the run exactly where the copy applies.
+        #[test]
+        fn byte_append_matches_put_bits(
+            lead in 0u64..=u64::MAX,
+            run in prop::collection::vec(0u8..=255, 0..70),
+            tail in 0u64..=u64::MAX,
+            tail_len in 0u32..=40,
+        ) {
+            for pending in 0..=40u32 {
+                let (mut fast, mut slow) = (BitWriter::new(), BitWriter::new());
+                for w in [&mut fast, &mut slow] {
+                    w.put_bits(lead, pending);
+                }
+                fast.put_bytes(run.iter().copied());
+                run.iter().for_each(|&b| slow.put_bits(b as u64, 8));
+                prop_assert_eq!(fast.bit_len(), slow.bit_len());
+                for w in [&mut fast, &mut slow] {
+                    w.put_bits(tail, tail_len);
+                }
+                let bytes = fast.finish();
+                prop_assert_eq!(&bytes, &slow.finish());
+
+                let mut r = BitReader::new(&bytes);
+                r.consume(pending as usize);
+                match r.aligned_bytes(run.len()) {
+                    Some(got) => {
+                        prop_assert!(pending % 8 == 0);
+                        prop_assert_eq!(got, &run[..]);
+                        prop_assert_eq!(r.position_bits(), pending as usize + 8 * run.len());
+                    }
+                    None => {
+                        prop_assert!(pending % 8 != 0);
+                        prop_assert_eq!(r.position_bits(), pending as usize);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn aligned_bytes_stops_at_the_end() {
+        let bytes = [1u8, 2, 3];
+        let mut r = BitReader::new(&bytes);
+        assert_eq!(r.aligned_bytes(4), None);
+        assert_eq!(r.aligned_bytes(2), Some(&bytes[..2]));
+        assert_eq!(r.aligned_bytes(2), None);
+        assert_eq!(r.position_bits(), 16);
+        assert_eq!(r.aligned_bytes(usize::MAX), None);
+        assert_eq!(r.aligned_bytes(1), Some(&bytes[2..]));
+        assert_eq!(r.aligned_bytes(0), Some(&[][..]));
     }
 
     #[test]

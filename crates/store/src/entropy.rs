@@ -18,6 +18,13 @@
 //! once per chunk as four 256-entry length tables — canonical codes
 //! rebuild from lengths alone, as in JPEG/DEFLATE.
 //!
+//! Only the high plane has much structure: the fitted codes of the three
+//! mantissa planes save a percent or two. [`PlaneCodes::fit`] therefore
+//! gives a plane whose fitted code saves under 1/16 of its raw bits the
+//! all-8 table, under which symbol `s` has code `s`: the plane's stream is
+//! its raw bytes. Both directions move such a plane as a byte copy, and
+//! the format is unchanged — to any reader it is one more canonical code.
+//!
 //! Neither direction builds a plane buffer: encode reads each plane's
 //! bytes straight out of the f32 bit patterns, and decode ORs them back
 //! into place.
@@ -33,14 +40,26 @@ pub const PLANES: usize = 4;
 /// Serialized size of the four length tables.
 pub const TABLES_LEN: usize = PLANES * 256;
 
+/// A fitted code is kept only if it saves at least `1/RAW_SAVING_DIVISOR`
+/// of its plane's raw bits; otherwise the plane is stored raw.
+const RAW_SAVING_DIVISOR: u64 = 16;
+
+/// The all-8 length table: symbol `s` has code `s`, so a plane coded with
+/// it is its own bytes.
+const RAW_LENGTHS: [u8; 256] = [8; 256];
+
 /// The four per-plane canonical Huffman codes of one chunk.
 #[derive(Debug, Clone)]
 pub struct PlaneCodes {
     codes: Vec<HuffmanCode>,
+    /// Planes whose table is all-8, read and written as byte copies.
+    raw: [bool; PLANES],
 }
 
 impl PlaneCodes {
     /// Fit codes to the byte-plane frequencies of all values in `rings`.
+    /// A plane whose fitted code saves less than 1/16 of its raw bits
+    /// gets the all-8 table instead and is stored raw.
     pub fn fit<'a>(rings: impl IntoIterator<Item = &'a [f32]>) -> Result<PlaneCodes> {
         let mut freqs = [[0u64; 256]; PLANES];
         let mut any = false;
@@ -59,11 +78,30 @@ impl PlaneCodes {
                 f[0] = 1;
             }
         }
-        let codes = freqs
-            .iter()
-            .map(HuffmanCode::from_frequencies)
-            .collect::<std::result::Result<Vec<_>, _>>()?;
-        Ok(PlaneCodes { codes })
+        let mut codes = Vec::with_capacity(PLANES);
+        for f in &freqs {
+            let fitted = HuffmanCode::from_frequencies(f)?;
+            let total: u64 = f.iter().sum();
+            let fitted_bits: u64 =
+                f.iter().zip(fitted.lengths()).map(|(&n, &l)| n * l as u64).sum();
+            let saved = (8 * total).saturating_sub(fitted_bits);
+            if RAW_SAVING_DIVISOR * saved < 8 * total {
+                codes.push(HuffmanCode::from_lengths(&RAW_LENGTHS)?);
+            } else {
+                codes.push(fitted);
+            }
+        }
+        Ok(Self::new(codes))
+    }
+
+    fn new(codes: Vec<HuffmanCode>) -> PlaneCodes {
+        let raw = std::array::from_fn(|p| *codes[p].lengths() == RAW_LENGTHS);
+        PlaneCodes { codes, raw }
+    }
+
+    /// The planes stored raw (their table is all-8), in ascending order.
+    pub fn raw_planes(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..PLANES).filter(|&p| self.raw[p])
     }
 
     /// Serialize as `PLANES × 256` code-length bytes.
@@ -89,17 +127,23 @@ impl PlaneCodes {
             lengths.copy_from_slice(&bytes[p * 256..(p + 1) * 256]);
             codes.push(HuffmanCode::from_lengths(&lengths)?);
         }
-        Ok(PlaneCodes { codes })
+        Ok(Self::new(codes))
     }
 
     /// Encode one section: plane-major, byte-aligned at the end. Each
     /// plane's symbols come straight from the values' bit patterns, so no
     /// plane buffer exists; the writer starts with room for the raw bytes.
+    /// A raw plane's bytes are appended as they are.
     pub fn encode(&self, values: &[f32]) -> Result<Vec<u8>> {
         let mut w = BitWriter::with_capacity(values.len() * PLANES);
         for (p, code) in self.codes.iter().enumerate() {
             let shift = 8 * p;
-            code.encode_symbols(values.iter().map(|v| (v.to_bits() >> shift) as u8), &mut w)?;
+            let symbols = values.iter().map(|v| (v.to_bits() >> shift) as u8);
+            if self.raw[p] {
+                w.put_bytes(symbols);
+            } else {
+                code.encode_symbols(symbols, &mut w)?;
+            }
         }
         Ok(w.finish())
     }
@@ -144,11 +188,22 @@ impl PlaneCodes {
     /// Decode a section of exactly `words.len()` values into `words` as f32
     /// bit patterns. Each plane's bytes are ORed into place, so no plane
     /// buffer exists and a caller can reuse `words` from ring to ring.
+    ///
+    /// A raw plane on a byte boundary, with its bytes all in the section,
+    /// is ORed in straight from them. Otherwise it goes through the
+    /// general decode, so errors and the reader's position stay its own.
     pub(crate) fn decode_words(&self, bytes: &[u8], words: &mut [u32]) -> Result<()> {
         words.fill(0);
         let mut r = BitReader::new(bytes);
         for (p, code) in self.codes.iter().enumerate() {
             let shift = 8 * p;
+            let plane = if self.raw[p] { r.aligned_bytes(words.len()) } else { None };
+            if let Some(plane) = plane {
+                for (w, &b) in words.iter_mut().zip(plane) {
+                    *w |= (b as u32) << shift;
+                }
+                continue;
+            }
             code.decode_into(&mut r, words, |w, b| *w |= (b as u32) << shift)?;
         }
         // A well-formed section is fully consumed up to its zero padding;
@@ -236,6 +291,90 @@ mod tests {
                 prop_assert_eq!(bits(&codes.decode(&bytes, vals.len()).unwrap()), bits(&vals));
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The raw-plane fast paths match the general Huffman paths: `encode`
+        /// writes the per-symbol reference's bytes, and `decode` returns the
+        /// plane-by-plane reference's values or its error, on intact,
+        /// truncated, extended, bit-flipped and padding-damaged sections and
+        /// wrong value counts. Each plane's table is picked on its own —
+        /// fitted to the values, fitted to a prefix of them (so some bytes
+        /// may have no code), or all-8 — so a raw plane often starts off a
+        /// byte boundary behind a fitted one.
+        #[test]
+        fn raw_plane_paths_match_general_huffman_path(
+            words in prop::collection::vec((0u8..8, 0u32..=u32::MAX), 0..600),
+            tables in prop::collection::vec(0u8..3, PLANES),
+            prefix in 0usize..=600,
+            mode in 0u8..6,
+            at in 0u32..=u32::MAX,
+        ) {
+            let vals: Vec<f32> =
+                words.iter().map(|&(kind, x)| f32::from_bits(value_bits(kind, x))).collect();
+            let mut block = Vec::with_capacity(TABLES_LEN);
+            for (p, &kind) in tables.iter().enumerate() {
+                let fit_to = if kind == 1 { prefix % (vals.len() + 1) } else { vals.len() };
+                let mut freqs = [0u64; 256];
+                for v in &vals[..fit_to] {
+                    freqs[v.to_le_bytes()[p] as usize] += 1;
+                }
+                freqs[0] += 1; // keep every table non-empty
+                let fitted = HuffmanCode::from_frequencies(&freqs).unwrap();
+                block.extend_from_slice(if kind == 2 { &RAW_LENGTHS } else { fitted.lengths() });
+            }
+            let codes = PlaneCodes::from_length_tables(&block).unwrap();
+            let want_raw: Vec<usize> = (0..PLANES).filter(|&p| tables[p] == 2).collect();
+            prop_assert_eq!(codes.raw_planes().collect::<Vec<_>>(), want_raw);
+
+            let got = codes.encode(&vals).map_err(|e| e.to_string());
+            prop_assert_eq!(&got, &codes.encode_per_symbol(&vals).map_err(|e| e.to_string()));
+            let Ok(mut bytes) = got else { return Ok(()) };
+            let mut count = vals.len();
+            let at = at as usize;
+            match mode {
+                0 => {}
+                1 => bytes.truncate(at % (bytes.len() + 1)),
+                2 => bytes.extend(std::iter::repeat_n(at as u8, 1 + at % 3)),
+                3 if !bytes.is_empty() => *bytes.last_mut().unwrap() |= 1 << (at % 8),
+                4 if !bytes.is_empty() => {
+                    let bit = at % (8 * bytes.len());
+                    bytes[bit / 8] ^= 0x80 >> (bit % 8);
+                }
+                _ if at.is_multiple_of(2) => count += 1 + at / 2 % 4,
+                _ => count = count.saturating_sub(1),
+            }
+            let bits = |r: Result<Vec<f32>>| {
+                r.map(|vs| vs.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+                    .map_err(|e| e.to_string())
+            };
+            let got = bits(codes.decode(&bytes, count));
+            prop_assert_eq!(&got, &bits(codes.decode_per_plane(&bytes, count)));
+            if mode == 0 {
+                prop_assert_eq!(got, Ok(vals.iter().map(|v| v.to_bits()).collect()));
+            }
+        }
+    }
+
+    #[test]
+    fn fit_stores_near_uniform_planes_raw() {
+        // Mantissa bytes that cycle through every value, and a high byte
+        // with a handful of exponents: the three low planes go raw, and a
+        // raw plane's stream is its bytes.
+        let vals: Vec<f32> = (0..4096u32)
+            .map(|i| f32::from_bits(((126 + i % 3) << 23) | (i.wrapping_mul(0x9e37_79b9) >> 9)))
+            .collect();
+        let codes = PlaneCodes::fit([vals.as_slice()]).unwrap();
+        assert_eq!(codes.raw_planes().collect::<Vec<_>>(), [0, 1, 2]);
+        let bytes = codes.encode(&vals).unwrap();
+        let low: Vec<u8> = vals.iter().map(|v| v.to_le_bytes()[0]).collect();
+        assert_eq!(&bytes[..vals.len()], &low[..]);
+        assert!(bytes.len() < 3 * vals.len() + vals.len() / 2, "{}", bytes.len());
+        assert_eq!(codes.decode(&bytes, vals.len()).unwrap(), vals);
+        let rebuilt = PlaneCodes::from_length_tables(&codes.length_tables()).unwrap();
+        assert_eq!(rebuilt.raw_planes().collect::<Vec<_>>(), [0, 1, 2]);
     }
 
     #[test]
