@@ -34,6 +34,11 @@ use crate::{CoreError, Result};
 /// of the block-size ablation. `dispatch!` lists the same sizes.
 pub(crate) const KERNEL_BLOCK_SIZES: [usize; 3] = [4, 8, 16];
 
+/// Full-resolution elements (`planes·n²`) below which a call runs its
+/// planes inline: under it, spawning and joining the split's threads costs
+/// more than the work they share (`kernel_split` bench, DESIGN.md §2.4).
+const INLINE_BELOW: usize = 1 << 19;
+
 /// The diagonal blocks of one set of Chop operators, ready to run per block.
 #[derive(Debug, Clone)]
 pub(crate) struct BlockKernel {
@@ -99,7 +104,9 @@ impl BlockKernel {
     pub(crate) fn compress(&self, input: &Tensor) -> Result<Tensor> {
         let cs = self.compressed_side();
         let mut out = vec![0.0f32; input.numel() / (self.n * self.n) * cs * cs];
-        dispatch!(self.bs, self.cf, compress_planes(self, input.data(), &mut out));
+        run_planes(input.numel(), || {
+            dispatch!(self.bs, self.cf, compress_planes(self, input.data(), &mut out))
+        });
         with_plane(input, out, cs)
     }
 
@@ -108,8 +115,21 @@ impl BlockKernel {
     pub(crate) fn decompress(&self, compressed: &Tensor) -> Result<Tensor> {
         let cs = self.compressed_side();
         let mut out = vec![0.0f32; compressed.numel() / (cs * cs) * self.n * self.n];
-        dispatch!(self.bs, self.cf, decompress_planes(self, compressed.data(), &mut out));
+        run_planes(out.len(), || {
+            dispatch!(self.bs, self.cf, decompress_planes(self, compressed.data(), &mut out))
+        });
         with_plane(compressed, out, self.n)
+    }
+}
+
+/// Run `planes`, a kernel pass over `elems` full-resolution elements,
+/// inline on this thread when it is below [`INLINE_BELOW`]. Each plane is
+/// computed alone, so the output does not depend on the choice.
+fn run_planes(elems: usize, planes: impl FnOnce()) {
+    if elems < INLINE_BELOW {
+        rayon::in_worker(planes)
+    } else {
+        planes()
     }
 }
 
@@ -292,7 +312,9 @@ mod tests {
         /// Both directions are bitwise the dense two-matmul reference for
         /// finite input, for every block size the codecs build, every chop
         /// factor, single and odd batches, DCT and ZFP operators, inline
-        /// and split across threads.
+        /// and split across threads. Batches this small run inline at top
+        /// level too, so the split runs through `compress_planes` and
+        /// `decompress_planes` directly.
         #[test]
         fn block_kernel_matches_dense_reference(
             bs_pick in 0usize..3,
@@ -322,11 +344,15 @@ mod tests {
             prop_assert_eq!(bits(&got_c), want_c);
             prop_assert_eq!(bits(&got_d), want_d);
 
-            let inline = rayon::in_worker(|| {
-                (kernel.compress(&x).unwrap(), kernel.decompress(&y).unwrap())
-            });
-            prop_assert_eq!(bits(&inline.0), bits(&got_c));
-            prop_assert_eq!(bits(&inline.1), bits(&got_d));
+            // The planes split across threads, as a top-level call at or
+            // above `INLINE_BELOW` runs them, into NaN-filled outputs.
+            let (mut split_c, mut split_d) = (got_c.clone(), got_d.clone());
+            split_c.data_mut().fill(f32::NAN);
+            split_d.data_mut().fill(f32::NAN);
+            dispatch!(bs, cf, compress_planes(&kernel, x.data(), split_c.data_mut()));
+            dispatch!(bs, cf, decompress_planes(&kernel, y.data(), split_d.data_mut()));
+            prop_assert_eq!(bits(&split_c), bits(&got_c));
+            prop_assert_eq!(bits(&split_d), bits(&got_d));
         }
     }
 
