@@ -391,7 +391,7 @@ fn unpack(args: &[String]) -> Result<(), String> {
 fn inspect(args: &[String]) -> Result<(), String> {
     check_flags(args, 1, &["--input"], &[])?;
     let input = required(args, "--input")?;
-    let reader = DczReader::open(&input).map_err(|e| e.to_string())?;
+    let mut reader = DczReader::open(&input).map_err(|e| e.to_string())?;
     let h = *reader.header();
     print_listing(|out| {
         writeln!(out, "{input}:")?;
@@ -406,11 +406,24 @@ fn inspect(args: &[String]) -> Result<(), String> {
         )?;
         writeln!(out, "  chop factor  {} (compressed side {})", h.cf(), h.compressed_side())?;
         writeln!(out, "  chunks       {} x {} samples", h.chunk_count, h.chunk_size)?;
-        writeln!(out, "  chunk  offset      bytes  first  samples  crc32")?;
-        for (i, e) in reader.index().iter().enumerate() {
+        writeln!(out, "  chunk  offset      bytes  first  samples  crc32     byte planes")?;
+        for i in 0..reader.chunk_count() {
+            let e = reader.index()[i];
+            // Planes stored raw (all-8 tables); "?" when the prelude is unreadable.
+            let raw = match reader.read_prelude(i) {
+                Ok(p) => {
+                    let planes: Vec<String> = p.codes.raw_planes().map(|p| p.to_string()).collect();
+                    if planes.is_empty() {
+                        "-".to_string()
+                    } else {
+                        planes.join(",")
+                    }
+                }
+                Err(_) => "?".to_string(),
+            };
             writeln!(
                 out,
-                "  {i:>5}  {:>10}  {:>9}  {:>5}  {:>7}  {:08x}",
+                "  {i:>5}  {:>10}  {:>9}  {:>5}  {:>7}  {:08x}  raw {raw}",
                 e.offset, e.len, e.first_sample, e.samples, e.crc
             )?;
         }

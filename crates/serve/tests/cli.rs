@@ -189,3 +189,35 @@ fn listings_end_quietly_when_the_reader_closes_early() {
     }
     std::fs::remove_file(&store).ok();
 }
+
+/// `dcz inspect` names the byte planes each chunk stores raw: the mantissa
+/// planes of noisy fields, none for a constant chunk, and "?" for a chunk
+/// whose prelude no longer parses.
+#[test]
+fn inspect_lists_raw_byte_planes_per_chunk() {
+    let store = scratch("rawplanes.dcz");
+    let mut rng = Tensor::seeded_rng(3);
+    let noisy = (0..32).map(|_| Tensor::rand_uniform([1, 32, 32], -1.0, 1.0, &mut rng));
+    let flat = (0..32).map(|_| Tensor::full([1, 32, 32], 0.5));
+    pack_file(&store, &StoreOptions::dct(32, 4, 1, 32), noisy.chain(flat)).unwrap();
+    let rows = |out: &Output| -> Vec<String> {
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("crc32     byte planes"), "{stdout}");
+        stdout.lines().filter(|l| l.contains(" raw ")).map(str::to_string).collect()
+    };
+    let listed = rows(&dcz(&["inspect", "--input", store.to_str().unwrap()]));
+    assert_eq!(listed.len(), 2, "{listed:?}");
+    assert!(listed[0].ends_with("raw 0,1,2"), "{}", listed[0]);
+    assert!(listed[1].ends_with("raw -"), "{}", listed[1]);
+
+    // A length over 15 bits in chunk 1's first table.
+    let offset = aicomp_store::DczReader::open(&store).unwrap().index()[1].offset as usize;
+    let mut bytes = std::fs::read(&store).unwrap();
+    bytes[offset + 2 + 4 * 4] = 16;
+    std::fs::write(&store, bytes).unwrap();
+    let listed = rows(&dcz(&["inspect", "--input", store.to_str().unwrap()]));
+    assert!(listed[0].ends_with("raw 0,1,2"), "{}", listed[0]);
+    assert!(listed[1].ends_with("raw ?"), "{}", listed[1]);
+    std::fs::remove_file(&store).ok();
+}

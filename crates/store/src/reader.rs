@@ -21,7 +21,7 @@ use std::path::Path;
 use aicomp_core::Codec;
 use aicomp_tensor::Tensor;
 
-use crate::chunk::{decode_chunk, decode_prelude, decode_sections, prelude_len};
+use crate::chunk::{decode_chunk, decode_prelude, decode_sections, prelude_len, ChunkPrelude};
 use crate::crc::crc32;
 use crate::fault::{with_retry, RetryPolicy};
 use crate::layout::{read_footer, read_index, Header, IndexEntry, FOOTER_LEN, INDEX_ENTRY_LEN};
@@ -202,17 +202,26 @@ impl<R: Read + Seek> DczReader<R> {
             return decode_chunk(&bytes, &self.header, e.samples as usize, stored_cf);
         }
         let plen = prelude_len(stored_cf);
-        if (e.len as usize) < plen {
-            return Err(StoreError::Format(format!("chunk {chunk} shorter than its prelude")));
-        }
-        let prelude_bytes = self.read_payload(e.offset, plen)?;
-        let prelude = decode_prelude(&prelude_bytes, &self.header)?;
+        let prelude = self.read_prelude(chunk)?;
         let prefix = prelude.prefix_len(read_cf);
         if plen + prefix > e.len as usize {
             return Err(StoreError::Format(format!("chunk {chunk} sections truncated")));
         }
         let sections = self.read_payload(e.offset + plen as u64, prefix)?;
         decode_sections(&prelude, &sections, &self.header, e.samples as usize, read_cf)
+    }
+
+    /// Read and parse chunk `chunk`'s prelude: its section lengths and
+    /// entropy codes. The chunk CRC covers the whole payload, so this read
+    /// is not checked against it.
+    pub fn read_prelude(&mut self, chunk: usize) -> Result<ChunkPrelude> {
+        let e = self.entry(chunk)?;
+        let plen = prelude_len(self.header.cf());
+        if (e.len as usize) < plen {
+            return Err(StoreError::Format(format!("chunk {chunk} shorter than its prelude")));
+        }
+        let bytes = self.read_payload(e.offset, plen)?;
+        decode_prelude(&bytes, &self.header)
     }
 
     fn decompressor(&mut self, read_cf: usize) -> Result<&dyn Codec> {
