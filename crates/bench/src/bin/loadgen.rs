@@ -11,15 +11,15 @@
 //!
 //! Spawns `--clients` threads, each with its own connection, issuing
 //! `--requests` fetches over random chunks; a `--coarse` fraction asks for
-//! a ring-prefix decode at `--cf` (default: half the stored chop factor).
+//! a ring-prefix read at `--cf` (default: half the stored chop factor).
 //! With `--addr` it drives an already-running server; otherwise it
 //! self-hosts one over `--store` (or a generated synthetic container), so
 //! the benchmark runs with zero setup.
 //!
 //! Reports client-side throughput and exact p50/p99/max latency, plus an
 //! error taxonomy (sheds, deadline hits, retries, breaker opens) and the
-//! server's own stats frame — chunks decoded against cache misses, and the
-//! cache hit ratio showing repeat traffic skipping decompression entirely.
+//! server's own stats frame — chunks read against cache misses, and the
+//! cache hit ratio showing repeat traffic skipping the server's read.
 //! With `--verify` (implied when self-hosting) every fetched chunk is
 //! bit-compared against a direct [`DczReader`] decode — queueing and
 //! caching must not change a single bit.

@@ -126,11 +126,6 @@ pub fn final_epoch(rows: &[AccuracyRow]) -> Vec<&AccuracyRow> {
     rows.iter().filter(|r| r.epoch == max_epoch).collect()
 }
 
-/// Find the baseline ("base") row for a benchmark at the final epoch.
-pub fn baseline_final<'a>(rows: &'a [AccuracyRow], benchmark: &str) -> Option<&'a AccuracyRow> {
-    final_epoch(rows).into_iter().find(|r| r.benchmark == benchmark && r.compressor == "base")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,8 +9,6 @@
 //! the other way around. `aicomp_baselines::bitio` re-exports it, so the
 //! old path keeps working.
 
-use bytes::{BufMut, BytesMut};
-
 /// MSB-first bit writer over a growable byte buffer.
 ///
 /// Bits gather in a 64-bit accumulator and go to the buffer a whole 32-bit
@@ -18,7 +16,7 @@ use bytes::{BufMut, BytesMut};
 /// with the accumulator held in locals — the entropy coders' hot loop.
 #[derive(Debug, Default)]
 pub struct BitWriter {
-    buf: BytesMut,
+    buf: Vec<u8>,
     /// Pending bits, the newest in the low `filled` bits (`filled < 32`
     /// between calls: whole words go to `buf` as soon as they form).
     acc: u64,
@@ -33,7 +31,7 @@ impl BitWriter {
 
     /// New empty writer with room for `bytes` output bytes.
     pub fn with_capacity(bytes: usize) -> Self {
-        BitWriter { buf: BytesMut::with_capacity(bytes), ..Self::default() }
+        BitWriter { buf: Vec::with_capacity(bytes), ..Self::default() }
     }
 
     /// Append a single bit.
@@ -41,7 +39,7 @@ impl BitWriter {
         self.acc = (self.acc << 1) | bit as u64;
         self.filled += 1;
         if self.filled == 32 {
-            self.buf.put_u32(self.acc as u32);
+            self.buf.extend_from_slice(&(self.acc as u32).to_be_bytes());
             self.filled = 0;
         }
     }
@@ -72,7 +70,7 @@ impl BitWriter {
             if filled >= 32 {
                 filled -= 32;
                 // Bits above the word are older ones, already flushed.
-                self.buf.put_u32((acc >> filled) as u32);
+                self.buf.extend_from_slice(&((acc >> filled) as u32).to_be_bytes());
             }
         }
         (self.acc, self.filled) = (acc, filled);
@@ -92,7 +90,7 @@ impl BitWriter {
         }
         while self.filled > 0 {
             self.filled -= 8;
-            self.buf.put_u8((self.acc >> self.filled) as u8);
+            self.buf.push((self.acc >> self.filled) as u8);
         }
         self.buf.extend(bytes);
     }
@@ -107,12 +105,12 @@ impl BitWriter {
     pub fn finish(mut self) -> Vec<u8> {
         while self.filled >= 8 {
             self.filled -= 8;
-            self.buf.put_u8((self.acc >> self.filled) as u8);
+            self.buf.push((self.acc >> self.filled) as u8);
         }
         if self.filled > 0 {
-            self.buf.put_u8((self.acc << (8 - self.filled)) as u8);
+            self.buf.push((self.acc << (8 - self.filled)) as u8);
         }
-        self.buf.into()
+        self.buf
     }
 }
 

@@ -104,11 +104,6 @@ impl FmapCodec {
         self.chop.chop_factor()
     }
 
-    /// Quantization exponent `q`.
-    pub fn quant_exponent(&self) -> usize {
-        self.q
-    }
-
     /// Side of the compressed (quantized-coefficient) matrix.
     pub fn compressed_side(&self) -> usize {
         self.chop.compressed_side()

@@ -116,11 +116,6 @@ impl SpillPolicy {
         self.ledger
     }
 
-    /// Reset the ledger (per-step accounting) and return the old one.
-    pub fn take_ledger(&mut self) -> SpillLedger {
-        std::mem::take(&mut self.ledger)
-    }
-
     /// Try to spill `t`: returns the encoded stream if `t` is large
     /// enough, or `None` (tensor stays live) otherwise.
     pub fn try_spill(&mut self, t: &Tensor) -> Option<Vec<u8>> {

@@ -69,12 +69,6 @@ impl Param {
         let mut inner = self.0.borrow_mut();
         inner.value.axpy(1.0, delta).expect("update shape matches parameter");
     }
-
-    /// Overwrite the value (tests, checkpoint restore).
-    pub fn set_value(&self, v: Tensor) {
-        assert_eq!(v.dims(), self.0.borrow().value.dims(), "param shape is fixed");
-        self.0.borrow_mut().value = v;
-    }
 }
 
 impl std::fmt::Debug for Param {

@@ -33,9 +33,10 @@
 //! scanning when the footer is gone).
 //!
 //! `serve` runs the concurrent compression service over one or more
-//! containers (per-chunk decode workers, decoded-chunk cache, load shedding;
-//! wire format in `crates/serve/PROTOCOL.md`); `fetch`/`stats`/`shutdown`
-//! are its client-side counterparts.
+//! containers (workers that read each chunk's stored bytes, a cache of
+//! those replies, load shedding; wire format in `crates/serve/PROTOCOL.md`);
+//! `fetch`/`stats`/`shutdown` are its client-side counterparts, and `fetch`
+//! decodes the stored bytes it receives.
 //!
 //! `cluster` launches N shards of a consistent-hash cluster over the same
 //! containers on consecutive ports: every shard serves the shared

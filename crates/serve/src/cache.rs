@@ -1,12 +1,11 @@
 //! Sharded LRU cache of encoded chunk replies.
 //!
-//! Decompression is the service's only real compute (two matmuls per
-//! chunk, Eq. 5/7); the cache makes repeat traffic skip it entirely.
-//! Entries are keyed `(container, chunk, fidelity)` — the same chunk at
-//! two chop factors is two entries, because a coarse decode is *not* a
-//! slice of the full one (it is a different inverse-transform output).
+//! A miss costs a worker a chunk read (and, at the stored fidelity, its
+//! CRC); the cache makes repeat traffic skip it. Entries are keyed
+//! `(container, chunk, fidelity)` — the same chunk at two chop factors is
+//! two entries, each holding the stored bytes of its own ring prefix.
 //! Values are `Arc<ResponseSlab>`: the encoded reply the miss path built,
-//! so a hit skips the decode *and* the encode, and the bytes a hit sends
+//! so a hit skips the read *and* the slab copy, and the bytes a hit sends
 //! are the very allocation the miss path produced — bit-identity between
 //! the hit and miss paths is structural (and pinned by proptests below).
 //!
@@ -22,7 +21,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::protocol::ResponseSlab;
 
-/// Cache key: `(container id, chunk index, chop factor decoded at)`.
+/// Cache key: `(container id, chunk index, chop factor read at)`.
 pub type CacheKey = (u32, u32, u8);
 
 /// Most lock shards a cache is spread over (fewer when its capacity is

@@ -9,10 +9,19 @@
 //! pairing. Used by the `dcz` subcommands, the `loadgen` benchmark, the
 //! [`crate::RobustClient`] and the tests — many connections, one client
 //! each, is the intended way to drive the server in parallel.
+//!
+//! The client is also where a fetched chunk is decoded, as the paper
+//! places the inverse transform on the consumer: a `Chunk` reply carries
+//! the container's stored bytes, and the store's [`ChunkDecoder`] — the
+//! one every `DczReader` decodes through — turns them into samples. The
+//! first fetch from a container on a connection asks for its `Info` once
+//! to build that decoder.
 
+use std::collections::HashMap;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+use aicomp_store::ChunkDecoder;
 use aicomp_tensor::Tensor;
 
 use crate::chaos::Wire;
@@ -23,15 +32,15 @@ use crate::protocol::{
 use crate::stats::StatsReport;
 use crate::{Result, ServeError};
 
-/// One decompressed chunk as fetched over the wire.
+/// One fetched chunk, decoded by the client.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FetchedChunk {
     /// Index of the chunk's first sample in the container.
     pub first_sample: u64,
     /// Payload dims `[S, C, n, n]`.
     pub dims: [u32; 4],
-    /// Chop factor the server decoded at (a `read_cf` of 0 resolves to
-    /// the container's stored fidelity).
+    /// Chop factor the chunk was read and decoded at (a `read_cf` of 0
+    /// resolves to the container's stored fidelity).
     pub read_cf: u8,
     /// Fidelity the reply itself declares (equals `read_cf`; carried
     /// explicitly so brownout degradation is never silent).
@@ -80,6 +89,9 @@ pub struct Client {
     /// timeout leaves one behind. They are read off before the next
     /// request is written, so no reply answers the wrong request.
     owed: u32,
+    /// One chunk decoder per container fetched from, each built from the
+    /// container's `Info` reply.
+    decoders: HashMap<u32, ChunkDecoder>,
 }
 
 impl std::fmt::Debug for Client {
@@ -122,7 +134,8 @@ impl Client {
     /// version or a non-ack reply is `Protocol`, a typed rejection is
     /// `Server`.
     pub(crate) fn handshake(stream: Box<dyn Wire>, tenant: u32, weight: u8) -> Result<Client> {
-        let mut client = Client { stream, decoder: FrameDecoder::new(), owed: 0 };
+        let mut client =
+            Client { stream, decoder: FrameDecoder::new(), owed: 0, decoders: HashMap::new() };
         let hello = Request::Hello { version: PROTO_VERSION, tenant, weight: weight.max(1) };
         write_request(&mut client.stream, &hello)?;
         let Some((op, body)) = read_frame(&mut client.stream, &mut client.decoder)? else {
@@ -197,14 +210,16 @@ impl Client {
         }
     }
 
-    /// Fetch one decompressed chunk; `read_cf = 0` asks for the stored
-    /// fidelity, lower values for a coarser (cheaper) decode.
+    /// Fetch one chunk and decode it; `read_cf = 0` asks for the stored
+    /// fidelity, lower values for a coarser (shorter) ring prefix.
     pub fn fetch(&mut self, container: u32, chunk: u32, read_cf: u8) -> Result<FetchedChunk> {
         self.fetch_deadline(container, chunk, read_cf, None)
     }
 
     /// [`Client::fetch`] with a relative deadline the server enforces
-    /// *before* decoding (shedding expired work like `Overloaded`).
+    /// *before* reading (shedding expired work like `Overloaded`). Stored
+    /// bytes that do not decode are a [`ServeError::Store`]; the reply was
+    /// read whole, so the connection stays usable.
     pub fn fetch_deadline(
         &mut self,
         container: u32,
@@ -212,14 +227,29 @@ impl Client {
         read_cf: u8,
         deadline: Option<Duration>,
     ) -> Result<FetchedChunk> {
+        let mut decoder = match self.decoders.remove(&container) {
+            Some(d) => d,
+            None => ChunkDecoder::new(self.info(container)?.header()?),
+        };
         let deadline_ms = deadline.map_or(0, |d| d.as_millis().clamp(1, u32::MAX as u128) as u32);
-        let requested_cf = read_cf;
-        match self.roundtrip(&Request::Fetch { container, chunk, read_cf, deadline_ms })? {
-            Response::Chunk { first_sample, dims, read_cf, served_cf, data } => {
-                Ok(FetchedChunk { first_sample, dims, read_cf, served_cf, requested_cf, data })
+        let reply = self.roundtrip(&Request::Fetch { container, chunk, read_cf, deadline_ms });
+        let got = reply.and_then(|resp| match resp {
+            Response::Chunk { first_sample, samples, served_cf, stored } => {
+                let t = decoder.decompress(&stored, samples as usize, served_cf as usize)?;
+                let d = t.dims();
+                Ok(FetchedChunk {
+                    first_sample,
+                    dims: [d[0], d[1], d[2], d[3]].map(|x| x as u32),
+                    read_cf: served_cf,
+                    served_cf,
+                    requested_cf: read_cf,
+                    data: t.into_vec(),
+                })
             }
             other => Err(unexpected("Chunk", &other)),
-        }
+        });
+        self.decoders.insert(container, decoder);
+        got
     }
 
     /// Fetch the server's counters and histograms.
@@ -289,20 +319,31 @@ mod tests {
 
     use crate::chaos::scripted::{timeout, Scripted};
     use crate::protocol::{encode_frame, encode_response, ErrorCode};
+    use aicomp_store::chunk::encode_chunk;
 
     fn reply(resp: &Response) -> Vec<u8> {
         let (op, body) = encode_response(resp);
         encode_frame(op, &body).unwrap()
     }
 
+    /// The `Info` reply a fetch from container 0 asks for first.
+    fn info() -> Vec<u8> {
+        reply(&Response::Info(ContainerInfo {
+            samples: 24,
+            chunks: 12,
+            chunk_size: 2,
+            channels: 1,
+            n: 8,
+            cf: 3,
+            codec: "dct2d-n8-cf3".into(),
+        }))
+    }
+
     fn chunk(first_sample: u64) -> Response {
-        Response::Chunk {
-            first_sample,
-            dims: [2, 1, 4, 4],
-            read_cf: 3,
-            served_cf: 3,
-            data: (0..32).map(|i| i as f32 / 3.0 - first_sample as f32).collect(),
-        }
+        let coeffs = (0..18).map(|i| i as f32 / 3.0 - first_sample as f32).collect();
+        let coeffs = Tensor::from_vec(coeffs, [2, 1, 3, 3]).unwrap();
+        let stored = encode_chunk(&coeffs, 3).unwrap();
+        Response::Chunk { first_sample, samples: 2, served_cf: 3, stored }
     }
 
     #[test]
@@ -313,7 +354,7 @@ mod tests {
 
         // The late reply is read off whole, and the next request gets its
         // own reply.
-        let script = [Ok(ack.clone()), Ok(late[..half].to_vec()), timeout()]
+        let script = [Ok(ack.clone()), Ok(info()), Ok(late[..half].to_vec()), timeout()]
             .into_iter()
             .chain([Ok(late[half..].to_vec()), Ok(next.clone())]);
         let mut client =
@@ -325,7 +366,7 @@ mod tests {
 
         // Without an explicit drain, the next request reads the owed reply
         // off first instead of taking it as its own answer.
-        let script = [Ok(ack), Ok(late[..half].to_vec()), timeout()]
+        let script = [Ok(ack), Ok(info()), Ok(late[..half].to_vec()), timeout()]
             .into_iter()
             .chain([Ok(late[half..].to_vec()), Ok(reply(&Response::Pong))]);
         let mut client =

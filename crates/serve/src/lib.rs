@@ -17,11 +17,16 @@
 //!   ride the store's frequency-ring layout, so they are *prefix reads*
 //!   bit-identical to a direct coarse compression.
 //! * **Stay compressed until the last moment** — EBPC (Cavigelli et al.,
-//!   arXiv:1908.11645): bytes cross the disk and the queue compressed;
-//!   each of the [`server`]'s workers decodes one chunk per job through
-//!   the store's own `SharedReader::decompress_chunk_at`, and the encoded
-//!   reply fans out through a sharded LRU [`cache`] keyed `(container,
-//!   chunk, fidelity)`.
+//!   arXiv:1908.11645), and the paper's own deployment, which moves
+//!   DCT+Chop coefficients and runs the inverse matmuls on the consumer:
+//!   bytes cross the disk, the queue *and the wire* compressed. Each of
+//!   the [`server`]'s workers reads one chunk's stored bytes per job
+//!   through the store's `SharedReader::read_chunk_bytes_at` (the ring
+//!   prefix for a coarse fetch), the reply fans out through a sharded LRU
+//!   [`cache`] keyed `(container, chunk, fidelity)`, and the [`client`]
+//!   decodes with the store's `ChunkDecoder` — the decoder every
+//!   `DczReader` uses, so a fetched chunk is bit-identical to a local
+//!   read.
 //!
 //! Overload is a typed answer, not a hang — and shedding is the *last*
 //! resort, not the first. Admission runs through a weighted-fair
@@ -45,8 +50,8 @@
 //! * [`queue`] — the weighted-fair admission queue [`Wfq`] (per-tenant
 //!   lanes, deficit-round-robin drain, quotas, a priority lane for cheap
 //!   ring-prefix fetches); `try_push` is the load-shedding edge.
-//! * [`cache`] — sharded LRU over encoded chunk replies, holding exactly
-//!   its configured number of entries.
+//! * [`cache`] — sharded LRU over encoded chunk replies (stored bytes),
+//!   holding exactly its configured number of entries.
 //! * [`stats`] — one declaration table of named counters and
 //!   histograms, from which the live atomics, the serializable
 //!   [`StatsReport`], and its positional wire encoding and display are
@@ -58,7 +63,9 @@
 //! * [`client`] — blocking client used by the `dcz` subcommands, the
 //!   `loadgen` benchmark, the [`RobustClient`], and the tests. It owns
 //!   every client-side rule: the `Hello` exchange, one persistent
-//!   [`FrameDecoder`] per connection, and request/reply pairing.
+//!   [`FrameDecoder`] per connection, request/reply pairing, and the
+//!   decode of each fetched chunk (one chunk decoder per container,
+//!   built from one `Info` round trip).
 //! * [`chaos`] — seeded, deterministic wire-fault injection
 //!   ([`FaultyStream`]): the network analogue of the store's `FaultPlan`.
 //! * [`robust`] — [`RobustClient`]: bounded retry with backoff,
@@ -110,7 +117,10 @@ pub enum ServeError {
         /// Human-readable detail.
         message: String,
     },
-    /// Container-layer failure while starting the server.
+    /// Container-layer failure: a store the server could not open at
+    /// bind, or stored bytes a client could not decode. Never retryable —
+    /// the same bytes fail the same way — and a fetch reply that fails to
+    /// decode was read whole, so its connection stays usable.
     Store(aicomp_store::StoreError),
     /// The server answered a fetch with a typed shard redirect: it does
     /// not serve that key under the map at `epoch`. Not a failure of the
@@ -123,9 +133,9 @@ pub enum ServeError {
         /// Shard index of the key's primary owner under that map.
         owner: u32,
     },
-    /// A container offered to [`Server::bind`] holds chunks whose decoded
-    /// reply cannot fit in one frame ([`MAX_FRAME`]), so no fetch of it
-    /// could ever be answered.
+    /// A container offered to [`Server::bind`] holds a chunk whose stored
+    /// bytes cannot fit in one `Chunk` reply frame ([`MAX_FRAME`]), so no
+    /// full-fidelity fetch of it could ever be answered.
     ReplyTooLarge {
         /// The container's path.
         store: String,

@@ -8,16 +8,18 @@
 //! analogue of the store's per-chunk CRC. Requests use opcodes
 //! `0x01..=0x08`, responses `0x81..=0x89` plus the error frame `0x7F`. All
 //! integers are little-endian; strings are `u16` length + UTF-8 bytes;
-//! chunk payloads are raw little-endian `f32`. Every field is mandatory:
-//! decoders reject both short bodies and bytes left after the body.
+//! a chunk payload is the container's stored bytes for the served
+//! fidelity (the chunk prelude plus rings `0..served_cf`), which the
+//! client decodes. Every field is mandatory: decoders reject both short
+//! bodies and bytes left after the body.
 //!
 //! A connection starts with a `Hello` exchange carrying
 //! [`PROTO_VERSION`]. There is one version and no negotiation: a peer
 //! speaking any other version gets a typed error and a close instead of a
 //! desynchronized stream. Fidelity is chosen per request: a `Fetch`
-//! carries the chop factor to decode at (`0` = the container's stored
+//! carries the chop factor to read at (`0` = the container's stored
 //! fidelity) and a relative deadline (`deadline_ms`, `0` = none) the
-//! server enforces before decoding; the reply carries the factor actually
+//! server enforces before reading; the reply carries the factor actually
 //! served.
 //!
 //! This module is the one implementation of framing: [`encode_frame`]
@@ -32,13 +34,14 @@ use std::io::{ErrorKind, Read, Write};
 use std::sync::Arc;
 
 use aicomp_store::crc::Crc32;
+use aicomp_store::Header;
 
 use crate::shard::ShardMap;
 use crate::stats::StatsReport;
 use crate::{Result, ServeError};
 
 /// The protocol version this build speaks (in the `Hello` exchange).
-pub const PROTO_VERSION: u16 = 6;
+pub const PROTO_VERSION: u16 = 7;
 /// Magic leading the `Hello` request body.
 pub const PROTO_MAGIC: [u8; 4] = *b"DCZS";
 /// Upper bound on a frame (1 MiB control + payload chunks well under it).
@@ -64,7 +67,7 @@ pub enum ErrorCode {
     /// The server is draining connections for shutdown.
     ShuttingDown,
     /// The request's deadline expired before the server reached it (shed
-    /// from the queue without decoding), or the server closed a connection
+    /// from the queue without a read), or the server closed a connection
     /// that idled/stalled past its read deadline. Retryable — with a fresh
     /// deadline.
     DeadlineExceeded,
@@ -152,14 +155,14 @@ pub enum Request {
         /// Container id (position in the server's `--store` list).
         container: u32,
     },
-    /// Fetch one decompressed chunk at a chosen fidelity.
+    /// Fetch one chunk's stored bytes at a chosen fidelity.
     Fetch {
         /// Container id.
         container: u32,
         /// Chunk index within the container.
         chunk: u32,
-        /// Chop factor to decode at; `0` means the stored fidelity, a
-        /// lower value is served from a ring-prefix read.
+        /// Chop factor to read at; `0` means the stored fidelity, a lower
+        /// value is served from a ring-prefix read.
         read_cf: u8,
         /// Relative deadline in milliseconds; `0` means none.
         deadline_ms: u32,
@@ -213,6 +216,33 @@ pub struct ContainerInfo {
     pub codec: String,
 }
 
+impl ContainerInfo {
+    /// The container header this description implies: what a client's
+    /// chunk decoder reads the container's stored bytes by. A codec name
+    /// that does not parse, or disagrees with `n` and `cf`, is a protocol
+    /// error; a header the store cannot read is a store error.
+    pub fn header(&self) -> Result<Header> {
+        let codec = self.codec.parse().map_err(|e| {
+            ServeError::Protocol(format!("unreadable codec name {:?}: {e}", self.codec))
+        })?;
+        let h = Header {
+            codec,
+            channels: self.channels,
+            sample_count: self.samples,
+            chunk_size: self.chunk_size,
+            chunk_count: self.chunks,
+        };
+        h.validate()?;
+        if (h.n(), h.cf()) != (self.n as usize, usize::from(self.cf)) {
+            return Err(ServeError::Protocol(format!(
+                "codec {} disagrees with n {} and cf {}",
+                self.codec, self.n, self.cf
+            )));
+        }
+        Ok(h)
+    }
+}
+
 /// Server → client frames.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
@@ -223,20 +253,19 @@ pub enum Response {
     },
     /// Container description.
     Info(ContainerInfo),
-    /// One decompressed chunk.
+    /// One chunk's stored bytes, for the client to decode.
     Chunk {
         /// Index of the chunk's first sample in the container.
         first_sample: u64,
-        /// Payload dims `[S, C, n', n']`.
-        dims: [u32; 4],
-        /// Chop factor the data was decoded at.
-        read_cf: u8,
-        /// Fidelity the server actually served (equals `read_cf`; carried
-        /// explicitly so a brownout-degraded reply is flagged, never
-        /// silent — the client compares it against what it *requested*).
+        /// Samples the chunk holds.
+        samples: u32,
+        /// Fidelity the server read (carried explicitly so a
+        /// brownout-degraded reply is flagged, never silent — the client
+        /// compares it against what it *requested*).
         served_cf: u8,
-        /// Row-major samples (`dims` product many values).
-        data: Vec<f32>,
+        /// The chunk prelude plus the sections of rings `0..served_cf`,
+        /// as the container stores them.
+        stored: Vec<u8>,
     },
     /// Counters and histograms snapshot (boxed: the per-tenant ledger
     /// makes the report by far the largest variant).
@@ -340,15 +369,6 @@ impl<'a> BodyReader<'a> {
             .map_err(|_| ServeError::Protocol("string field is not UTF-8".into()))
     }
 
-    pub(crate) fn f32s(&mut self, count: usize) -> Result<Vec<f32>> {
-        let raw = self.take(
-            count
-                .checked_mul(4)
-                .ok_or_else(|| ServeError::Protocol("f32 payload length overflows".into()))?,
-        )?;
-        Ok(raw.chunks_exact(4).map(|b| f32::from_le_bytes(b.try_into().unwrap())).collect())
-    }
-
     pub(crate) fn finish(self) -> Result<()> {
         if self.at == self.buf.len() {
             Ok(())
@@ -448,11 +468,8 @@ pub fn encode_response(resp: &Response) -> (u8, Vec<u8>) {
             put_string(&mut b, &info.codec);
             OP_R_INFO
         }
-        Response::Chunk { first_sample, dims, read_cf, served_cf, data } => {
-            put_chunk_header(&mut b, *first_sample, *dims, *read_cf, *served_cf, data.len());
-            for v in data {
-                b.extend_from_slice(&v.to_le_bytes());
-            }
+        Response::Chunk { first_sample, samples, served_cf, stored } => {
+            b = chunk_body(*first_sample, *samples, *served_cf, stored);
             OP_R_CHUNK
         }
         Response::Stats(report) => {
@@ -484,33 +501,25 @@ pub fn encode_response(resp: &Response) -> (u8, Vec<u8>) {
     (op, b)
 }
 
-/// Bytes of the fixed `Chunk` header: `first_sample`, four dims,
-/// `read_cf`, `served_cf`.
-const CHUNK_HEADER: u64 = 8 + 16 + 2;
+/// Bytes of the fixed `Chunk` fields: `first_sample`, `samples`,
+/// `served_cf` and the stored-bytes length.
+const CHUNK_HEADER: u64 = 8 + 4 + 1 + 4;
 
 /// The `len` field (opcode + body + CRC) of a `Chunk` reply carrying
-/// `values` payload floats: the figure [`MAX_FRAME`] bounds.
-pub(crate) fn chunk_frame_len(values: u64) -> u64 {
-    values.saturating_mul(4).saturating_add(1 + CHUNK_HEADER + 4)
+/// `stored` bytes: the figure [`MAX_FRAME`] bounds.
+pub(crate) fn chunk_frame_len(stored: u64) -> u64 {
+    stored.saturating_add(1 + CHUNK_HEADER + 4)
 }
 
-/// Write the fixed `Chunk` header — `first_sample`, `dims`, `read_cf`,
-/// `served_cf` — reserving room for `values` payload floats behind it.
-fn put_chunk_header(
-    b: &mut Vec<u8>,
-    first_sample: u64,
-    dims: [u32; 4],
-    read_cf: u8,
-    served_cf: u8,
-    values: usize,
-) {
-    b.reserve(CHUNK_HEADER as usize + values * 4);
+/// The body of a `Chunk` reply.
+fn chunk_body(first_sample: u64, samples: u32, served_cf: u8, stored: &[u8]) -> Vec<u8> {
+    let mut b = Vec::with_capacity(CHUNK_HEADER as usize + stored.len());
     b.extend_from_slice(&first_sample.to_le_bytes());
-    for d in dims {
-        b.extend_from_slice(&d.to_le_bytes());
-    }
-    b.push(read_cf);
+    b.extend_from_slice(&samples.to_le_bytes());
     b.push(served_cf);
+    b.extend_from_slice(&(stored.len() as u32).to_le_bytes());
+    b.extend_from_slice(stored);
+    b
 }
 
 /// Parse a response from its `(opcode, body)` pair.
@@ -527,18 +536,15 @@ pub fn decode_response(op: u8, body: &[u8]) -> Result<Response> {
             cf: r.u8()?,
             codec: r.string()?,
         }),
-        OP_R_CHUNK => {
-            let first_sample = r.u64()?;
-            let dims = [r.u32()?, r.u32()?, r.u32()?, r.u32()?];
-            let read_cf = r.u8()?;
-            let served_cf = r.u8()?;
-            let count = dims.iter().try_fold(1usize, |acc, &d| {
-                acc.checked_mul(d as usize)
-                    .ok_or_else(|| ServeError::Protocol("chunk dims overflow".into()))
-            })?;
-            let data = r.f32s(count)?;
-            Response::Chunk { first_sample, dims, read_cf, served_cf, data }
-        }
+        OP_R_CHUNK => Response::Chunk {
+            first_sample: r.u64()?,
+            samples: r.u32()?,
+            served_cf: r.u8()?,
+            stored: {
+                let len = r.u32()? as usize;
+                r.take(len)?.to_vec()
+            },
+        },
         OP_R_STATS => Response::Stats(Box::new(StatsReport::decode(&mut r)?)),
         OP_R_PONG => Response::Pong,
         OP_R_SHUTDOWN => Response::ShuttingDown,
@@ -645,8 +651,8 @@ impl FrameDecoder {
 
 /// One encoded response body shared zero-copy across connections.
 ///
-/// Workers build a slab once per decoded chunk (straight from the tensor
-/// data — no intermediate `Vec<f32>`); each connection serving it writes
+/// Workers build a slab once per chunk read (its stored bytes behind the
+/// `Chunk` fields); each connection serving it writes
 /// `header ++ body ++ trailer`. The body `Arc` is the only large
 /// allocation and it is never copied per connection. The CRC is computed
 /// once at build time, so serving a slab costs no hashing either.
@@ -664,18 +670,13 @@ impl ResponseSlab {
         ResponseSlab { op, body: body.into(), crc }
     }
 
-    /// Encode a `Response::Chunk` body directly from tensor data. The
-    /// `served_cf` field always equals the decoded fidelity — a slab is
+    /// Encode a `Response::Chunk` body around a chunk's stored bytes. The
+    /// `served_cf` field is the fidelity those bytes hold — a slab is
     /// cached and shared across requests, so it can only describe what
     /// it *contains*; degradation is judged against what each client
     /// *asked* for.
-    pub fn chunk(first_sample: u64, dims: [u32; 4], read_cf: u8, data: &[f32]) -> ResponseSlab {
-        let mut b = Vec::new();
-        put_chunk_header(&mut b, first_sample, dims, read_cf, read_cf, data.len());
-        for v in data {
-            b.extend_from_slice(&v.to_le_bytes());
-        }
-        ResponseSlab::new(OP_R_CHUNK, b)
+    pub fn chunk(first_sample: u64, samples: u32, served_cf: u8, stored: &[u8]) -> ResponseSlab {
+        ResponseSlab::new(OP_R_CHUNK, chunk_body(first_sample, samples, served_cf, stored))
     }
 
     /// Frame header for this slab: `[len u32 LE][opcode]`.
@@ -815,18 +816,16 @@ mod tests {
         }));
         roundtrip_response(Response::Chunk {
             first_sample: 16,
-            dims: [2, 1, 4, 4],
-            read_cf: 4,
+            samples: 2,
             served_cf: 4,
-            data: (0..32).map(|i| i as f32 / 7.0 - 2.0).collect(),
+            stored: (0..40).map(|i| (i * 7) as u8).collect(),
         });
         // A brownout-degraded reply carries its served fidelity.
         roundtrip_response(Response::Chunk {
             first_sample: 0,
-            dims: [1, 1, 2, 2],
-            read_cf: 2,
+            samples: 1,
             served_cf: 2,
-            data: vec![0.5, -0.5, 1.5, -1.5],
+            stored: vec![5, 0, 250],
         });
         roundtrip_response(Response::Pong);
         roundtrip_response(Response::ShuttingDown);
@@ -865,13 +864,7 @@ mod tests {
         }
         let responses = [
             Response::Hello { version: PROTO_VERSION },
-            Response::Chunk {
-                first_sample: 4,
-                dims: [1, 1, 2, 2],
-                read_cf: 3,
-                served_cf: 3,
-                data: vec![1.0, 2.0, 3.0, 4.0],
-            },
+            Response::Chunk { first_sample: 4, samples: 1, served_cf: 3, stored: vec![1, 2, 3, 4] },
             Response::MapPushed { epoch: 7, installed: true },
         ];
         for resp in responses {
@@ -959,20 +952,9 @@ mod tests {
 
     #[test]
     fn slabs_frame_identically_to_plain_encoding() {
-        let resp = Response::Chunk {
-            first_sample: 9,
-            dims: [2, 1, 4, 4],
-            read_cf: 3,
-            served_cf: 3,
-            data: (0..32).map(|i| i as f32 / 3.0 - 5.0).collect(),
-        };
-        let (data, first_sample, dims, read_cf) = match &resp {
-            Response::Chunk { first_sample, dims, read_cf, data, .. } => {
-                (data.clone(), *first_sample, *dims, *read_cf)
-            }
-            _ => unreachable!(),
-        };
-        let slab = ResponseSlab::chunk(first_sample, dims, read_cf, &data);
+        let stored: Vec<u8> = (0..64).map(|i| (i * 13 + 5) as u8).collect();
+        let slab = ResponseSlab::chunk(9, 2, 3, &stored);
+        let resp = Response::Chunk { first_sample: 9, samples: 2, served_cf: 3, stored };
         let (op, body) = encode_response(&resp);
         let want = encode_frame(op, &body).unwrap();
         let mut got = slab.header().to_vec();
@@ -983,7 +965,7 @@ mod tests {
 
     #[test]
     fn slab_fanout_shares_one_allocation() {
-        let slab = Arc::new(ResponseSlab::chunk(0, [1, 1, 2, 2], 1, &[1.0, 2.0, 3.0, 4.0]));
+        let slab = Arc::new(ResponseSlab::chunk(0, 1, 1, &[1, 2, 3, 4]));
         let a = Arc::clone(slab.body());
         let b = Arc::clone(slab.body());
         assert!(Arc::ptr_eq(&a, &b), "fan-out must be refcounts, not copies");

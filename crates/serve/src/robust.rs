@@ -78,7 +78,7 @@ pub struct RobustConfig {
     pub retry: RetryPolicy,
     /// Overall wall-clock budget per call (`None` = unbounded). Also
     /// forwarded to the server as the request deadline, so work the
-    /// client will no longer wait for is shed before decoding.
+    /// client will no longer wait for is shed before it is read.
     pub timeout: Option<Duration>,
     /// Consecutive failures that open an endpoint's breaker.
     pub breaker_threshold: u32,
@@ -330,12 +330,7 @@ impl RobustClient {
         Arc::clone(&self.wire)
     }
 
-    /// The breaker state of endpoint `index` (test/introspection hook).
-    pub fn breaker_state(&self, index: usize) -> Option<BreakerState> {
-        self.endpoints.get(index).map(|e| e.breaker.state)
-    }
-
-    /// Fetch one decompressed chunk (retried/failed-over; see module doc).
+    /// Fetch and decode one chunk (retried/failed-over; see module doc).
     /// A browned-out server may answer below `read_cf`; the reply's
     /// [`FetchedChunk::degraded`] flag says so and the `degraded` counter
     /// tallies it — use [`RobustClient::fetch_full`] to insist.

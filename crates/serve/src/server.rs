@@ -10,11 +10,12 @@
 //!   a full queue is answered with a typed `Overloaded` frame
 //!   immediately (load shedding, never a silent drop);
 //! * a fixed **worker pool** draining the queue. Each worker pops one
-//!   job and decodes its chunk through the container's
-//!   [`SharedReader::decompress_chunk_at`] — the same `DczReader` call
-//!   the prefetch loader, `dcz unpack` and every bit-identity check make,
-//!   so a served chunk *is* the reference decode. It encodes the reply
-//!   slab once, caches it, and answers the job.
+//!   job and reads its chunk's stored bytes through the container's
+//!   [`SharedReader::read_chunk_bytes_at`] — the `DczReader` read behind
+//!   every decode, CRC-checked at the stored fidelity. It wraps them in
+//!   the reply slab once, caches it, and answers the job. The server runs
+//!   no codec: the client decodes the bytes with the store's own chunk
+//!   decoder, so a served chunk *is* the reference decode.
 //!
 //! Graceful shutdown is a strict ordering: the `Shutdown` frame (or
 //! [`ServerHandle::shutdown`]) sets the flag → the listener stops
@@ -52,8 +53,7 @@ use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use aicomp_store::{Header, SharedReader, StoreError};
-use aicomp_tensor::Tensor;
+use aicomp_store::{IndexEntry, SharedReader, StoreError};
 
 use crate::cache::ChunkCache;
 use crate::chaos::{FaultyStream, Wire, WireFaultPlan};
@@ -70,13 +70,14 @@ use crate::ServeError;
 /// deployments; the `dcz serve` CLI exposes each as a flag.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Decompression worker threads. Each one owns a core and runs the
-    /// codec serially on it: parallelism comes from decoding one chunk per
-    /// worker at once, not from splitting one chunk's matmuls.
+    /// Worker threads. Each pops one admitted fetch at a time, reads the
+    /// chunk's stored bytes (CRC-checked at the stored fidelity) and wraps
+    /// them in the reply slab; decoding is the client's.
     pub workers: usize,
     /// Admission queue bound — beyond this, fetches are shed.
     pub queue_depth: usize,
-    /// Decoded-chunk cache capacity, in chunks (0 disables caching).
+    /// Reply-slab cache capacity, in entries (0 disables caching). An
+    /// entry is one chunk's stored bytes at one fidelity.
     pub cache_entries: usize,
     /// Test/bench knob: sleep this long before every job a worker pops,
     /// so saturation (and thus shedding) is reproducible.
@@ -100,12 +101,12 @@ pub struct ServeConfig {
     /// Deficit-round-robin quantum: pops a weight-1 tenant may take per
     /// scheduling round (a weight-`w` tenant gets `w × quantum`).
     pub quantum: u64,
-    /// Per-tenant cap on requests in flight (queued + decoding but not
+    /// Per-tenant cap on requests in flight (queued or being read but not
     /// yet answered); `0` is unlimited. Excess is shed with a typed
     /// `Overloaded` naming the tenant — the offender pays, not the pool.
     pub tenant_inflight: usize,
-    /// Per-tenant cap on estimated in-flight reply bytes; `0` is
-    /// unlimited.
+    /// Per-tenant cap on in-flight reply bytes, each fetch charged its
+    /// chunk's stored length; `0` is unlimited.
     pub tenant_bytes: u64,
     /// Brownout governor: degrade served fidelity under pressure instead
     /// of shedding. `None` (the default) disables it — fetches are served
@@ -173,8 +174,8 @@ pub struct BrownoutConfig {
     pub high_watermark: f64,
     /// Step fidelity back *up* when the fill fraction drops to this.
     pub low_watermark: f64,
-    /// A worker job (read, decode and encode of one chunk) slower than
-    /// this also counts as pressure: queue depth alone misses a slow disk.
+    /// A worker job (the read and slab of one chunk) slower than this
+    /// also counts as pressure: queue depth alone misses a slow disk.
     pub slow_batch: Duration,
     /// Minimum time between level changes in either direction.
     pub dwell: Duration,
@@ -250,11 +251,11 @@ impl Brownout {
 /// shareable reply slab, or a typed error.
 type JobResult = std::result::Result<Arc<ResponseSlab>, (ErrorCode, String)>;
 
-/// One admitted cache miss: decode `chunk` of `container` at `read_cf`
+/// One admitted cache miss: read `chunk` of `container` at `read_cf`
 /// (already resolved — never 0) and send the result to `reply`. A job
 /// that sits in the queue past `expires` is shed with
-/// `DeadlineExceeded` instead of decoded — by then the client has (or
-/// should have) moved on, so decoding would burn a worker pass on an
+/// `DeadlineExceeded` instead of read — by then the client has (or
+/// should have) moved on, so reading would burn a worker pass on an
 /// answer nobody reads.
 struct Job {
     container: u32,
@@ -265,7 +266,7 @@ struct Job {
     /// Admitting tenant — `Wfq::complete` releases its quota when the
     /// reply is sent.
     tenant: u32,
-    /// Estimated reply bytes charged against the tenant's byte quota.
+    /// Reply bytes charged against the tenant's byte quota.
     cost: u64,
 }
 
@@ -307,8 +308,8 @@ struct ShardSlot {
 }
 
 /// State shared by the listener, connection threads, and workers. The
-/// cache stores *encoded* reply slabs, so a hit skips both the decode and
-/// the re-encode, and fan-out is an `Arc` bump.
+/// cache stores *encoded* reply slabs, so a hit skips the read and the
+/// slab copy, and fan-out is an `Arc` bump.
 struct Shared {
     containers: Vec<SharedReader>,
     queue: Wfq<Job>,
@@ -356,7 +357,7 @@ impl Server {
             let reader = SharedReader::open(p)?;
             // A reply that cannot be framed could never be answered:
             // refuse the container now instead of failing every fetch.
-            let frame_len = largest_reply_frame(reader.header());
+            let frame_len = largest_reply_frame(reader.index());
             if frame_len > u64::from(MAX_FRAME) {
                 let store = p.as_ref().display().to_string();
                 return Err(ServeError::ReplyTooLarge { store, frame_len });
@@ -431,9 +432,7 @@ impl Server {
             // closing the queue lets any workers that did start exit.
             let handle = thread::Builder::new()
                 .name(format!("serve-worker-{i}"))
-                // The worker owns a core, so the codec's matmuls run inline
-                // on it instead of spawning threads per decode.
-                .spawn(move || rayon::in_worker(|| worker_loop(&worker_shared)))
+                .spawn(move || worker_loop(&worker_shared))
                 .map_err(|e| {
                     shared.queue.close();
                     ServeError::Io(e)
@@ -553,12 +552,9 @@ fn reject_at_accept(shared: &Shared, stream: std::net::TcpStream) {
 }
 
 /// The `len` field of the largest `Chunk` reply a container can produce:
-/// its fullest chunk, decoded at full resolution (a decoded reply is
-/// `n × n` whatever the fidelity asked for).
-fn largest_reply_frame(h: &Header) -> u64 {
-    let samples = u64::from(h.chunk_size).min(h.sample_count);
-    let n = h.n() as u64;
-    protocol::chunk_frame_len(samples.saturating_mul(u64::from(h.channels)).saturating_mul(n * n))
+/// its longest chunk's stored bytes, served whole at the stored fidelity.
+fn largest_reply_frame(index: &[IndexEntry]) -> u64 {
+    protocol::chunk_frame_len(index.iter().map(|e| u64::from(e.len)).max().unwrap_or(0))
 }
 
 fn classify(e: &StoreError) -> ErrorCode {
@@ -584,7 +580,7 @@ fn worker_loop(shared: &Shared) {
         }
         let t0 = Instant::now();
         process_job(shared, job);
-        // Job wall time feeds the brownout governor: a slow decode is
+        // Job wall time feeds the brownout governor: a slow read is
         // pressure even when the queue looks shallow.
         shared.brownout.observe(
             shared.queue.len(),
@@ -595,15 +591,15 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Answer one admitted fetch: decode its chunk and encode **one** shared
-/// [`ResponseSlab`] — the only per-chunk memcpy on the reply path — that
-/// the cache and the client both hold.
+/// Answer one admitted fetch: read its chunk's stored bytes and copy them
+/// into **one** shared [`ResponseSlab`] — the only per-chunk memcpy on the
+/// reply path — that the cache and the client both hold.
 fn process_job(shared: &Shared, job: Job) {
-    // Shed a job whose deadline expired while it queued — before any read
-    // or decode work, the same pre-worker edge as `Overloaded`.
+    // Shed a job whose deadline expired while it queued — before any read,
+    // the same pre-worker edge as `Overloaded`.
     if job.expires.is_some_and(|e| e <= Instant::now()) {
         shared.stats.deadline_rejected.fetch_add(1, Ordering::Relaxed);
-        let message = format!("chunk {}: deadline expired before decode", job.chunk);
+        let message = format!("chunk {}: deadline expired before read", job.chunk);
         return job.finish(shared, Err((ErrorCode::DeadlineExceeded, message)));
     }
     // Re-check the cache under the key a sibling worker may have filled
@@ -614,10 +610,13 @@ fn process_job(shared: &Shared, job: Job) {
     }
     // Containers/chunks/fidelities were validated at admission.
     let reader = &shared.containers[job.container as usize];
-    let result = match reader.decompress_chunk_at(job.chunk as usize, job.read_cf as usize) {
-        Ok(part) => {
+    let result = match reader.read_chunk_bytes_at(job.chunk as usize, job.read_cf as usize) {
+        Ok(stored) => {
             shared.stats.chunks_decoded.fetch_add(1, Ordering::Relaxed);
-            encode_chunk_slab(shared, reader, &job, &part)
+            let e = reader.index()[job.chunk as usize];
+            let slab = ResponseSlab::chunk(e.first_sample, e.samples, job.read_cf, &stored);
+            shared.stats.slab_bytes_copied.fetch_add(slab.body().len() as u64, Ordering::Relaxed);
+            Ok(Arc::new(slab))
         }
         Err(e) => Err((classify(&e), format!("chunk {}: {e}", job.chunk))),
     };
@@ -625,37 +624,6 @@ fn process_job(shared: &Shared, job: Job) {
         shared.cache.insert(key, Arc::clone(slab));
     }
     job.finish(shared, result);
-}
-
-/// Encode one decoded chunk into its shared reply slab (the single
-/// encode; `slab_bytes_copied` counts it).
-fn encode_chunk_slab(
-    shared: &Shared,
-    reader: &SharedReader,
-    job: &Job,
-    part: &Tensor,
-) -> JobResult {
-    let d = part.dims();
-    if d.len() != 4 {
-        return Err((
-            ErrorCode::Internal,
-            format!(
-                "decoded chunk {} of container {} has {} dims",
-                job.chunk,
-                job.container,
-                d.len()
-            ),
-        ));
-    }
-    let first_sample = reader.index()[job.chunk as usize].first_sample;
-    let slab = ResponseSlab::chunk(
-        first_sample,
-        [d[0] as u32, d[1] as u32, d[2] as u32, d[3] as u32],
-        job.read_cf,
-        part.data(),
-    );
-    shared.stats.slab_bytes_copied.fetch_add(slab.body().len() as u64, Ordering::Relaxed);
-    Ok(Arc::new(slab))
 }
 
 // ------------------------------------------------------------ connections
@@ -976,7 +944,7 @@ enum Admission {
 /// result when the job queues.
 ///
 /// Brownout applies *before* the cache lookup, so the cache key, the
-/// worker's decode, and the reply's `served_cf` all see the same
+/// worker's read, and the reply's `served_cf` all see the same
 /// effective fidelity — a degraded reply is
 /// indistinguishable from an honest coarse fetch at that level, which
 /// is exactly the §3.2 prefix property.
@@ -1025,8 +993,7 @@ fn admit_fetch(
             format!("chunk {chunk} (container has {})", reader.chunk_count()),
         )));
     }
-    let h = reader.header();
-    let stored = h.cf() as u8;
+    let stored = reader.header().cf() as u8;
     let resolved = if read_cf == 0 { stored } else { read_cf };
     if resolved > stored {
         return Admission::Rejected(Box::new(err(
@@ -1050,9 +1017,9 @@ fn admit_fetch(
         count_degraded();
         return Admission::Ready(hit);
     }
-    // Quota charge: the decoded reply payload, estimated from container
-    // geometry (an upper bound — the tail chunk may be shorter).
-    let cost = (h.chunk_size as u64 * h.channels as u64 * (h.n() * h.n()) as u64) * 4;
+    // Quota charge: the chunk's stored length (an upper bound — a ring
+    // prefix is shorter).
+    let cost = u64::from(reader.index()[chunk as usize].len);
     // Coarser-than-stored fetches are cheap ring-prefix reads — they ride
     // the priority lane so brownout relief is not stuck behind the very
     // backlog it is trying to drain.
@@ -1112,6 +1079,7 @@ mod tests {
     use crate::protocol::{decode_response, encode_frame, encode_request};
     use aicomp_store::writer::pack_file;
     use aicomp_store::StoreOptions;
+    use aicomp_tensor::Tensor;
     use std::io::Write;
     use std::net::TcpStream;
     use std::path::PathBuf;
@@ -1660,22 +1628,16 @@ mod tests {
 
     #[test]
     fn bind_refuses_containers_whose_replies_cannot_be_framed() {
-        let header = |codec: &str, channels, sample_count, chunk_size| Header {
-            codec: codec.parse().unwrap(),
-            channels,
-            sample_count,
-            chunk_size,
-            chunk_count: 1,
-        };
-        // `len` = opcode 1 + Chunk header 26 + payload + CRC 4.
-        let n64 = |samples: u64| 31 + samples * 64 * 64 * 4;
-        assert_eq!(largest_reply_frame(&header("dct2d-n64-cf4", 1, 4095, 4095)), n64(4095));
-        assert!(n64(4095) <= u64::from(MAX_FRAME) && n64(4096) > u64::from(MAX_FRAME));
-        // The fullest chunk holds min(chunk_size, sample_count) samples,
-        // each `channels × n × n` floats whatever the fidelity.
-        assert_eq!(largest_reply_frame(&header("dct2d-n64-cf4", 1, 4095, 8192)), n64(4095));
-        assert_eq!(largest_reply_frame(&header("dct2d-n64-cf4", 1, 9000, 4096)), n64(4096));
-        assert_eq!(largest_reply_frame(&header("dct2d-n32-cf2", 4, 4097, 1024)), n64(1024));
+        let entry = |len| IndexEntry { offset: 0, len, first_sample: 0, samples: 1, crc: 0 };
+        let index = |lens: &[u32]| lens.iter().map(|&l| entry(l)).collect::<Vec<_>>();
+        // `len` = opcode 1 + Chunk fields 17 + stored bytes + CRC 4, for the
+        // longest chunk in the index, whatever the fidelity asked for.
+        let frame = |stored: u32| 22 + u64::from(stored);
+        let fits = MAX_FRAME - 22;
+        assert_eq!(largest_reply_frame(&index(&[fits])), u64::from(MAX_FRAME));
+        assert_eq!(largest_reply_frame(&index(&[7, fits + 1, 9])), frame(fits + 1));
+        assert!(frame(fits + 1) > u64::from(MAX_FRAME));
+        assert_eq!(largest_reply_frame(&index(&[1042, 21_717, 6_197])), frame(21_717));
         // A servable container binds; the refusal names the store and sizes.
         let path = temp_container("bind_fits", 10);
         Server::bind("127.0.0.1:0", &[&path], ServeConfig::default())
@@ -1683,9 +1645,10 @@ mod tests {
             .spawn()
             .shutdown_and_join();
         std::fs::remove_file(&path).ok();
-        let refusal = ServeError::ReplyTooLarge { store: "big.dcz".into(), frame_len: n64(4097) };
+        let big = frame(u32::MAX);
+        let refusal = ServeError::ReplyTooLarge { store: "big.dcz".into(), frame_len: big };
         let text = refusal.to_string();
-        assert!(text.contains("big.dcz") && text.contains(&n64(4097).to_string()), "{text}");
+        assert!(text.contains("big.dcz") && text.contains(&big.to_string()), "{text}");
         assert!(text.contains(&MAX_FRAME.to_string()) && !refusal.is_retryable(), "{text}");
     }
 }

@@ -8,7 +8,7 @@
 //! serves the same map, and a client holding a stale one is corrected by
 //! a typed `WrongShard` redirect rather than wrong data.
 //!
-//! Why sharding at all: a node's decoded-chunk cache only pays when
+//! Why sharding at all: a node's chunk cache only pays when
 //! repeat requests for the *same* chunk reach the *same* node. A uniform
 //! smear of the keyspace across a fleet defeats that: every node sees
 //! every chunk rarely, so caches stay cold. Consistent hashing

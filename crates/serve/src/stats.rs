@@ -135,10 +135,10 @@ stats_table! {
         cache      fill cache_evictions    "Cache entries evicted to stay within capacity.",
         cache      fill cache_entries      "Cache entries resident at snapshot time.",
         cache      fill cache_capacity     "Cache capacity in entries (0 = caching disabled).",
-        decode     fill decompress_passes  "Decompress passes: equal to `chunks_decoded`, since each pass \
-                                            decodes one chunk.",
-        decode     live chunks_decoded     "Chunks decoded by the workers, one per queued fetch that no \
-                                            sibling worker had cached first.",
+        decode     fill decompress_passes  "Worker passes: equal to `chunks_decoded`, since each pass \
+                                            reads one chunk (the server decodes none; clients do).",
+        decode     live chunks_decoded     "Chunks the workers read, one per queued fetch that no sibling \
+                                            worker had cached first.",
         conns      live conns_accepted     "Connections accepted by the listener.",
         conns      live conns_rejected     "Connections rejected at accept time (`max_conns` reached).",
         conns      live conns_active       "Connections open right now (incremented on accept, decremented \
@@ -150,9 +150,8 @@ stats_table! {
                                             (the slow-loris guard).",
         discipline live bad_frames         "Frames rejected for integrity failures (CRC mismatch, oversize, \
                                             malformed); each also closes its connection.",
-        discipline live deadline_rejected  "Fetches shed with `DeadlineExceeded` before decoding.",
-        slabs      live slab_bytes_copied  "Bytes encoded into response slabs (one copy per distinct \
-                                            decode/encode).",
+        discipline live deadline_rejected  "Fetches shed with `DeadlineExceeded` before any read.",
+        slabs      live slab_bytes_copied  "Bytes encoded into response slabs (one copy per chunk read).",
         slabs      live slab_bytes_shared  "Bytes served from shared slabs (shared / copied is the mean \
                                             fan-out per encode).",
     }

@@ -13,7 +13,13 @@
 //! The prelude (everything before the sections) has a length computable
 //! from `cf` alone, so a progressive reader fetches the prelude, learns
 //! the section lengths, and then reads only the ring prefix it needs.
+//! Those *stored bytes* — the prelude plus rings `0..read_cf` — are what a
+//! [`ChunkDecoder`] turns back into coefficients or samples, whether they
+//! came off the disk or over the wire.
 
+use std::collections::HashMap;
+
+use aicomp_core::Codec;
 use aicomp_tensor::Tensor;
 
 use crate::bands::{gather_rings, ring_values, scatter_ring};
@@ -133,27 +139,107 @@ pub fn decode_sections(
         .map_err(aicomp_core::CoreError::Tensor)?)
 }
 
-/// Decode a full chunk blob (prelude + all sections) at fidelity `read_cf`.
-pub fn decode_chunk(
-    bytes: &[u8],
-    header: &Header,
-    samples: usize,
-    read_cf: usize,
-) -> Result<Tensor> {
-    let plen = prelude_len(header.cf());
-    if bytes.len() < plen {
-        return Err(StoreError::Format("chunk shorter than its prelude".into()));
+/// The one decoder of stored chunk bytes: the prelude plus rings
+/// `0..read_cf` (the whole chunk at the stored chop factor), as
+/// [`crate::DczReader::read_chunk_bytes_at`] returns them and a served
+/// `Chunk` reply carries them. It owns the container header and the
+/// per-fidelity codecs, built lazily through the registry (`read_cf →
+/// codec`), so decoding a chunk at a fidelity it has seen costs no setup.
+#[derive(Debug)]
+pub struct ChunkDecoder {
+    header: Header,
+    codecs: HashMap<usize, Box<dyn Codec>>,
+}
+
+impl ChunkDecoder {
+    /// A decoder for chunks of the container `header` describes (which
+    /// must be valid: see [`Header::validate`]).
+    pub fn new(header: Header) -> ChunkDecoder {
+        ChunkDecoder { header, codecs: HashMap::new() }
     }
-    let prelude = decode_prelude(&bytes[..plen], header)?;
-    let expected: usize = prelude.section_lens.iter().map(|&l| l as usize).sum();
-    if bytes.len() != plen + expected {
-        return Err(StoreError::Format(format!(
-            "chunk is {} bytes, prelude promises {}",
-            bytes.len(),
-            plen + expected
-        )));
+
+    /// Decode stored bytes holding `samples` samples into the
+    /// `[S, C, CF'·nb, CF'·nb]` coefficients at `read_cf`. The bytes must be
+    /// exactly the prelude plus the sections of rings `0..read_cf`.
+    pub fn coefficients(&self, bytes: &[u8], samples: usize, read_cf: usize) -> Result<Tensor> {
+        self.coefficients_with(None, bytes, samples, read_cf)
     }
-    decode_sections(&prelude, &bytes[plen..], header, samples, read_cf)
+
+    /// [`Self::coefficients`], then the codec's inverse at `read_cf`:
+    /// `[S, C, n, n]` samples, bit-identical to the host codec's
+    /// `decompress`.
+    pub fn decompress(&mut self, bytes: &[u8], samples: usize, read_cf: usize) -> Result<Tensor> {
+        self.decompress_with(None, bytes, samples, read_cf)
+    }
+
+    /// [`Self::coefficients`] with the prelude already parsed from `bytes`
+    /// when `prelude` is given (a prefix read parses it to learn how much
+    /// to read).
+    pub(crate) fn coefficients_with(
+        &self,
+        prelude: Option<ChunkPrelude>,
+        bytes: &[u8],
+        samples: usize,
+        read_cf: usize,
+    ) -> Result<Tensor> {
+        let cf = self.header.cf();
+        if read_cf == 0 || read_cf > cf {
+            return Err(StoreError::InvalidArg(format!(
+                "read chop factor {read_cf} outside 1..={cf}"
+            )));
+        }
+        if samples == 0 || samples > self.header.chunk_size as usize {
+            return Err(StoreError::Format(format!(
+                "a chunk of {samples} samples, outside 1..={}",
+                self.header.chunk_size
+            )));
+        }
+        let plen = prelude_len(cf);
+        if bytes.len() < plen {
+            return Err(StoreError::Format("chunk shorter than its prelude".into()));
+        }
+        let prelude = match prelude {
+            Some(p) => p,
+            None => decode_prelude(&bytes[..plen], &self.header)?,
+        };
+        let expected = plen + prelude.prefix_len(read_cf);
+        if bytes.len() != expected {
+            return Err(StoreError::Format(format!(
+                "chunk bytes are {} long, the prelude promises {expected} for rings 0..{read_cf}",
+                bytes.len()
+            )));
+        }
+        // Every value costs at least one bit in each of its four planes, so
+        // sections can hold at most two values per byte: a bound on the
+        // decode buffer before it is allocated, whoever sent the geometry.
+        let side = (read_cf * self.header.blocks_per_side()) as u128;
+        let values = samples as u128 * u128::from(self.header.channels) * side * side;
+        if values > 2 * (bytes.len() - plen) as u128 {
+            return Err(StoreError::Format(format!(
+                "{values} coefficients cannot fit in {} section bytes",
+                bytes.len() - plen
+            )));
+        }
+        decode_sections(&prelude, &bytes[plen..], &self.header, samples, read_cf)
+    }
+
+    /// [`Self::decompress`] over [`Self::coefficients_with`].
+    pub(crate) fn decompress_with(
+        &mut self,
+        prelude: Option<ChunkPrelude>,
+        bytes: &[u8],
+        samples: usize,
+        read_cf: usize,
+    ) -> Result<Tensor> {
+        let coeffs = self.coefficients_with(prelude, bytes, samples, read_cf)?;
+        if !self.codecs.contains_key(&read_cf) {
+            // Same codec family at the read fidelity, built through the one
+            // registry — any family the header can carry decodes here.
+            let c = self.header.codec.with_chop_factor(read_cf).build()?;
+            self.codecs.insert(read_cf, c);
+        }
+        Ok(self.codecs[&read_cf].decompress(&coeffs)?)
+    }
 }
 
 #[cfg(test)]
@@ -279,7 +365,7 @@ mod tests {
             codec: CodecSpec::Dct2d { n: n as usize, cf: cf as usize },
             channels,
             sample_count: 0,
-            chunk_size: 4,
+            chunk_size: 8,
             chunk_count: 0,
         }
     }
@@ -298,7 +384,7 @@ mod tests {
         let y = coeffs(5, 2, 16, 4);
         let h = header(16, 2, 4);
         let bytes = encode_chunk(&y, 4).unwrap();
-        let back = decode_chunk(&bytes, &h, 5, 4).unwrap();
+        let back = ChunkDecoder::new(h).coefficients(&bytes, 5, 4).unwrap();
         assert_eq!(back.dims(), y.dims());
         let a: Vec<u32> = y.data().iter().map(|v| v.to_bits()).collect();
         let b: Vec<u32> = back.data().iter().map(|v| v.to_bits()).collect();
@@ -336,19 +422,53 @@ mod tests {
         let y = coeffs(3, 1, 16, 3);
         let h = header(16, 1, 3);
         let bytes = encode_chunk(&y, 3).unwrap();
+        let d = ChunkDecoder::new(h);
 
         // Truncations at every structural boundary.
         for cut in [0, 1, prelude_len(3) - 1, prelude_len(3), bytes.len() - 1] {
-            assert!(decode_chunk(&bytes[..cut], &h, 3, 3).is_err(), "cut={cut}");
+            assert!(d.coefficients(&bytes[..cut], 3, 3).is_err(), "cut={cut}");
         }
         // Wrong declared ring count.
         let mut wrong = bytes.clone();
         wrong[0] = 7;
-        assert!(decode_chunk(&wrong, &h, 3, 3).is_err());
-        // Wrong sample count → ring size mismatch.
-        assert!(decode_chunk(&bytes, &h, 4, 3).is_err());
+        assert!(d.coefficients(&wrong, 3, 3).is_err());
+        // Wrong sample count → ring size mismatch; none, or more than a
+        // chunk holds, is refused before any decode.
+        for samples in [0, 4, 9, usize::MAX] {
+            assert!(d.coefficients(&bytes, samples, 3).is_err(), "{samples} samples");
+        }
+        // A geometry the section bytes cannot hold is refused before the
+        // decode buffer is allocated.
+        let huge = Header { channels: u32::MAX, ..h };
+        let err = ChunkDecoder::new(huge).coefficients(&bytes, 3, 3).unwrap_err();
+        assert!(err.to_string().contains("cannot fit"), "{err}");
         // Fidelity outside the stored range.
-        assert!(decode_chunk(&bytes, &h, 3, 4).is_err());
-        assert!(decode_chunk(&bytes, &h, 3, 0).is_err());
+        assert!(d.coefficients(&bytes, 3, 4).is_err());
+        assert!(d.coefficients(&bytes, 3, 0).is_err());
+        // A whole chunk is not the stored bytes of a coarser read.
+        assert!(d.coefficients(&bytes, 3, 2).is_err());
+    }
+
+    #[test]
+    fn stored_prefix_bytes_decode_like_a_direct_chop() {
+        let n = 16;
+        let x = Tensor::from_vec(
+            (0..2 * n * n).map(|i| ((i * 29 % 67) as f32) / 5.0 - 6.0).collect(),
+            [2usize, 1, n, n],
+        )
+        .unwrap();
+        let bytes =
+            encode_chunk(&ChopCompressor::new(n, 4).unwrap().compress(&x).unwrap(), 4).unwrap();
+        let h = header(n as u32, 1, 4);
+        let mut d = ChunkDecoder::new(h);
+        let prelude = decode_prelude(&bytes[..prelude_len(4)], &h).unwrap();
+        for read_cf in 1..=4usize {
+            let stored = &bytes[..prelude_len(4) + prelude.prefix_len(read_cf)];
+            let got = d.decompress(stored, 2, read_cf).unwrap();
+            let want = ChopCompressor::new(n, read_cf).unwrap().roundtrip(&x).unwrap();
+            let a: Vec<u32> = got.data().iter().map(|v| v.to_bits()).collect();
+            let b: Vec<u32> = want.data().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(a, b, "read_cf={read_cf}");
+        }
     }
 }

@@ -131,7 +131,10 @@ impl Header {
         Ok(h)
     }
 
-    fn validate(&self) -> Result<()> {
+    /// Check that the header describes a container this crate can read: a
+    /// block-2-D codec whose block divides the resolution, a chop factor
+    /// in `1..=block`, and nonzero channels and chunk size.
+    pub fn validate(&self) -> Result<()> {
         let (Some(n), Some(block)) = (self.codec.resolution(), self.codec.block_size()) else {
             return Err(StoreError::Unsupported(format!(
                 "container codec {} is not a block-2-D codec",

@@ -34,7 +34,9 @@
 //!   scan order.
 //! * [`entropy`] — lossless byte-plane Huffman coding of coefficient
 //!   sections.
-//! * [`chunk`] — chunk encode/decode (compress → ring order → entropy).
+//! * [`chunk`] — chunk encode/decode (compress → ring order → entropy),
+//!   and [`ChunkDecoder`], the one decoder of a chunk's stored bytes,
+//!   which readers and serve clients share.
 //! * [`writer`] — [`DczWriter`]: the bounded-memory streaming writer; each
 //!   full chunk's compress, entropy encode and CRC run as one item of a
 //!   rayon fan-out.
@@ -45,7 +47,8 @@
 //!   ahead of the training loop (a bounded `std::sync::mpsc` channel).
 //! * [`shared`] — [`SharedReader`]: validated-once metadata plus a pool of
 //!   per-thread reader handles, so many concurrent consumers (the
-//!   `aicomp-serve` service) share one container without a read-path lock.
+//!   `aicomp-serve` service) read stored chunk bytes from one container
+//!   without a read-path lock.
 //! * [`loader`] — [`StoreBatchSource`]: plugs packed files into
 //!   [`aicomp_sciml::tasks`] so the benchmarks train from `.dcz`.
 //! * [`fault`] — seeded, deterministic fault injection ([`FaultPlan`],
@@ -92,6 +95,7 @@ pub mod recover;
 pub mod shared;
 pub mod writer;
 
+pub use chunk::ChunkDecoder;
 pub use fault::{FaultPlan, FaultySink, FaultySource, RetryPolicy, SplitMix64};
 pub use layout::{Header, IndexEntry};
 pub use loader::{PassHealth, StoreBatchSource};

@@ -12,16 +12,18 @@
 //!    fidelity for I/O. Bytes actually read are tracked and exposed via
 //!    [`DczReader::bytes_read`] so callers (and tests) can verify the
 //!    saving is real.
+//!
+//! Every decode goes through [`DczReader::read_chunk_bytes_at`], which
+//! returns a chunk's stored bytes, and the reader's [`ChunkDecoder`] —
+//! the same decoder a serve client runs on the bytes a server sends.
 
-use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufReader, Read, Seek, SeekFrom};
 use std::path::Path;
 
-use aicomp_core::Codec;
 use aicomp_tensor::Tensor;
 
-use crate::chunk::{decode_chunk, decode_prelude, decode_sections, prelude_len, ChunkPrelude};
+use crate::chunk::{decode_prelude, prelude_len, ChunkDecoder, ChunkPrelude};
 use crate::crc::crc32;
 use crate::fault::{with_retry, RetryPolicy};
 use crate::layout::{read_footer, read_index, Header, IndexEntry, FOOTER_LEN, INDEX_ENTRY_LEN};
@@ -45,9 +47,8 @@ pub struct DczReader<R: Read + Seek> {
     bytes_read: u64,
     /// Bounded-backoff retry for transient I/O (timeouts, interrupts).
     retry: RetryPolicy,
-    /// Per-fidelity decompressors, built lazily from the header's codec
-    /// spec through the registry (`read_cf → codec`).
-    decompressors: HashMap<usize, Box<dyn Codec>>,
+    /// Decodes the stored bytes this reader reads.
+    decoder: ChunkDecoder,
 }
 
 impl DczReader<BufReader<File>> {
@@ -106,7 +107,7 @@ impl<R: Read + Seek> DczReader<R> {
             index,
             bytes_read: 0,
             retry: RetryPolicy::default(),
-            decompressors: HashMap::new(),
+            decoder: ChunkDecoder::new(header),
         })
     }
 
@@ -158,18 +159,18 @@ impl<R: Read + Seek> DczReader<R> {
         })
     }
 
-    fn read_payload(&mut self, offset: u64, len: usize) -> Result<Vec<u8>> {
+    /// Read `buf.len()` bytes at `offset`.
+    fn read_payload(&mut self, offset: u64, buf: &mut [u8]) -> Result<()> {
         // Seek + read as one retried unit: a transient failure mid-read
         // leaves the cursor anywhere, so every attempt re-seeks.
         let (src, retry) = (&mut self.src, self.retry);
-        let buf = with_retry(retry, || {
+        with_retry(retry, || {
             src.seek(SeekFrom::Start(offset))?;
-            let mut buf = vec![0u8; len];
-            src.read_exact(&mut buf)?;
-            Ok(buf)
+            src.read_exact(buf)?;
+            Ok(())
         })?;
-        self.bytes_read += len as u64;
-        Ok(buf)
+        self.bytes_read += buf.len() as u64;
+        Ok(())
     }
 
     /// Read chunk `chunk` in full (CRC-checked) and decode its coefficient
@@ -178,15 +179,26 @@ impl<R: Read + Seek> DczReader<R> {
         self.read_chunk_at(chunk, self.header.cf())
     }
 
-    /// Read chunk `chunk` at chop factor `read_cf` and decode the
-    /// `[S, C, cf'·nb, cf'·nb]` coefficients.
+    /// Read the stored bytes of chunk `chunk` that a decode at chop factor
+    /// `read_cf` needs: its prelude plus rings `0..read_cf`.
     ///
-    /// At the stored chop factor this reads the whole payload and checks
-    /// it against the chunk CRC. Below it, only `prelude + rings
-    /// 0..read_cf` is read — strictly fewer bytes. The chunk CRC covers
-    /// the whole payload, so a prefix read relies on the per-section
-    /// Huffman bit-count checks instead, which miss many bit flips.
-    pub fn read_chunk_at(&mut self, chunk: usize, read_cf: usize) -> Result<Tensor> {
+    /// At the stored chop factor this reads the whole payload in one read
+    /// and checks it against the chunk CRC. Below it, the prelude is read
+    /// and parsed first, then only the sections of rings `0..read_cf` —
+    /// strictly fewer bytes. The chunk CRC covers the whole payload, so a
+    /// prefix read relies on the per-section Huffman bit-count checks of
+    /// the decode instead, which miss many bit flips.
+    pub fn read_chunk_bytes_at(&mut self, chunk: usize, read_cf: usize) -> Result<Vec<u8>> {
+        Ok(self.read_stored(chunk, read_cf)?.0)
+    }
+
+    /// [`Self::read_chunk_bytes_at`], plus the prelude a prefix read parsed
+    /// on the way, so the decode does not parse it again.
+    fn read_stored(
+        &mut self,
+        chunk: usize,
+        read_cf: usize,
+    ) -> Result<(Vec<u8>, Option<ChunkPrelude>)> {
         let e = self.entry(chunk)?;
         let stored_cf = self.header.cf();
         if read_cf == 0 || read_cf > stored_cf {
@@ -195,43 +207,51 @@ impl<R: Read + Seek> DczReader<R> {
             )));
         }
         if read_cf == stored_cf {
-            let bytes = self.read_payload(e.offset, e.len as usize)?;
+            let mut bytes = vec![0u8; e.len as usize];
+            self.read_payload(e.offset, &mut bytes)?;
             if crc32(&bytes) != e.crc {
                 return Err(StoreError::Format(format!("chunk {chunk} fails its CRC check")));
             }
-            return decode_chunk(&bytes, &self.header, e.samples as usize, stored_cf);
+            return Ok((bytes, None));
         }
         let plen = prelude_len(stored_cf);
-        let prelude = self.read_prelude(chunk)?;
+        let (mut bytes, prelude) = self.read_prelude_bytes(chunk)?;
         let prefix = prelude.prefix_len(read_cf);
         if plen + prefix > e.len as usize {
             return Err(StoreError::Format(format!("chunk {chunk} sections truncated")));
         }
-        let sections = self.read_payload(e.offset + plen as u64, prefix)?;
-        decode_sections(&prelude, &sections, &self.header, e.samples as usize, read_cf)
+        bytes.resize(plen + prefix, 0);
+        self.read_payload(e.offset + plen as u64, &mut bytes[plen..])?;
+        Ok((bytes, Some(prelude)))
+    }
+
+    /// Read chunk `chunk` at chop factor `read_cf` and decode the
+    /// `[S, C, cf'·nb, cf'·nb]` coefficients (the bytes as
+    /// [`Self::read_chunk_bytes_at`] reads them).
+    pub fn read_chunk_at(&mut self, chunk: usize, read_cf: usize) -> Result<Tensor> {
+        let samples = self.entry(chunk)?.samples as usize;
+        let (bytes, prelude) = self.read_stored(chunk, read_cf)?;
+        self.decoder.coefficients_with(prelude, &bytes, samples, read_cf)
     }
 
     /// Read and parse chunk `chunk`'s prelude: its section lengths and
     /// entropy codes. The chunk CRC covers the whole payload, so this read
     /// is not checked against it.
     pub fn read_prelude(&mut self, chunk: usize) -> Result<ChunkPrelude> {
+        Ok(self.read_prelude_bytes(chunk)?.1)
+    }
+
+    /// [`Self::read_prelude`], with the bytes it parsed.
+    fn read_prelude_bytes(&mut self, chunk: usize) -> Result<(Vec<u8>, ChunkPrelude)> {
         let e = self.entry(chunk)?;
         let plen = prelude_len(self.header.cf());
         if (e.len as usize) < plen {
             return Err(StoreError::Format(format!("chunk {chunk} shorter than its prelude")));
         }
-        let bytes = self.read_payload(e.offset, plen)?;
-        decode_prelude(&bytes, &self.header)
-    }
-
-    fn decompressor(&mut self, read_cf: usize) -> Result<&dyn Codec> {
-        if !self.decompressors.contains_key(&read_cf) {
-            // Same codec family at the read fidelity, built through the one
-            // registry — any family the header can carry decodes here.
-            let c = self.header.codec.with_chop_factor(read_cf).build()?;
-            self.decompressors.insert(read_cf, c);
-        }
-        Ok(self.decompressors[&read_cf].as_ref())
+        let mut bytes = vec![0u8; plen];
+        self.read_payload(e.offset, &mut bytes)?;
+        let prelude = decode_prelude(&bytes, &self.header)?;
+        Ok((bytes, prelude))
     }
 
     /// Read chunk `chunk` and reconstruct samples: `[S, C, n, n]` —
@@ -242,11 +262,11 @@ impl<R: Read + Seek> DczReader<R> {
 
     /// Reconstruct chunk `chunk` at chop factor `read_cf` (a CRC-checked
     /// full read at the stored one, a prefix read below it; see
-    /// [`Self::read_chunk_at`]).
+    /// [`Self::read_chunk_bytes_at`]).
     pub fn decompress_chunk_at(&mut self, chunk: usize, read_cf: usize) -> Result<Tensor> {
-        let coeffs = self.read_chunk_at(chunk, read_cf)?;
-        let c = self.decompressor(read_cf)?;
-        Ok(c.decompress(&coeffs)?)
+        let samples = self.entry(chunk)?.samples as usize;
+        let (bytes, prelude) = self.read_stored(chunk, read_cf)?;
+        self.decoder.decompress_with(prelude, &bytes, samples, read_cf)
     }
 
     /// Best-effort decode of a damaged chunk: try `read_cf` first, then
@@ -432,6 +452,29 @@ mod tests {
         let a: Vec<u32> = got.data().iter().map(|v| v.to_bits()).collect();
         let b: Vec<u32> = want.data().iter().map(|v| v.to_bits()).collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn stored_bytes_are_the_prelude_and_ring_prefix() {
+        let opts = StoreOptions::dct(16, 4, 2, 3);
+        let samples: Vec<Tensor> = (0..7).map(|i| sample(i, 2, 16)).collect();
+        let file = pack(&samples, &opts);
+        let mut r = DczReader::new(Cursor::new(file.clone())).unwrap();
+        let mut decoder = ChunkDecoder::new(*r.header());
+        for chunk in 0..r.chunk_count() {
+            let e = r.entry(chunk).unwrap();
+            let prelude = r.read_prelude(chunk).unwrap();
+            for cf in 1..=4 {
+                let bytes = r.read_chunk_bytes_at(chunk, cf).unwrap();
+                let at = e.offset as usize;
+                assert_eq!(bytes, file[at..at + prelude_len(4) + prelude.prefix_len(cf)]);
+                let got = decoder.decompress(&bytes, e.samples as usize, cf).unwrap();
+                let want = r.decompress_chunk_at(chunk, cf).unwrap();
+                let a: Vec<u32> = got.data().iter().map(|v| v.to_bits()).collect();
+                let b: Vec<u32> = want.data().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(a, b, "chunk {chunk} cf {cf}");
+            }
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use std::io::Cursor;
 use std::path::Path;
 
-use crate::chunk::{decode_chunk, decode_prelude, prelude_len};
+use crate::chunk::{decode_prelude, prelude_len, ChunkDecoder};
 use crate::crc::crc32;
 use crate::layout::{write_index, Header, IndexEntry};
 use crate::reader::DczReader;
@@ -264,9 +264,10 @@ fn scan_chunks<'a>(
 /// count decodes cleanly.
 fn probe_samples(chunk_bytes: &[u8], header: &Header) -> Option<u32> {
     let nominal = header.chunk_size as usize;
+    let decoder = ChunkDecoder::new(*header);
     std::iter::once(nominal)
         .chain((1..nominal).rev())
-        .find(|&s| decode_chunk(chunk_bytes, header, s, header.cf()).is_ok())
+        .find(|&s| decoder.coefficients(chunk_bytes, s, header.cf()).is_ok())
         .map(|s| s as u32)
 }
 

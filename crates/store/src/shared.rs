@@ -11,8 +11,11 @@
 //! returns it when done. The pool only grows to the peak number of
 //! *simultaneous* readers; steady-state traffic recycles handles.
 //!
-//! Chunk reads through a `SharedReader` are bit-identical to reads through
-//! a directly-opened `DczReader` — they *are* `DczReader` reads; the
+//! A `SharedReader` hands out a chunk's *stored bytes* — what
+//! [`DczReader::read_chunk_bytes_at`] reads — and leaves decoding to the
+//! caller's [`crate::chunk::ChunkDecoder`] (a serve client decodes what the
+//! server sends). The bytes are identical to a directly-opened
+//! `DczReader`'s — they *are* `DczReader` reads; the
 //! `shared_reader_is_bit_identical_across_threads` test pins this from
 //! eight concurrent threads.
 
@@ -20,8 +23,6 @@ use std::fs::File;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
-
-use aicomp_tensor::Tensor;
 
 use crate::layout::{Header, IndexEntry};
 use crate::reader::DczReader;
@@ -108,14 +109,9 @@ impl SharedReader {
         self.pool.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// [`DczReader::read_chunk_at`] through a pooled handle.
-    pub fn read_chunk_at(&self, chunk: usize, read_cf: usize) -> Result<Tensor> {
-        self.with_reader(|r| r.read_chunk_at(chunk, read_cf))
-    }
-
-    /// [`DczReader::decompress_chunk_at`] through a pooled handle.
-    pub fn decompress_chunk_at(&self, chunk: usize, read_cf: usize) -> Result<Tensor> {
-        self.with_reader(|r| r.decompress_chunk_at(chunk, read_cf))
+    /// [`DczReader::read_chunk_bytes_at`] through a pooled handle.
+    pub fn read_chunk_bytes_at(&self, chunk: usize, read_cf: usize) -> Result<Vec<u8>> {
+        self.with_reader(|r| r.read_chunk_bytes_at(chunk, read_cf))
     }
 }
 
@@ -123,6 +119,7 @@ impl SharedReader {
 mod tests {
     use super::*;
     use crate::writer::{pack_file, StoreOptions};
+    use aicomp_tensor::Tensor;
     use std::sync::Arc;
 
     fn sample(i: usize, channels: usize, n: usize) -> Tensor {
@@ -144,54 +141,28 @@ mod tests {
         let samples: Vec<Tensor> = (0..12).map(|i| sample(i, 2, 16)).collect();
         pack_file(&path, &opts, samples.iter().cloned()).unwrap();
 
-        // Reference decodes from a plain single-threaded reader, at the
+        // Reference bytes from a plain single-threaded reader, at the
         // stored fidelity and at a ring prefix.
         let mut direct = DczReader::open(&path).unwrap();
         let chunks = direct.chunk_count();
-        let full: Vec<Vec<u32>> = (0..chunks)
-            .map(|c| {
-                direct.decompress_chunk(c).unwrap().data().iter().map(|v| v.to_bits()).collect()
-            })
-            .collect();
-        let coarse: Vec<Vec<u32>> = (0..chunks)
-            .map(|c| {
-                direct
-                    .decompress_chunk_at(c, 2)
-                    .unwrap()
-                    .data()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect()
-            })
+        let want: Vec<[Vec<u8>; 2]> = (0..chunks)
+            .map(|c| [4, 2].map(|cf| direct.read_chunk_bytes_at(c, cf).unwrap()))
             .collect();
 
         let shared = Arc::new(SharedReader::open(&path).unwrap());
         let threads: Vec<_> = (0..8)
             .map(|t| {
                 let shared = Arc::clone(&shared);
-                let full = full.clone();
-                let coarse = coarse.clone();
+                let want = want.clone();
                 std::thread::spawn(move || {
                     // Each thread walks every chunk from its own offset, at
                     // both fidelities, so pooled handles interleave hard.
                     for i in 0..2 * chunks {
                         let c = (t + i) % chunks;
-                        let got: Vec<u32> = shared
-                            .decompress_chunk_at(c, 4)
-                            .unwrap()
-                            .data()
-                            .iter()
-                            .map(|v| v.to_bits())
-                            .collect();
-                        assert_eq!(got, full[c], "thread {t} chunk {c} (full)");
-                        let got: Vec<u32> = shared
-                            .decompress_chunk_at(c, 2)
-                            .unwrap()
-                            .data()
-                            .iter()
-                            .map(|v| v.to_bits())
-                            .collect();
-                        assert_eq!(got, coarse[c], "thread {t} chunk {c} (coarse)");
+                        for (k, cf) in [4, 2].into_iter().enumerate() {
+                            let got = shared.read_chunk_bytes_at(c, cf).unwrap();
+                            assert_eq!(got, want[c][k], "thread {t} chunk {c} cf {cf}");
+                        }
                     }
                 })
             })
@@ -210,12 +181,12 @@ mod tests {
         let opts = StoreOptions::dct(16, 4, 1, 2);
         pack_file(&path, &opts, (0..4).map(|i| sample(i, 1, 16))).unwrap();
         let shared = SharedReader::open(&path).unwrap();
-        assert!(shared.read_chunk_at(99, 4).is_err());
-        assert!(shared.read_chunk_at(0, 99).is_err());
+        assert!(shared.read_chunk_bytes_at(99, 4).is_err());
+        assert!(shared.read_chunk_bytes_at(0, 99).is_err());
         // Healthy reads still work (and refill the pool) afterwards.
-        let a = shared.decompress_chunk_at(0, 4).unwrap();
-        let b = shared.decompress_chunk_at(0, 4).unwrap();
-        assert_eq!(a.data(), b.data());
+        let a = shared.read_chunk_bytes_at(0, 4).unwrap();
+        let b = shared.read_chunk_bytes_at(0, 4).unwrap();
+        assert_eq!(a, b);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -8,7 +8,7 @@
 //! buffers, and the callers parallelize over row panels or batch slices with
 //! Rayon, following the HPC guide idioms (chunked slices, no per-element
 //! bounds checks in the inner loop). Called from a thread that already owns
-//! a core (a loader or server worker, see `rayon::in_worker`), the same loops
+//! a core (a loader worker, see `rayon::in_worker`), the same loops
 //! run inline; every panel or slice is computed alone, so the result does
 //! not depend on the split.
 

@@ -515,8 +515,13 @@ fn handshake_window_faults_are_survivable_and_deterministic() {
         };
         let mut client = RobustClient::new(&[addr], config).unwrap();
         let mut order = 0xD00D;
-        for key in shuffled(&all_keys(), &mut order) {
-            verify(&mut client, &want, key);
+        // Replies carry stored ring-prefix bytes, so one walk moves about
+        // 45 KB; four walks give the plan (a fault per 96–256 KB) about
+        // the traffic one walk of decoded f32 replies moved.
+        for _ in 0..4 {
+            for key in shuffled(&all_keys(), &mut order) {
+                verify(&mut client, &want, key);
+            }
         }
         let c = client.counters();
         let out = vec![

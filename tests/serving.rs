@@ -1,8 +1,9 @@
 //! End-to-end serving: the `aicomp-serve` service must hand 32+ concurrent
 //! clients bit-exactly the same chunks a direct [`DczReader`] decodes —
-//! through the worker pool, the decoded-chunk cache (hit path is the miss
-//! path's allocation), and both fidelities (stored and ring-prefix
-//! coarse). Saturation must shed with a
+//! through the worker pool, the reply cache (hit path is the miss path's
+//! allocation), and both fidelities (stored and ring-prefix coarse). A
+//! reply carries the container's stored bytes and the client decodes them,
+//! so the bytes on the wire are pinned to the file too. Saturation must shed with a
 //! typed `Overloaded` reply — never a hang, panic, or silent drop — and
 //! graceful shutdown must drain in-flight work.
 //!
@@ -13,12 +14,16 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
+use aicomp::serve::protocol::{read_response, write_request, FrameDecoder};
 use aicomp::serve::{
-    Client, ErrorCode, RobustClient, RobustConfig, ServeConfig, ServeError, Server,
+    Client, ErrorCode, Request, Response, RobustClient, RobustConfig, ServeConfig, ServeError,
+    Server,
 };
+use aicomp::store::chunk::{decode_prelude, prelude_len};
 use aicomp::store::writer::pack_file;
 use aicomp::store::RetryPolicy;
 use aicomp::store::StoreOptions;
@@ -324,5 +329,91 @@ fn typed_errors_cover_the_request_space() {
 
     client.shutdown().unwrap();
     handle.join();
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn chunk_replies_carry_the_stored_prelude_and_ring_prefix() {
+    let path = packed("stored");
+    let file = std::fs::read(&path).unwrap();
+    let reader = DczReader::open(&path).unwrap();
+    let header = *reader.header();
+    let handle = Server::bind("127.0.0.1:0", &[&path], ServeConfig::default()).unwrap().spawn();
+    let mut wire = std::net::TcpStream::connect(handle.addr()).unwrap();
+    let mut dec = FrameDecoder::new();
+    write_request(&mut wire, &Request::hello()).unwrap();
+    assert!(matches!(read_response(&mut wire, &mut dec).unwrap(), Some(Response::Hello { .. })));
+
+    let plen = prelude_len(CF);
+    for (chunk, e) in reader.index().iter().enumerate() {
+        let at = e.offset as usize;
+        let prelude = decode_prelude(&file[at..at + plen], &header).unwrap();
+        for read_cf in 0..=CF as u8 {
+            let cf = if read_cf == 0 { CF } else { read_cf as usize };
+            let fetch =
+                Request::Fetch { container: 0, chunk: chunk as u32, read_cf, deadline_ms: 0 };
+            write_request(&mut wire, &fetch).unwrap();
+            match read_response(&mut wire, &mut dec).unwrap() {
+                Some(Response::Chunk { first_sample, samples, served_cf, stored }) => {
+                    assert_eq!((first_sample, samples), (e.first_sample, e.samples));
+                    assert_eq!(served_cf as usize, cf);
+                    let want = &file[at..at + plen + prelude.prefix_len(cf)];
+                    assert!(
+                        stored == want,
+                        "chunk {chunk} read_cf {read_cf}: not the file's bytes"
+                    );
+                }
+                other => panic!("chunk {chunk} read_cf {read_cf}: expected a Chunk, got {other:?}"),
+            }
+        }
+    }
+    handle.shutdown_and_join();
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn undecodable_stored_bytes_are_a_typed_store_error_and_the_connection_survives() {
+    let path = packed("moved_boundary");
+    let want = reference(&path);
+    // Move one byte from ring 0 to ring 1 in chunk 1's section-length
+    // table. The prefix of rings 0..2 keeps its length, so the server reads
+    // and sends it; only the client's decode finds ring 0 a byte short.
+    let at = DczReader::open(&path).unwrap().index()[1].offset as usize + 2;
+    let mut file = std::fs::read(&path).unwrap();
+    let len =
+        |f: &[u8], r: usize| u32::from_le_bytes(f[at + 4 * r..at + 4 * r + 4].try_into().unwrap());
+    let (ring0, ring1) = (len(&file, 0) - 1, len(&file, 1) + 1);
+    file[at..at + 4].copy_from_slice(&ring0.to_le_bytes());
+    file[at + 4..at + 8].copy_from_slice(&ring1.to_le_bytes());
+    std::fs::write(&path, &file).unwrap();
+    let handle = Server::bind("127.0.0.1:0", &[&path], ServeConfig::default()).unwrap().spawn();
+    let addr = handle.addr();
+
+    let bits = |got: aicomp::serve::FetchedChunk| -> Vec<u32> {
+        got.data.iter().map(|v| v.to_bits()).collect()
+    };
+    let mut client = Client::connect(addr).unwrap();
+    match client.fetch(0, 1, COARSE) {
+        Err(ServeError::Store(e)) => assert!(!ServeError::Store(e).is_retryable()),
+        other => panic!("expected a store error from the client's decode, got {other:?}"),
+    }
+    // The reply was read whole: the same connection keeps serving.
+    assert_eq!(bits(client.fetch(0, 0, COARSE).unwrap()), want[&(0, COARSE)]);
+
+    let config = RobustConfig {
+        retry: RetryPolicy { max_attempts: 4, backoff: Duration::from_millis(1) },
+        ..RobustConfig::default()
+    };
+    let mut robust = RobustClient::new(&[addr], config).unwrap();
+    let counters = robust.counters();
+    assert!(matches!(robust.fetch(0, 1, COARSE), Err(ServeError::Store(_))));
+    let spent = |c: &aicomp::serve::RobustCounters| {
+        [&c.attempts, &c.retries, &c.reconnects].map(|n| n.load(Ordering::Relaxed))
+    };
+    assert_eq!(spent(&counters), [1, 0, 0], "a typed, non-retryable error costs one attempt");
+    assert_eq!(bits(robust.fetch(0, 2, COARSE).unwrap()), want[&(2, COARSE)]);
+    assert_eq!(spent(&counters), [2, 0, 0], "the next fetch rides the same connection");
+
+    handle.shutdown_and_join();
     std::fs::remove_file(&path).ok();
 }
