@@ -20,8 +20,8 @@ use std::time::Duration;
 
 use aicomp::serve::protocol::{read_response, write_request, FrameDecoder};
 use aicomp::serve::{
-    Client, ErrorCode, Request, Response, RobustClient, RobustConfig, ServeConfig, ServeError,
-    Server,
+    Client, ContainerInfo, ErrorCode, Request, Response, RobustClient, RobustConfig, ServeConfig,
+    ServeError, Server,
 };
 use aicomp::store::chunk::{decode_prelude, prelude_len};
 use aicomp::store::writer::pack_file;
@@ -416,4 +416,32 @@ fn undecodable_stored_bytes_are_a_typed_store_error_and_the_connection_survives(
 
     handle.shutdown_and_join();
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn info_replies_describe_a_header_or_fail_typed() {
+    let info = ContainerInfo {
+        samples: 18,
+        chunks: 5,
+        chunk_size: 4,
+        channels: 2,
+        n: 16,
+        cf: 4,
+        codec: "dct2d-n16-cf4".into(),
+    };
+    let h = info.header().unwrap();
+    assert_eq!((h.n(), h.cf(), h.channels, h.chunk_size), (16, 4, 2, 4));
+    // A name that does not parse, or disagrees with `n` and `cf`, is a
+    // protocol error; a header the store cannot read is a store error.
+    let with =
+        |codec: &str, n: u32, cf: u8| ContainerInfo { codec: codec.into(), n, cf, ..info.clone() };
+    for bad in
+        [with("dct2d-n16", 16, 4), with("dct2d-n32-cf4", 16, 4), with("dct2d-n16-cf2", 16, 4)]
+    {
+        assert!(matches!(bad.header(), Err(ServeError::Protocol(_))), "{bad:?}");
+    }
+    let one_d = with("chop1d-len64-cf2", 16, 2);
+    assert!(matches!(one_d.header(), Err(ServeError::Store(_))), "{one_d:?}");
+    let no_channels = ContainerInfo { channels: 0, ..info };
+    assert!(matches!(no_channels.header(), Err(ServeError::Store(_))));
 }
