@@ -98,7 +98,7 @@ pub use protocol::{
     PROTO_VERSION,
 };
 pub use queue::{PushError, TenantQuota, Wfq};
-pub use robust::{BreakerState, RobustClient, RobustConfig, RobustCounters};
+pub use robust::{RobustClient, RobustConfig, RobustCounters};
 pub use server::{BrownoutConfig, ServeConfig, Server, ServerHandle, ShardRole};
 pub use shard::{FailureDetector, MapInstall, ShardMap, ShardMember};
 pub use stats::{StatsReport, TenantStats};

@@ -173,7 +173,7 @@ impl RobustCounters {
 
 /// Circuit-breaker states (classic three-state machine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
+pub(crate) enum BreakerState {
     /// Healthy: requests flow.
     Closed,
     /// Tripped: requests skip this endpoint until the cooldown elapses.
