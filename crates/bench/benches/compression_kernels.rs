@@ -1,8 +1,8 @@
 //! Criterion benches for the host-side DCT+Chop kernels: wall-clock
 //! compression/decompression over the paper's CF and resolution grids
 //! (this measures *our* CPU kernels; device times are simulated by
-//! `aicomp-accel` and reported by the figure binaries), and the container's
-//! entropy stage on one chunk.
+//! `aicomp-accel` and reported by the figure binaries), codec construction,
+//! and the container's entropy stage on one chunk.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -110,6 +110,20 @@ fn bench_scatter_gather(c: &mut Criterion) {
     group.finish();
 }
 
+/// Codec construction at dct2d cf=4: the operator build that `DczWriter`
+/// pays once per container and `ChunkDecoder` once per read fidelity, so
+/// `pack_file` pays it on every call.
+fn bench_construction(c: &mut Criterion) {
+    let mut group = c.benchmark_group("construction");
+    for n in [32usize, 256, 512] {
+        let spec = CodecSpec::Dct2d { n, cf: 4 };
+        group.bench_with_input(BenchmarkId::from_parameter(n), &spec, |b, spec| {
+            b.iter(|| spec.build().unwrap())
+        });
+    }
+    group.finish();
+}
+
 /// One chunk at `pack_hires` geometry: four 256×256 smooth fields (two
 /// plane waves each) plus noise, compressed at dct2d-n256-cf4 to
 /// `[4, 1, 128, 128]` coefficients.
@@ -167,6 +181,7 @@ criterion_group!(
     bench_decompress_by_resolution,
     bench_partial_serialization,
     bench_scatter_gather,
+    bench_construction,
     bench_entropy
 );
 criterion_main!(benches);

@@ -1,5 +1,14 @@
 //! The compressor's structural matrices (Fig. 4): the mask `M`, the
 //! block-diagonal transform `T_L`, and the precomputed `LHS`/`RHS` products.
+//!
+//! [`OperatorMatrices::new`] does not multiply `M·T_L` out. Row `b·cf + r`
+//! of `M` picks row `b·bs + r` of `T_L`, so each product is the transform's
+//! first `cf` rows (or its inverse's first `cf` columns) placed once per
+//! diagonal block, with zeros elsewhere: O(n²) stores instead of an O(n³)
+//! matmul. Each placed value is `0.0 + v`, the dense product's one nonzero
+//! term summed from `+0`, so the operators are the same bits the matmul
+//! gives (`operators_match_dense_products`). [`mask_matrix`] and
+//! [`block_diagonal`] remain the Fig. 4 surfaces.
 
 use aicomp_tensor::Tensor;
 
@@ -74,23 +83,34 @@ pub struct OperatorMatrices {
 
 impl OperatorMatrices {
     /// Precompute all four operator matrices for resolution `n`, transform
-    /// matrix `f` (bs×bs), its inverse `f_inv`, and chop factor `cf`.
+    /// matrix `f` (bs×bs), its inverse `f_inv` (bs×bs), and chop factor
+    /// `cf`.
     ///
     /// This is the work the paper performs at *compile time* on each
     /// accelerator: the products are computed once, then compression and
-    /// decompression are each exactly two matmuls.
+    /// decompression are each exactly two matmuls. A non-square `f`, or an
+    /// `f_inv` of another shape, is a [`CoreError::Tensor`].
     pub fn new(n: usize, f: &Tensor, f_inv: &Tensor, cf: usize) -> Result<Self> {
-        let bs = f.dims()[0];
+        let bs = transform_size(f, f_inv)?;
         validate(n, bs, cf)?;
-        let m = mask_matrix(n, bs, cf)?;
-        let fl = block_diagonal(f, n)?;
-        let fl_inv = block_diagonal(f_inv, n)?;
-        let mt = m.transpose()?;
-        let c_lhs = m.matmul(&fl)?;
-        let c_rhs = fl.transpose()?.matmul(&mt)?;
-        let d_lhs = fl_inv.matmul(&mt)?;
-        let d_rhs = m.matmul(&fl_inv.transpose()?)?;
-        Ok(OperatorMatrices { c_lhs, c_rhs, d_lhs, d_rhs })
+        let cs = cf * (n / bs);
+        let (fd, fid) = (f.data(), f_inv.data());
+        let mut c_lhs = vec![0.0f32; cs * n];
+        let mut d_lhs = vec![0.0f32; n * cs];
+        for b in 0..n / bs {
+            for r in 0..cf {
+                let row = b * cf + r;
+                for j in 0..bs {
+                    // `0.0 + v`, not `v`: the dense product sums its one
+                    // nonzero term from +0, which turns a −0 into +0.
+                    c_lhs[row * n + b * bs + j] = 0.0 + fd[r * bs + j];
+                    d_lhs[(b * bs + j) * cs + row] = 0.0 + fid[j * bs + r];
+                }
+            }
+        }
+        let c_lhs = Tensor::from_vec(c_lhs, [cs, n])?;
+        let d_lhs = Tensor::from_vec(d_lhs, [n, cs])?;
+        Ok(OperatorMatrices { c_rhs: c_lhs.transpose()?, d_rhs: d_lhs.transpose()?, c_lhs, d_lhs })
     }
 
     /// Side length of the compressed matrix: `cf·n/bs`.
@@ -108,6 +128,24 @@ impl OperatorMatrices {
     }
 }
 
+/// The block size `bs` of a square `f` with an `f_inv` of the same shape.
+fn transform_size(f: &Tensor, f_inv: &Tensor) -> Result<usize> {
+    let d = f.dims();
+    if d.len() != 2 || d[0] != d[1] {
+        return Err(CoreError::Tensor(aicomp_tensor::TensorError::Constraint(format!(
+            "operator construction requires a square transform matrix, got {d:?}"
+        ))));
+    }
+    if f_inv.dims() != d {
+        return Err(CoreError::Tensor(aicomp_tensor::TensorError::ShapeMismatch {
+            op: "operator construction",
+            lhs: d.to_vec(),
+            rhs: f_inv.dims().to_vec(),
+        }));
+    }
+    Ok(d[0])
+}
+
 fn validate(n: usize, bs: usize, cf: usize) -> Result<()> {
     if bs == 0 || n == 0 || !n.is_multiple_of(bs) {
         return Err(CoreError::BadResolution { n, block: bs });
@@ -121,7 +159,95 @@ fn validate(n: usize, bs: usize, cf: usize) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transform::{dct2, dct_matrix};
+    use crate::transform::{dct2, dct_matrix, BlockTransform, Dct};
+    use crate::zfp_transform::ZfpTransform;
+
+    /// The construction [`OperatorMatrices::new`] replaces: the four
+    /// operators as dense products of `M` and `T_L` (Eq. 4 / Eq. 6).
+    fn dense_products(n: usize, f: &Tensor, f_inv: &Tensor, cf: usize) -> OperatorMatrices {
+        let m = mask_matrix(n, f.dims()[0], cf).unwrap();
+        let fl = block_diagonal(f, n).unwrap();
+        let fl_inv = block_diagonal(f_inv, n).unwrap();
+        let mt = m.transpose().unwrap();
+        OperatorMatrices {
+            c_lhs: m.matmul(&fl).unwrap(),
+            c_rhs: fl.transpose().unwrap().matmul(&mt).unwrap(),
+            d_lhs: fl_inv.matmul(&mt).unwrap(),
+            d_rhs: m.matmul(&fl_inv.transpose().unwrap()).unwrap(),
+        }
+    }
+
+    fn assert_same_bits(got: &Tensor, want: &Tensor, what: &str) {
+        assert_eq!(got.dims(), want.dims(), "{what} shape");
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert!(bits(got) == bits(want), "{what} differs from the dense product");
+    }
+
+    #[test]
+    fn operators_match_dense_products() {
+        let mut transforms: Vec<(String, Tensor, Tensor, usize)> = Vec::new();
+        let mut add = |t: &dyn BlockTransform, n: usize| {
+            let (f, f_inv) = (t.forward_matrix().clone(), t.inverse_matrix().clone());
+            transforms.push((t.name().to_string(), f, f_inv, n));
+        };
+        for bs in [4, 8, 16] {
+            for k in 1..=5 {
+                add(&Dct::new(bs), bs * k);
+            }
+        }
+        for k in 1..=5 {
+            add(&ZfpTransform::new(), 4 * k);
+        }
+        // The dct2d codec family at the hostbench and Fig. 15 resolutions.
+        add(&Dct::new(8), 256);
+        add(&Dct::new(8), 512);
+        // No real transform holds a −0, which the dense sum from +0 turns
+        // into +0.
+        let signed = Tensor::from_vec(vec![1.0, -0.0, -0.0, -1.0], [2, 2]).unwrap();
+        transforms.push(("signed zeros".into(), signed.clone(), signed, 4));
+        let mut checked = 0;
+        for (name, f, f_inv, n) in &transforms {
+            for cf in 1..=f.dims()[0] {
+                let got = OperatorMatrices::new(*n, f, f_inv, cf).unwrap();
+                let want = dense_products(*n, f, f_inv, cf);
+                let at = format!("{name} n={n} cf={cf}");
+                assert_same_bits(&got.c_lhs, &want.c_lhs, &format!("c_lhs {at}"));
+                assert_same_bits(&got.c_rhs, &want.c_rhs, &format!("c_rhs {at}"));
+                assert_same_bits(&got.d_lhs, &want.d_lhs, &format!("d_lhs {at}"));
+                assert_same_bits(&got.d_rhs, &want.d_rhs, &format!("d_rhs {at}"));
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 176 + 2);
+    }
+
+    #[test]
+    fn operator_construction_rejects_mismatched_transforms() {
+        let t = dct_matrix(8);
+        let wide = Tensor::zeros([8, 4]);
+        let vector = Tensor::zeros([8]);
+        let small = dct_matrix(4);
+        for (f, f_inv) in [(&wide, &t), (&vector, &t), (&t, &small), (&t, &wide), (&small, &t)] {
+            let err = OperatorMatrices::new(32, f, f_inv, 4).unwrap_err();
+            assert!(
+                matches!(err, CoreError::Tensor(_)),
+                "{:?}/{:?}: {err}",
+                f.dims(),
+                f_inv.dims()
+            );
+        }
+        let err = OperatorMatrices::new(32, &t, &small, 4).unwrap_err();
+        assert!(err.to_string().contains("[8, 8]") && err.to_string().contains("[4, 4]"), "{err}");
+        // A well-formed transform still gets the resolution and cf checks.
+        assert!(matches!(
+            OperatorMatrices::new(30, &t, &t, 4),
+            Err(CoreError::BadResolution { n: 30, block: 8 })
+        ));
+        assert!(matches!(
+            OperatorMatrices::new(32, &t, &t, 9),
+            Err(CoreError::BadChopFactor { cf: 9, block: 8 })
+        ));
+    }
 
     #[test]
     fn mask_has_one_per_row() {

@@ -26,8 +26,8 @@ use aicomp_tensor::Tensor;
 
 use crate::chaos::Wire;
 use crate::protocol::{
-    decode_response, read_frame, write_request, ContainerInfo, FrameDecoder, Request, Response,
-    PROTO_VERSION,
+    decode_response, read_frame_with, read_response, write_request, ContainerInfo, FrameDecoder,
+    Request, Response, PROTO_VERSION,
 };
 use crate::stats::StatsReport;
 use crate::{Result, ServeError};
@@ -138,10 +138,10 @@ impl Client {
             Client { stream, decoder: FrameDecoder::new(), owed: 0, decoders: HashMap::new() };
         let hello = Request::Hello { version: PROTO_VERSION, tenant, weight: weight.max(1) };
         write_request(&mut client.stream, &hello)?;
-        let Some((op, body)) = read_frame(&mut client.stream, &mut client.decoder)? else {
+        let Some(hello) = read_response(&mut client.stream, &mut client.decoder)? else {
             return Err(ServeError::Protocol("connection closed during handshake".into()));
         };
-        match decode_response(op, &body)? {
+        match hello {
             Response::Hello { version: PROTO_VERSION } => Ok(client),
             Response::Hello { version } => Err(ServeError::Protocol(format!(
                 "server speaks protocol version {version}, client speaks {PROTO_VERSION}"
@@ -171,11 +171,12 @@ impl Client {
     /// holds — a typed error frame included. The `RobustClient` calls it
     /// to read a hedge's late reply off as waste.
     pub(crate) fn read_reply(&mut self) -> Result<Response> {
-        let Some((op, body)) = read_frame(&mut self.stream, &mut self.decoder)? else {
+        let Some(reply) = read_frame_with(&mut self.stream, &mut self.decoder, decode_response)?
+        else {
             return Err(ServeError::Protocol("server closed the connection".into()));
         };
         self.owed = self.owed.saturating_sub(1);
-        decode_response(op, &body)
+        reply
     }
 
     fn roundtrip(&mut self, req: &Request) -> Result<Response> {

@@ -623,6 +623,14 @@ impl FrameDecoder {
     /// desynchronized (bad length or CRC mismatch) and the connection
     /// must close.
     pub fn pop(&mut self) -> Result<Option<(u8, Vec<u8>)>> {
+        self.pop_with(|op, body| (op, body.to_vec()))
+    }
+
+    /// [`pop`](FrameDecoder::pop), but hand the verified `(opcode, body)`
+    /// to `f` where it lies in the buffer instead of copying the body out:
+    /// a client parses a reply straight from the received bytes. `f` runs
+    /// only after the CRC check passes.
+    pub(crate) fn pop_with<T>(&mut self, f: impl FnOnce(u8, &[u8]) -> T) -> Result<Option<T>> {
         if self.buf.len() < 4 {
             return Ok(None);
         }
@@ -633,7 +641,7 @@ impl FrameDecoder {
         if self.buf.len() < 4 + len as usize {
             return Ok(None);
         }
-        // Verify in place, then copy the body out once.
+        // Verify in place, then lend the body out.
         let end = 4 + len as usize;
         let (op, body, tail) = (self.buf[4], &self.buf[5..end - 4], &self.buf[end - 4..end]);
         let want = u32::from_le_bytes(tail.try_into().unwrap());
@@ -643,9 +651,9 @@ impl FrameDecoder {
                 "frame checksum mismatch (got {got:#010x}, want {want:#010x})"
             )));
         }
-        let body = body.to_vec();
+        let out = f(op, body);
         self.buf.drain(..end);
-        Ok(Some((op, body)))
+        Ok(Some(out))
     }
 }
 
@@ -710,10 +718,20 @@ pub fn write_frame(w: &mut impl Write, op: u8, body: &[u8]) -> Result<()> {
 /// peer closed between frames). Bytes read past the frame, and a frame an
 /// error (a read timeout) cut short, stay in `dec` for the next call.
 pub fn read_frame(r: &mut impl Read, dec: &mut FrameDecoder) -> Result<Option<(u8, Vec<u8>)>> {
+    read_frame_with(r, dec, |op, body| (op, body.to_vec()))
+}
+
+/// [`read_frame`], handing the verified frame to `f` in place (see
+/// [`FrameDecoder::pop_with`]).
+pub(crate) fn read_frame_with<T>(
+    r: &mut impl Read,
+    dec: &mut FrameDecoder,
+    mut f: impl FnMut(u8, &[u8]) -> T,
+) -> Result<Option<T>> {
     let mut tmp = [0u8; 64 * 1024];
     loop {
-        if let Some(frame) = dec.pop()? {
-            return Ok(Some(frame));
+        if let Some(out) = dec.pop_with(&mut f)? {
+            return Ok(Some(out));
         }
         match r.read(&mut tmp) {
             Ok(0) => {
@@ -745,10 +763,7 @@ pub fn write_response(w: &mut impl Write, resp: &Response) -> Result<()> {
 /// Read a [`Response`] frame through the caller's decoder (blocking;
 /// `None` on clean EOF).
 pub fn read_response(r: &mut impl Read, dec: &mut FrameDecoder) -> Result<Option<Response>> {
-    match read_frame(r, dec)? {
-        Some((op, body)) => Ok(Some(decode_response(op, &body)?)),
-        None => Ok(None),
-    }
+    read_frame_with(r, dec, decode_response)?.transpose()
 }
 
 #[cfg(test)]

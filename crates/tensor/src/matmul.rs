@@ -2,15 +2,15 @@
 //!
 //! The DCT+Chop compressor is *two matmuls per direction* (Eq. 4 and Eq. 6 in
 //! the paper). The host codec runs them one 8×8 block at a time in
-//! `aicomp_core`'s per-block kernel; these general kernels run the simulated
-//! device graphs (`accel::exec`), build the operator matrices and train the
-//! networks. One serial kernel (`gemm_panel`) runs over contiguous row-major
-//! buffers, and the callers parallelize over row panels or batch slices with
-//! Rayon, following the HPC guide idioms (chunked slices, no per-element
-//! bounds checks in the inner loop). Called from a thread that already owns
-//! a core (a loader worker, see `rayon::in_worker`), the same loops
-//! run inline; every panel or slice is computed alone, so the result does
-//! not depend on the split.
+//! `aicomp_core`'s per-block kernel, and its operator matrices are placed,
+//! not multiplied out; these general kernels run the simulated device
+//! graphs (`accel::exec`) and train the networks. One serial kernel
+//! (`gemm_panel`) runs over contiguous row-major buffers, and the callers
+//! parallelize over row panels or batch slices with Rayon, following the
+//! HPC guide idioms (chunked slices, no per-element bounds checks in the
+//! inner loop). Called from a thread that already owns a core (a loader
+//! worker, see `rayon::in_worker`), the same loops run inline; every panel
+//! or slice is computed alone, so the result does not depend on the split.
 
 use rayon::prelude::*;
 
