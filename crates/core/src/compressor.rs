@@ -135,6 +135,18 @@ impl ChopCompressor {
         self.kernel.compress(input)
     }
 
+    /// [`compress`](Self::compress) into the caller's buffer: `out` gets
+    /// the coefficients of `input`, plane after plane, and must hold
+    /// exactly `BD·C·(CF·n/8)²` floats for a `[BD, C, n, n]` input (any
+    /// leading dims, as for `compress`). A wrong input shape or output
+    /// length is a [`CoreError::Tensor`] shape mismatch, and `out` is then
+    /// left as it was. The bits are those of `compress`, which allocates
+    /// and then runs this same pass.
+    pub fn compress_into(&self, input: &Tensor, out: &mut [f32]) -> Result<()> {
+        self.check_input(input, self.n)?;
+        self.kernel.compress_into(input, out)
+    }
+
     /// Decompress a batch of `[..., CF·n/8, CF·n/8]` tensors back to
     /// `[..., n, n]` — `A' = RHS · (Y · LHS)` (§3.4), one block at a time.
     pub fn decompress(&self, compressed: &Tensor) -> Result<Tensor> {
@@ -336,6 +348,41 @@ mod tests {
         let c = ChopCompressor::new(32, 4).unwrap();
         assert!(c.compress(&Tensor::zeros([2, 3, 16, 16])).is_err());
         assert!(c.decompress(&Tensor::zeros([2, 3, 32, 32])).is_err());
+    }
+
+    #[test]
+    fn compress_into_matches_compress() {
+        use crate::zfp_transform::ZfpTransform;
+        let codecs = [
+            ChopCompressor::new(32, 3).unwrap(),
+            ChopCompressor::with_transform(&ZfpTransform::new(), 32, 3).unwrap(),
+        ];
+        for c in &codecs {
+            let cs = c.compressed_side();
+            for dims in [vec![3, 32, 32], vec![2, 3, 32, 32]] {
+                let x = ramp(&dims);
+                let want: Vec<u32> =
+                    c.compress(&x).unwrap().data().iter().map(|v| v.to_bits()).collect();
+                // A NaN-filled buffer: every output float must be written.
+                let mut out = vec![f32::NAN; x.numel() / (32 * 32) * cs * cs];
+                c.compress_into(&x, &mut out).unwrap();
+                let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "{} {dims:?}", c.transform_name());
+
+                // A wrong output length is typed and writes nothing.
+                for len in [out.len() - 1, out.len() + 1, 0] {
+                    let mut short = vec![f32::NAN; len];
+                    let err = c.compress_into(&x, &mut short).unwrap_err();
+                    assert!(matches!(err, CoreError::Tensor(_)), "{err}");
+                    assert!(short.iter().all(|v| v.is_nan()));
+                }
+            }
+            // A wrong input shape is typed too.
+            for bad in [Tensor::zeros([3, 16, 16]), Tensor::zeros([32 * 32])] {
+                let err = c.compress_into(&bad, &mut [0.0; 3 * 16 * 16]).unwrap_err();
+                assert!(matches!(err, CoreError::Tensor(_)), "{err}");
+            }
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 
 use std::array;
 
-use aicomp_tensor::Tensor;
+use aicomp_tensor::{Tensor, TensorError};
 use rayon::prelude::*;
 
 use crate::matrices::OperatorMatrices;
@@ -100,14 +100,31 @@ impl BlockKernel {
     }
 
     /// `Y = c_lhs · A · c_rhs` for every trailing `n×n` plane of `input`
-    /// (shape already checked by the caller).
+    /// (shape already checked by the caller), into a new tensor.
     pub(crate) fn compress(&self, input: &Tensor) -> Result<Tensor> {
         let cs = self.compressed_side();
         let mut out = vec![0.0f32; input.numel() / (self.n * self.n) * cs * cs];
-        run_planes(input.numel(), || {
-            dispatch!(self.bs, self.cf, compress_planes(self, input.data(), &mut out))
-        });
+        self.compress_into(input, &mut out)?;
         with_plane(input, out, cs)
+    }
+
+    /// [`compress`](Self::compress) into `out`, which must hold exactly
+    /// one `cs×cs` plane per `n×n` plane of `input`; any other length is a
+    /// shape-mismatch error and `out` is left as it was.
+    pub(crate) fn compress_into(&self, input: &Tensor, out: &mut [f32]) -> Result<()> {
+        let cs = self.compressed_side();
+        let want = input.numel() / (self.n * self.n) * cs * cs;
+        if out.len() != want {
+            return Err(CoreError::Tensor(TensorError::ShapeMismatch {
+                op: "chop compress_into output",
+                lhs: vec![out.len()],
+                rhs: vec![want],
+            }));
+        }
+        run_planes(input.numel(), || {
+            dispatch!(self.bs, self.cf, compress_planes(self, input.data(), out))
+        });
+        Ok(())
     }
 
     /// `A' = d_lhs · Y · d_rhs` for every trailing `cs×cs` plane of
@@ -144,6 +161,10 @@ fn with_plane(like: &Tensor, data: Vec<f32>, side: usize) -> Result<Tensor> {
 /// Block 0 of the `rows×cols` operator `op`, whose diagonal holds
 /// `rows/rb` blocks of `rb×cb`, row-major. Every diagonal block must equal
 /// it bit for bit and every entry off the diagonal blocks must be zero.
+///
+/// Each row is checked as three runs: the entries left and right of its
+/// diagonal block compare `== 0.0`, and the block's row compares bit for
+/// bit with the same row of block 0.
 fn diagonal_block(op: &Tensor, rb: usize, cb: usize, name: &'static str) -> Result<Vec<f32>> {
     let err = || CoreError::NotBlockDiagonal { operator: name };
     let d = op.dims();
@@ -158,13 +179,11 @@ fn diagonal_block(op: &Tensor, rb: usize, cb: usize, name: &'static str) -> Resu
     let data = op.data();
     let block: Vec<f32> = (0..rb).flat_map(|i| data[i * cols..][..cb].iter().copied()).collect();
     let repeated = data.chunks_exact(cols).enumerate().all(|(i, row)| {
-        row.iter().enumerate().all(|(j, &v)| {
-            if i / rb == j / cb {
-                v.to_bits() == block[i % rb * cb + j % cb].to_bits()
-            } else {
-                v == 0.0
-            }
-        })
+        let (left, rest) = row.split_at(i / rb * cb);
+        let (diag, right) = rest.split_at(cb);
+        let want = &block[i % rb * cb..][..cb];
+        diag.iter().zip(want).all(|(v, w)| v.to_bits() == w.to_bits())
+            && left.iter().chain(right).all(|&v| v == 0.0)
     });
     if repeated {
         Ok(block)
@@ -306,6 +325,43 @@ mod tests {
         }
     }
 
+    /// The per-entry scan the row-wise [`diagonal_block`] replaced: it
+    /// finds each entry's block with two integer divisions.
+    fn diagonal_block_per_entry(
+        op: &Tensor,
+        rb: usize,
+        cb: usize,
+        name: &'static str,
+    ) -> Result<Vec<f32>> {
+        let err = || CoreError::NotBlockDiagonal { operator: name };
+        let d = op.dims();
+        if d.len() != 2
+            || !d[0].is_multiple_of(rb)
+            || !d[1].is_multiple_of(cb)
+            || d[0] / rb != d[1] / cb
+        {
+            return Err(err());
+        }
+        let cols = d[1];
+        let data = op.data();
+        let block: Vec<f32> =
+            (0..rb).flat_map(|i| data[i * cols..][..cb].iter().copied()).collect();
+        let repeated = data.chunks_exact(cols).enumerate().all(|(i, row)| {
+            row.iter().enumerate().all(|(j, &v)| {
+                if i / rb == j / cb {
+                    v.to_bits() == block[i % rb * cb + j % cb].to_bits()
+                } else {
+                    v == 0.0
+                }
+            })
+        });
+        if repeated {
+            Ok(block)
+        } else {
+            Err(err())
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -353,6 +409,58 @@ mod tests {
             dispatch!(bs, cf, decompress_planes(&kernel, y.data(), split_d.data_mut()));
             prop_assert_eq!(bits(&split_c), bits(&got_c));
             prop_assert_eq!(bits(&split_d), bits(&got_d));
+        }
+
+        /// The row-wise block-diagonal check gives the per-entry scan's
+        /// verdict, and the same block, when one entry of an operator is
+        /// set to `+0`, `−0`, a NaN or a subnormal, nudged by one ulp, or
+        /// given `1e-30` more, inside a diagonal block (block 0 included)
+        /// or off them.
+        #[test]
+        fn block_diagonal_check_matches_per_entry_reference(
+            bs_pick in 0usize..3,
+            blocks in 1usize..6,
+            cf_pick in 0usize..16,
+            zfp in any::<bool>(),
+            which in 0usize..4,
+            inside in any::<bool>(),
+            kind in 0usize..6,
+            seed in 0u64..u64::MAX,
+        ) {
+            let bs = KERNEL_BLOCK_SIZES[bs_pick];
+            let (n, cf) = (blocks * bs, cf_pick % bs + 1);
+            let ops = operators(n, bs, cf, zfp);
+            let (name, mut op, rb, cb) = match which {
+                0 => ("c_rhs", ops.c_rhs, bs, cf),
+                1 => ("c_lhs", ops.c_lhs, cf, bs),
+                2 => ("d_rhs", ops.d_rhs, cf, bs),
+                _ => ("d_lhs", ops.d_lhs, bs, cf),
+            };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let i = rng.gen_range(0..blocks * rb);
+            let block_col = if inside || blocks == 1 {
+                i / rb
+            } else {
+                (i / rb + rng.gen_range(1..blocks)) % blocks
+            };
+            let j = block_col * cb + rng.gen_range(0..cb);
+            let old = op.at(&[i, j]);
+            let sign = if rng.gen_range(0u8..2) == 0 { 0 } else { 1 << 31 };
+            let new = match kind {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f32::from_bits(0x7fc0_0000 | sign | rng.gen_range(0u32..0x40_0000)),
+                3 => f32::from_bits(sign | rng.gen_range(1u32..0x0080_0000)),
+                4 => f32::from_bits(old.to_bits() ^ 1),
+                _ => old + 1e-30,
+            };
+            op.set(&[i, j], new);
+            let verdict =
+                |r: Result<Vec<f32>>| r.map(|b| b.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+            prop_assert_eq!(
+                verdict(diagonal_block(&op, rb, cb, name)),
+                verdict(diagonal_block_per_entry(&op, rb, cb, name))
+            );
         }
     }
 

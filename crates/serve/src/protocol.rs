@@ -598,8 +598,14 @@ pub fn encode_frame(op: u8, body: &[u8]) -> Result<Vec<u8>> {
 /// announcing a 4 GiB frame is rejected before any payload accumulates.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
+    /// Received bytes are `buf[..filled]`; the rest is room a read fills
+    /// in place, initialized once when the buffer grows.
     buf: Vec<u8>,
+    filled: usize,
 }
+
+/// Room a read asks for while no frame length is known yet.
+const READ_AHEAD: usize = 8 * 1024;
 
 impl FrameDecoder {
     /// Fresh decoder with an empty buffer.
@@ -609,13 +615,34 @@ impl FrameDecoder {
 
     /// Feed transport bytes (any segmentation, including 0 bytes).
     pub fn push(&mut self, bytes: &[u8]) {
+        self.buf.truncate(self.filled);
         self.buf.extend_from_slice(bytes);
+        self.filled = self.buf.len();
+    }
+
+    /// One `read` from `r` straight into the buffer. The room offered
+    /// reaches the end of the frame being received once its length prefix
+    /// is in (a frame is never longer than [`MAX_FRAME`]), and is at least
+    /// [`READ_AHEAD`] bytes; the buffer keeps its size between frames, so
+    /// it is zero-filled only when it grows. Returns what `read` returned.
+    fn read_from(&mut self, r: &mut impl Read) -> std::io::Result<usize> {
+        let frame_end = match self.buf[..self.filled].first_chunk() {
+            Some(&len) => 4 + u32::from_le_bytes(len).min(MAX_FRAME) as usize,
+            None => 0,
+        };
+        let want = frame_end.max(self.filled + READ_AHEAD);
+        if self.buf.len() < want {
+            self.buf.resize(want, 0);
+        }
+        let n = r.read(&mut self.buf[self.filled..])?;
+        self.filled += n;
+        Ok(n)
     }
 
     /// Is a frame *started* but not yet complete? (The slow-loris clock
     /// runs exactly while this is true.)
     pub fn has_partial(&self) -> bool {
-        !self.buf.is_empty()
+        self.filled > 0
     }
 
     /// Pop one complete frame, verifying its CRC trailer. `Ok(None)`
@@ -631,19 +658,20 @@ impl FrameDecoder {
     /// a client parses a reply straight from the received bytes. `f` runs
     /// only after the CRC check passes.
     pub(crate) fn pop_with<T>(&mut self, f: impl FnOnce(u8, &[u8]) -> T) -> Result<Option<T>> {
-        if self.buf.len() < 4 {
+        let buf = &self.buf[..self.filled];
+        if buf.len() < 4 {
             return Ok(None);
         }
-        let len = u32::from_le_bytes(self.buf[..4].try_into().unwrap());
+        let len = u32::from_le_bytes(buf[..4].try_into().unwrap());
         if !(5..=MAX_FRAME).contains(&len) {
             return Err(ServeError::Protocol(format!("bad frame length {len}")));
         }
-        if self.buf.len() < 4 + len as usize {
+        if buf.len() < 4 + len as usize {
             return Ok(None);
         }
         // Verify in place, then lend the body out.
         let end = 4 + len as usize;
-        let (op, body, tail) = (self.buf[4], &self.buf[5..end - 4], &self.buf[end - 4..end]);
+        let (op, body, tail) = (buf[4], &buf[5..end - 4], &buf[end - 4..end]);
         let want = u32::from_le_bytes(tail.try_into().unwrap());
         let got = frame_crc(op, body);
         if got != want {
@@ -652,7 +680,9 @@ impl FrameDecoder {
             )));
         }
         let out = f(op, body);
-        self.buf.drain(..end);
+        // Bytes past the frame move to the front; the buffer keeps its size.
+        self.buf.copy_within(end..self.filled, 0);
+        self.filled -= end;
         Ok(Some(out))
     }
 }
@@ -728,12 +758,11 @@ pub(crate) fn read_frame_with<T>(
     dec: &mut FrameDecoder,
     mut f: impl FnMut(u8, &[u8]) -> T,
 ) -> Result<Option<T>> {
-    let mut tmp = [0u8; 64 * 1024];
     loop {
         if let Some(out) = dec.pop_with(&mut f)? {
             return Ok(Some(out));
         }
-        match r.read(&mut tmp) {
+        match dec.read_from(r) {
             Ok(0) => {
                 return if dec.has_partial() {
                     Err(ServeError::Protocol("EOF mid-frame".into()))
@@ -741,7 +770,7 @@ pub(crate) fn read_frame_with<T>(
                     Ok(None)
                 };
             }
-            Ok(n) => dec.push(&tmp[..n]),
+            Ok(_) => {}
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(e.into()),
         }

@@ -1,14 +1,18 @@
 //! [`DczWriter`] — streaming `.dcz` writer.
 //!
-//! The §1 bounded-memory path: samples of any stream length are copied into
-//! the open chunk's buffer, and each full chunk waits as one raw
-//! `[S, C, n, n]` tensor in a small pending queue. When the queue fills,
-//! its chunks are finished **in parallel** with rayon — each one's Chop
-//! compress, ring gather, Huffman fit, bit packing and CRC-32 in one
-//! closure, as every chunk is independent — then written to the sink and
-//! indexed in order. The ragged tail chunk is compressed at its real sample
-//! count. Memory stays bounded by `(pending-queue length + 1) × chunk size`
-//! raw samples regardless of stream length.
+//! The §1 bounded-memory path: samples of any stream length are kept, not
+//! copied. [`DczWriter::push`] moves each owned sample into the open chunk
+//! as it is; [`DczWriter::push_batch`] borrows its batch, so it copies it
+//! as one run per chunk it fills. Each full chunk waits as its list of
+//! runs in a small pending queue. When the queue fills, its chunks are
+//! finished **in parallel** with rayon — each one's Chop compress (every
+//! run straight into its slice of the chunk's `[S, C, cs, cs]`
+//! coefficient buffer), ring gather, Huffman fit, bit packing and CRC-32
+//! in one closure, as every chunk is independent — then written to the
+//! sink and indexed in order. The ragged tail chunk is compressed at its
+//! real sample count. Memory stays bounded by
+//! `(pending-queue length + 1) × chunk size` raw samples regardless of
+//! stream length.
 //!
 //! Chunk and section lengths are `u32` on disk, so [`DczWriter::new`]
 //! refuses a geometry whose worst-case chunk could not fit one.
@@ -114,10 +118,14 @@ pub struct DczWriter<W: Write + Seek> {
     sink: W,
     header: Header,
     codec: ChopCompressor,
-    /// Floats of the samples pushed into the open chunk, in order.
-    open: Vec<f32>,
-    /// Full chunks of raw samples, `[S, C, n, n]`, not yet compressed.
-    pending: Vec<Tensor>,
+    /// The open chunk as runs of whole samples, in push order: each
+    /// pushed `[C, n, n]` sample as given, each `push_batch` run as one
+    /// copied `[k, C, n, n]` tensor.
+    open: Vec<Tensor>,
+    /// Samples in `open`.
+    open_samples: usize,
+    /// Full chunks' runs, not yet compressed.
+    pending: Vec<Vec<Tensor>>,
     index: Vec<IndexEntry>,
     offset: u64,
     /// Samples accepted by [`DczWriter::push`] (written or still buffered).
@@ -170,6 +178,7 @@ impl<W: Write + Seek> DczWriter<W> {
             header,
             codec,
             open: Vec::new(),
+            open_samples: 0,
             pending: Vec::new(),
             index: Vec::new(),
             offset,
@@ -186,7 +195,8 @@ impl<W: Write + Seek> DczWriter<W> {
         [self.header.channels as usize, n, n]
     }
 
-    /// Append one `[channels, n, n]` sample.
+    /// Append one `[channels, n, n]` sample. The writer keeps the tensor
+    /// itself until its chunk is compressed; its floats are not copied.
     ///
     /// A sample of another shape is rejected with a shape-mismatch error,
     /// and a sample holding a NaN or ±Inf with [`StoreError::NonFinite`];
@@ -204,13 +214,17 @@ impl<W: Write + Seek> DczWriter<W> {
             }
             .into());
         }
-        self.push_floats(sample.data())
+        self.check_finite(sample.data())?;
+        self.samples_pushed += 1;
+        self.add_run(sample, 1)
     }
 
     /// Append every sample of a `[B, channels, n, n]` batch, in order.
     ///
-    /// Each sample is accepted or rejected as by [`DczWriter::push`]; the
-    /// first rejection is returned, and the samples before it stay pushed.
+    /// The batch is borrowed, so its floats are copied: one run per chunk
+    /// it fills, each a single allocation. Each sample is accepted or
+    /// rejected as by [`DczWriter::push`]; the first rejection is returned,
+    /// and the samples before it stay pushed.
     pub fn push_batch(&mut self, batch: &Tensor) -> Result<()> {
         let [c, n, _] = self.sample_dims();
         let d = batch.dims();
@@ -219,37 +233,57 @@ impl<W: Write + Seek> DczWriter<W> {
                 "push_batch expects [B, {c}, {n}, {n}], got {d:?}"
             )));
         }
-        for sample in batch.data().chunks_exact(c * n * n) {
-            self.push_floats(sample)?;
+        let sample_len = c * n * n;
+        let mut samples = batch.data().chunks_exact(sample_len);
+        while samples.len() > 0 {
+            let room = self.header.chunk_size as usize - self.open_samples;
+            let mut run = Vec::with_capacity(room.min(samples.len()) * sample_len);
+            let mut checked = Ok(());
+            for sample in samples.by_ref().take(room) {
+                checked = self.check_finite(sample);
+                if checked.is_err() {
+                    break;
+                }
+                run.extend_from_slice(sample);
+                self.samples_pushed += 1;
+            }
+            let k = run.len() / sample_len;
+            if k > 0 {
+                self.add_run(Tensor::from_vec(run, [k, c, n, n])?, k)?;
+            }
+            checked?;
         }
         Ok(())
     }
 
-    /// Append one sample's floats to the open chunk, queueing the chunk
-    /// once it is full.
-    fn push_floats(&mut self, sample: &[f32]) -> Result<()> {
-        if let Some(element) = first_non_finite(sample) {
-            return Err(StoreError::NonFinite {
+    /// [`StoreError::NonFinite`] for the first NaN or ±Inf of the next
+    /// sample to be pushed.
+    fn check_finite(&self, sample: &[f32]) -> Result<()> {
+        match first_non_finite(sample) {
+            Some(element) => Err(StoreError::NonFinite {
                 sample: self.samples_pushed,
                 element,
                 value: sample[element],
-            });
+            }),
+            None => Ok(()),
         }
-        self.samples_pushed += 1;
-        self.open.extend_from_slice(sample);
-        let chunk_len = self.header.chunk_size as usize * sample.len();
-        if self.open.len() == chunk_len {
-            let floats = std::mem::replace(&mut self.open, Vec::with_capacity(chunk_len));
-            self.queue_chunk(floats)?;
+    }
+
+    /// Add a run of `samples` whole samples to the open chunk, queueing
+    /// the chunk once it is full.
+    fn add_run(&mut self, run: Tensor, samples: usize) -> Result<()> {
+        self.open.push(run);
+        self.open_samples += samples;
+        if self.open_samples == self.header.chunk_size as usize {
+            self.close_chunk()?;
         }
         Ok(())
     }
 
-    /// Queue a chunk's raw floats; flush the queue once it holds `fanout`.
-    fn queue_chunk(&mut self, floats: Vec<f32>) -> Result<()> {
-        let [c, n, _] = self.sample_dims();
-        let samples = floats.len() / (c * n * n);
-        self.pending.push(Tensor::from_vec(floats, [samples, c, n, n])?);
+    /// Queue the open chunk's runs; flush the queue once it holds `fanout`.
+    fn close_chunk(&mut self) -> Result<()> {
+        self.pending.push(std::mem::take(&mut self.open));
+        self.open_samples = 0;
         if self.pending.len() >= self.fanout {
             self.flush_pending()?;
         }
@@ -257,16 +291,29 @@ impl<W: Write + Seek> DczWriter<W> {
     }
 
     /// Compress, encode and checksum all pending chunks in parallel, then
-    /// write and index them in order.
+    /// write and index them in order. Each chunk's runs are compressed
+    /// straight into one `[S, C, cs, cs]` coefficient buffer.
     fn flush_pending(&mut self) -> Result<()> {
         let cf = self.header.cf();
         let codec = &self.codec;
+        let [c, n, _] = self.sample_dims();
+        let cs = codec.compressed_side();
         let encoded: Vec<(Vec<u8>, u32, usize)> = std::mem::take(&mut self.pending)
             .par_iter()
-            .map(|raw| {
-                let bytes = encode_chunk(&codec.compress(raw)?, cf)?;
+            .map(|runs| {
+                let planes = runs.iter().map(Tensor::numel).sum::<usize>() / (n * n);
+                let mut coeffs = vec![0.0f32; planes * cs * cs];
+                let mut at = 0;
+                for run in runs {
+                    let len = run.numel() / (n * n) * cs * cs;
+                    codec.compress_into(run, &mut coeffs[at..at + len])?;
+                    at += len;
+                }
+                let samples = planes / c;
+                let coeffs = Tensor::from_vec(coeffs, [samples, c, cs, cs])?;
+                let bytes = encode_chunk(&coeffs, cf)?;
                 let crc = crc32(&bytes);
-                Ok((bytes, crc, raw.dims()[0]))
+                Ok((bytes, crc, samples))
             })
             .collect::<Result<_>>()?;
         for (bytes, crc, samples) in encoded {
@@ -295,8 +342,7 @@ impl<W: Write + Seek> DczWriter<W> {
     /// the sink with a [`StoreSummary`].
     pub fn finish(mut self) -> Result<(W, StoreSummary)> {
         if !self.open.is_empty() {
-            let tail = std::mem::take(&mut self.open);
-            self.queue_chunk(tail)?;
+            self.close_chunk()?;
         }
         self.flush_pending()?;
 
@@ -576,25 +622,107 @@ mod tests {
         assert_eq!(r.sample_count(), 6);
     }
 
+    /// `part` stacked into one `[B, C, n, n]` batch.
+    fn batch_of(part: &[Tensor]) -> Tensor {
+        let mut dims = vec![part.len()];
+        dims.extend_from_slice(part[0].dims());
+        let refs: Vec<&Tensor> = part.iter().collect();
+        Tensor::concat0(&refs).unwrap().reshape(dims).unwrap()
+    }
+
     #[test]
     fn push_batch_matches_per_sample_push() {
-        // Batches of 3 into chunks of 4: batches straddle chunk edges, and
-        // 11 samples end in a ragged tail of 3.
+        // Owned pushes, borrowed batches of 3 (straddling every chunk edge
+        // of 4 and 5), a mix of owned pushes and batches of 0, 2 and 4,
+        // and one 11-sample batch through the file writer all pack the
+        // same container; 11 samples end in a ragged tail for 4 and 5.
+        // (batch?, samples) steps of the mix; an owned push is one sample.
+        const MIX: [(bool, usize); 7] =
+            [(false, 1), (true, 2), (true, 0), (false, 1), (true, 4), (false, 1), (true, 2)];
         for spec in ["dct2d-n16-cf4", "zfp2d-n16-cf3"] {
-            let opts = StoreOptions { codec: spec.parse().unwrap(), channels: 2, chunk_size: 4 };
-            let samples: Vec<Tensor> = (0..11).map(|i| sample(i, 2, 16)).collect();
-            let (one_by_one, _) =
-                DczWriter::pack(Cursor::new(Vec::new()), &opts, samples.clone()).unwrap();
+            for channels in [1, 3] {
+                for chunk_size in [1, 4, 5] {
+                    let case = format!("{spec} × {channels} channels, chunks of {chunk_size}");
+                    let opts = StoreOptions { codec: spec.parse().unwrap(), channels, chunk_size };
+                    let samples: Vec<Tensor> = (0..11).map(|i| sample(i, channels, 16)).collect();
+                    let (owned, summary) =
+                        DczWriter::pack(Cursor::new(Vec::new()), &opts, samples.clone()).unwrap();
+                    let owned = owned.into_inner();
+                    assert_eq!(summary.samples, 11, "{case}");
+                    assert_eq!(summary.chunks as usize, 11usize.div_ceil(chunk_size), "{case}");
 
-            let mut w = DczWriter::new(Cursor::new(Vec::new()), &opts).unwrap();
-            for part in samples.chunks(3) {
-                let refs: Vec<&Tensor> = part.iter().collect();
-                let batch = Tensor::concat0(&refs).unwrap().reshape([part.len(), 2, 16, 16]);
-                w.push_batch(&batch.unwrap()).unwrap();
+                    let mut w = DczWriter::new(Cursor::new(Vec::new()), &opts).unwrap();
+                    for part in samples.chunks(3) {
+                        w.push_batch(&batch_of(part)).unwrap();
+                    }
+                    assert_eq!(w.finish().unwrap().0.into_inner(), owned, "batches: {case}");
+
+                    let mut w = DczWriter::new(Cursor::new(Vec::new()), &opts).unwrap();
+                    let mut at = 0;
+                    for (batch, k) in MIX {
+                        if !batch {
+                            w.push(samples[at].clone()).unwrap();
+                        } else if k == 0 {
+                            w.push_batch(&Tensor::zeros([0, channels, 16, 16])).unwrap();
+                        } else {
+                            w.push_batch(&batch_of(&samples[at..at + k])).unwrap();
+                        }
+                        at += k;
+                    }
+                    assert_eq!(at, 11);
+                    assert_eq!(w.finish().unwrap().0.into_inner(), owned, "mix: {case}");
+
+                    let dest = temp_dest("push_batch");
+                    let mut w = DczFileWriter::create(&dest, &opts).unwrap();
+                    w.push_batch(&batch_of(&samples)).unwrap();
+                    w.finish().unwrap();
+                    assert_eq!(std::fs::read(&dest).unwrap(), owned, "file writer: {case}");
+                    std::fs::remove_file(&dest).ok();
+                }
             }
-            let (batched, summary) = w.finish().unwrap();
-            assert_eq!((summary.samples, summary.chunks), (11, 3), "{spec}");
-            assert_eq!(batched.into_inner(), one_by_one.into_inner(), "{spec}");
+        }
+    }
+
+    #[test]
+    fn push_batch_rejects_a_non_finite_sample_mid_run() {
+        // Two owned samples, then a batch of samples 2..9 into chunks of
+        // 4: its runs are 2–3, 4–7 and 8. The bad sample opens the batch,
+        // opens a run, or sits inside one.
+        let opts = StoreOptions::dct(16, 4, 2, 4);
+        let samples: Vec<Tensor> = (0..10).map(|i| sample(i, 2, 16)).collect();
+        let packed = |samples: &[Tensor]| {
+            DczWriter::pack(Cursor::new(Vec::new()), &opts, samples.to_vec())
+                .unwrap()
+                .0
+                .into_inner()
+        };
+        for value in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for bad in [2usize, 4, 6] {
+                let element = 300;
+                let mut dirty = batch_of(&samples[2..9]);
+                dirty.data_mut()[(bad - 2) * 2 * 16 * 16 + element] = value;
+                let start = || {
+                    let mut w = DczWriter::new(Cursor::new(Vec::new()), &opts).unwrap();
+                    w.push(samples[0].clone()).unwrap();
+                    w.push(samples[1].clone()).unwrap();
+                    let err = w.push_batch(&dirty).unwrap_err();
+                    assert!(
+                        matches!(err, StoreError::NonFinite { sample, element: el, value: v }
+                            if sample == bad as u64 && el == element && v.to_bits() == value.to_bits()),
+                        "{value} in sample {bad}: {err}"
+                    );
+                    w
+                };
+                // Finishing keeps exactly the samples before the bad one.
+                let (cur, summary) = start().finish().unwrap();
+                assert_eq!(summary.samples, bad as u64);
+                assert_eq!(cur.into_inner(), packed(&samples[..bad]), "{value} in sample {bad}");
+                // The writer stays usable: the clean rest packs after it.
+                let mut w = start();
+                w.push_batch(&batch_of(&samples[bad..])).unwrap();
+                let (cur, _) = w.finish().unwrap();
+                assert_eq!(cur.into_inner(), packed(&samples), "{value} in sample {bad}, resumed");
+            }
         }
     }
 
