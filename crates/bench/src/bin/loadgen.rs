@@ -46,10 +46,10 @@
 //! never mean wrong bits, only coarser ones.
 //!
 //! `--cluster <addr,addr,...>` drives a sharded cluster (e.g. one started
-//! by `dcz cluster`): every client is a ring-routing [`RobustClient`]
-//! seeded with those members, so fetches go to each key's owning shard,
-//! typed `WrongShard` redirects are consumed by a map refresh, and dead
-//! shards fail over within the key's replica set. The run prints one
+//! by `dcz cluster`): every client is a [`RobustClient`] over those
+//! members. The first typed `WrongShard` redirect makes it fetch the
+//! cluster's map; from then on fetches go to each key's owning shard and
+//! dead shards fail over within the key's replica set. The run prints one
 //! machine-greppable `cluster-counters:` line with redirect/refresh/
 //! failover totals and per-shard routed counts (`s0=… s1=…`) — the CI
 //! `cluster-smoke` job asserts `failed=0` through a shard kill.
@@ -65,8 +65,8 @@
 //! invocation starts from the same state — the `churn-counters:` line
 //! prints server-side counter *deltas* (pushes, drains, handoffs) plus
 //! client hedge totals, and CI runs the whole thing twice and diffs it.
-//! `--hedge <fraction>` arms hedged reads on every ring client (a slice
-//! of `--timeout`; see `RobustConfig::hedge_fraction`).
+//! `--hedge <fraction>` arms hedged reads on every cluster client (a
+//! slice of `--timeout`; see `RobustConfig::hedge_fraction`).
 
 use std::collections::{BTreeMap, HashMap};
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -203,7 +203,7 @@ struct Outcome {
     hedges_won: u64,
     hedges_lost: u64,
     hedges_wasted: u64,
-    /// Ring-routed fetches served by each shard (cluster mode).
+    /// Pinned fetches served by each shard (cluster mode).
     routed: Vec<u64>,
     latencies: Vec<Duration>,
 }
@@ -238,7 +238,8 @@ impl Outcome {
 }
 
 /// One worker's fetch path: a plain [`Client`] in the normal benchmark, a
-/// [`RobustClient`] over a fault-injected wire in `--chaos` mode.
+/// [`RobustClient`] over a fault-injected wire (`--chaos`) or over a
+/// cluster's members (`--cluster`).
 enum Fetcher {
     Plain(Client),
     Robust(Box<RobustClient>),
@@ -400,7 +401,7 @@ fn run() -> Result<bool, String> {
         }
     }
     if hedge > 0.0 && cluster_seeds.is_none() {
-        return Err("--hedge arms ring-mode hedged reads; it requires --cluster".into());
+        return Err("--hedge arms hedged reads over a cluster; it requires --cluster".into());
     }
     // Which tenant a client thread identifies as: round-robin over
     // `1..=tenants`, or the one fixed `--tenant` for every thread.
@@ -492,59 +493,52 @@ fn run() -> Result<bool, String> {
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || -> Result<Outcome, String> {
                 let mut rng = seed ^ (id as u64).wrapping_mul(0x0DDB_1A5E_5BAD_5EED);
-                let mut client = match (seeds, chaos) {
-                    (Some(sv), _) => {
-                        // Ring mode: route by the shard map, consume
-                        // WrongShard redirects, fail over within each
-                        // key's replica set.
+                // The robust client's addresses: the cluster's members,
+                // or the one server a chaos run drives.
+                let addrs = match (seeds, chaos) {
+                    (Some(sv), _) => Some(sv),
+                    (None, Some(_)) => Some(vec![addr
+                        .to_socket_addrs()
+                        .map_err(|e| e.to_string())?
+                        .next()
+                        .ok_or_else(|| format!("{addr}: no address"))?]),
+                    (None, None) => None,
+                };
+                let mut client = match addrs {
+                    Some(addrs) => {
+                        // `standard` is calibrated for short test exchanges;
+                        // loadgen moves ~100 KiB per fetch, so space the
+                        // faults out or every attempt dies mid-response and
+                        // no retry budget can win.
+                        let plan = chaos.map(|cs| WireFaultPlan {
+                            reset_every: Some(1 << 20),
+                            corrupt_every: Some(512 << 10),
+                            stall_every: Some(256 << 10),
+                            stall: Duration::from_millis(1),
+                            ..WireFaultPlan::standard(cs).derive(id as u64 + 1)
+                        });
+                        let (jitter_seed, backoff_ms) = match chaos {
+                            Some(cs) => (cs, 1),
+                            None => (seed, 5),
+                        };
                         let config = RobustConfig {
                             retry: RetryPolicy {
                                 max_attempts: retries.max(1),
-                                backoff: Duration::from_millis(5),
+                                backoff: Duration::from_millis(backoff_ms),
                             },
                             timeout: (timeout_ms > 0).then(|| Duration::from_millis(timeout_ms)),
-                            seed: seed ^ (id as u64).wrapping_mul(0x0DDB_1A5E_5BAD_5EED),
+                            seed: jitter_seed ^ (id as u64).wrapping_mul(0x0DDB_1A5E_5BAD_5EED),
+                            chaos: plan,
                             tenant: my_tenant,
                             weight,
                             hedge_fraction: hedge,
                             ..RobustConfig::default()
                         };
                         Fetcher::Robust(Box::new(
-                            RobustClient::new_ring(&sv, config).map_err(|e| e.to_string())?,
+                            RobustClient::new(&addrs, config).map_err(|e| e.to_string())?,
                         ))
                     }
-                    (None, Some(cs)) => {
-                        let sock = addr
-                            .to_socket_addrs()
-                            .map_err(|e| e.to_string())?
-                            .next()
-                            .ok_or_else(|| format!("{addr}: no address"))?;
-                        // `standard` is calibrated for short test exchanges;
-                        // loadgen moves ~100 KiB per fetch, so space the
-                        // faults out or every attempt dies mid-response and
-                        // no retry budget can win.
-                        let mut plan = WireFaultPlan::standard(cs).derive(id as u64 + 1);
-                        plan.reset_every = Some(1 << 20);
-                        plan.corrupt_every = Some(512 << 10);
-                        plan.stall_every = Some(256 << 10);
-                        plan.stall = Duration::from_millis(1);
-                        let config = RobustConfig {
-                            retry: RetryPolicy {
-                                max_attempts: retries.max(1),
-                                backoff: Duration::from_millis(1),
-                            },
-                            timeout: (timeout_ms > 0).then(|| Duration::from_millis(timeout_ms)),
-                            seed: cs ^ (id as u64).wrapping_mul(0x0DDB_1A5E_5BAD_5EED),
-                            chaos: Some(plan),
-                            tenant: my_tenant,
-                            weight,
-                            ..RobustConfig::default()
-                        };
-                        Fetcher::Robust(Box::new(
-                            RobustClient::new(&[sock], config).map_err(|e| e.to_string())?,
-                        ))
-                    }
-                    (None, None) => Fetcher::Plain(
+                    None => Fetcher::Plain(
                         Client::connect_tenant(&addr, my_tenant, weight)
                             .map_err(|e| e.to_string())?,
                     ),

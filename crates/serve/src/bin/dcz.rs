@@ -41,8 +41,8 @@
 //! `cluster` launches N shards of a consistent-hash cluster over the same
 //! containers on consecutive ports: every shard serves the shared
 //! [`ShardMap`] and redirects misdirected keys with a typed `WrongShard`.
-//! `fetch --ring` routes through the map (each `--addr` is a seed member)
-//! instead of treating the addresses as replicas of one server.
+//! `fetch` follows such a redirect: it learns the map from the member it
+//! asked and re-routes, so any member's address will do.
 //!
 //! The `cluster` subcommands reconfigure a *running* cluster live:
 //! `push` installs an epoch-bumped map on every listed member (stale and
@@ -163,11 +163,10 @@ fn usage() -> String {
      \x20 cluster leave   --addr <member[,member...]> --name <leaving member>\n\
      \x20 cluster suspect --addr <member[,member...]> [--beats <rounds>] \
      [--threshold <missed beats>] [--interval <ms>] [--timeout <probe ms>]\n\
-     \x20 fetch    --addr <ip:port> [--addr <replica> ...] --container <id> --chunk <index> \
-     [--ring  (addresses are cluster seeds; route by the shard map)] \
-     [--cf <coarser, 0 = stored>] [--out <raw.f32>] [--timeout <ms>] [--retries <N>] \
-     [--tenant <id>] [--weight <class>] \
-     [--hedge <fraction of --timeout before the duplicate fires; ring mode>]\n\
+     \x20 fetch    --addr <ip:port> [--addr <replica or cluster member> ...] --container <id> \
+     --chunk <index> [--cf <coarser, 0 = stored>] [--out <raw.f32>] [--timeout <ms>] \
+     [--retries <N>] [--tenant <id>] [--weight <class>] \
+     [--hedge <fraction of --timeout before the duplicate fires; clusters>]\n\
      \x20 stats    --addr <ip:port> [--timeout <ms>] [--retries <N>]\n\
      \x20 shutdown --addr <ip:port> [--timeout <ms>] [--retries <N>]"
         .into()
@@ -180,8 +179,9 @@ fn addr_of(args: &[String]) -> String {
     arg(args, "--addr").unwrap_or_else(|| DEFAULT_ADDR.into())
 }
 
-/// Build a [`RobustClient`] over every `--addr` (replicas), honoring
-/// `--timeout <ms, 0 = unbounded>` and `--retries <attempts>`.
+/// Build a [`RobustClient`] over every `--addr` (replicas or cluster
+/// members), honoring `--timeout <ms, 0 = unbounded>` and
+/// `--retries <attempts>`.
 fn robust_client(args: &[String]) -> Result<RobustClient, String> {
     let mut addrs = arg_all(args, "--addr");
     if addrs.is_empty() {
@@ -202,13 +202,7 @@ fn robust_client(args: &[String]) -> Result<RobustClient, String> {
         hedge_fraction: parse(args, "--hedge", 0.0)?,
         ..RobustConfig::default()
     };
-    // `--ring`: the addresses are seed members of a sharded cluster, not
-    // replicas of one server — route fetches by the shard map.
-    if args.iter().any(|a| a == "--ring") {
-        RobustClient::new_ring(&resolved, config).map_err(|e| e.to_string())
-    } else {
-        RobustClient::new(&resolved, config).map_err(|e| e.to_string())
-    }
+    RobustClient::new(&resolved, config).map_err(|e| e.to_string())
 }
 
 fn main() -> ExitCode {
@@ -642,7 +636,7 @@ fn cluster(args: &[String]) -> Result<(), String> {
         map.replication
     );
     // A per-job delay on one shard (or all of them) makes the cluster a
-    // ready-made tail-latency demo: point `dcz fetch --ring --hedge` or
+    // ready-made tail-latency demo: point `dcz fetch --hedge` or
     // `loadgen --hedge` at it and watch the duplicates win.
     let delay_ms: u64 = parse(args, "--worker-delay", 0)?;
     let slow: usize = parse(args, "--slow-shard", usize::MAX)?;
@@ -873,7 +867,7 @@ fn fetch(args: &[String]) -> Result<(), String> {
             "--weight",
             "--hedge",
         ],
-        &["--ring"],
+        &[],
     )?;
     let container: u32 =
         required(args, "--container")?.parse().map_err(|_| "bad --container".to_string())?;
@@ -885,7 +879,7 @@ fn fetch(args: &[String]) -> Result<(), String> {
     println!(
         "container {container} chunk {chunk}: {s} samples x [{c}, {h}, {w}] \
          at chop factor {} (first sample {})",
-        got.read_cf, got.first_sample
+        got.served_cf, got.first_sample
     );
     if got.degraded() {
         println!(

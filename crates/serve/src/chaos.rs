@@ -19,19 +19,20 @@
 //!   chops the stream.
 //! * **Arm-after-open discipline.** A wrapper built with
 //!   [`WireFaultPlan::none`] is a pass-through; [`FaultyStream::set_plan`]
-//!   (or an [`ArmHandle`] when the stream has been moved into a client)
 //!   re-seeds positions *relative to the arming point*, so callers can
 //!   handshake cleanly and then target steady-state traffic
 //!   deterministically — exactly how PR 3 arms `FaultySource` after the
-//!   container header is parsed.
+//!   container header is parsed. The client handshakes on the concrete
+//!   stream and calls `set_plan` before boxing it, so a read or write
+//!   carries no arming check.
 //!
 //! Injected counters ([`WireCounters`]) are shared `Arc`s so a test can
 //! hold them after the stream moves into a client, and assert that
 //! recovery-side counters (retries, breaker opens) match injections.
 
 use std::io::{Read, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use aicomp_store::SplitMix64;
@@ -317,29 +318,6 @@ impl Side {
     }
 }
 
-/// Deferred re-arming control for a [`FaultyStream`] that has been moved
-/// (e.g. into a `Client`): [`ArmHandle::arm`] stages a plan the stream
-/// applies — with positions reset, per the arm-after-open discipline —
-/// before its next operation.
-#[derive(Debug, Clone)]
-pub struct ArmHandle {
-    inner: Arc<ArmState>,
-}
-
-#[derive(Debug)]
-struct ArmState {
-    pending: Mutex<Option<WireFaultPlan>>,
-    dirty: AtomicBool,
-}
-
-impl ArmHandle {
-    /// Stage `plan`; the stream re-arms before its next read/write.
-    pub fn arm(&self, plan: WireFaultPlan) {
-        *self.inner.pending.lock().unwrap_or_else(|e| e.into_inner()) = Some(plan);
-        self.inner.dirty.store(true, Ordering::Release);
-    }
-}
-
 /// `Read + Write` wrapper injecting wire faults per a [`WireFaultPlan`].
 ///
 /// With an inactive plan every call forwards untouched, so wrapping is
@@ -355,7 +333,6 @@ pub struct FaultyStream<S> {
     write_op: u64,
     dead: bool,
     counters: Arc<WireCounters>,
-    arm: Arc<ArmState>,
 }
 
 const READ_TAG: u64 = 0x5245_4144; // "READ"
@@ -377,7 +354,6 @@ impl<S> FaultyStream<S> {
             write_op: 0,
             dead: false,
             counters,
-            arm: Arc::new(ArmState { pending: Mutex::new(None), dirty: AtomicBool::new(false) }),
         }
     }
 
@@ -391,11 +367,6 @@ impl<S> FaultyStream<S> {
         self.write_op = 0;
     }
 
-    /// A handle that can re-arm the plan after the stream is moved.
-    pub fn arm_handle(&self) -> ArmHandle {
-        ArmHandle { inner: Arc::clone(&self.arm) }
-    }
-
     /// The shared injection counters.
     pub fn counters(&self) -> Arc<WireCounters> {
         Arc::clone(&self.counters)
@@ -404,15 +375,6 @@ impl<S> FaultyStream<S> {
     /// Unwrap the inner stream.
     pub fn into_inner(self) -> S {
         self.inner
-    }
-
-    fn apply_pending_arm(&mut self) {
-        if self.arm.dirty.swap(false, Ordering::AcqRel) {
-            let staged = self.arm.pending.lock().unwrap_or_else(|e| e.into_inner()).take();
-            if let Some(plan) = staged {
-                self.set_plan(plan);
-            }
-        }
     }
 
     fn reset_error(&mut self) -> std::io::Error {
@@ -438,7 +400,6 @@ fn stall_span(side: &mut Side, counters: &WireCounters, stall: Duration, upto: u
 
 impl<S: Read> Read for FaultyStream<S> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        self.apply_pending_arm();
         if !self.plan.is_active() {
             return self.inner.read(buf);
         }
@@ -477,7 +438,6 @@ impl<S: Read> Read for FaultyStream<S> {
 
 impl<S: Write> Write for FaultyStream<S> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.apply_pending_arm();
         if !self.plan.is_active() {
             return self.inner.write(buf);
         }
@@ -656,20 +616,6 @@ mod tests {
         b.read_to_end(&mut got_b).unwrap();
         assert_eq!(got_a, got_b);
         assert_ne!(got_a, tail, "armed plan at corrupt_every=32 must corrupt 512 bytes");
-    }
-
-    #[test]
-    fn arm_handle_applies_before_the_next_operation() {
-        let data = vec![3u8; 256];
-        let mut s = FaultyStream::new(pipe(data.clone()), WireFaultPlan::none());
-        let handle = s.arm_handle();
-        let mut buf = [0u8; 64];
-        s.read_exact(&mut buf).unwrap();
-        handle.arm(WireFaultPlan { seed: 1, reset_every: Some(8), ..WireFaultPlan::none() });
-        let mut rest = Vec::new();
-        let err = s.read_to_end(&mut rest).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::ConnectionReset);
-        assert!(rest.len() < 192, "reset_every=8 must kill the stream quickly");
     }
 
     #[test]

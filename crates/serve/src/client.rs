@@ -18,6 +18,7 @@
 //! to build that decoder.
 
 use std::collections::HashMap;
+use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -39,11 +40,9 @@ pub struct FetchedChunk {
     pub first_sample: u64,
     /// Payload dims `[S, C, n, n]`.
     pub dims: [u32; 4],
-    /// Chop factor the chunk was read and decoded at (a `read_cf` of 0
-    /// resolves to the container's stored fidelity).
-    pub read_cf: u8,
-    /// Fidelity the reply itself declares (equals `read_cf`; carried
-    /// explicitly so brownout degradation is never silent).
+    /// Chop factor the chunk was served and decoded at (a `read_cf` of 0
+    /// resolves to the container's stored fidelity; a browned-out server
+    /// may serve lower, and says so here).
     pub served_cf: u8,
     /// The chop factor this client asked for (0 = stored fidelity) —
     /// kept client-side so [`FetchedChunk::degraded`] needs no lookup.
@@ -114,7 +113,7 @@ impl Client {
     pub fn connect_tenant(addr: impl ToSocketAddrs, tenant: u32, weight: u8) -> Result<Client> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        Client::handshake(Box::new(stream), tenant, weight)
+        Client::handshake(stream, tenant, weight, |s| Box::new(s))
     }
 
     /// Handshake an already-established stream and wrap it. `version`
@@ -126,23 +125,30 @@ impl Client {
                 "this build speaks only protocol version {PROTO_VERSION}, not {version}"
             )));
         }
-        Client::handshake(stream, 0, 1)
+        Client::handshake(stream, 0, 1, |s| s)
     }
 
     /// Run the `Hello` exchange on a fresh stream, identifying as `tenant`
-    /// at `weight` (0 is sent as 1), and wrap it. An ack at another
-    /// version or a non-ack reply is `Protocol`, a typed rejection is
-    /// `Server`.
-    pub(crate) fn handshake(stream: Box<dyn Wire>, tenant: u32, weight: u8) -> Result<Client> {
-        let mut client =
-            Client { stream, decoder: FrameDecoder::new(), owed: 0, decoders: HashMap::new() };
+    /// at `weight` (0 is sent as 1), then hand the concrete stream to
+    /// `wrap` to box it — the point where the `RobustClient` arms a chaos
+    /// plan after the handshake. An ack at another version or a non-ack
+    /// reply is `Protocol`, a typed rejection is `Server`.
+    pub(crate) fn handshake<S: Read + Write>(
+        mut stream: S,
+        tenant: u32,
+        weight: u8,
+        wrap: impl FnOnce(S) -> Box<dyn Wire>,
+    ) -> Result<Client> {
+        let mut decoder = FrameDecoder::new();
         let hello = Request::Hello { version: PROTO_VERSION, tenant, weight: weight.max(1) };
-        write_request(&mut client.stream, &hello)?;
-        let Some(hello) = read_response(&mut client.stream, &mut client.decoder)? else {
+        write_request(&mut stream, &hello)?;
+        let Some(hello) = read_response(&mut stream, &mut decoder)? else {
             return Err(ServeError::Protocol("connection closed during handshake".into()));
         };
         match hello {
-            Response::Hello { version: PROTO_VERSION } => Ok(client),
+            Response::Hello { version: PROTO_VERSION } => {
+                Ok(Client { stream: wrap(stream), decoder, owed: 0, decoders: HashMap::new() })
+            }
             Response::Hello { version } => Err(ServeError::Protocol(format!(
                 "server speaks protocol version {version}, client speaks {PROTO_VERSION}"
             ))),
@@ -241,7 +247,6 @@ impl Client {
                 Ok(FetchedChunk {
                     first_sample,
                     dims: [d[0], d[1], d[2], d[3]].map(|x| x as u32),
-                    read_cf: served_cf,
                     served_cf,
                     requested_cf: read_cf,
                     data: t.into_vec(),
@@ -380,7 +385,7 @@ mod tests {
     fn handshake_rejects_bad_grants() {
         let handshake = |script: Vec<Vec<u8>>| {
             let wire = Scripted::new(script.into_iter().map(Ok));
-            Client::handshake(Box::new(wire), 0, 1).unwrap_err()
+            Client::handshake(wire, 0, 1, |s| Box::new(s)).unwrap_err()
         };
         // An ack at any other version.
         let err = handshake(vec![reply(&Response::Hello { version: PROTO_VERSION + 1 })]);

@@ -74,7 +74,7 @@
 //!   for tail tolerance.
 //! * [`shard`] — consistent-hash cluster layout: the seeded [`ShardMap`]
 //!   ring (virtual nodes, ordered replica sets) every cluster member
-//!   serves as a typed frame and every ring client routes by, the
+//!   serves as a typed frame and a redirected [`RobustClient`] routes by, the
 //!   [`MapInstall`] epoch-ordering rule for live map pushes, and the
 //!   clock-injected [`FailureDetector`] behind `dcz cluster suspect`.
 

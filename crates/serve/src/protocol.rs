@@ -606,6 +606,9 @@ pub struct FrameDecoder {
 
 /// Room a read asks for while no frame length is known yet.
 const READ_AHEAD: usize = 8 * 1024;
+/// Most room a read offers past the bytes held, so a length prefix alone
+/// cannot make a peer's buffer large.
+const READ_MAX: usize = 64 * 1024;
 
 impl FrameDecoder {
     /// Fresh decoder with an empty buffer.
@@ -622,15 +625,16 @@ impl FrameDecoder {
 
     /// One `read` from `r` straight into the buffer. The room offered
     /// reaches the end of the frame being received once its length prefix
-    /// is in (a frame is never longer than [`MAX_FRAME`]), and is at least
-    /// [`READ_AHEAD`] bytes; the buffer keeps its size between frames, so
-    /// it is zero-filled only when it grows. Returns what `read` returned.
-    fn read_from(&mut self, r: &mut impl Read) -> std::io::Result<usize> {
+    /// is in, but at most [`READ_MAX`] bytes past the bytes held, and is
+    /// at least [`READ_AHEAD`] bytes; the buffer keeps its size between
+    /// frames, so it is zero-filled only when it grows. Returns what
+    /// `read` returned.
+    pub(crate) fn read_from(&mut self, r: &mut impl Read) -> std::io::Result<usize> {
         let frame_end = match self.buf[..self.filled].first_chunk() {
             Some(&len) => 4 + u32::from_le_bytes(len).min(MAX_FRAME) as usize,
             None => 0,
         };
-        let want = frame_end.max(self.filled + READ_AHEAD);
+        let want = frame_end.min(self.filled + READ_MAX).max(self.filled + READ_AHEAD);
         if self.buf.len() < want {
             self.buf.resize(want, 0);
         }
@@ -977,6 +981,14 @@ mod tests {
             assert_eq!(got.len(), 3, "chunk size {chunk_size}");
             assert!(!dec.has_partial());
         }
+    }
+
+    #[test]
+    fn a_length_prefix_alone_does_not_grow_the_buffer() {
+        let mut dec = FrameDecoder::new();
+        dec.read_from(&mut MAX_FRAME.to_le_bytes().as_slice()).unwrap();
+        assert_eq!(dec.read_from(&mut [].as_slice()).unwrap(), 0);
+        assert!(dec.buf.len() <= 4 + READ_MAX, "room {} for 4 bytes held", dec.buf.len());
     }
 
     #[test]

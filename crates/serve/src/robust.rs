@@ -26,25 +26,22 @@
 //!   client sleeps until the earliest half-open eligibility instead of
 //!   spinning.
 //!
-//! A fourth mechanism serves clusters. [`RobustClient::new`] treats its
-//! addresses as **replicas of one shard** — interchangeable servers over
-//! the same full keyspace, tried sticky-first. [`RobustClient::new_ring`]
-//! treats them as **seed members of a sharded cluster**: the client
-//! fetches the cluster's [`ShardMap`] (lazily, or when a typed
-//! `WrongShard` redirect proves its copy stale), routes every fetch to
-//! the key's replica set in primary-first order, and falls back to the
-//! key's other replicas — through the same breakers — when the primary
-//! is down. The two modes must not be conflated: failover among replicas
-//! of one shard is safe for *any* key, while failover among ring members
-//! is only safe within one key's replica set (any other member would
-//! just answer `WrongShard`).
+//! One engine serves a replica pool and a sharded cluster alike; the
+//! addresses passed to [`RobustClient::new`] are whatever the caller can
+//! dial. A solo server owns every key, so over replicas the client never
+//! leaves the sticky rotation. A cluster member answers a key it does not
+//! own with a typed `WrongShard`; the client then fetches the cluster's
+//! [`ShardMap`], rebuilds its endpoint set to the full membership, and
+//! from then on pins each fetch to the key's replica set in primary-first
+//! order, failing over — through the same breakers — only within that
+//! set. A stale map is corrected by the next redirect, never by guessing.
 //!
-//! A fifth mechanism targets tail latency rather than failure: **hedged
-//! reads** (ring mode only, opt-in via
-//! [`RobustConfig::hedge_fraction`]). The primary attempt for a key is
-//! given only a *fraction* of the call budget at the socket; if no reply
-//! lands inside that hedge window, the same fetch fires at the next
-//! member of the key's replica set and the first reply wins. The slow
+//! Pinned fetches can also be **hedged** (opt-in via
+//! [`RobustConfig::hedge_fraction`]), which targets tail latency rather
+//! than failure. The primary attempt for a key is given only a
+//! *fraction* of the call budget at the socket; if no reply lands inside
+//! that hedge window, the same fetch fires at the next member of the
+//! key's replica set and the first reply wins. The slow
 //! primary is not punished — a hedge-window timeout never trips its
 //! breaker, and its late reply is *drained* (counted as wasted, not
 //! errored) before the connection is reused, so request/reply pairing
@@ -97,8 +94,9 @@ pub struct RobustConfig {
     /// Fraction of [`RobustConfig::timeout`] the primary replica gets
     /// before the same fetch is hedged at the key's next replica
     /// (`0.0` disables hedging; values are meaningful in `(0, 1)`).
-    /// Ring mode only, and inert without a `timeout` — the hedge window
-    /// is a slice of the call budget, so there must be one.
+    /// Applies once a shard map is installed, and is inert without a
+    /// `timeout` — the hedge window is a slice of the call budget, so
+    /// there must be one.
     pub hedge_fraction: f64,
 }
 
@@ -140,14 +138,11 @@ pub struct RobustCounters {
     pub deadline_hits: AtomicU64,
     /// Replies served below the fidelity they asked for (brownout).
     pub degraded: AtomicU64,
-    /// Extra full-fidelity attempts issued by [`RobustClient::fetch_full`]
-    /// after a degraded reply.
-    pub refetches: AtomicU64,
-    /// Typed `WrongShard` redirects consumed by ring routing (each one
-    /// triggers a map refresh and a re-route).
+    /// Typed `WrongShard` redirects consumed (each one triggers a map
+    /// refresh and a re-route).
     pub redirects: AtomicU64,
-    /// Shard-map fetches in ring mode (the lazy initial load plus every
-    /// post-redirect refresh).
+    /// Shard-map fetches (the first one a redirect triggers, plus every
+    /// later refresh).
     pub map_refreshes: AtomicU64,
     /// `MapPush` frames a server acknowledged as installed (via
     /// [`RobustClient::push_map`]; idempotent re-pushes not counted).
@@ -245,18 +240,8 @@ impl Endpoint {
     }
 }
 
-/// Ring-mode state: the installed cluster map (lazy — `None` until the
-/// first fetch or explicit refresh) plus per-shard routing tallies.
-struct Ring {
-    map: Option<ShardMap>,
-    /// Fetches served by each shard *under ring routing* (blind
-    /// pre-map asks against a seed are not tallied — they are not routed).
-    routed: Vec<u64>,
-}
-
-/// A client over one or more replica endpoints with retry, circuit
-/// breaking, and failover — and, in ring mode
-/// ([`RobustClient::new_ring`]), shard-aware routing over a cluster.
+/// A client over one or more endpoints with retry, circuit breaking,
+/// failover, and shard-aware routing once a cluster redirects it.
 /// Single-threaded (like [`Client`]); spawn one per worker thread.
 pub struct RobustClient {
     endpoints: Vec<Endpoint>,
@@ -266,7 +251,12 @@ pub struct RobustClient {
     rng: SplitMix64,
     conn_seq: u64,
     preferred: usize,
-    ring: Option<Ring>,
+    /// The installed cluster map: `None` until a redirect (or a push)
+    /// brings one.
+    map: Option<ShardMap>,
+    /// Fetches served by each shard under pinned routing (asks made
+    /// before a map is installed are not tallied — they are not routed).
+    routed: Vec<u64>,
 }
 
 impl std::fmt::Debug for RobustClient {
@@ -279,14 +269,12 @@ impl std::fmt::Debug for RobustClient {
 }
 
 impl RobustClient {
-    /// Build a client over `addrs` as **replicas of one shard**:
-    /// interchangeable servers over the same full keyspace, tried in
-    /// order (the first is the initial preferred replica), with failover
-    /// safe for *any* key. For the members of a sharded cluster — where
-    /// each server owns only part of the keyspace and failing over to an
-    /// arbitrary member would just earn a `WrongShard` redirect — use
-    /// [`RobustClient::new_ring`] instead. Connections are opened lazily,
-    /// per endpoint, on first use.
+    /// Build a client over `addrs`: replicas of one server, or seed
+    /// members of a sharded cluster. They are tried in order (the first
+    /// is the initial preferred endpoint) until a `WrongShard` redirect
+    /// installs the cluster's map; from then on each fetch goes to its
+    /// key's replica set (see the module doc). Connections are opened
+    /// lazily, per endpoint, on first use.
     pub fn new(addrs: &[SocketAddr], config: RobustConfig) -> Result<RobustClient> {
         if addrs.is_empty() {
             return Err(ServeError::Protocol("RobustClient needs at least one endpoint".into()));
@@ -300,23 +288,9 @@ impl RobustClient {
             rng,
             conn_seq: 0,
             preferred: 0,
-            ring: None,
+            map: None,
+            routed: Vec::new(),
         })
-    }
-
-    /// Build a **ring-routing** client over `seeds` — the dialable
-    /// addresses of some (any) members of a sharded cluster. The first
-    /// fetch asks a seed blind; the seed either serves the key (it was a
-    /// replica for it) or answers a typed `WrongShard`, at which point
-    /// the client fetches the cluster's [`ShardMap`], rebuilds its
-    /// endpoint set to the full membership, and routes every subsequent
-    /// fetch to the key's replica set in primary-first order. Failover
-    /// stays *within* one key's replica set; a stale map is corrected by
-    /// the next redirect, never by guessing.
-    pub fn new_ring(seeds: &[SocketAddr], config: RobustConfig) -> Result<RobustClient> {
-        let mut client = RobustClient::new(seeds, config)?;
-        client.ring = Some(Ring { map: None, routed: Vec::new() });
-        Ok(client)
     }
 
     /// The recovery counters (shared; keep a clone across calls).
@@ -330,52 +304,35 @@ impl RobustClient {
         Arc::clone(&self.wire)
     }
 
-    /// Fetch and decode one chunk (retried/failed-over; see module doc).
-    /// A browned-out server may answer below `read_cf`; the reply's
-    /// [`FetchedChunk::degraded`] flag says so and the `degraded` counter
-    /// tallies it — use [`RobustClient::fetch_full`] to insist.
+    /// Fetch and decode one chunk (retried, failed over, and re-routed;
+    /// see the module doc). A browned-out server may answer below
+    /// `read_cf`; the reply's [`FetchedChunk::degraded`] flag says so and
+    /// the `degraded` counter tallies it. Typed `WrongShard` redirects
+    /// are consumed by refreshing the map and re-routing. The hop budget
+    /// covers the first redirect plus an epoch race — a cluster still
+    /// redirecting after that disagrees with its own map, and the
+    /// redirect surfaces to the caller.
     pub fn fetch(&mut self, container: u32, chunk: u32, read_cf: u8) -> Result<FetchedChunk> {
-        if self.ring.is_some() {
-            return self.fetch_ring(container, chunk, read_cf);
-        }
+        const MAX_HOPS: usize = 3;
         // The remaining budget rides along as the server-side deadline, so
         // queued work we stopped waiting for is shed.
-        let (got, _) = self.call_routed(None, |client, remaining| {
+        let op = move |client: &mut Client, remaining: Option<Duration>| {
             client.fetch_deadline(container, chunk, read_cf, remaining)
-        })?;
-        if got.degraded() {
-            self.counters.bump(&self.counters.degraded);
-        }
-        Ok(got)
-    }
-
-    /// Ring-mode fetch: route to the key's replica set when a map is
-    /// installed, ask the seed blind when it isn't, and consume typed
-    /// `WrongShard` redirects by refreshing the map and re-routing. The
-    /// hop budget covers the blind first ask plus an epoch race — a
-    /// cluster still redirecting after that disagrees with its own map,
-    /// and the redirect surfaces to the caller.
-    fn fetch_ring(&mut self, container: u32, chunk: u32, read_cf: u8) -> Result<FetchedChunk> {
-        const MAX_HOPS: usize = 3;
+        };
         let mut last: Option<ServeError> = None;
         for _ in 0..MAX_HOPS {
-            let pin: Option<Vec<usize>> = match self.ring.as_ref().and_then(|r| r.map.as_ref()) {
+            let pin = match &self.map {
                 Some(m) => Some(m.replicas(container, chunk)?),
                 None => None,
             };
             let result = match pin.as_deref() {
-                Some(p) if self.hedge_window(p).is_some() => {
-                    self.fetch_hedged(p, container, chunk, read_cf)
-                }
-                _ => self.call_routed(pin.as_deref(), |client, remaining| {
-                    client.fetch_deadline(container, chunk, read_cf, remaining)
-                }),
+                Some(p) => self.fetch_hedged(p, op),
+                None => self.call_routed(None, op),
             };
             match result {
                 Ok((got, index)) => {
                     if pin.is_some() {
-                        if let Some(slot) = self.ring.as_mut().and_then(|r| r.routed.get_mut(index))
-                        {
+                        if let Some(slot) = self.routed.get_mut(index) {
                             *slot += 1;
                         }
                     }
@@ -406,25 +363,21 @@ impl RobustClient {
         (window > Duration::ZERO).then_some(window)
     }
 
-    /// One hedged ring fetch. The primary attempt runs with the *socket*
-    /// read timeout clamped to the hedge window while the wire deadline
-    /// stays the full budget — the server should still finish the work;
-    /// it is the client that stops waiting early. When the window
-    /// elapses without a reply the connection is left parked (its late
-    /// reply is drained before the next request it carries) and the same
-    /// fetch re-fires, through the ordinary retry engine, at the key's
-    /// remaining replicas. Any other primary failure gets the ordinary
-    /// failure bookkeeping and falls back to the plain routed path.
-    fn fetch_hedged(
+    /// One pinned fetch, hedged when `hedge_window` allows. The primary
+    /// attempt runs with the *socket* read timeout clamped to the hedge
+    /// window while the wire deadline stays the full budget — the server
+    /// should still finish the work; it is the client that stops waiting
+    /// early. When the window elapses without a reply the connection is
+    /// left parked (its late reply is drained before the next request it
+    /// carries) and the same fetch re-fires, through the ordinary retry
+    /// engine, at the key's remaining replicas. Any other primary failure
+    /// gets the ordinary failure bookkeeping and falls back to the plain
+    /// routed path.
+    fn fetch_hedged<T>(
         &mut self,
         pin: &[usize],
-        container: u32,
-        chunk: u32,
-        read_cf: u8,
-    ) -> Result<(FetchedChunk, usize)> {
-        let op = |client: &mut Client, remaining: Option<Duration>| {
-            client.fetch_deadline(container, chunk, read_cf, remaining)
-        };
+        op: impl Fn(&mut Client, Option<Duration>) -> Result<T> + Copy,
+    ) -> Result<(T, usize)> {
         let Some(window) = self.hedge_window(pin) else {
             return self.call_routed(Some(pin), op);
         };
@@ -438,10 +391,7 @@ impl RobustClient {
         }
         let full = self.config.timeout;
         self.counters.bump(&self.counters.attempts);
-        let result = self.attempt_on(primary, Some(window), &mut |client, _| {
-            client.fetch_deadline(container, chunk, read_cf, full)
-        });
-        match result {
+        match self.attempt_on(primary, Some(window), &mut |client, _| op(client, full)) {
             Ok(got) => {
                 self.endpoints[primary].breaker.on_success();
                 Ok((got, primary))
@@ -459,25 +409,7 @@ impl RobustClient {
                 hedged
             }
             Err(e) => {
-                // A real failure inside the window: the same bookkeeping
-                // one call_routed attempt would do, then hand the call
-                // to the retry engine over the full replica set.
-                if matches!(e, ServeError::Io(_) | ServeError::Protocol(_)) {
-                    self.endpoints[primary].conn = None;
-                }
-                if !e.is_retryable() {
-                    self.endpoints[primary].breaker.on_success();
-                    return Err(e);
-                }
-                let opened = self.endpoints[primary].breaker.on_failure(
-                    Instant::now(),
-                    self.config.breaker_threshold,
-                    self.config.breaker_cooldown,
-                    &mut self.rng,
-                );
-                if opened {
-                    self.counters.bump(&self.counters.breaker_opens);
-                }
+                self.record_failure(primary, e)?;
                 self.call_routed(Some(pin), op)
             }
         }
@@ -497,10 +429,7 @@ impl RobustClient {
     /// preserving each surviving address's live connection and breaker
     /// state across the refresh.
     fn install_map(&mut self, map: ShardMap) -> Result<()> {
-        let Some(ring) = self.ring.as_ref() else {
-            return Ok(());
-        };
-        if let Some(cur) = ring.map.as_ref() {
+        if let Some(cur) = self.map.as_ref() {
             match ShardMap::plan_install(cur, &map) {
                 MapInstall::Install => {}
                 // Re-learning the installed map, or hearing an older one
@@ -541,16 +470,14 @@ impl RobustClient {
             })
             .collect();
         self.preferred = 0;
-        if let Some(ring) = self.ring.as_mut() {
-            ring.routed.resize(map.members.len(), 0);
-            ring.map = Some(map);
-        }
+        self.routed.resize(map.members.len(), 0);
+        self.map = Some(map);
         Ok(())
     }
 
     /// Push `map` to the cluster (retried/failed-over like any call) and
-    /// adopt it locally in ring mode, so this client immediately routes
-    /// by what it pushed. Returns the epoch the answering server now
+    /// adopt it locally, so this client immediately routes by what it
+    /// pushed. Returns the epoch the answering server now
     /// routes by and whether the push installed anything (`false` = the
     /// map was already live there). Stale and conflicting pushes are
     /// typed `BadRequest` server errors.
@@ -565,46 +492,22 @@ impl RobustClient {
         Ok((epoch, installed))
     }
 
-    /// The installed cluster map, in ring mode after the first
-    /// fetch/refresh (`None` in replica mode or before the lazy load).
+    /// The installed cluster map (`None` until a redirect or a push
+    /// installs one).
     pub fn ring_map(&self) -> Option<&ShardMap> {
-        self.ring.as_ref().and_then(|r| r.map.as_ref())
+        self.map.as_ref()
     }
 
-    /// Per-shard `(member name, fetches served)` tallies for ring-routed
+    /// Per-shard `(member name, fetches served)` tallies for pinned
     /// fetches — how this client's traffic spread over the cluster.
-    /// Empty in replica mode or before the map is installed.
+    /// Empty until a map is installed.
     pub fn routed_counts(&self) -> Vec<(String, u64)> {
-        match (&self.ring, self.ring_map()) {
-            (Some(ring), Some(map)) => {
-                map.members.iter().zip(&ring.routed).map(|(m, &n)| (m.name.clone(), n)).collect()
+        match &self.map {
+            Some(map) => {
+                map.members.iter().zip(&self.routed).map(|(m, &n)| (m.name.clone(), n)).collect()
             }
-            _ => Vec::new(),
+            None => Vec::new(),
         }
-    }
-
-    /// [`RobustClient::fetch`], re-asking (up to `max_refetches` extra
-    /// attempts) while the server answers below the requested fidelity.
-    /// Brownout is transient by design — pressure clears, the governor
-    /// steps back up — so a bounded re-fetch usually lands the full-
-    /// fidelity bytes. Returns the best reply seen (the last one) even if
-    /// still degraded; callers check [`FetchedChunk::degraded`].
-    pub fn fetch_full(
-        &mut self,
-        container: u32,
-        chunk: u32,
-        read_cf: u8,
-        max_refetches: u32,
-    ) -> Result<FetchedChunk> {
-        let mut got = self.fetch(container, chunk, read_cf)?;
-        for _ in 0..max_refetches {
-            if !got.degraded() {
-                break;
-            }
-            self.counters.bump(&self.counters.refetches);
-            got = self.fetch(container, chunk, read_cf)?;
-        }
-        Ok(got)
     }
 
     /// Describe one served container (retried/failed-over).
@@ -635,9 +538,9 @@ impl RobustClient {
 
     /// The retry/failover engine shared by every request kind. With a
     /// `pin`, attempts are confined to those endpoint indices in that
-    /// order (ring mode: a key's replica set, primary first) instead of
-    /// the sticky rotation. Returns the successful value *and* the
-    /// endpoint index that served it (ring mode tallies it per shard).
+    /// order (a key's replica set, primary first) instead of the sticky
+    /// rotation. Returns the successful value *and* the endpoint index
+    /// that served it (pinned fetches tally it per shard).
     fn call_routed<T>(
         &mut self,
         pin: Option<&[usize]>,
@@ -676,39 +579,41 @@ impl RobustClient {
                 }
             };
             self.counters.bump(&self.counters.attempts);
-            let result = self.attempt_on(index, remaining, &mut op);
-            let now = Instant::now();
-            match result {
+            match self.attempt_on(index, remaining, &mut op) {
                 Ok(v) => {
                     self.endpoints[index].breaker.on_success();
                     return Ok((v, index));
                 }
-                Err(e) => {
-                    let drop_conn = matches!(e, ServeError::Io(_) | ServeError::Protocol(_));
-                    if drop_conn {
-                        self.endpoints[index].conn = None;
-                    }
-                    if !e.is_retryable() {
-                        // A fatal typed answer is a *healthy* server
-                        // rejecting the request itself; no breaker blame.
-                        self.endpoints[index].breaker.on_success();
-                        return Err(e);
-                    }
-                    let opened = self.endpoints[index].breaker.on_failure(
-                        now,
-                        self.config.breaker_threshold,
-                        self.config.breaker_cooldown,
-                        &mut self.rng,
-                    );
-                    if opened {
-                        self.counters.bump(&self.counters.breaker_opens);
-                    }
-                    last_err = Some(e);
-                }
+                Err(e) => last_err = Some(self.record_failure(index, e)?),
             }
         }
         Err(last_err
             .unwrap_or_else(|| ServeError::Protocol("retry budget of zero attempts".into())))
+    }
+
+    /// The bookkeeping after one failed attempt on endpoint `index`: a
+    /// transport failure drops the connection; a fatal typed answer is a
+    /// *healthy* server rejecting the request itself, so it clears the
+    /// breaker and comes back as `Err` to surface; any other failure is
+    /// blamed on the breaker and handed back to retry.
+    fn record_failure(&mut self, index: usize, e: ServeError) -> Result<ServeError> {
+        if matches!(e, ServeError::Io(_) | ServeError::Protocol(_)) {
+            self.endpoints[index].conn = None;
+        }
+        if !e.is_retryable() {
+            self.endpoints[index].breaker.on_success();
+            return Err(e);
+        }
+        let opened = self.endpoints[index].breaker.on_failure(
+            Instant::now(),
+            self.config.breaker_threshold,
+            self.config.breaker_cooldown,
+            &mut self.rng,
+        );
+        if opened {
+            self.counters.bump(&self.counters.breaker_opens);
+        }
+        Ok(e)
     }
 
     /// Choose the endpoint for the next attempt. Unpinned: sticky
@@ -820,23 +725,23 @@ impl RobustClient {
         let _ = stream.set_nodelay(true);
         let (tenant, weight) = (self.config.tenant, self.config.weight);
         let Some(plan) = self.config.chaos.filter(WireFaultPlan::is_active) else {
-            return Client::handshake(Box::new(stream), tenant, weight);
+            return Client::handshake(stream, tenant, weight, |s| Box::new(s));
         };
-        let mut faulty =
-            FaultyStream::with_counters(stream, WireFaultPlan::none(), Arc::clone(&self.wire));
+        // The seq is consumed up front, so a fault-killed handshake still
+        // advances the per-connection schedule deterministically.
         let derived = plan.derive(self.conn_seq);
         self.conn_seq += 1;
-        if plan.cover_handshake {
-            // Arm first: the seq is consumed up front, so a fault-killed
-            // handshake still advances the per-connection schedule
-            // deterministically.
-            faulty.set_plan(derived);
-            return Client::handshake(Box::new(faulty), tenant, weight);
-        }
-        let arm = faulty.arm_handle();
-        let client = Client::handshake(Box::new(faulty), tenant, weight)?;
-        arm.arm(derived);
-        Ok(client)
+        let (before, after) = match plan.cover_handshake {
+            true => (derived, None),
+            false => (WireFaultPlan::none(), Some(derived)),
+        };
+        let faulty = FaultyStream::with_counters(stream, before, Arc::clone(&self.wire));
+        Client::handshake(faulty, tenant, weight, move |mut s| {
+            if let Some(plan) = after {
+                s.set_plan(plan);
+            }
+            Box::new(s)
+        })
     }
 }
 

@@ -646,7 +646,6 @@ fn handle_conn<S: Wire>(shared: &Shared, mut stream: S) {
     let opened = Instant::now();
     let mut last_frame = opened;
     let mut partial_since: Option<Instant> = None;
-    let mut buf = [0u8; 64 * 1024];
     loop {
         // Shutdown is honored at frame boundaries: every parsed request
         // has been answered by now.
@@ -675,7 +674,7 @@ fn handle_conn<S: Wire>(shared: &Shared, mut stream: S) {
             let _ = protocol::write_response(&mut stream, &err(ErrorCode::DeadlineExceeded, what));
             return;
         }
-        match stream.read(&mut buf) {
+        match decoder.read_from(&mut stream) {
             // EOF closes silently at a frame boundary, typed mid-frame.
             Ok(0) => {
                 if decoder.has_partial() {
@@ -687,7 +686,7 @@ fn handle_conn<S: Wire>(shared: &Shared, mut stream: S) {
                 }
                 return;
             }
-            Ok(n) => decoder.push(&buf[..n]),
+            Ok(_) => {}
             Err(e)
                 if matches!(
                     e.kind(),
@@ -696,10 +695,10 @@ fn handle_conn<S: Wire>(shared: &Shared, mut stream: S) {
             Err(_) => return, // I/O failure: nothing to say it to.
         }
         loop {
-            match decoder.pop() {
-                Ok(Some((op, body))) => {
+            match decoder.pop_with(decode_request) {
+                Ok(Some(req)) => {
                     partial_since = None;
-                    if !answer_frame(shared, &mut stream, &mut hello, op, &body) {
+                    if !answer_frame(shared, &mut stream, &mut hello, req) {
                         return;
                     }
                     // Idle time starts once the reply is out: a fetch
@@ -726,18 +725,18 @@ fn handle_conn<S: Wire>(shared: &Shared, mut stream: S) {
     }
 }
 
-/// Answer one complete frame: the `Hello` exchange first, then every
-/// request inline (a fetch blocks on the worker rendezvous). Returns
-/// `false` when the connection must close — a fatal protocol error, or a
-/// reply that could not be written (or framed) in full.
+/// Answer one complete frame, parsed in place: the `Hello` exchange
+/// first, then every request inline (a fetch blocks on the worker
+/// rendezvous). Returns `false` when the connection must close — a fatal
+/// protocol error, or a reply that could not be written (or framed) in
+/// full.
 fn answer_frame<S: Wire>(
     shared: &Shared,
     stream: &mut S,
     hello: &mut Option<(u32, u8)>,
-    op: u8,
-    body: &[u8],
+    req: crate::Result<Request>,
 ) -> bool {
-    let req = match decode_request(op, body) {
+    let req = match req {
         Ok(req) => req,
         // The stream may be misaligned: answer typed, then close.
         Err(e) => {
@@ -1137,7 +1136,7 @@ mod tests {
             for cf in [0u8, 4, 2, 1] {
                 let got = c.fetch(0, chunk, cf).unwrap();
                 let eff = if cf == 0 { 4 } else { cf };
-                assert_eq!(got.read_cf, eff);
+                assert_eq!(got.served_cf, eff);
                 let want = direct.decompress_chunk_at(chunk as usize, eff as usize).unwrap();
                 assert_eq!(got.first_sample, direct.index()[chunk as usize].first_sample);
                 let a: Vec<u32> = got.data.iter().map(|v| v.to_bits()).collect();
@@ -1298,7 +1297,6 @@ mod tests {
         for chunk in 0..direct.chunk_count() as u32 {
             let got = c.fetch(0, chunk, 4).unwrap();
             assert_eq!(got.served_cf, 2, "stored cf 4 minus 2 brownout steps");
-            assert_eq!(got.read_cf, 2);
             assert!(got.degraded(), "served below the requested fidelity must be flagged");
             let want = direct.decompress_chunk_at(chunk as usize, 2).unwrap();
             let a: Vec<u32> = got.data.iter().map(|v| v.to_bits()).collect();

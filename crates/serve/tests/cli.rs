@@ -3,13 +3,14 @@
 //! flag is a usage error with a nonzero exit — never a silent no-op that
 //! runs with defaults.
 
+use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
-use aicomp_serve::{Client, ServeConfig, Server, StatsReport};
+use aicomp_serve::{Client, ServeConfig, Server, ShardMap, ShardMember, ShardRole, StatsReport};
 use aicomp_store::writer::pack_file;
-use aicomp_store::StoreOptions;
+use aicomp_store::{DczReader, StoreOptions};
 use aicomp_tensor::Tensor;
 
 fn scratch(name: &str) -> PathBuf {
@@ -220,4 +221,60 @@ fn inspect_lists_raw_byte_planes_per_chunk() {
     assert!(listed[0].ends_with("raw 0,1,2"), "{}", listed[0]);
     assert!(listed[1].ends_with("raw ?"), "{}", listed[1]);
     std::fs::remove_file(&store).ok();
+}
+
+/// `dcz fetch` has one routing mode: `--ring` is a usage error, and a plain fetch
+/// through one cluster member of a key that member does not own follows
+/// the `WrongShard` redirect to the bytes a direct read decodes.
+#[test]
+fn fetch_follows_a_cluster_redirect_without_a_mode_flag() {
+    let store = scratch("cluster.dcz");
+    let samples = (0..8).map(|i| {
+        let data = (0..16 * 16).map(|k| ((k * 7 + i * 13) % 29) as f32 / 4.0 - 3.0).collect();
+        Tensor::from_vec(data, [1, 16, 16]).unwrap()
+    });
+    pack_file(&store, &StoreOptions::dct(16, 4, 1, 1), samples).unwrap();
+    // The map names final addresses before any member binds: reserve
+    // ephemeral ports, release them, and rebind.
+    let listeners: Vec<TcpListener> =
+        (0..3).map(|_| TcpListener::bind("127.0.0.1:0").unwrap()).collect();
+    let members = listeners
+        .iter()
+        .enumerate()
+        .map(|(i, l)| ShardMember {
+            name: format!("s{i}"),
+            addr: l.local_addr().unwrap().to_string(),
+        })
+        .collect();
+    drop(listeners);
+    let map = ShardMap::new(1, 42, 64, 2, members);
+    let handles: Vec<_> = (0..3)
+        .map(|index| {
+            let role = ShardRole { map: map.clone(), index };
+            let config = ServeConfig { shard: Some(role), ..ServeConfig::default() };
+            Server::bind(map.members[index].addr.as_str(), &[&store], config).unwrap().spawn()
+        })
+        .collect();
+    let seed = map.members[0].addr.as_str();
+    let chunk = (0..8u32)
+        .find(|&c| !map.replicas(0, c).unwrap().contains(&0))
+        .expect("replication 2 of 3 leaves member 0 some keys it does not own");
+    let chunk_arg = chunk.to_string();
+
+    let base = ["fetch", "--addr", seed, "--container", "0", "--chunk", &chunk_arg];
+    assert_usage_error(&dcz(&[&base[..], &["--ring"]].concat()), "--ring");
+
+    let out_path = scratch("redirected.f32");
+    let out_arg = out_path.to_str().unwrap();
+    let out = dcz(&[&base[..], &["--out", out_arg]].concat());
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let want = DczReader::open(&store).unwrap().decompress_chunk_at(chunk as usize, 4).unwrap();
+    let want: Vec<u8> = want.data().iter().flat_map(|v| v.to_le_bytes()).collect();
+    assert_eq!(std::fs::read(&out_path).unwrap(), want, "chunk {chunk} via a redirect");
+
+    for h in handles {
+        h.shutdown_and_join();
+    }
+    std::fs::remove_file(&store).ok();
+    std::fs::remove_file(&out_path).ok();
 }

@@ -178,7 +178,7 @@ fn map_push_under_concurrent_load_loses_no_requests() {
                     seed: 0xC0DE ^ id as u64,
                     ..RobustConfig::default()
                 };
-                let mut client = RobustClient::new_ring(&[seed_addr], config).unwrap();
+                let mut client = RobustClient::new(&[seed_addr], config).unwrap();
                 let mut order = 0x5EED ^ (id as u64) << 8;
                 for key in shuffled(&all_keys(), &mut order) {
                     verify(&mut client, &want, key);
@@ -317,7 +317,7 @@ fn churn_pass(paths: &[PathBuf], want: &HashMap<(u32, u32, u8), Vec<u32>>, seed:
         seed,
         ..RobustConfig::default()
     };
-    let mut client = RobustClient::new_ring(&[seed_addr], config).unwrap();
+    let mut client = RobustClient::new(&[seed_addr], config).unwrap();
     let mut order = seed;
 
     // Round A: all three shards healthy at epoch 1.
@@ -460,7 +460,7 @@ fn hedged_reads_win_on_the_fast_replica() {
         seed: 0xFADE,
         ..RobustConfig::default()
     };
-    let mut client = RobustClient::new_ring(&[seed_addr], config).unwrap();
+    let mut client = RobustClient::new(&[seed_addr], config).unwrap();
     // Prime the client's map (idempotent push, installs locally) so even
     // the first fetch routes pinned — the expected hedge count is then
     // exactly the number of slow-primary keys in the walk.

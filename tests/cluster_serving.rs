@@ -161,7 +161,7 @@ fn three_shard_cluster_is_bit_identical_to_a_single_node() {
     // ring-routed client seeded with one member address.
     let (map, handles) = start_cluster(&paths, 42);
     let seed_addr: SocketAddr = map.members[0].addr.parse().unwrap();
-    let mut ring = RobustClient::new_ring(&[seed_addr], RobustConfig::default()).unwrap();
+    let mut ring = RobustClient::new(&[seed_addr], RobustConfig::default()).unwrap();
 
     for (c, chunk, cf) in all_keys() {
         let via_ring = ring.fetch(c, chunk, cf).unwrap();
@@ -200,6 +200,31 @@ fn three_shard_cluster_is_bit_identical_to_a_single_node() {
     }
 }
 
+/// A client built over one member's address, as it would be over a
+/// replica, learns the cluster from its first `WrongShard` redirect:
+/// every key comes back bit-exact, and the redirects and the map refresh
+/// they triggered are counted.
+#[test]
+fn a_client_over_one_member_follows_redirects_to_every_key() {
+    let paths = packed("redirect");
+    let want = reference(&paths);
+    let (map, handles) = start_cluster(&paths, 42);
+    let seed_addr: SocketAddr = map.members[0].addr.parse().unwrap();
+    let mut client = RobustClient::new(&[seed_addr], RobustConfig::default()).unwrap();
+    for key in all_keys() {
+        verify(&mut client, &want, key);
+    }
+    let c = client.counters();
+    assert!(c.redirects.load(Ordering::Relaxed) > 0, "the seed must not own every key");
+    assert!(c.map_refreshes.load(Ordering::Relaxed) >= 1, "a redirect must refresh the map");
+    for h in handles {
+        h.shutdown_and_join();
+    }
+    for p in &paths {
+        std::fs::remove_file(p).ok();
+    }
+}
+
 /// One full kill-a-shard pass: fresh 3-shard cluster, a seeded shuffled
 /// walk over every key, shard 1 killed between the two rounds, every
 /// byte verified throughout. Returns the routing counters.
@@ -220,7 +245,7 @@ fn cluster_pass(
         seed,
         ..RobustConfig::default()
     };
-    let mut client = RobustClient::new_ring(&[seed_addr], config).unwrap();
+    let mut client = RobustClient::new(&[seed_addr], config).unwrap();
     let mut order = seed;
 
     // Round A: all shards healthy.

@@ -152,7 +152,6 @@ fn mixed_tenant_saturation(path: &PathBuf) -> RunOutcome {
                         got.served_cf, expect_cf,
                         "chunk {chunk} cf {req_cf}: steady-state brownout must serve {expect_cf}"
                     );
-                    assert_eq!(got.read_cf, got.served_cf, "reply fidelity fields must agree");
                     assert_eq!(
                         got.degraded(),
                         req_cf != 0 && got.served_cf < req_cf,

@@ -97,7 +97,7 @@ fn thirty_two_concurrent_clients_are_bit_identical() {
                     for req_cf in [0u8, COARSE] {
                         let got = client.fetch(0, chunk, req_cf).unwrap();
                         let eff = if req_cf == 0 { CF as u8 } else { req_cf };
-                        assert_eq!(got.read_cf, eff);
+                        assert_eq!(got.served_cf, eff);
                         let bits: Vec<u32> = got.data.iter().map(|v| v.to_bits()).collect();
                         assert_eq!(
                             bits,
