@@ -8,12 +8,12 @@
 //! Usage: `cargo run --release -p aicomp-bench --bin fig03_jpeg_heatmap [--images 1000]`
 
 use aicomp_baselines::JpegQuantizer;
-use aicomp_bench::{arg, CsvOut};
+use aicomp_bench::{CsvOut, Flags};
 use aicomp_sciml::{Dataset, DatasetKind};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let n_images = arg(&args, "images", 1000usize);
+    let flags = Flags::from_env("usage: fig03_jpeg_heatmap [--images <N>]", &["--images"], &[]);
+    let n_images = flags.get("--images", 1000usize);
     let qualities = [5u32, 10, 25, 50, 75, 95];
 
     eprintln!("generating {n_images} classify images...");

@@ -6,13 +6,14 @@
 //!         [--epochs 8] [--train 192] [--fresh]`
 
 use aicomp_bench::sweeps::accuracy_sweep;
-use aicomp_bench::{arg, has_flag, CsvOut};
+use aicomp_bench::{CsvOut, Flags};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let epochs = arg(&args, "epochs", 8usize);
-    let train = arg(&args, "train", 192usize);
-    let rows = accuracy_sweep(epochs, train, has_flag(&args, "fresh"));
+    let usage = "usage: fig08_test_diff [--epochs <N>] [--train <N>] [--fresh]";
+    let flags = Flags::from_env(usage, &["--epochs", "--train"], &["--fresh"]);
+    let epochs = flags.get("--epochs", 8usize);
+    let train = flags.get("--train", 192usize);
+    let rows = accuracy_sweep(epochs, train, flags.has("--fresh"));
 
     let mut csv = CsvOut::create("fig08_test_diff", &["benchmark", "series", "epoch", "pct_diff"]);
     let mut benchmarks: Vec<String> = Vec::new();

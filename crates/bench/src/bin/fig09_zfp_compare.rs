@@ -7,15 +7,16 @@
 
 use aicomp_baselines::ZfpFixedRate;
 use aicomp_bench::sweeps::sweep_config;
-use aicomp_bench::{arg, CsvOut};
+use aicomp_bench::{CsvOut, Flags};
 use aicomp_core::CodecSpec;
 use aicomp_sciml::compressors::{DataCompressor, NoCompression};
 use aicomp_sciml::{tasks, Benchmark};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let epochs = arg(&args, "epochs", 6usize);
-    let train = arg(&args, "train", 128usize);
+    let usage = "usage: fig09_zfp_compare [--epochs <N>] [--train <N>]";
+    let flags = Flags::from_env(usage, &["--epochs", "--train"], &[]);
+    let epochs = flags.get("--epochs", 6usize);
+    let train = flags.get("--train", 128usize);
 
     let mut csv = CsvOut::create(
         "fig09_zfp_compare",

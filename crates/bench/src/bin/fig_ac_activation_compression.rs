@@ -14,7 +14,7 @@
 
 use aicomp_accel::distributed::StepModel;
 use aicomp_accel::{CompressorDeployment, Platform};
-use aicomp_bench::{append_bench_record, arg, has_flag, CsvOut};
+use aicomp_bench::{append_bench_record, CsvOut, Flags};
 use aicomp_core::CodecSpec;
 use aicomp_sciml::compressors::NoCompression;
 use aicomp_sciml::tasks::{train, train_with_spill, SpillOptions, TrainResult};
@@ -35,10 +35,11 @@ fn codecs() -> Vec<(&'static str, Option<CodecSpec>)> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = has_flag(&args, "quick");
-    let epochs = arg(&args, "epochs", if quick { 1 } else { 3 });
-    let train_size = arg(&args, "train", if quick { 32 } else { 96 });
+    let usage = "usage: fig_ac_activation_compression [--epochs <N>] [--train <N>] [--quick]";
+    let flags = Flags::from_env(usage, &["--epochs", "--train"], &["--quick"]);
+    let quick = flags.has("--quick");
+    let epochs = flags.get("--epochs", if quick { 1 } else { 3 });
+    let train_size = flags.get("--train", if quick { 32 } else { 96 });
 
     let mut csv = CsvOut::create(
         "fig_ac_activation_compression",

@@ -15,7 +15,7 @@
 use std::rc::Rc;
 
 use aicomp_baselines::ZfpFixedRate;
-use aicomp_bench::{arg, CsvOut};
+use aicomp_bench::{CsvOut, Flags};
 use aicomp_core::ChopCompressor;
 use aicomp_nn::{Adam, CompressedGradients, LossyBackward, LossyFn, Optimizer, Tape};
 use aicomp_sciml::networks::EncoderDecoder;
@@ -30,9 +30,10 @@ struct RunSpec {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let epochs = arg(&args, "epochs", 6usize);
-    let train_size = arg(&args, "train", 96usize);
+    let usage = "usage: future_targets [--epochs <N>] [--train <N>]";
+    let flags = Flags::from_env(usage, &["--epochs", "--train"], &[]);
+    let epochs = flags.get("--epochs", 6usize);
+    let train_size = flags.get("--train", 96usize);
     let batch = 16usize;
     let lr = 1e-3f32;
 

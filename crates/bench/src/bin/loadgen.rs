@@ -76,6 +76,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use aicomp_bench::Flags;
 use aicomp_serve::{
     Client, ErrorCode, FailureDetector, FetchedChunk, RobustClient, RobustConfig, ServeConfig,
     ServeError, Server, ServerHandle, ShardMap, WireFaultPlan,
@@ -108,35 +109,6 @@ const VALUE_FLAGS: [&str; 16] = [
     "--tenants",
     "--hedge",
 ];
-
-/// Reject anything that is not a declared flag (with its value).
-fn check_flags(args: &[String]) -> Result<(), String> {
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if a == "--churn" {
-            i += 1;
-        } else if VALUE_FLAGS.contains(&a) && i + 1 < args.len() {
-            i += 2;
-        } else if VALUE_FLAGS.contains(&a) {
-            return Err(format!("flag {a} needs a value\n{USAGE}"));
-        } else {
-            return Err(format!("unknown argument {a:?}\n{USAGE}"));
-        }
-    }
-    Ok(())
-}
-
-fn arg(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
-}
-
-fn parse<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
-    match arg(args, name) {
-        Some(v) => v.parse().map_err(|_| format!("bad value for {name}: {v:?}")),
-        None => Ok(default),
-    }
-}
 
 /// splitmix64 — deterministic per-client request streams with no deps.
 fn next(state: &mut u64) -> u64 {
@@ -342,32 +314,30 @@ fn restore_members(cur: &ShardMap) -> Result<(), String> {
 }
 
 fn run() -> Result<bool, String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    check_flags(&args)?;
-    let clients: usize = parse(&args, "--clients", 32)?;
-    let requests: usize = parse(&args, "--requests", 16)?;
-    let coarse_frac: f64 = parse(&args, "--coarse", 0.5)?;
-    let seed: u64 = parse(&args, "--seed", 7)?;
-    let chaos: Option<u64> = match arg(&args, "--chaos") {
-        Some(v) => Some(v.parse().map_err(|_| format!("bad value for --chaos: {v:?}"))?),
-        None => None,
-    };
-    let timeout_ms: u64 = parse(&args, "--timeout", 10_000)?;
-    let retries: u32 = parse(&args, "--retries", 6)?;
-    let tenant: u32 = parse(&args, "--tenant", 0)?;
-    let weight: u8 = parse(&args, "--weight", 1)?;
-    let tenants: u32 = parse(&args, "--tenants", 0)?;
-    if tenants > 0 && arg(&args, "--tenant").is_some() {
+    let flags = Flags::from_env(USAGE, &VALUE_FLAGS, &["--churn"]);
+    let clients: usize = flags.get("--clients", 32);
+    let requests: usize = flags.get("--requests", 16);
+    let coarse_frac: f64 = flags.get("--coarse", 0.5);
+    let coarse_cf: Option<u8> = flags.opt("--cf");
+    let seed: u64 = flags.get("--seed", 7);
+    let chaos: Option<u64> = flags.opt("--chaos");
+    let timeout_ms: u64 = flags.get("--timeout", 10_000);
+    let retries: u32 = flags.get("--retries", 6);
+    let tenant: u32 = flags.get("--tenant", 0);
+    let weight: u8 = flags.get("--weight", 1);
+    let tenants: u32 = flags.get("--tenants", 0);
+    let hedge: f64 = flags.get("--hedge", 0.0);
+    if tenants > 0 && flags.has("--tenant") {
         return Err("--tenants (round-robin) and --tenant (fixed) are mutually exclusive".into());
     }
-    let qos_mode = tenants > 0 || arg(&args, "--tenant").is_some();
+    let qos_mode = tenants > 0 || flags.has("--tenant");
     // Cluster mode: comma-separated seed members of a sharded cluster.
-    let cluster_seeds: Option<Vec<SocketAddr>> = match arg(&args, "--cluster") {
+    let cluster_seeds: Option<Vec<SocketAddr>> = match flags.value("--cluster") {
         Some(list) => {
             if chaos.is_some() {
                 return Err("--cluster and --chaos are mutually exclusive".into());
             }
-            if arg(&args, "--addr").is_some() || arg(&args, "--store").is_some() {
+            if flags.has("--addr") || flags.has("--store") {
                 return Err("--cluster drives an external cluster; drop --addr/--store \
                      (use --verify <file.dcz> for bit checks)"
                     .into());
@@ -388,8 +358,7 @@ fn run() -> Result<bool, String> {
         }
         None => None,
     };
-    let churn = args.iter().any(|a| a == "--churn");
-    let hedge: f64 = parse(&args, "--hedge", 0.0)?;
+    let churn = flags.has("--churn");
     if churn {
         if cluster_seeds.is_none() {
             return Err("--churn reconfigures a cluster; it requires --cluster".into());
@@ -417,14 +386,14 @@ fn run() -> Result<bool, String> {
     // self-hosted over a generated container.
     let mut handle: Option<ServerHandle> = None;
     let mut generated: Option<PathBuf> = None;
-    let mut verify_path: Option<PathBuf> = arg(&args, "--verify").map(PathBuf::from);
-    let addr = match (&cluster_seeds, arg(&args, "--addr")) {
+    let mut verify_path: Option<PathBuf> = flags.value("--verify").map(PathBuf::from);
+    let addr = match (&cluster_seeds, flags.value("--addr")) {
         // Cluster mode: the control connection (info/stats) goes to the
         // first seed; the workers route by the shard map.
         (Some(seeds), _) => seeds[0].to_string(),
-        (None, Some(a)) => a,
+        (None, Some(a)) => a.to_string(),
         (None, None) => {
-            let path = match arg(&args, "--store") {
+            let path = match flags.value("--store") {
                 Some(s) => PathBuf::from(s),
                 None => {
                     let p = synthetic_container()?;
@@ -445,7 +414,7 @@ fn run() -> Result<bool, String> {
     let mut control = Client::connect(&addr).map_err(|e| e.to_string())?;
     let info = control.info(0).map_err(|e| e.to_string())?;
     let stored_cf = info.cf;
-    let coarse_cf: u8 = parse(&args, "--cf", (stored_cf / 2).max(1))?;
+    let coarse_cf = coarse_cf.unwrap_or((stored_cf / 2).max(1));
     if coarse_cf > stored_cf {
         return Err(format!("--cf {coarse_cf} exceeds the stored chop factor {stored_cf}"));
     }

@@ -8,13 +8,14 @@
 
 use std::process::Command;
 
-use aicomp_bench::{arg, has_flag};
+use aicomp_bench::Flags;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = has_flag(&args, "quick");
-    let epochs = arg(&args, "epochs", if quick { 2 } else { 8usize });
-    let train = arg(&args, "train", if quick { 64 } else { 192usize });
+    let usage = "usage: repro_all [--epochs <N>] [--train <N>] [--quick]";
+    let flags = Flags::from_env(usage, &["--epochs", "--train"], &["--quick"]);
+    let quick = flags.has("--quick");
+    let epochs = flags.get("--epochs", if quick { 2 } else { 8usize });
+    let train = flags.get("--train", if quick { 64 } else { 192usize });
     let epochs_s = epochs.to_string();
     let train_s = train.to_string();
 

@@ -110,16 +110,78 @@ pub fn fmt(v: f64) -> String {
     }
 }
 
-/// Tiny `--key value` CLI parser: `arg(&args, "epochs", 6)`.
-pub fn arg<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> T {
-    let flag = format!("--{key}");
-    args.windows(2).find(|w| w[0] == flag).and_then(|w| w[1].parse().ok()).unwrap_or(default)
+/// A binary's command line, checked against the flags it declares: value
+/// flags (`--epochs 8`) and switches (`--quick`). An undeclared argument
+/// (`--help` included), a value flag without its value, or a value that
+/// does not parse is refused with the binary's usage line, and the process
+/// exits 1 before it does any work.
+#[derive(Debug)]
+pub struct Flags {
+    usage: &'static str,
+    /// Each flag given, in order, with its value (`None` for a switch).
+    given: Vec<(String, Option<String>)>,
 }
 
-/// True when `--flag` is present.
-pub fn has_flag(args: &[String], key: &str) -> bool {
-    let flag = format!("--{key}");
-    args.iter().any(|a| a == &flag)
+impl Flags {
+    /// Check `args` (the program name excluded) against the declared
+    /// `values` and `switches`; a refusal names the argument and carries
+    /// `usage`.
+    pub fn parse(
+        args: impl IntoIterator<Item = String>,
+        usage: &'static str,
+        values: &[&str],
+        switches: &[&str],
+    ) -> Result<Flags, String> {
+        let mut args = args.into_iter();
+        let mut given = Vec::new();
+        while let Some(a) = args.next() {
+            if switches.contains(&a.as_str()) {
+                given.push((a, None));
+            } else if values.contains(&a.as_str()) {
+                let v = args.next().ok_or_else(|| format!("flag {a} needs a value\n{usage}"))?;
+                given.push((a, Some(v)));
+            } else {
+                return Err(format!("unknown argument {a:?}\n{usage}"));
+            }
+        }
+        Ok(Flags { usage, given })
+    }
+
+    /// [`Flags::parse`] of this process's arguments; a refusal is printed
+    /// and the process exits 1.
+    pub fn from_env(usage: &'static str, values: &[&str], switches: &[&str]) -> Flags {
+        Flags::parse(std::env::args().skip(1), usage, values, switches)
+            .unwrap_or_else(|e| refuse(&e))
+    }
+
+    /// Was the switch (or value flag) `name` given?
+    pub fn has(&self, name: &str) -> bool {
+        self.given.iter().any(|(flag, _)| flag == name)
+    }
+
+    /// The value given for `name`, as typed.
+    pub fn value(&self, name: &str) -> Option<&str> {
+        self.given.iter().find(|(flag, _)| flag == name).and_then(|(_, v)| v.as_deref())
+    }
+
+    /// The value of `name` parsed as `T`, `None` when not given; a value
+    /// that does not parse is refused (exit 1).
+    pub fn opt<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        let v = self.value(name)?;
+        let refusal = || format!("bad value for {name}: {v:?}\n{}", self.usage);
+        Some(v.parse().unwrap_or_else(|_| refuse(&refusal())))
+    }
+
+    /// [`Flags::opt`], with `default` when `name` is not given.
+    pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
+        self.opt(name).unwrap_or(default)
+    }
+}
+
+/// Print a command-line refusal and exit 1.
+fn refuse(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(1)
 }
 
 /// The chop factors the paper sweeps (CF 2..7) with their CRs.
@@ -140,13 +202,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn arg_parsing() {
-        let args: Vec<String> =
-            ["prog", "--epochs", "12", "--lr", "0.5"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(arg(&args, "epochs", 3usize), 12);
-        assert_eq!(arg(&args, "lr", 0.1f64), 0.5);
-        assert_eq!(arg(&args, "missing", 7usize), 7);
-        assert!(!has_flag(&args, "quick"));
+    fn flags_parse_declared_flags_and_refuse_the_rest() {
+        const USAGE: &str = "usage: prog [--epochs <N>] [--lr <x>] [--quick]";
+        let parse = |args: &[&str]| {
+            Flags::parse(
+                args.iter().map(|s| s.to_string()),
+                USAGE,
+                &["--epochs", "--lr"],
+                &["--quick"],
+            )
+        };
+        let flags = parse(&["--epochs", "12", "--lr", "0.5"]).unwrap();
+        assert_eq!(flags.get("--epochs", 3usize), 12);
+        assert_eq!(flags.get("--lr", 0.1f64), 0.5);
+        assert_eq!(flags.opt::<usize>("--missing"), None);
+        assert!(!flags.has("--quick"));
+        // A switch cannot be the value of a flag it follows, nor a value a switch.
+        let flags = parse(&["--lr", "--quick"]).unwrap();
+        assert_eq!((flags.value("--lr"), flags.has("--quick")), (Some("--quick"), false));
+        for (args, names) in [
+            (&["--epcohs", "1"][..], "\"--epcohs\""),
+            (&["--quikc"][..], "\"--quikc\""),
+            (&["--help"][..], "\"--help\""),
+            (&["--quick", "1"][..], "\"1\""),
+            (&["--epochs"][..], "flag --epochs needs a value"),
+        ] {
+            let refusal = parse(args).unwrap_err();
+            assert!(refusal.contains(names) && refusal.ends_with(USAGE), "{args:?}: {refusal}");
+        }
     }
 
     #[test]

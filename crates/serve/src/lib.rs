@@ -21,8 +21,8 @@
 //!   DCT+Chop coefficients and runs the inverse matmuls on the consumer:
 //!   bytes cross the disk, the queue *and the wire* compressed. Each of
 //!   the [`server`]'s workers reads one chunk's stored bytes per job
-//!   through the store's `SharedReader::read_chunk_bytes_at` (the ring
-//!   prefix for a coarse fetch), the reply fans out through a sharded LRU
+//!   through its own `DczReader::read_chunk_bytes_at` (the ring prefix
+//!   for a coarse fetch), the reply fans out through a sharded LRU
 //!   [`cache`] keyed `(container, chunk, fidelity)`, and the [`client`]
 //!   decodes with the store's `ChunkDecoder` — the decoder every
 //!   `DczReader` uses, so a fetched chunk is bit-identical to a local

@@ -590,8 +590,9 @@ pub fn encode_frame(op: u8, body: &[u8]) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-/// Incremental frame parser: push transport bytes in (in any
-/// segmentation), pop complete, CRC-verified `(opcode, body)` frames out.
+/// Incremental frame parser: transport reads land in its buffer (in any
+/// segmentation), and complete, CRC-verified `(opcode, body)` frames come
+/// out — through [`read_frame`] and its siblings on a blocking stream.
 ///
 /// Length sanity (`len` in `5..=MAX_FRAME`: opcode + CRC at least) is
 /// checked as soon as the 4-byte prefix is buffered, so an attacker
@@ -614,13 +615,6 @@ impl FrameDecoder {
     /// Fresh decoder with an empty buffer.
     pub fn new() -> FrameDecoder {
         FrameDecoder::default()
-    }
-
-    /// Feed transport bytes (any segmentation, including 0 bytes).
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.buf.truncate(self.filled);
-        self.buf.extend_from_slice(bytes);
-        self.filled = self.buf.len();
     }
 
     /// One `read` from `r` straight into the buffer. The room offered
@@ -649,18 +643,13 @@ impl FrameDecoder {
         self.filled > 0
     }
 
-    /// Pop one complete frame, verifying its CRC trailer. `Ok(None)`
-    /// means more bytes are needed; `Err` means the stream is
-    /// desynchronized (bad length or CRC mismatch) and the connection
-    /// must close.
-    pub fn pop(&mut self) -> Result<Option<(u8, Vec<u8>)>> {
-        self.pop_with(|op, body| (op, body.to_vec()))
-    }
-
-    /// [`pop`](FrameDecoder::pop), but hand the verified `(opcode, body)`
-    /// to `f` where it lies in the buffer instead of copying the body out:
-    /// a client parses a reply straight from the received bytes. `f` runs
-    /// only after the CRC check passes.
+    /// Pop one complete frame, verifying its CRC trailer, and hand its
+    /// `(opcode, body)` to `f` where it lies in the buffer instead of
+    /// copying the body out: a client parses a reply straight from the
+    /// received bytes. `f` runs only after the CRC check passes.
+    /// `Ok(None)` means more bytes are needed; `Err` means the stream is
+    /// desynchronized (bad length or CRC mismatch) and the connection must
+    /// close.
     pub(crate) fn pop_with<T>(&mut self, f: impl FnOnce(u8, &[u8]) -> T) -> Result<Option<T>> {
         let buf = &self.buf[..self.filled];
         if buf.len() < 4 {
@@ -755,8 +744,7 @@ pub fn read_frame(r: &mut impl Read, dec: &mut FrameDecoder) -> Result<Option<(u
     read_frame_with(r, dec, |op, body| (op, body.to_vec()))
 }
 
-/// [`read_frame`], handing the verified frame to `f` in place (see
-/// [`FrameDecoder::pop_with`]).
+/// [`read_frame`], handing the verified frame to `f` in place.
 pub(crate) fn read_frame_with<T>(
     r: &mut impl Read,
     dec: &mut FrameDecoder,
@@ -965,19 +953,17 @@ mod tests {
 
     #[test]
     fn decoder_reassembles_any_segmentation() {
+        use crate::chaos::scripted::Scripted;
         let mut wire = Vec::new();
         for req in [Request::Ping, Request::Stats, Request::Info { container: 7 }] {
             wire.extend_from_slice(&frame(&req));
         }
         for chunk_size in [1, 2, 3, 7, wire.len()] {
+            // One transport read per piece, each handed to `read_frame`.
+            let mut r = Scripted::new(wire.chunks(chunk_size).map(|p| Ok(p.to_vec())));
             let mut dec = FrameDecoder::new();
-            let mut got = Vec::new();
-            for piece in wire.chunks(chunk_size) {
-                dec.push(piece);
-                while let Some(f) = dec.pop().unwrap() {
-                    got.push(f);
-                }
-            }
+            let got: Vec<_> =
+                std::iter::from_fn(|| read_frame(&mut r, &mut dec).unwrap()).collect();
             assert_eq!(got.len(), 3, "chunk size {chunk_size}");
             assert!(!dec.has_partial());
         }
@@ -993,17 +979,16 @@ mod tests {
 
     #[test]
     fn decoder_rejects_bad_lengths_immediately() {
-        let mut dec = FrameDecoder::new();
-        dec.push(&(MAX_FRAME + 1).to_le_bytes());
-        assert!(dec.pop().is_err());
-        let mut dec = FrameDecoder::new();
-        dec.push(&0u32.to_le_bytes());
-        assert!(dec.pop().is_err());
-        // len 4 < 5 is impossible (opcode + CRC alone need 5).
-        let mut dec = FrameDecoder::new();
-        dec.push(&4u32.to_le_bytes());
-        dec.push(&[0x05, 0, 0, 0]);
-        assert!(dec.pop().is_err());
+        // Each prefix is refused from the bytes shown, without waiting
+        // for (or reading) a body.
+        let mut len4 = 4u32.to_le_bytes().to_vec();
+        len4.extend_from_slice(&[0x05, 0, 0, 0]); // 4 < 5: opcode + CRC alone need 5
+        for wire in [(MAX_FRAME + 1).to_le_bytes().to_vec(), 0u32.to_le_bytes().to_vec(), len4] {
+            let got = read_frame(&mut wire.as_slice(), &mut FrameDecoder::new());
+            assert!(
+                matches!(got, Err(ServeError::Protocol(ref m)) if m.contains("bad frame length"))
+            );
+        }
     }
 
     #[test]

@@ -9,13 +9,14 @@
 //!   cache misses to the worker queue with a non-blocking `try_push` —
 //!   a full queue is answered with a typed `Overloaded` frame
 //!   immediately (load shedding, never a silent drop);
-//! * a fixed **worker pool** draining the queue. Each worker pops one
-//!   job and reads its chunk's stored bytes through the container's
-//!   [`SharedReader::read_chunk_bytes_at`] — the `DczReader` read behind
-//!   every decode, CRC-checked at the stored fidelity. It wraps them in
-//!   the reply slab once, caches it, and answers the job. The server runs
-//!   no codec: the client decodes the bytes with the store's own chunk
-//!   decoder, so a served chunk *is* the reference decode.
+//! * a fixed **worker pool** draining the queue. Each worker owns one
+//!   [`DczReader`] per container, as each `PrefetchLoader` worker does,
+//!   and pops one job at a time: it reads the chunk's stored bytes with
+//!   [`DczReader::read_chunk_bytes_at`] — the read behind every decode,
+//!   CRC-checked at the stored fidelity — wraps them in the reply slab
+//!   once, caches it, and answers the job. The server runs no codec: the
+//!   client decodes the bytes with the store's own chunk decoder, so a
+//!   served chunk *is* the reference decode.
 //!
 //! Graceful shutdown is a strict ordering: the `Shutdown` frame (or
 //! [`ServerHandle::shutdown`]) sets the flag → the listener stops
@@ -45,15 +46,16 @@
 //! (paper §3.2) — and replies carry their `served_cf` so degradation is
 //! explicit, never silent. Shedding is the last resort, not the first.
 
-use std::io::ErrorKind;
+use std::fs::File;
+use std::io::{BufReader, ErrorKind};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use aicomp_store::{IndexEntry, SharedReader, StoreError};
+use aicomp_store::{DczReader, Header, IndexEntry, StoreError};
 
 use crate::cache::ChunkCache;
 use crate::chaos::{FaultyStream, Wire, WireFaultPlan};
@@ -307,11 +309,20 @@ struct ShardSlot {
     owned: u64,
 }
 
+/// One served container as the bind-time [`DczReader::open`] probe found
+/// it: where it lives, plus the validated header and index that admission,
+/// `Info`, quota costs and reply slabs read.
+struct Container {
+    path: PathBuf,
+    header: Header,
+    index: Vec<IndexEntry>,
+}
+
 /// State shared by the listener, connection threads, and workers. The
 /// cache stores *encoded* reply slabs, so a hit skips the read and the
 /// slab copy, and fan-out is an `Arc` bump.
 struct Shared {
-    containers: Vec<SharedReader>,
+    containers: Vec<Container>,
     queue: Wfq<Job>,
     cache: ChunkCache,
     stats: ServeStats,
@@ -354,15 +365,16 @@ impl Server {
     ) -> crate::Result<Server> {
         let mut containers = Vec::with_capacity(stores.len());
         for p in stores {
-            let reader = SharedReader::open(p)?;
+            let probe = DczReader::open(p)?;
             // A reply that cannot be framed could never be answered:
             // refuse the container now instead of failing every fetch.
-            let frame_len = largest_reply_frame(reader.index());
+            let frame_len = largest_reply_frame(probe.index());
             if frame_len > u64::from(MAX_FRAME) {
                 let store = p.as_ref().display().to_string();
                 return Err(ServeError::ReplyTooLarge { store, frame_len });
             }
-            containers.push(reader);
+            let (header, index) = (*probe.header(), probe.index().to_vec());
+            containers.push(Container { path: p.as_ref().to_path_buf(), header, index });
         }
         let quota =
             TenantQuota { max_inflight: config.tenant_inflight, max_bytes: config.tenant_bytes };
@@ -370,7 +382,7 @@ impl Server {
         // shard map names the *bound* address (port 0 resolves here).
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let chunk_counts: Vec<u32> = containers.iter().map(|c| c.chunk_count() as u32).collect();
+        let chunk_counts: Vec<u32> = containers.iter().map(|c| c.index.len() as u32).collect();
         let slot = match &config.shard {
             Some(role) => {
                 if role.index >= role.map.len() {
@@ -573,13 +585,19 @@ fn err(code: ErrorCode, message: impl Into<String>) -> Response {
 
 // ---------------------------------------------------------------- workers
 
+/// A worker's own reader of each served container, opened on its first
+/// job there and kept after a failed read: every read seeks to its chunk
+/// first.
+type Readers = Vec<Option<DczReader<BufReader<File>>>>;
+
 fn worker_loop(shared: &Shared) {
+    let mut readers: Readers = shared.containers.iter().map(|_| None).collect();
     while let Some(job) = shared.queue.pop() {
         if let Some(d) = shared.config.worker_delay {
             thread::sleep(d);
         }
         let t0 = Instant::now();
-        process_job(shared, job);
+        process_job(shared, &mut readers, job);
         // Job wall time feeds the brownout governor: a slow read is
         // pressure even when the queue looks shallow.
         shared.brownout.observe(
@@ -594,7 +612,7 @@ fn worker_loop(shared: &Shared) {
 /// Answer one admitted fetch: read its chunk's stored bytes and copy them
 /// into **one** shared [`ResponseSlab`] — the only per-chunk memcpy on the
 /// reply path — that the cache and the client both hold.
-fn process_job(shared: &Shared, job: Job) {
+fn process_job(shared: &Shared, readers: &mut Readers, job: Job) {
     // Shed a job whose deadline expired while it queued — before any read,
     // the same pre-worker edge as `Overloaded`.
     if job.expires.is_some_and(|e| e <= Instant::now()) {
@@ -609,11 +627,17 @@ fn process_job(shared: &Shared, job: Job) {
         return job.finish(shared, Ok(hit));
     }
     // Containers/chunks/fidelities were validated at admission.
-    let reader = &shared.containers[job.container as usize];
-    let result = match reader.read_chunk_bytes_at(job.chunk as usize, job.read_cf as usize) {
+    let container = &shared.containers[job.container as usize];
+    let reader = &mut readers[job.container as usize];
+    let stored = match reader {
+        Some(r) => Ok(r),
+        None => DczReader::open(&container.path).map(|r| reader.insert(r)),
+    }
+    .and_then(|r| r.read_chunk_bytes_at(job.chunk as usize, job.read_cf as usize));
+    let result = match stored {
         Ok(stored) => {
             shared.stats.chunks_decoded.fetch_add(1, Ordering::Relaxed);
-            let e = reader.index()[job.chunk as usize];
+            let e = container.index[job.chunk as usize];
             let slab = ResponseSlab::chunk(e.first_sample, e.samples, job.read_cf, &stored);
             shared.stats.slab_bytes_copied.fetch_add(slab.body().len() as u64, Ordering::Relaxed);
             Ok(Arc::new(slab))
@@ -980,19 +1004,19 @@ fn admit_fetch(
             };
         }
     }
-    let Some(reader) = shared.containers.get(container as usize) else {
+    let Some(c) = shared.containers.get(container as usize) else {
         return Admission::Rejected(Box::new(err(
             ErrorCode::NotFound,
             format!("container {container} (server has {})", shared.containers.len()),
         )));
     };
-    if chunk as usize >= reader.chunk_count() {
+    let Some(entry) = c.index.get(chunk as usize) else {
         return Admission::Rejected(Box::new(err(
             ErrorCode::NotFound,
-            format!("chunk {chunk} (container has {})", reader.chunk_count()),
+            format!("chunk {chunk} (container has {})", c.index.len()),
         )));
-    }
-    let stored = reader.header().cf() as u8;
+    };
+    let stored = c.header.cf() as u8;
     let resolved = if read_cf == 0 { stored } else { read_cf };
     if resolved > stored {
         return Admission::Rejected(Box::new(err(
@@ -1018,7 +1042,7 @@ fn admit_fetch(
     }
     // Quota charge: the chunk's stored length (an upper bound — a ring
     // prefix is shorter).
-    let cost = u64::from(reader.index()[chunk as usize].len);
+    let cost = u64::from(entry.len);
     // Coarser-than-stored fetches are cheap ring-prefix reads — they ride
     // the priority lane so brownout relief is not stuck behind the very
     // backlog it is trying to drain.
@@ -1052,13 +1076,13 @@ fn admit_fetch(
 }
 
 fn info(shared: &Shared, container: u32) -> Response {
-    let Some(reader) = shared.containers.get(container as usize) else {
+    let Some(c) = shared.containers.get(container as usize) else {
         return err(
             ErrorCode::NotFound,
             format!("container {container} (server has {})", shared.containers.len()),
         );
     };
-    let h = reader.header();
+    let h = &c.header;
     Response::Info(ContainerInfo {
         samples: h.sample_count,
         chunks: h.chunk_count,
@@ -1075,7 +1099,7 @@ mod tests {
     use super::*;
     use crate::chaos::scripted::{timeout, Scripted};
     use crate::client::Client;
-    use crate::protocol::{decode_response, encode_frame, encode_request};
+    use crate::protocol::{encode_frame, encode_request};
     use aicomp_store::writer::pack_file;
     use aicomp_store::StoreOptions;
     use aicomp_tensor::Tensor;
@@ -1380,13 +1404,10 @@ mod tests {
         let wire = Scripted::new(script);
         let written = wire.written();
         handle_conn(&handle.shared, wire);
-        let mut dec = FrameDecoder::new();
-        dec.push(&written.lock().unwrap());
-        let replies = std::iter::from_fn(|| dec.pop().unwrap())
-            .map(|(op, body)| decode_response(op, &body).unwrap())
-            .collect();
-        assert!(!dec.has_partial(), "every reply is a whole frame");
-        replies
+        // `read_response` errs on EOF mid-frame: every reply is a whole frame.
+        let written = written.lock().unwrap();
+        let (mut r, mut dec) = (written.as_slice(), FrameDecoder::new());
+        std::iter::from_fn(|| protocol::read_response(&mut r, &mut dec).unwrap()).collect()
     }
 
     fn assert_error(resp: &Response, want: ErrorCode, text: &str) {

@@ -7,28 +7,61 @@
 //! this suite feeds identical byte streams through pathological chunkings
 //! — 1-byte drip, 7-byte (prime, never aligned with the 4-byte length or
 //! 5-byte header), every single split point, and seeded random slices —
-//! and demands the identical frame sequence every time.
+//! and demands the identical frame sequence every time. Each piece is one
+//! `read` of a transport under [`read_frame`], the loop the server and
+//! the client both read through, so the decoder's read room is exercised
+//! too.
 
-use aicomp_serve::protocol::{encode_frame, frame_crc, FrameDecoder};
+use std::collections::VecDeque;
+use std::io::Read;
+
+use aicomp_serve::protocol::{encode_frame, frame_crc, read_frame, FrameDecoder};
 use proptest::prelude::*;
 
-/// Decode an entire byte stream delivered in `chunks`-sized (or
-/// caller-sliced) pieces; returns every `(opcode, body)` popped, in order.
-fn decode_in_pieces(stream: &[u8], pieces: &[usize]) -> Vec<(u8, Vec<u8>)> {
-    let mut dec = FrameDecoder::new();
-    let mut frames = Vec::new();
-    let mut at = 0;
-    for &len in pieces {
-        let end = (at + len).min(stream.len());
-        dec.push(&stream[at..end]);
-        at = end;
-        while let Some(f) = dec.pop().expect("valid stream must decode") {
-            frames.push(f);
-        }
+/// A transport that surfaces its stream one scheduled piece per `read`
+/// (split further only when the reader offers less room), then EOF.
+struct Pieces {
+    pieces: VecDeque<Vec<u8>>,
+}
+
+impl Pieces {
+    /// Cut `stream` into consecutive `pieces`-sized reads. A zero-sized
+    /// piece is no read at all: a read of 0 bytes is EOF.
+    fn new(stream: &[u8], pieces: &[usize]) -> Pieces {
+        assert_eq!(pieces.iter().sum::<usize>(), stream.len(), "pieces must cover the stream");
+        let mut at = 0;
+        let pieces = pieces
+            .iter()
+            .filter(|&&len| len > 0)
+            .map(|&len| {
+                at += len;
+                stream[at - len..at].to_vec()
+            })
+            .collect();
+        Pieces { pieces }
     }
-    assert_eq!(at, stream.len(), "pieces must cover the stream");
-    assert!(!dec.has_partial(), "a whole stream leaves no partial frame");
-    frames
+}
+
+impl Read for Pieces {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let Some(mut piece) = self.pieces.pop_front() else { return Ok(0) };
+        let n = piece.len().min(buf.len());
+        buf[..n].copy_from_slice(&piece[..n]);
+        if n < piece.len() {
+            self.pieces.push_front(piece.split_off(n));
+        }
+        Ok(n)
+    }
+}
+
+/// Decode an entire byte stream delivered in `pieces`-sized reads;
+/// returns every `(opcode, body)` read, in order, up to the clean EOF
+/// that proves no partial frame is left.
+fn decode_in_pieces(stream: &[u8], pieces: &[usize]) -> Vec<(u8, Vec<u8>)> {
+    let mut wire = Pieces::new(stream, pieces);
+    let mut dec = FrameDecoder::new();
+    std::iter::from_fn(|| read_frame(&mut wire, &mut dec).expect("valid stream must decode"))
+        .collect()
 }
 
 /// Cover `len` bytes with pieces of a fixed size (last one ragged).
@@ -103,11 +136,9 @@ proptest! {
         let mut stream = encode_frame(7, &body).unwrap();
         let last = stream.len() - 1;
         stream[last] ^= flip | 1; // always damages the trailing CRC byte
-        let mut dec = FrameDecoder::new();
-        for b in &stream {
-            dec.push(std::slice::from_ref(b));
-        }
-        prop_assert!(dec.pop().is_err(), "damaged CRC must be a typed error");
+        let mut wire = Pieces::new(&stream, &even_pieces(stream.len(), 1));
+        let got = read_frame(&mut wire, &mut FrameDecoder::new());
+        prop_assert!(got.is_err(), "damaged CRC must be a typed error");
     }
 }
 
@@ -123,6 +154,19 @@ fn every_single_split_point_is_equivalent() {
     for split in 0..=stream.len() {
         let got = decode_in_pieces(&stream, &[split, stream.len() - split]);
         assert_eq!(got, frames, "split at byte {split} diverged");
+    }
+}
+
+/// A frame longer than the decoder's read room arrives over many reads
+/// whatever the pieces: the room grows toward the frame's end as the body
+/// comes in, and the bytes behind it still decode.
+#[test]
+fn frames_longer_than_the_read_room_reassemble() {
+    let big: Vec<u8> = (0..200_000u32).map(|i| (i * 7 % 251) as u8).collect();
+    let frames = vec![(1u8, vec![9; 3]), (2u8, big), (3u8, (0..40u8).collect())];
+    let stream = stream_of(&frames);
+    for size in [1, 7, 8191, 8193, 65_537, stream.len()] {
+        assert_eq!(decode_in_pieces(&stream, &even_pieces(stream.len(), size)), frames, "{size}");
     }
 }
 

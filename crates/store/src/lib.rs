@@ -40,15 +40,12 @@
 //! * [`writer`] — [`DczWriter`]: the bounded-memory streaming writer; each
 //!   full chunk's compress, entropy encode and CRC run as one item of a
 //!   rayon fan-out.
-//! * [`reader`] — [`DczReader`]: header/index access, sequential
-//!   bounded-memory iteration, random chunk access, progressive prefix
-//!   reads, `verify`.
+//! * [`reader`] — [`DczReader`]: header/index access, random chunk
+//!   access, progressive prefix reads, `verify`. A reader is
+//!   single-threaded; concurrent consumers (the [`prefetch`] workers, the
+//!   `aicomp-serve` workers) each own one.
 //! * [`prefetch`] — [`PrefetchLoader`]: background worker threads decode
 //!   ahead of the training loop (a bounded `std::sync::mpsc` channel).
-//! * [`shared`] — [`SharedReader`]: validated-once metadata plus a pool of
-//!   per-thread reader handles, so many concurrent consumers (the
-//!   `aicomp-serve` service) read stored chunk bytes from one container
-//!   without a read-path lock.
 //! * [`loader`] — [`StoreBatchSource`]: plugs packed files into
 //!   [`aicomp_sciml::tasks`] so the benchmarks train from `.dcz`.
 //! * [`fault`] — seeded, deterministic fault injection ([`FaultPlan`],
@@ -92,7 +89,6 @@ pub mod loader;
 pub mod prefetch;
 pub mod reader;
 pub mod recover;
-pub mod shared;
 pub mod writer;
 
 pub use chunk::ChunkDecoder;
@@ -104,7 +100,6 @@ pub use reader::{DczReader, VerifyReport};
 pub use recover::{
     deep_verify, repair, salvage, ChunkHealth, ChunkStatus, DeepReport, SalvageReport,
 };
-pub use shared::SharedReader;
 pub use writer::{DczFileWriter, DczWriter, StoreOptions, StoreSummary};
 
 /// Errors from the container format and loaders.

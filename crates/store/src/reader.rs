@@ -1,17 +1,18 @@
-//! [`DczReader`] — random-access and sequential `.dcz` reading.
+//! [`DczReader`] — random-access `.dcz` reading.
 //!
-//! Three access patterns, matching how training consumes data:
+//! Two access patterns, matching how training consumes data:
 //!
-//! 1. **Sequential** ([`DczReader::samples`]): bounded-memory iteration,
-//!    holding one decoded chunk at a time.
-//! 2. **Random chunk access** ([`DczReader::read_chunk`] /
+//! 1. **Random chunk access** ([`DczReader::read_chunk`] /
 //!    [`DczReader::decompress_chunk`]): the footer index maps chunk → byte
 //!    range, so any chunk is one seek away.
-//! 3. **Progressive** ([`DczReader::read_chunk_at`]): read only the ring
+//! 2. **Progressive** ([`DczReader::read_chunk_at`]): read only the ring
 //!    prefix covering a coarser chop factor — the PCR-style trade of
 //!    fidelity for I/O. Bytes actually read are tracked and exposed via
 //!    [`DczReader::bytes_read`] so callers (and tests) can verify the
 //!    saving is real.
+//!
+//! In-order streaming is [`crate::PrefetchLoader`]'s job: its workers
+//! decode chunks ahead of the consumer, each through its own reader.
 //!
 //! Every decode goes through [`DczReader::read_chunk_bytes_at`], which
 //! returns a chunk's stored bytes, and the reader's [`ChunkDecoder`] —
@@ -310,61 +311,6 @@ impl<R: Read + Seek> DczReader<R> {
         }
         Ok(VerifyReport { chunks: self.index.len() as u32, payload_bytes })
     }
-
-    /// Sequential bounded-memory iteration over reconstructed samples
-    /// (`[C, n, n]` each), decoding one chunk at a time.
-    pub fn samples(&mut self) -> SampleIter<'_, R> {
-        SampleIter { reader: self, chunk: 0, window: Vec::new(), at: 0 }
-    }
-}
-
-/// Iterator returned by [`DczReader::samples`].
-#[derive(Debug)]
-pub struct SampleIter<'a, R: Read + Seek> {
-    reader: &'a mut DczReader<R>,
-    chunk: usize,
-    window: Vec<Tensor>,
-    at: usize,
-}
-
-impl<R: Read + Seek> Iterator for SampleIter<'_, R> {
-    type Item = Result<Tensor>;
-
-    fn next(&mut self) -> Option<Result<Tensor>> {
-        if self.at == self.window.len() {
-            if self.chunk == self.reader.chunk_count() {
-                return None;
-            }
-            let batch = match self.reader.decompress_chunk(self.chunk) {
-                Ok(b) => b,
-                Err(e) => {
-                    // Poison the iterator: skip to the end after an error.
-                    self.chunk = self.reader.chunk_count();
-                    return Some(Err(e));
-                }
-            };
-            self.chunk += 1;
-            let d = batch.dims().to_vec();
-            self.window.clear();
-            self.at = 0;
-            for s in 0..d[0] {
-                let one = batch
-                    .slice0(s, s + 1)
-                    .and_then(|t| t.reshaped([d[1], d[2], d[3]]))
-                    .map_err(StoreError::from);
-                match one {
-                    Ok(t) => self.window.push(t),
-                    Err(e) => {
-                        self.chunk = self.reader.chunk_count();
-                        return Some(Err(e));
-                    }
-                }
-            }
-        }
-        let t = self.window[self.at].clone();
-        self.at += 1;
-        Some(Ok(t))
-    }
 }
 
 #[cfg(test)]
@@ -409,25 +355,6 @@ mod tests {
             let a: Vec<u32> = got.data().iter().map(|v| v.to_bits()).collect();
             let b: Vec<u32> = want.data().iter().map(|v| v.to_bits()).collect();
             assert_eq!(a, b, "chunk {chunk}");
-        }
-    }
-
-    #[test]
-    fn sequential_iteration_is_bit_exact() {
-        let opts = StoreOptions::dct(16, 5, 1, 4);
-        let samples: Vec<Tensor> = (0..6).map(|i| sample(i, 1, 16)).collect();
-        let file = pack(&samples, &opts);
-        let mut r = DczReader::new(Cursor::new(file)).unwrap();
-        let comp = ChopCompressor::new(16, 5).unwrap();
-
-        let got: Vec<Tensor> = r.samples().collect::<Result<_>>().unwrap();
-        assert_eq!(got.len(), 6);
-        for (g, s) in got.iter().zip(&samples) {
-            let batch = s.clone().reshaped([1usize, 1, 16, 16]).unwrap();
-            let want = comp.roundtrip(&batch).unwrap().reshaped([1usize, 16, 16]).unwrap();
-            let a: Vec<u32> = g.data().iter().map(|v| v.to_bits()).collect();
-            let b: Vec<u32> = want.data().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(a, b);
         }
     }
 
@@ -595,6 +522,43 @@ mod tests {
         dead[e.offset as usize] ^= 0xFF; // ring_count field
         let mut r = DczReader::new(Cursor::new(dead)).unwrap();
         assert!(r.decompress_chunk_salvage(0, 4).is_err());
+    }
+
+    #[test]
+    fn a_failed_read_leaves_the_reader_usable() {
+        // Every read seeks to its chunk first, so no failure — a refused
+        // argument or a chunk failing its CRC after a whole read — can
+        // leave the reader's cursor or buffer wrong for the next read.
+        let opts = StoreOptions::dct(16, 4, 2, 3);
+        let samples: Vec<Tensor> = (0..10).map(|i| sample(i, 2, 16)).collect();
+        let mut file = pack(&samples, &opts);
+        let e = DczReader::new(Cursor::new(file.clone())).unwrap().entry(1).unwrap();
+        file[(e.offset + e.len as u64 - 1) as usize] ^= 0x20;
+        let path =
+            std::env::temp_dir().join(format!("aicomp_reader_fail_{}.dcz", std::process::id()));
+        std::fs::write(&path, &file).unwrap();
+        let mut used = DczReader::open(&path).unwrap();
+        let fail = |r: &mut DczReader<_>| {
+            assert!(matches!(r.read_chunk_bytes_at(99, 4), Err(StoreError::InvalidArg(_))));
+            assert!(matches!(r.read_chunk_bytes_at(0, 0), Err(StoreError::InvalidArg(_))));
+            assert!(matches!(r.read_chunk_bytes_at(0, 99), Err(StoreError::InvalidArg(_))));
+            assert!(matches!(r.read_chunk_bytes_at(1, 4), Err(StoreError::Format(_))));
+        };
+        for chunk in [0, 2, 3] {
+            for cf in 1..=4 {
+                fail(&mut used);
+                let mut fresh = DczReader::open(&path).unwrap();
+                let bytes = used.read_chunk_bytes_at(chunk, cf).unwrap();
+                assert_eq!(bytes, fresh.read_chunk_bytes_at(chunk, cf).unwrap(), "{chunk} {cf}");
+                fail(&mut used);
+                let got = used.decompress_chunk_at(chunk, cf).unwrap();
+                let want = fresh.decompress_chunk_at(chunk, cf).unwrap();
+                let a: Vec<u32> = got.data().iter().map(|v| v.to_bits()).collect();
+                let b: Vec<u32> = want.data().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(a, b, "chunk {chunk} cf {cf}");
+            }
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

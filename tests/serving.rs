@@ -419,6 +419,37 @@ fn undecodable_stored_bytes_are_a_typed_store_error_and_the_connection_survives(
 }
 
 #[test]
+fn a_chunk_failing_its_crc_is_typed_corrupt_and_the_worker_serves_on() {
+    let path = packed("crc_fail");
+    let want = reference(&path);
+    let e = DczReader::open(&path).unwrap().index()[1];
+    let mut file = std::fs::read(&path).unwrap();
+    file[(e.offset + u64::from(e.len)) as usize - 1] ^= 0x08;
+    std::fs::write(&path, &file).unwrap();
+    // One worker: every read below goes through the same reader.
+    let config = ServeConfig { workers: 1, ..ServeConfig::default() };
+    let handle = Server::bind("127.0.0.1:0", &[&path], config).unwrap().spawn();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let bits = |chunk: u32, client: &mut Client| -> Vec<u32> {
+        client.fetch(0, chunk, CF as u8).unwrap().data.iter().map(|v| v.to_bits()).collect()
+    };
+
+    assert_eq!(bits(0, &mut client), want[&(0, CF as u8)]);
+    match client.fetch(0, 1, CF as u8) {
+        Err(ServeError::Server { code: ErrorCode::Corrupt, message }) => {
+            assert!(message.contains("fails its CRC check"), "{message}");
+        }
+        other => panic!("expected a typed Corrupt reply, got {other:?}"),
+    }
+    // The worker kept its reader, and the connection its stream.
+    assert_eq!(bits(2, &mut client), want[&(2, CF as u8)]);
+
+    client.shutdown().unwrap();
+    handle.join();
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn info_replies_describe_a_header_or_fail_typed() {
     let info = ContainerInfo {
         samples: 18,
